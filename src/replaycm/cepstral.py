@@ -13,6 +13,7 @@ from .spectral import (
     CqtConfig,
     FramingConfig,
     cqt_magnitude,
+    floored_log_power,
     frame_signal,
     resample_rows_linear,
 )
@@ -105,7 +106,7 @@ def cqcc(wave: Waveform, cfg: CqccConfig) -> FeatureMatrix:
     keeping the first n_coeffs coefficients per frame.
     """
     mags, freqs = cqt_magnitude(wave, cfg.cqt)
-    log_power = np.log(np.maximum(mags**2, cfg.cqt.floor))
+    log_power = floored_log_power(mags, cfg.cqt.floor)
     resampled, _ = resample_rows_linear(log_power, freqs, cfg.resample_bins)
     coeffs = dct_matrix(cfg.resample_bins)[: cfg.n_coeffs] @ resampled
     return FeatureMatrix(coeffs.T, name="cqcc", fingerprint=repr(cfg))

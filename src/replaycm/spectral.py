@@ -5,6 +5,7 @@ spectral mean-variance normalization, and the fixed-shape unifiers
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,7 +177,7 @@ def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") ->
     elif scale == "power":
         values = np.abs(spectrum) ** 2
     elif scale == "log-power":
-        values = np.log(np.maximum(np.abs(spectrum) ** 2, cfg.floor))
+        values = floored_log_power(np.abs(spectrum), cfg.floor)
     else:
         raise ValueError(f"unsupported fft scale {scale!r}")
 
@@ -192,7 +193,14 @@ def fft_log_power_spectrogram(wave: Waveform, cfg: FftConfig) -> Spectrogram:
 
 
 class _CqtKernels:
-    """Per-bin windowed complex-exponential kernels plus cached FFTs."""
+    """Conjugate CQT kernels grouped by octave into real correlation matrices.
+
+    Group g covers bins [g * bins_per_octave, (g + 1) * bins_per_octave).  Its
+    matrix has shape (L, 2 * m) for m bins, L being the group's longest kernel:
+    column j holds the real part of bin j's conjugate kernel and column m + j
+    its imaginary part, both starting at row L // 2 - n_k // 2 so that every
+    kernel in the group is centred on the same frame centre.
+    """
 
     def __init__(self, cfg: CqtConfig, sample_rate: int):
         freqs = cfg.bin_frequencies()
@@ -204,34 +212,36 @@ class _CqtKernels:
                 f"CQT bin {k} center frequency {freqs[k]:.2f} Hz reaches the "
                 f"Nyquist frequency {nyquist:.2f} Hz"
             )
-        self.cfg = cfg
-        self.sample_rate = sample_rate
         self.frequencies = freqs
         q = cfg.q_factor
-        self.kernels = []
-        for f in freqs:
-            n_k = max(int(np.ceil(q * sample_rate / f)), 2)
-            window = np.hanning(n_k)
-            phase = np.exp(2j * np.pi * f * np.arange(n_k) / sample_rate)
-            self.kernels.append(window * phase * (2.0 / window.sum()))
-        self.lengths = np.array([k.size for k in self.kernels])
-        self._fft_cache: dict[int, dict[int, np.ndarray]] = {}
-
-    def kernel_fft(self, k: int, size: int) -> np.ndarray:
-        per_size = self._fft_cache.setdefault(size, {})
-        if k not in per_size:
-            per_size[k] = np.fft.fft(self.kernels[k], size)
-        return per_size[k]
+        lengths = [max(int(np.ceil(q * sample_rate / f)), 2) for f in freqs]
+        self.max_length = max(lengths)
+        self.groups: list[np.ndarray] = []
+        for lo in range(0, cfg.n_bins, cfg.bins_per_octave):
+            group = range(lo, min(lo + cfg.bins_per_octave, cfg.n_bins))
+            longest = max(lengths[k] for k in group)
+            matrix = np.zeros((longest, 2 * len(group)))
+            for j, k in enumerate(group):
+                n_k = lengths[k]
+                window = np.hanning(n_k)
+                phase = np.exp(2j * np.pi * freqs[k] * np.arange(n_k) / sample_rate)
+                kernel = np.conj(window * phase * (2.0 / window.sum()))
+                offset = longest // 2 - n_k // 2
+                matrix[offset : offset + n_k, j] = kernel.real
+                matrix[offset : offset + n_k, len(group) + j] = kernel.imag
+            self.groups.append(matrix)
 
 
 _KERNEL_CACHE: dict[tuple[CqtConfig, int], _CqtKernels] = {}
+_KERNEL_CACHE_LOCK = threading.Lock()
 
 
 def _cqt_kernels(cfg: CqtConfig, sample_rate: int) -> _CqtKernels:
     key = (cfg, sample_rate)
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = _CqtKernels(cfg, sample_rate)
-    return _KERNEL_CACHE[key]
+    with _KERNEL_CACHE_LOCK:
+        if key not in _KERNEL_CACHE:
+            _KERNEL_CACHE[key] = _CqtKernels(cfg, sample_rate)
+        return _KERNEL_CACHE[key]
 
 
 def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -239,32 +249,36 @@ def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarra
 
     Each bin is the linear correlation of the signal with that bin's kernel,
     evaluated at frame centers 0, hop, 2*hop, ... with zero padding beyond the
-    signal edges.  Computed per bin via FFT convolution; the equivalent direct
-    summation is the natural cross-check.
+    signal edges.  Computed directly at the frame centers only: the signal is
+    zero-padded by the longest kernel on each side, and each octave group of
+    bins is one matrix product of the strided frame windows with the group's
+    kernel matrix (Brown & Puckette 1992).
     """
     kernels = _cqt_kernels(cfg, wave.sample_rate)
-    x = wave.samples
-    n = x.size
-    centers = np.arange((n - 1) // cfg.hop_length + 1) * cfg.hop_length
+    n = wave.samples.size
+    n_frames = (n - 1) // cfg.hop_length + 1
+    pad = kernels.max_length
+    padded = np.pad(wave.samples, pad)
 
-    mags = np.empty((cfg.n_bins, centers.size))
-    signal_ffts: dict[int, np.ndarray] = {}
-    for k in range(cfg.n_bins):
-        n_k = int(kernels.lengths[k])
-        size = 1 << int(np.ceil(np.log2(n + n_k)))
-        if size not in signal_ffts:
-            signal_ffts[size] = np.fft.fft(x, size)
-        corr = np.fft.ifft(signal_ffts[size] * np.conj(kernels.kernel_fft(k, size)))
-        idx = (centers - n_k // 2) % size
-        mags[k] = np.abs(corr[idx])
-    return mags, kernels.frequencies
+    mags = []
+    for matrix in kernels.groups:
+        length, m = matrix.shape[0], matrix.shape[1] // 2
+        windows = np.lib.stride_tricks.sliding_window_view(padded, length)
+        corr = windows[pad - length // 2 :: cfg.hop_length][:n_frames] @ matrix
+        mags.append(np.hypot(corr[:, :m], corr[:, m:]).T)
+    return np.concatenate(mags), kernels.frequencies
+
+
+def floored_log_power(magnitudes: np.ndarray, floor: float) -> np.ndarray:
+    """Log of squared magnitudes floored at `floor`: log(max(|X|^2, floor))."""
+    return np.log(np.maximum(magnitudes**2, floor))
 
 
 def cqt_log_power_spectrogram(wave: Waveform, cfg: CqtConfig) -> Spectrogram:
     """Constant-Q spectrogram: log of floored squared kernel magnitudes."""
     mags, freqs = cqt_magnitude(wave, cfg)
-    values = np.log(np.maximum(mags**2, cfg.floor))
-    return Spectrogram(values, freqs, cfg.hop_length / wave.sample_rate, "log-power")
+    return Spectrogram(floored_log_power(mags, cfg.floor), freqs,
+                       cfg.hop_length / wave.sample_rate, "log-power")
 
 
 # 8-tap Daubechies (db4) scaling filter, natural order.
@@ -367,7 +381,7 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> Spectrogram:
     for frame in frames:
         coeffs = dwt_decompose(frame, cfg.levels)
         rows.append(np.concatenate(coeffs))
-    values = np.log(np.maximum(np.stack(rows, axis=1) ** 2, cfg.floor))
+    values = floored_log_power(np.stack(rows, axis=1), cfg.floor)
 
     # Band edges 0, fs/2^(L+1), fs/2^L, ..., fs/2; one band per subband in
     # row order, with that band's coefficients spread linearly inside it.

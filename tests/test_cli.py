@@ -1,11 +1,12 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from replaycm import cli
+from replaycm import cli, spectral
 from replaycm.corpus import parse_protocol
 from replaycm.metrics import compute_eer, read_scores
 
@@ -200,6 +201,26 @@ class TestExtract:
             ])
             assert rc == 0
         assert tree_hashes(serial) == tree_hashes(parallel)
+
+    def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path, monkeypatch):
+        # The pool threads, not a serial run, build the CQT kernels here.
+        cfg_path, work = workspace
+        monkeypatch.setattr(spectral, "_KERNEL_CACHE", {})
+        parallel = tmp_path / "parallel"
+        serial = tmp_path / "serial"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for out_dir, jobs in ((parallel, 3), (serial, 1)):
+                rc = cli.main([
+                    "extract", "--config", str(cfg_path), "--feature", "cqcc-small",
+                    "--protocol", str(work / "corpus/protocol_train.txt"),
+                    "--out-dir", str(out_dir), "--jobs", str(jobs),
+                ])
+                assert rc == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert tree_hashes(parallel) == tree_hashes(serial)
 
 
 @pytest.fixture(scope="module")

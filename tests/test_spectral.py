@@ -59,6 +59,25 @@ def naive_cqt_magnitude(x, sample_rate, cfg):
     return mags
 
 
+def sliced_cqt_magnitude(x, sample_rate, cfg):
+    """Per-bin, per-frame kernel inner products over the in-signal slice."""
+    freqs = cfg.bin_frequencies()
+    q = cfg.q_factor
+    centers = np.arange((len(x) - 1) // cfg.hop_length + 1) * cfg.hop_length
+    mags = np.zeros((cfg.n_bins, centers.size))
+    for k, f in enumerate(freqs):
+        n_k = max(int(np.ceil(q * sample_rate / f)), 2)
+        window = np.hanning(n_k)
+        kernel = window * np.exp(2j * np.pi * f * np.arange(n_k) / sample_rate)
+        kernel *= 2.0 / window.sum()
+        for t, center in enumerate(centers):
+            start = center - n_k // 2
+            lo = max(start, 0)
+            hi = min(start + n_k, len(x))
+            mags[k, t] = abs(x[lo:hi] @ np.conj(kernel[lo - start : hi - start]))
+    return mags
+
+
 def random_spectrogram(rng, bins=6, frames=20):
     values = rng.standard_normal((bins, frames))
     return Spectrogram(values, np.arange(1, bins + 1) * 100.0, 0.016, "power")
@@ -172,6 +191,22 @@ class TestCqt:
         cfg = CqtConfig(f_min=500.0, bins_per_octave=12, n_bins=36, hop_length=256)
         mags, _ = cqt_magnitude(Waveform(x, sr), cfg)
         oracle = naive_cqt_magnitude(x, sr, cfg)
+        assert np.max(np.abs(mags - oracle)) <= 1e-6 * oracle.max()
+
+    @pytest.mark.parametrize("seconds", [1.2, 0.1])
+    def test_workload_config_matches_sliced_oracle(self, seconds):
+        # 7 octave groups; the longest kernel (4306 samples, 17 hops) is
+        # longer than the 0.1 s signal, whose length is not a hop multiple.
+        sr = 16000
+        cfg = CqtConfig(f_min=62.5, bins_per_octave=12, n_bins=84, hop_length=256)
+        assert int(np.ceil(cfg.q_factor * sr / cfg.f_min)) == 4306
+        rng = np.random.default_rng(84)
+        t = np.arange(int(seconds * sr)) / sr
+        x = np.sin(2 * np.pi * 62.5 * seconds / np.log(100.0)
+                   * 100.0 ** (t / seconds)) + 0.1 * rng.standard_normal(t.size)
+        mags, _ = cqt_magnitude(Waveform(x, sr), cfg)
+        oracle = sliced_cqt_magnitude(x, sr, cfg)
+        assert mags.shape == (84, (t.size - 1) // 256 + 1)
         assert np.max(np.abs(mags - oracle)) <= 1e-6 * oracle.max()
 
     def test_nyquist_violation_names_bin(self):
