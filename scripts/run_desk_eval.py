@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end desk experiment on the bundled synthetic replay corpus.
 
-Synthesizes the corpus, extracts CQCC and LPCC features, trains the
-CQCC-GMM and LPCC i-vector + SVM systems, scores both subsets, trains a
-2-way fusion on the training scores, and reports per-system and fused
-equal error rates for the evaluation subset, with stage timings.
+Synthesizes the corpus, extracts every configured feature, trains every
+configured system, scores both subsets, trains a fusion of all systems on
+the training scores when there are two or more, and reports per-system and
+fused equal error rates for the evaluation subset, with stage timings.
+
+Without --config the desk preset (CQCC-GMM and LPCC i-vector + SVM) is
+written to <work-dir>/desk_config.json and run. Protocols come from the
+config's paths; score files and the fusion model go to its work_dir.
 
 Usage:
     python scripts/run_desk_eval.py --work-dir work [--seed N] [--config cfg.json]
@@ -17,11 +21,9 @@ import time
 from pathlib import Path
 
 from replaycm import cli
-from replaycm.config import default_desk_config
+from replaycm.config import ConfigError, default_desk_config, load_config
 from replaycm.corpus import parse_protocol
 from replaycm.metrics import compute_eer, read_scores
-
-SYSTEMS = ("cqcc-gmm", "lpcc-ivec")
 
 
 def run(*args):
@@ -41,22 +43,31 @@ def eer_percent(score_path, labels):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--work-dir", default="work")
+    parser.add_argument("--work-dir", default="work",
+                        help="work directory of the generated desk config")
     parser.add_argument("--seed", type=int, default=20170801)
     parser.add_argument("--config", default=None,
                         help="existing pipeline config (default: generated)")
     args = parser.parse_args()
 
-    work = Path(args.work_dir)
-    work.mkdir(parents=True, exist_ok=True)
     if args.config:
         cfg_path = Path(args.config)
     else:
+        work = Path(args.work_dir)
+        work.mkdir(parents=True, exist_ok=True)
         cfg_path = work / "desk_config.json"
         cfg_path.write_text(
             json.dumps(default_desk_config(str(work), seed=args.seed), indent=2)
         )
         print(f"config -> {cfg_path}")
+    try:
+        cfg = load_config(cfg_path)
+    except ConfigError as exc:
+        sys.exit(f"error: {exc}")
+    work = Path(cfg.paths.work_dir)
+    protocols = {"train": cfg.paths.protocol_train, "eval": cfg.paths.protocol_eval}
+    systems = list(cfg.systems)
+    fused = len(systems) >= 2
 
     timings = {}
 
@@ -64,45 +75,45 @@ def main():
     run("synth", "--config", cfg_path)
     timings["synth"] = time.time() - start
 
-    protocol_train = work / "corpus/protocol_train.txt"
-    protocol_eval = work / "corpus/protocol_eval.txt"
-
     start = time.time()
-    for feature in ("cqcc20", "lpcc78"):
-        for protocol in (protocol_train, protocol_eval):
+    for feature in cfg.features:
+        for protocol in protocols.values():
             run("extract", "--config", cfg_path, "--feature", feature,
                 "--protocol", protocol)
     timings["extract"] = time.time() - start
 
     start = time.time()
-    for system in SYSTEMS:
+    for system in systems:
         run("train", "--config", cfg_path, "--system", system)
     timings["train"] = time.time() - start
 
     start = time.time()
-    for system in SYSTEMS:
-        for tag, protocol in (("train", protocol_train), ("eval", protocol_eval)):
+    for system in systems:
+        for tag, protocol in protocols.items():
             run("score", "--config", cfg_path, "--system", system,
                 "--protocol", protocol,
                 "--out-scores", work / f"{system}.{tag}.scores")
     timings["score"] = time.time() - start
 
-    start = time.time()
-    run("fuse", work / "cqcc-gmm.train.scores", work / "lpcc-ivec.train.scores",
-        "--protocol", protocol_train,
-        "--out-model", work / "fusion.rsmd",
-        "--out-scores", work / "fused.train.scores")
-    run("fuse", work / "cqcc-gmm.eval.scores", work / "lpcc-ivec.eval.scores",
-        "--apply", work / "fusion.rsmd",
-        "--out-scores", work / "fused.eval.scores")
-    timings["fuse"] = time.time() - start
+    if fused:
+        start = time.time()
+        run("fuse", *[work / f"{s}.train.scores" for s in systems],
+            "--protocol", protocols["train"],
+            "--out-model", work / "fusion.rsmd",
+            "--out-scores", work / "fused.train.scores")
+        run("fuse", *[work / f"{s}.eval.scores" for s in systems],
+            "--apply", work / "fusion.rsmd",
+            "--out-scores", work / "fused.eval.scores")
+        timings["fuse"] = time.time() - start
 
-    labels = {t.trial_id: t.label for t in parse_protocol(protocol_eval)}
+    labels = {t.trial_id: t.label for t in parse_protocol(protocols["eval"])}
     print()
     print(f"{'system':24s}  eval EER")
-    for system in SYSTEMS:
+    for system in systems:
         print(f"{system:24s}  {eer_percent(work / f'{system}.eval.scores', labels):6.2f}%")
-    print(f"{'fusion (2-way)':24s}  {eer_percent(work / 'fused.eval.scores', labels):6.2f}%")
+    if fused:
+        label = f"fusion ({len(systems)}-way)"
+        print(f"{label:24s}  {eer_percent(work / 'fused.eval.scores', labels):6.2f}%")
     print()
     total = sum(timings.values())
     for stage, seconds in timings.items():

@@ -16,12 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .config import ConfigError, load_config
+from .config import FEATURE_KINDS, ConfigError, load_config
 from .corpus import generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
 from .metrics import ScoreSet, compute_eer, read_scores, write_scores
-
-FEATURE_CHOICES = ("cqcc", "lpcc", "fft", "cqt", "dwt", "deemd")
 
 
 def _err(message: str) -> None:
@@ -197,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract features for every trial")
     add_common(p)
     p.add_argument("--feature", required=True,
-                   help=f"configured feature name (types: {', '.join(FEATURE_CHOICES)})")
+                   help=f"configured feature name (types: {', '.join(FEATURE_KINDS)})")
     p.add_argument("--protocol", required=True)
     p.add_argument("--audio-dir", default=None)
     p.add_argument("--out-dir", default=None)

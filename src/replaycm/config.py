@@ -1,24 +1,26 @@
 """Pipeline configuration: a single JSON file with named feature blocks and
 named system blocks, parsed into the owning modules' config dataclasses up
 front so bad parameters fail at load time.
+
+Each block's keys are the fields of its dataclass, read by introspection;
+the fields of a nested config dataclass are written in the same flat block.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .cepstral import CqccConfig, LpccConfig
 from .corpus import CorpusConfig
 from .eemd import SiftConfig
-from .spectral import CqtConfig, DwtConfig, FftConfig, FramingConfig
-
-FEATURE_KINDS = ("cqcc", "lpcc", "fft", "cqt", "dwt", "deemd")
-MODEL_KINDS = ("gmm", "ivec-svm")
+from .spectral import CqtConfig, DwtConfig, FftConfig
 
 
 class ConfigError(ValueError):
@@ -44,9 +46,9 @@ class PathsConfig:
     protocol_eval: str
 
     def __post_init__(self):
-        for name in ("work_dir", "audio_dir", "protocol_train", "protocol_eval"):
-            if not getattr(self, name):
-                raise ConfigError(f"paths.{name} must be a non-empty path")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ConfigError(f"{f.name} must be a non-empty path")
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,6 @@ class FeatureSpec:
     cmvn: bool = False
     mvn: bool = False
 
-    @property
-    def is_cepstral(self) -> bool:
-        return self.kind in ("cqcc", "lpcc")
-
 
 @dataclass(frozen=True)
 class GmmSystemSpec:
@@ -87,7 +85,7 @@ class GmmSystemSpec:
 
     def __post_init__(self):
         if self.components < 1 or self.iterations < 1:
-            raise ConfigError(f"system {self.name}: components and iterations must be >= 1")
+            raise ConfigError("components and iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,13 @@ class IvecSystemSpec:
     def __post_init__(self):
         if min(self.ubm_components, self.ubm_iterations,
                self.tv_rank, self.tv_iterations) < 1:
-            raise ConfigError(f"system {self.name}: counts must be >= 1")
+            raise ConfigError("counts must be >= 1")
         if self.svm_c <= 0:
-            raise ConfigError(f"system {self.name}: svm_c must be positive")
+            raise ConfigError("svm_c must be positive")
         if self.t_shared and not self.ubm_shared:
-            raise ConfigError(
-                f"system {self.name}: a shared T-matrix requires a shared UBM"
-            )
+            raise ConfigError("a shared T-matrix requires a shared UBM")
         if self.svm_shared and not self.t_shared:
-            raise ConfigError(
-                f"system {self.name}: a shared SVM requires a shared T-matrix"
-            )
+            raise ConfigError("a shared SVM requires a shared T-matrix")
 
     @property
     def phrase_dependent(self) -> bool:
@@ -132,104 +126,118 @@ class PipelineConfig:
     features: dict[str, FeatureSpec]
     systems: dict[str, object]
 
-    def feature_for(self, system_name: str) -> FeatureSpec:
-        return self.features[self.systems[system_name].feature]
+
+FEATURE_KINDS = {
+    "cqcc": CqccConfig,
+    "lpcc": LpccConfig,
+    "fft": FftConfig,
+    "cqt": CqtConfig,
+    "dwt": DwtConfig,
+    "deemd": DeemdParams,
+}
+MODEL_KINDS = {"gmm": GmmSystemSpec, "ivec-svm": IvecSystemSpec}
+
+_JSON_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
 
 
-def _take(block: dict, name: str, keys: dict, context: str) -> dict:
-    """Pop known keys (with defaults applied by the constructor), reject typos."""
-    unknown = set(block) - set(keys) - {"type", "model", "cmvn", "mvn", "feature"}
-    if unknown:
-        raise ConfigError(f"{context} {name!r}: unknown key(s) {sorted(unknown)}")
-    return {k: block[k] for k in keys if k in block}
+def _checked(value, hint, where: str):
+    """Check a JSON value against a field annotation; a list becomes a tuple.
+
+    Nothing else is converted: the repr of a parsed feature config is the
+    fingerprint stored in every feature container.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)) and len(value) == len(get_args(hint)):
+            return tuple(_checked(v, h, where) for v, h in zip(value, get_args(hint)))
+        raise ConfigError(f"{where} must be a list of {len(get_args(hint))} numbers, "
+                          f"got {value!r}")
+    expected, accepts = _JSON_TYPES[hint]
+    if not accepts(value):
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    return value
 
 
-def _framing_from(block: dict) -> FramingConfig:
-    kwargs = {}
-    for src, dst in (("window_seconds", "window_seconds"),
-                     ("hop_seconds", "hop_seconds"), ("window", "window")):
-        if src in block:
-            kwargs[dst] = block[src]
-    return FramingConfig(**kwargs)
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
-def _parse_feature(name: str, block: dict) -> FeatureSpec:
-    kind = block.get("type")
+@functools.cache
+def _field_types(cls) -> tuple:
+    """(field, resolved annotation) pairs of a config dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
+
+
+def _build(cls, block: dict, context: str, unused: set, **given):
+    """Construct config dataclass ``cls`` from the flat JSON object ``block``.
+
+    Fields in ``given`` are set by the caller. A field typed as a config
+    dataclass is built from the same block, so nested settings are written
+    flat. Every key taken from ``block`` is removed from ``unused``.
+    """
+    for f, hint in _field_types(cls):
+        if f.name in given:
+            continue
+        if is_dataclass(hint):
+            given[f.name] = _build(hint, block, context, unused)
+        elif f.name in block:
+            given[f.name] = _checked(block[f.name], hint, f"{context}: {f.name}")
+            unused.discard(f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{context}: missing key {f.name!r}")
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _reject_unused(unused: set, context: str) -> None:
+    if unused:
+        raise ConfigError(f"{context}: unknown key(s) {sorted(unused)}")
+
+
+def _build_block(cls, block, context: str, tag: str | None = None, **given):
+    unused = set(_object(block, context)) - {tag}
+    built = _build(cls, block, context, unused, **given)
+    _reject_unused(unused, context)
+    return built
+
+
+def _parse_feature(name: str, block) -> FeatureSpec:
+    context = f"feature {name!r}"
+    kind = _object(block, context).get("type")
     if kind not in FEATURE_KINDS:
-        raise ConfigError(f"feature {name!r}: unknown type {kind!r}")
-    cmvn = bool(block.get("cmvn", False))
-    mvn = bool(block.get("mvn", False))
-    try:
-        if kind == "cqcc":
-            keys = _take(block, name, dict.fromkeys(
-                ["f_min", "bins_per_octave", "n_bins", "hop_length", "floor",
-                 "resample_bins", "n_coeffs"]), "feature")
-            cqt_keys = {k: keys.pop(k) for k in
-                        ("f_min", "bins_per_octave", "n_bins", "hop_length", "floor")
-                        if k in keys}
-            config = CqccConfig(cqt=CqtConfig(**cqt_keys), **keys)
-        elif kind == "lpcc":
-            keys = _take(block, name, dict.fromkeys(
-                ["window_seconds", "hop_seconds", "window", "lpc_order", "n_coeffs"]),
-                "feature")
-            framing = _framing_from(keys)
-            config = LpccConfig(
-                framing=framing,
-                **{k: keys[k] for k in ("lpc_order", "n_coeffs") if k in keys},
-            )
-        elif kind in ("fft", "deemd"):
-            keys = _take(block, name, dict.fromkeys(
-                ["window_seconds", "hop_seconds", "window", "n_fft", "floor",
-                 "target_bins", "ensemble_size", "noise_strength_factor",
-                 "max_sift_iters", "sd_threshold"]), "feature")
-            fft_cfg = FftConfig(
-                framing=_framing_from(keys),
-                **{k: keys[k] for k in ("n_fft", "floor", "target_bins") if k in keys},
-            )
-            if kind == "fft":
-                config = fft_cfg
-            else:
-                sift = SiftConfig(**{
-                    k: keys[k] for k in ("max_sift_iters", "sd_threshold") if k in keys
-                })
-                config = DeemdParams(
-                    fft=fft_cfg,
-                    sift=sift,
-                    **{k: keys[k] for k in
-                       ("ensemble_size", "noise_strength_factor") if k in keys},
-                )
-        elif kind == "cqt":
-            keys = _take(block, name, dict.fromkeys(
-                ["f_min", "bins_per_octave", "n_bins", "hop_length", "floor"]),
-                "feature")
-            config = CqtConfig(**keys)
-        else:  # dwt
-            keys = _take(block, name, dict.fromkeys(
-                ["frame_len", "hop_length", "levels", "floor"]), "feature")
-            config = DwtConfig(**keys)
-    except ValueError as exc:
-        raise ConfigError(f"feature {name!r}: {exc}") from exc
-    return FeatureSpec(name=name, kind=kind, config=config, cmvn=cmvn, mvn=mvn)
+        raise ConfigError(f"{context}: unknown type {kind!r}")
+    cls = FEATURE_KINDS[kind]
+    # compute_feature applies CMVN to cepstra and MVN to spectrograms only
+    ignored = "mvn" if cls in (CqccConfig, LpccConfig) else "cmvn"
+    if ignored in block:
+        raise ConfigError(f"{context}: {ignored!r} does not apply to {kind} features")
+    unused = set(block) - {"type"}
+    spec = _build(FeatureSpec, block, context, unused, name=name, kind=kind,
+                  config=_build(cls, block, context, unused))
+    _reject_unused(unused, context)
+    return spec
 
 
-def _parse_system(name: str, block: dict) -> object:
-    model = block.get("model")
+def _parse_system(name: str, block) -> object:
+    context = f"system {name!r}"
+    model = _object(block, context).get("model")
     if model not in MODEL_KINDS:
-        raise ConfigError(f"system {name!r}: unknown model {model!r}")
-    if "feature" not in block:
-        raise ConfigError(f"system {name!r}: missing feature reference")
-    try:
-        if model == "gmm":
-            keys = _take(block, name, dict.fromkeys(
-                ["components", "iterations", "variance_floor", "phrase_dependent"]),
-                "system")
-            return GmmSystemSpec(name=name, feature=block["feature"], **keys)
-        keys = _take(block, name, dict.fromkeys(
-            ["ubm_components", "ubm_iterations", "tv_rank", "tv_iterations",
-             "svm_c", "ubm_shared", "t_shared", "svm_shared"]), "system")
-        return IvecSystemSpec(name=name, feature=block["feature"], **keys)
-    except ValueError as exc:
-        raise ConfigError(f"system {name!r}: {exc}") from exc
+        raise ConfigError(f"{context}: unknown model {model!r}")
+    return _build_block(MODEL_KINDS[model], block, context, "model", name=name)
 
 
 def _reject_duplicate_keys(pairs):
@@ -241,30 +249,31 @@ def _reject_duplicate_keys(pairs):
     return data
 
 
-def parse_config(data: dict) -> PipelineConfig:
+def parse_config(data: dict, seed_override: int | None = None) -> PipelineConfig:
+    hints = {f.name: hint for f, hint in _field_types(PipelineConfig)}
+    _reject_unused(set(_object(data, "configuration")) - set(hints), "configuration")
     for section in ("paths", "features", "systems"):
         if section not in data:
             raise ConfigError(f"missing configuration section {section!r}")
-    seed = int(data.get("seed", 0))
-    sample_rate = int(data.get("sample_rate", 16000))
-    paths = PathsConfig(**data["paths"])
-
-    corpus_block = dict(data.get("corpus", {}))
-    corpus_block.setdefault("seed", seed)
-    corpus_block.setdefault("sample_rate", sample_rate)
-    for key in ("cutoff_hz_range", "snr_db_range", "gain_range"):
-        if key in corpus_block:
-            corpus_block[key] = tuple(corpus_block[key])
-    try:
-        corpus = CorpusConfig(**corpus_block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"corpus: {exc}") from exc
+    if seed_override is None:
+        seed = _checked(data.get("seed", 0), hints["seed"], "seed")
+    else:
+        seed = int(seed_override)
+    sample_rate = _checked(data.get("sample_rate", 16000), hints["sample_rate"],
+                           "sample_rate")
+    paths = _build_block(PathsConfig, data["paths"], "paths")
+    corpus_block = {"seed": seed, "sample_rate": sample_rate,
+                    **_object(data.get("corpus", {}), "corpus")}
+    if seed_override is not None:
+        corpus_block["seed"] = seed
+    corpus = _build_block(CorpusConfig, corpus_block, "corpus")
 
     features = {
-        name: _parse_feature(name, block) for name, block in data["features"].items()
+        name: _parse_feature(name, block)
+        for name, block in _object(data["features"], "features").items()
     }
     systems = {}
-    for name, block in data["systems"].items():
+    for name, block in _object(data["systems"], "systems").items():
         spec = _parse_system(name, block)
         if spec.feature not in features:
             raise ConfigError(
@@ -291,12 +300,8 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
         )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if seed_override is not None:
-        raw["seed"] = int(seed_override)
-        if "corpus" in raw:
-            raw["corpus"].pop("seed", None)
     try:
-        return parse_config(raw)
+        return parse_config(raw, seed_override)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -48,7 +48,6 @@ def fusion_train(
     l2: float = 1e-6,
     tol: float = 1e-8,
     max_iters: int = 50000,
-    class_balance: bool = False,
 ) -> FusionModel:
     """Train fusion weights on a trials x systems score matrix.
 
@@ -72,10 +71,7 @@ def fusion_train(
         raise ValueError("l2 must be non-negative")
 
     n = scores.shape[0]
-    if class_balance:
-        sample_weight = np.where(labels > 0, 0.5 / n_genuine, 0.5 / n_spoof)
-    else:
-        sample_weight = np.full(n, 1.0 / n)
+    sample_weight = np.full(n, 1.0 / n)
 
     aug = np.hstack([scores, np.ones((n, 1))])
     theta = np.zeros(aug.shape[1])

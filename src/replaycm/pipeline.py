@@ -203,21 +203,31 @@ def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
     return diagnostics
 
 
+def load_model(path, kind: str) -> dict[str, np.ndarray]:
+    """Arrays of the RSMD container at ``path``, which must hold a ``kind`` model."""
+    found, arrays = containers.read_model(path)
+    if found != kind:
+        raise ValueError(f"{path}: expected a {kind} container, found {found!r}")
+    return arrays
+
+
+def _load_system_model(directory: Path, system: str, base: str, phrase_key: str,
+                       kind: str) -> dict[str, np.ndarray]:
+    path = directory / f"{_model_name(base, phrase_key)}.rsmd"
+    if not path.exists():
+        raise FileNotFoundError(
+            f"system {system}: missing model {path}"
+            + (f" for phrase {phrase_key}" if phrase_key else "")
+        )
+    return load_model(path, kind)
+
+
 def _load_gmm_pair(cfg: PipelineConfig, spec: GmmSystemSpec, phrase_key: str):
     out = model_dir(cfg, spec.name)
-    models = []
-    for label in ("genuine", "spoof"):
-        path = out / f"{_model_name(label, phrase_key)}.rsmd"
-        if not path.exists():
-            raise FileNotFoundError(
-                f"system {spec.name}: missing model {path}"
-                + (f" for phrase {phrase_key}" if phrase_key else "")
-            )
-        kind, arrays = containers.read_model(path)
-        if kind != "gmm":
-            raise ValueError(f"{path}: expected a gmm container, found {kind!r}")
-        models.append(_gmm_from_arrays(arrays))
-    return models[0], models[1]
+    return tuple(
+        _gmm_from_arrays(_load_system_model(out, spec.name, label, phrase_key, "gmm"))
+        for label in ("genuine", "spoof")
+    )
 
 
 def score_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
@@ -327,21 +337,12 @@ class _IvecScorer:
         self.dir = model_dir(cfg, spec.name)
         self._cache: dict[tuple[str, str], object] = {}
 
-    def _load(self, base: str, phrase_key: str, expected_kind: str):
+    def _load(self, base: str, phrase_key: str, kind: str):
         key = (base, phrase_key)
         if key not in self._cache:
-            path = self.dir / f"{_model_name(base, phrase_key)}.rsmd"
-            if not path.exists():
-                raise FileNotFoundError(
-                    f"system {self.spec.name}: missing model {path}"
-                    + (f" for phrase {phrase_key}" if phrase_key else "")
-                )
-            kind, arrays = containers.read_model(path)
-            if kind != expected_kind:
-                raise ValueError(
-                    f"{path}: expected a {expected_kind} container, found {kind!r}"
-                )
-            self._cache[key] = arrays
+            self._cache[key] = _load_system_model(
+                self.dir, self.spec.name, base, phrase_key, kind
+            )
         return self._cache[key]
 
     def score(self, trial: Trial, frames: np.ndarray) -> float:
@@ -397,9 +398,7 @@ def save_fusion_model(path, model: FusionModel) -> None:
 
 
 def load_fusion_model(path) -> FusionModel:
-    kind, arrays = containers.read_model(path)
-    if kind != "fusion":
-        raise ValueError(f"{path}: expected a fusion container, found {kind!r}")
+    arrays = load_model(path, "fusion")
     return FusionModel(arrays["weights"], float(arrays["offset"][0]))
 
 

@@ -410,6 +410,17 @@ class TestFuseEval:
         ]) == 0
         assert (tmp_path / "f1").read_bytes() == (tmp_path / "f2").read_bytes()
 
+    def test_apply_rejects_a_model_that_is_not_a_fusion(self, trained, tmp_path, capsys):
+        _, work = trained
+        scores = tmp_path / "a.scores"
+        scores.write_text("t1 1.0\nt2 2.0\n")
+        rc = cli.main(["fuse", str(scores),
+                       "--apply", str(work / "models/gmm-sys/genuine.rsmd"),
+                       "--out-scores", str(tmp_path / "x")])
+        assert rc == 2
+        assert "expected a fusion container" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
         scores = tmp_path / "bad.scores"

@@ -1,0 +1,53 @@
+import json
+import runpy
+import sys
+from pathlib import Path
+
+from replaycm.corpus import parse_protocol
+from replaycm.metrics import read_scores
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_eval.py"
+
+
+def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
+    """Feature, system and protocol names all come from the config."""
+    work = tmp_path / "run"
+    config = {
+        "seed": 99,
+        "sample_rate": 16000,
+        "paths": {
+            "work_dir": str(work),
+            "audio_dir": str(work / "corpus/wav"),
+            "protocol_train": str(work / "corpus/protocol_train.txt"),
+            "protocol_eval": str(work / "corpus/protocol_eval.txt"),
+        },
+        "corpus": {
+            "n_train_genuine": 8, "n_train_spoof": 8,
+            "n_eval_genuine": 4, "n_eval_spoof": 4,
+            "n_speakers": 2, "n_phrases": 2, "duration_seconds": 0.5,
+        },
+        "features": {
+            "lp": {"type": "lpcc", "lpc_order": 12, "n_coeffs": 20, "cmvn": True},
+            "dw": {"type": "dwt", "frame_len": 64, "hop_length": 64, "levels": 3},
+        },
+        "systems": {
+            "lp-gmm": {"model": "gmm", "feature": "lp", "components": 2, "iterations": 3},
+            "dw-gmm": {"model": "gmm", "feature": "dw", "components": 2, "iterations": 3},
+            "lp-ivec": {"model": "ivec-svm", "feature": "lp", "ubm_components": 2,
+                        "ubm_iterations": 3, "tv_rank": 2, "tv_iterations": 2},
+        },
+    }
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(json.dumps(config))
+
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--config", str(cfg_path),
+                                      "--work-dir", str(tmp_path / "unused")])
+    runpy.run_path(str(SCRIPT), run_name="__main__")
+
+    out = capsys.readouterr().out
+    for name in ("lp-gmm", "dw-gmm", "lp-ivec", "fusion (3-way)"):
+        assert name in out
+    assert sorted(p.name for p in (work / "features").iterdir()) == ["dw", "lp"]
+    eval_ids = [t.trial_id for t in parse_protocol(work / "corpus/protocol_eval.txt")]
+    assert list(read_scores(work / "fused.eval.scores").trial_ids) == eval_ids
+    assert not (tmp_path / "unused").exists()
