@@ -40,9 +40,28 @@ def _hash_tree(root: Path) -> dict[str, str]:
     return digests
 
 
+def _configured_corpus_dir(paths) -> Path:
+    """The directory ``synth`` writes so that ``extract`` and ``train`` find
+    the corpus: paths.audio_dir, paths.protocol_train and paths.protocol_eval
+    must be <dir>/wav, <dir>/protocol_train.txt and <dir>/protocol_eval.txt."""
+    corpus = Path(paths.audio_dir).parent
+    layout = {"audio_dir": corpus / "wav",
+              "protocol_train": corpus / "protocol_train.txt",
+              "protocol_eval": corpus / "protocol_eval.txt"}
+    for key, expected in layout.items():
+        if Path(getattr(paths, key)) != expected:
+            raise ConfigError(
+                f"paths.{key} is {getattr(paths, key)!r}, but synth writes the "
+                f"corpus as <dir>/wav, <dir>/protocol_train.txt and "
+                f"<dir>/protocol_eval.txt of one directory (expected {expected}); "
+                "fix the paths or pass --out-dir"
+            )
+    return corpus
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.paths.work_dir) / "corpus"
+    out_dir = Path(args.out_dir) if args.out_dir else _configured_corpus_dir(cfg.paths)
     before = _hash_tree(out_dir) if out_dir.exists() else None
     try:
         generate_synth_corpus(cfg.corpus, out_dir)
@@ -189,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate the synthetic replay corpus")
     add_common(p)
     p.add_argument("--out-dir", default=None,
-                   help="corpus directory (default: <work_dir>/corpus)")
+                   help="corpus directory (default: the parent of paths.audio_dir, "
+                   "which must hold both protocols)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract features for every trial")

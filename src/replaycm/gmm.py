@@ -11,9 +11,9 @@ import numpy as np
 LOG_2PI = np.log(2.0 * np.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
-    """Weighted diagonal-covariance Gaussian mixture."""
+    """Weighted diagonal-covariance Gaussian mixture with read-only arrays."""
 
     weights: np.ndarray    # (K,)
     means: np.ndarray      # (K, D)
@@ -21,9 +21,10 @@ class GmmModel:
     loglik_history: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
+        for name in ("weights", "means", "variances"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if self.means.ndim != 2:
             raise ValueError("means must be a K x D matrix")
         k, d = self.means.shape
@@ -43,11 +44,28 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+def _log_densities(model: GmmModel, xx: np.ndarray) -> np.ndarray:
+    """log N(x | mu_k, var_k) for every row [x^2, x] of ``xx``, (N, K): with
+    the quadratic form expanded, one matmul plus a per-component constant."""
+    inv_var = 1.0 / model.variances
+    coef = np.vstack([-0.5 * inv_var.T, (model.means * inv_var).T])
+    const = -0.5 * (model.dim * LOG_2PI
+                     + np.sum(np.log(model.variances) + model.means**2 * inv_var, axis=1))
+    out = xx @ coef
+    out += const  # in place: a fresh N x K temporary costs as much as the matmul
     return out
+
+
+def _posteriors_in_place(log_joint: np.ndarray) -> np.ndarray:
+    """Normalize (N, K) log joint densities into posteriors in place and
+    return the per-frame mixture log-likelihoods (log-sum-exp of each row)."""
+    m = np.max(log_joint, axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    log_joint -= m
+    np.exp(log_joint, out=log_joint)
+    total = log_joint.sum(axis=1, keepdims=True)
+    log_joint /= total
+    return np.log(total[:, 0]) + m[:, 0]
 
 
 def log_component_densities(model: GmmModel, frames: np.ndarray) -> np.ndarray:
@@ -57,22 +75,13 @@ def log_component_densities(model: GmmModel, frames: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"frames must be N x {model.dim}, got {frames.shape}"
         )
-    inv_var = 1.0 / model.variances
-    const = -0.5 * (
-        model.dim * LOG_2PI + np.sum(np.log(model.variances), axis=1)
-    )
-    quad = (
-        frames**2 @ inv_var.T
-        - 2.0 * frames @ (model.means * inv_var).T
-        + np.sum(model.means**2 * inv_var, axis=1)
-    )
-    return const - 0.5 * quad
+    return _log_densities(model, np.hstack([frames**2, frames]))
 
 
 def frame_logliks(model: GmmModel, frames: np.ndarray) -> np.ndarray:
     """Per-frame mixture log-likelihoods log sum_k w_k N(x | mu_k, var_k)."""
     log_joint = log_component_densities(model, frames) + np.log(model.weights)
-    return _logsumexp(log_joint, axis=1)
+    return _posteriors_in_place(log_joint)
 
 
 def gmm_avg_loglik(model: GmmModel, frames: np.ndarray) -> float:
@@ -125,35 +134,30 @@ def gmm_em_train(
     global_var = np.maximum(frames.var(axis=0), floor)
 
     rng = np.random.default_rng(seed)
-    means = frames[rng.choice(n, size=k, replace=False)].copy()
-    variances = np.tile(global_var, (k, 1))
-    weights = np.full(k, 1.0 / k)
-    model = GmmModel(weights, means, variances)
+    means = frames[rng.choice(n, size=k, replace=False)]
+    model = GmmModel(np.full(k, 1.0 / k), means, np.tile(global_var, (k, 1)))
 
+    xx = np.hstack([frames**2, frames])
     history = []
     for _ in range(iters):
-        log_joint = log_component_densities(model, frames) + np.log(model.weights)
-        frame_ll = _logsumexp(log_joint, axis=1)
+        resp = _log_densities(model, xx)
+        resp += np.log(model.weights)
+        frame_ll = _posteriors_in_place(resp)
         history.append(float(np.mean(frame_ll)))
-        resp = np.exp(log_joint - frame_ll[:, None])
 
         nk = resp.sum(axis=0)
         weights = nk / n
-        safe_nk = np.maximum(nk, 1e-300)
-        means = (resp.T @ frames) / safe_nk[:, None]
-        second = (resp.T @ frames**2) / safe_nk[:, None]
-        variances = np.maximum(second - means**2, floor)
+        moments = (resp.T @ xx) / np.maximum(nk, 1e-300)[:, None]
+        means = moments[:, d:]
+        variances = np.maximum(moments[:, :d] - means**2, floor)
 
         empty = nk < 1e-10
         if np.any(empty):
-            worst = int(np.argmin(frame_ll))
-            for c in np.nonzero(empty)[0]:
-                means[c] = frames[worst]
-                variances[c] = global_var
-                weights[c] = 1.0 / n
+            means[empty] = frames[np.argmin(frame_ll)]
+            variances[empty] = global_var
+            weights[empty] = 1.0 / n
             weights = weights / weights.sum()
         model = GmmModel(weights, means, variances)
 
     history.append(gmm_avg_loglik(model, frames))
-    model.loglik_history = tuple(history)
-    return model
+    return GmmModel(model.weights, model.means, model.variances, tuple(history))

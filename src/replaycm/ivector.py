@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .gmm import GmmModel, log_component_densities, _logsumexp
+from .gmm import GmmModel, log_component_densities, _posteriors_in_place
+
+E_STEP_BLOCK = 256  # utterances per E-step block: bounds the (block, R, R) stacks
 
 
 @dataclass
@@ -29,14 +32,19 @@ class BaumWelchStats:
             raise ValueError("zero-order counts must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TotalVariabilityModel:
+    """UBM plus subspace matrix; both are read-only, so the Gram matrices that
+    i-vector extraction derives from them are built once and cannot go stale."""
+
     ubm: GmmModel
     t_matrix: np.ndarray  # (K*D, R)
     objective_history: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        self.t_matrix = np.asarray(self.t_matrix, dtype=np.float64)
+        t_matrix = np.array(self.t_matrix, dtype=np.float64)
+        t_matrix.flags.writeable = False
+        object.__setattr__(self, "t_matrix", t_matrix)
         kd = self.ubm.n_components * self.ubm.dim
         if self.t_matrix.ndim != 2 or self.t_matrix.shape[0] != kd:
             raise ValueError(f"t_matrix must be {kd} x R")
@@ -46,6 +54,14 @@ class TotalVariabilityModel:
     @property
     def rank(self) -> int:
         return self.t_matrix.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The per-component Gram matrices T_c' S_c^-1 T_c stacked as K x R*R."""
+        k, d = self.ubm.means.shape
+        t_blocks = self.t_matrix.reshape(k, d, self.rank)
+        scaled = t_blocks / self.ubm.variances[:, :, None]
+        return np.matmul(scaled.transpose(0, 2, 1), t_blocks).reshape(k, -1)
 
 
 @dataclass(frozen=True)
@@ -62,42 +78,48 @@ class IVector:
 def baum_welch_stats(ubm: GmmModel, frames: np.ndarray) -> BaumWelchStats:
     """Posterior-weighted zero- and centered first-order statistics."""
     frames = np.asarray(frames, dtype=np.float64)
-    log_joint = log_component_densities(ubm, frames) + np.log(ubm.weights)
-    resp = np.exp(log_joint - _logsumexp(log_joint, axis=1)[:, None])
+    resp = log_component_densities(ubm, frames) + np.log(ubm.weights)
+    _posteriors_in_place(resp)
     n = resp.sum(axis=0)
     f = resp.T @ frames - n[:, None] * ubm.means
     return BaumWelchStats(n, f)
 
 
-def _component_blocks(t_matrix: np.ndarray, ubm: GmmModel):
-    """Per-component views of T plus variance-scaled copies and Gram matrices."""
-    k, d = ubm.means.shape
-    t_blocks = [t_matrix[c * d : (c + 1) * d] for c in range(k)]
-    scaled = [t_c / ubm.variances[c][:, None] for c, t_c in enumerate(t_blocks)]
-    gram = [s.T @ t_c for s, t_c in zip(scaled, t_blocks)]
-    return t_blocks, scaled, gram
-
-
-def _utterance_posterior(stats: BaumWelchStats, scaled, gram, rank: int):
-    """Posterior precision L, information vector b, and mean w for one utterance."""
-    precision = np.eye(rank)
-    b = np.zeros(rank)
-    for c in range(stats.n.size):
-        if stats.n[c]:
-            precision += stats.n[c] * gram[c]
-        b += scaled[c].T @ stats.f[c]
-    w = np.linalg.solve(precision, b)
-    return precision, b, w
-
-
-def _marginal_objective(stats_list, scaled, gram, rank: int) -> float:
-    """Marginal log-likelihood of the statistics, up to a T-independent term."""
-    total = 0.0
-    for st in stats_list:
-        precision, b, w = _utterance_posterior(st, scaled, gram, rank)
+def _e_step(tv: TotalVariabilityModel, counts: np.ndarray, firsts: np.ndarray):
+    """Posteriors of the latent factor for stacked statistics, reduced to the
+    M-step systems A (K, R, R) and right-hand sides C (K*D, R), and their
+    marginal log-likelihood up to a T-independent term."""
+    a_acc = c_acc = objective = 0.0
+    for start in range(0, len(counts), E_STEP_BLOCK):
+        n, f = counts[start:start + E_STEP_BLOCK], firsts[start:start + E_STEP_BLOCK]
+        precision = np.eye(tv.rank) + (n @ tv.gram).reshape(-1, tv.rank, tv.rank)
         _, logdet = np.linalg.slogdet(precision)
-        total += -0.5 * logdet + 0.5 * float(b @ w)
-    return total
+        second_moment = np.linalg.inv(precision)
+        info = (f / tv.ubm.variances.reshape(-1)) @ tv.t_matrix
+        w = np.matmul(second_moment, info[:, :, None])[:, :, 0]
+        objective += float(np.sum(0.5 * np.sum(info * w, axis=1) - 0.5 * logdet))
+        second_moment += w[:, :, None] * w[:, None, :]
+        a_acc += n.T @ second_moment.reshape(len(n), -1)
+        c_acc += f.T @ w
+    return a_acc.reshape(-1, tv.rank, tv.rank), c_acc, objective
+
+
+def _m_step_solve(a_acc: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve every component's system at once; a singular one gets a ridge
+    term plus a warning."""
+    try:
+        return np.linalg.solve(a_acc, rhs)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(rhs)
+    for c in range(len(a_acc)):  # find the singular systems one by one
+        try:
+            out[c] = np.linalg.solve(a_acc[c], rhs[c])
+        except np.linalg.LinAlgError:
+            warnings.warn(f"singular M-step system for component {c}; adding ridge",
+                          stacklevel=3)
+            out[c] = np.linalg.solve(a_acc[c] + ridge * np.eye(len(rhs[c])), rhs[c])
+    return out
 
 
 def train_t_matrix(
@@ -128,47 +150,27 @@ def train_t_matrix(
         )
     k, d = ubm.means.shape
     rng = np.random.default_rng(seed)
-    t_matrix = 0.1 * rng.standard_normal((k * d, rank))
+    tv = TotalVariabilityModel(ubm, 0.1 * rng.standard_normal((k * d, rank)))
+    counts = np.stack([st.n for st in stats])               # (U, K)
+    firsts = np.stack([st.f.reshape(-1) for st in stats])   # (U, K*D)
 
     history = []
     for _ in range(iters):
-        _, scaled, gram = _component_blocks(t_matrix, ubm)
-
-        a_acc = np.zeros((k, rank, rank))
-        c_acc = np.zeros((k, d, rank))
-        objective = 0.0
-        for st in stats:
-            precision, b, w = _utterance_posterior(st, scaled, gram, rank)
-            _, logdet = np.linalg.slogdet(precision)
-            objective += -0.5 * logdet + 0.5 * float(b @ w)
-            second_moment = np.linalg.inv(precision) + np.outer(w, w)
-            a_acc += st.n[:, None, None] * second_moment[None, :, :]
-            c_acc += st.f[:, :, None] * w[None, None, :]
+        a_acc, c_acc, objective = _e_step(tv, counts, firsts)
         history.append(objective)
+        # a component with no evidence keeps its current rows; an identity
+        # system stands in for it so that all components solve in one call
+        active = np.trace(a_acc, axis1=1, axis2=2) > 0.0
+        a_acc[~active] = np.eye(rank)
+        solution = _m_step_solve(a_acc, c_acc.reshape(k, d, rank).transpose(0, 2, 1), ridge)
+        new_t = tv.t_matrix.reshape(k, d, rank).copy()
+        new_t[active] = solution[active].transpose(0, 2, 1)
+        tv = TotalVariabilityModel(ubm, new_t.reshape(k * d, rank))
 
-        new_t = t_matrix.copy()
-        for c in range(k):
-            if np.trace(a_acc[c]) <= 0.0:
-                continue  # no evidence for this component; keep current rows
-            try:
-                solution = np.linalg.solve(a_acc[c], c_acc[c].T)
-            except np.linalg.LinAlgError:
-                warnings.warn(
-                    f"singular M-step system for component {c}; adding ridge",
-                    stacklevel=2,
-                )
-                solution = np.linalg.solve(a_acc[c] + ridge * np.eye(rank), c_acc[c].T)
-            new_t[c * d : (c + 1) * d] = solution.T
-        t_matrix = new_t
-
-    _, scaled, gram = _component_blocks(t_matrix, ubm)
-    history.append(_marginal_objective(stats, scaled, gram, rank))
-
-    model = TotalVariabilityModel(ubm, t_matrix)
-    model.objective_history = tuple(history)
-    if np.linalg.matrix_rank(t_matrix) < rank:
+    history.append(_e_step(tv, counts, firsts)[2])
+    if np.linalg.matrix_rank(tv.t_matrix) < rank:
         warnings.warn("trained t_matrix is numerically rank deficient", stacklevel=2)
-    return model
+    return TotalVariabilityModel(ubm, tv.t_matrix, tuple(history))
 
 
 def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> IVector:
@@ -179,9 +181,9 @@ def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> IVector
             f"statistics shaped {stats.n.shape}/{stats.f.shape} do not match "
             f"the UBM ({k} components x {d} dims)"
         )
-    _, scaled, gram = _component_blocks(tv.t_matrix, tv.ubm)
-    _, _, w = _utterance_posterior(stats, scaled, gram, tv.rank)
-    return IVector(w)
+    precision = np.eye(tv.rank) + (stats.n @ tv.gram).reshape(tv.rank, tv.rank)
+    info = (stats.f / tv.ubm.variances).reshape(-1) @ tv.t_matrix
+    return IVector(np.linalg.solve(precision, info))
 
 
 def center_length_normalize(

@@ -329,37 +329,34 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
 
 
 class _IvecScorer:
-    """Lazily loads the per-phrase or shared model pieces for scoring."""
+    """Builds each phrase's models once; a shared SVM (so shared T and UBM) serves all."""
 
     def __init__(self, cfg: PipelineConfig, spec: IvecSystemSpec):
-        self.cfg = cfg
         self.spec = spec
         self.dir = model_dir(cfg, spec.name)
-        self._cache: dict[tuple[str, str], object] = {}
+        self._models: dict[str, tuple] = {}
 
-    def _load(self, base: str, phrase_key: str, kind: str):
-        key = (base, phrase_key)
-        if key not in self._cache:
-            self._cache[key] = _load_system_model(
-                self.dir, self.spec.name, base, phrase_key, kind
-            )
-        return self._cache[key]
+    def _load(self, base: str, shared: bool, phrase_id: str, kind: str):
+        phrase_key = SHARED_KEY if shared else phrase_id
+        return _load_system_model(self.dir, self.spec.name, base, phrase_key, kind)
+
+    def _build(self, phrase_id: str) -> tuple:
+        spec = self.spec
+        ubm = _gmm_from_arrays(self._load("ubm", spec.ubm_shared, phrase_id, "gmm"))
+        t_matrix = self._load("tmatrix", spec.t_shared, phrase_id, "tmatrix")["t_matrix"]
+        mean = self._load("mean", spec.svm_shared, phrase_id, "mean")["mean"]
+        svm = self._load("svm", spec.svm_shared, phrase_id, "svm")
+        return (TotalVariabilityModel(ubm, t_matrix), mean,
+                SvmModel(svm["weight"], float(svm["bias"][0])))
 
     def score(self, trial: Trial, frames: np.ndarray) -> float:
-        spec = self.spec
-        ubm_key = SHARED_KEY if spec.ubm_shared else trial.phrase_id
-        t_key = SHARED_KEY if spec.t_shared else trial.phrase_id
-        svm_key = SHARED_KEY if spec.svm_shared else trial.phrase_id
-        ubm = _gmm_from_arrays(self._load("ubm", ubm_key, "gmm"))
-        t_matrix = self._load("tmatrix", t_key, "tmatrix")["t_matrix"]
-        mean = self._load("mean", svm_key, "mean")["mean"]
-        svm_arrays = self._load("svm", svm_key, "svm")
-        tv = TotalVariabilityModel(ubm, t_matrix)
-        stats = baum_welch_stats(ubm, frames)
-        ivec = extract_ivector(tv, stats)
+        key = SHARED_KEY if self.spec.svm_shared else trial.phrase_id
+        if key not in self._models:
+            self._models[key] = self._build(key)
+        tv, mean, svm = self._models[key]
+        ivec = extract_ivector(tv, baum_welch_stats(tv.ubm, frames))
         normalized, _, _ = center_length_normalize([ivec], mean=mean)
-        model = SvmModel(svm_arrays["weight"], float(svm_arrays["bias"][0]))
-        return svm_score(model, normalized[0])
+        return svm_score(svm, normalized[0])
 
 
 def score_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,

@@ -6,9 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaycm import cli, spectral
+from replaycm import cli, pipeline, spectral
+from replaycm.config import load_config
 from replaycm.corpus import parse_protocol
+from replaycm.gmm import GmmModel
+from replaycm.ivector import (
+    TotalVariabilityModel,
+    baum_welch_stats,
+    center_length_normalize,
+    extract_ivector,
+)
 from replaycm.metrics import compute_eer, read_scores
+from replaycm.svm import SvmModel, svm_score
 
 TINY_CONFIG = {
     "seed": 4242,
@@ -47,6 +56,10 @@ TINY_CONFIG = {
                         "ubm_components": 2, "ubm_iterations": 3,
                         "tv_rank": 2, "tv_iterations": 2, "svm_c": 1.0,
                         "ubm_shared": True, "t_shared": True, "svm_shared": False},
+        "ivec-each-phrase": {"model": "ivec-svm", "feature": "lpcc-small",
+                             "ubm_components": 2, "ubm_iterations": 3,
+                             "tv_rank": 2, "tv_iterations": 2, "svm_c": 0.1,
+                             "ubm_shared": False, "t_shared": False, "svm_shared": False},
     },
 }
 
@@ -96,6 +109,42 @@ class TestSynth:
         captured = capsys.readouterr()
         assert "identical corpus" in captured.err
         assert "manifest.json" in captured.out
+
+    @staticmethod
+    def write_config(tmp_path, paths) -> Path:
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["paths"] = {key: str(value) for key, value in paths.items()}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        return cfg_path
+
+    @pytest.mark.parametrize("key, path", [
+        ("audio_dir", "data/audio"),
+        ("protocol_train", "data/train.txt"),
+        ("protocol_eval", "elsewhere/protocol_eval.txt"),
+    ])
+    def test_paths_outside_one_corpus_dir_refused(self, tmp_path, capsys, key, path):
+        paths = {"work_dir": tmp_path / "work", "audio_dir": tmp_path / "data/wav",
+                 "protocol_train": tmp_path / "data/protocol_train.txt",
+                 "protocol_eval": tmp_path / "data/protocol_eval.txt"}
+        paths[key] = tmp_path / path
+        cfg_path = self.write_config(tmp_path, paths)
+        assert cli.main(["synth", "--config", str(cfg_path)]) == 2
+        assert f"paths.{key}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_corpus_written_where_paths_point(self, tmp_path):
+        data = tmp_path / "data"
+        cfg_path = self.write_config(tmp_path, {
+            "work_dir": tmp_path / "work", "audio_dir": data / "wav",
+            "protocol_train": data / "protocol_train.txt",
+            "protocol_eval": data / "protocol_eval.txt"})
+        assert cli.main(["synth", "--config", str(cfg_path)]) == 0
+        assert not (tmp_path / "work/corpus").exists()
+        assert cli.main(["extract", "--config", str(cfg_path), "--feature", "lpcc-small",
+                         "--protocol", str(data / "protocol_train.txt")]) == 0
+        assert len(list((tmp_path / "work/features/lpcc-small").glob("*.rsft"))) == 16
+        assert cli.main(["train", "--config", str(cfg_path), "--system", "ivec-sys"]) == 0
 
     def test_unwritable_out_dir_exits_2(self, workspace, tmp_path, capsys):
         cfg_path, _ = workspace
@@ -331,6 +380,56 @@ class TestTrainAndScore:
             "--protocol", str(work / "corpus/protocol_eval.txt"),
             "--out-scores", str(out),
         ]) == 0
+
+    @pytest.mark.parametrize("system, builds", [("ivec-sys", 1), ("ivec-phrase", 2)])
+    def test_scorer_builds_models_once_per_key(self, workspace, monkeypatch, system, builds):
+        cfg_path, work = workspace
+        assert cli.main(["train", "--config", str(cfg_path), "--system", system]) == 0
+        cfg = load_config(cfg_path)
+        trials = parse_protocol(work / "corpus/protocol_eval.txt")
+        expected = pipeline.score_ivec_system(cfg, cfg.systems[system], trials)
+        built = []
+        real_build = pipeline._IvecScorer._build
+
+        def build(scorer, key):
+            built.append(key)
+            return real_build(scorer, key)
+
+        monkeypatch.setattr(pipeline._IvecScorer, "_build", build)
+        scores = pipeline.score_ivec_system(cfg, cfg.systems[system], trials)
+        assert len(built) == builds  # a shared SVM means one build for both phrases
+        assert np.array_equal(scores.scores, expected.scores)
+
+    @pytest.mark.parametrize("system", ["ivec-phrase", "ivec-each-phrase"])
+    def test_phrase_ivec_scores_match_freshly_built_models(self, workspace, system):
+        cfg_path, work = workspace
+        assert cli.main(["train", "--config", str(cfg_path), "--system", system]) == 0
+        cfg = load_config(cfg_path)
+        spec = cfg.systems[system]
+        trials = parse_protocol(work / "corpus/protocol_eval.txt")
+        assert len({t.phrase_id for t in trials}) == 2
+        scores = pipeline.score_ivec_system(cfg, spec, trials)
+
+        def arrays(base, shared, phrase, kind):
+            name = base if shared else f"{base}__{phrase}"
+            return pipeline.load_model(work / "models" / system / f"{name}.rsmd", kind)
+
+        for trial, score in zip(trials, scores.scores):
+            phrase = trial.phrase_id
+            ubm_arrays = arrays("ubm", spec.ubm_shared, phrase, "gmm")
+            ubm = GmmModel(ubm_arrays["weights"], ubm_arrays["means"],
+                           ubm_arrays["variances"])
+            tv = TotalVariabilityModel(
+                ubm, arrays("tmatrix", spec.t_shared, phrase, "tmatrix")["t_matrix"])
+            frames = pipeline.load_feature_frames(
+                work / "features" / spec.feature / f"{trial.trial_id}.rsft")
+            ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
+            mean = arrays("mean", spec.svm_shared, phrase, "mean")["mean"]
+            normalized, _, _ = center_length_normalize([ivec], mean=mean)
+            svm = arrays("svm", spec.svm_shared, phrase, "svm")
+            expected = svm_score(SvmModel(svm["weight"], float(svm["bias"][0])),
+                                 normalized[0])
+            assert score == expected, trial.trial_id
 
 
 class TestFuseEval:

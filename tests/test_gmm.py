@@ -24,6 +24,48 @@ def naive_avg_loglik(model, frames):
     return total / len(frames)
 
 
+def naive_em(frames, k, iters, variance_floor=None, seed=0):
+    """Textbook EM, one component at a time; returns (weights, means,
+    variances, loglik history, number of re-seeded components)."""
+    n, d = frames.shape
+    floor = 1e-4 * frames.var(axis=0) if variance_floor is None else np.full(d, variance_floor)
+    floor = np.maximum(floor, 1e-12)
+    global_var = np.maximum(frames.var(axis=0), floor)
+    rng = np.random.default_rng(seed)
+    means = frames[rng.choice(n, size=k, replace=False)].copy()
+    variances = np.tile(global_var, (k, 1))
+    weights = np.full(k, 1.0 / k)
+
+    def frame_loglik_and_resp():
+        log_joint = np.empty((n, k))
+        for c in range(k):
+            log_joint[:, c] = np.log(weights[c]) - 0.5 * np.sum(
+                np.log(2 * np.pi * variances[c]) + (frames - means[c]) ** 2 / variances[c],
+                axis=1,
+            )
+        top = log_joint.max(axis=1)
+        loglik = top + np.log(np.sum(np.exp(log_joint - top[:, None]), axis=1))
+        return loglik, np.exp(log_joint - loglik[:, None])
+
+    history, reseeds = [], 0
+    for _ in range(iters):
+        loglik, resp = frame_loglik_and_resp()
+        history.append(loglik.mean())
+        new_w, new_m, new_v = np.empty(k), np.empty((k, d)), np.empty((k, d))
+        for c in range(k):
+            nk = resp[:, c].sum()
+            if nk < 1e-10:
+                new_w[c], new_m[c], new_v[c] = 1.0 / n, frames[np.argmin(loglik)], global_var
+                reseeds += 1
+                continue
+            new_w[c] = nk / n
+            new_m[c] = resp[:, c] @ frames / nk
+            new_v[c] = np.maximum(resp[:, c] @ (frames - new_m[c]) ** 2 / nk, floor)
+        weights, means, variances = new_w / new_w.sum(), new_m, new_v
+    history.append(frame_loglik_and_resp()[0].mean())
+    return weights, means, variances, history, reseeds
+
+
 def two_cluster_data(rng, n=1000, sep=5.0):
     a = rng.standard_normal((n // 2, 2)) + sep
     b = rng.standard_normal((n // 2, 2)) - sep
@@ -117,6 +159,34 @@ class TestEmTraining:
         assert np.all(model.weights > 0)
         # the reseeded component sits on the outlier frame
         assert np.any(np.abs(model.means - 1e4) < 1.0)
+
+
+class TestEmMatchesNaiveOracle:
+    @pytest.mark.parametrize("k, iters, variance_floor", [(1, 2, None), (4, 6, None),
+                                                          (6, 5, 0.3)])
+    def test_random_frames(self, rng, k, iters, variance_floor):
+        frames = rng.standard_normal((400, 3)) * [1.0, 2.0, 0.5] + [0.5, -1.0, 2.0]
+        self.assert_matches(frames, k, iters, variance_floor, seed=11)
+
+    def test_empty_component_reseed_path(self):
+        # a tight cluster plus one far outlier: one of five components slowly
+        # loses all its posterior mass and is re-seeded
+        cluster = np.random.default_rng(5).standard_normal((33, 1)) * 0.1
+        frames = np.vstack([cluster, np.array([[1e4]])])
+        reseeds = self.assert_matches(frames, 5, 12, None, seed=0)
+        assert reseeds >= 1
+
+    @staticmethod
+    def assert_matches(frames, k, iters, variance_floor, seed):
+        model = gmm_em_train(frames, k=k, iters=iters, variance_floor=variance_floor,
+                             seed=seed)
+        weights, means, variances, history, reseeds = naive_em(
+            frames, k, iters, variance_floor, seed)
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-9)
+        np.testing.assert_allclose(model.means, means, rtol=1e-9)
+        np.testing.assert_allclose(model.variances, variances, rtol=1e-9)
+        np.testing.assert_allclose(model.loglik_history, history, rtol=1e-9)
+        return reseeds
 
 
 class TestLlr:

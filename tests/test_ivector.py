@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from replaycm import ivector
 from replaycm.gmm import GmmModel
 from replaycm.ivector import (
     BaumWelchStats,
@@ -40,6 +41,51 @@ def dense_extract_oracle(tv, stats):
     lhs = np.eye(tv.rank) + tv.t_matrix.T @ sigma_inv @ n_diag @ tv.t_matrix
     rhs = tv.t_matrix.T @ sigma_inv @ f_flat
     return np.linalg.solve(lhs, rhs)
+
+
+def loop_posterior(t_matrix, ubm, n, f):
+    """Per-component loop: posterior precision, information vector and mean
+    of one utterance's latent factor."""
+    k, d = ubm.means.shape
+    rank = t_matrix.shape[1]
+    precision = np.eye(rank)
+    b = np.zeros(rank)
+    for c in range(k):
+        t_c = t_matrix[c * d : (c + 1) * d]
+        scaled = t_c / ubm.variances[c][:, None]
+        if n[c]:
+            precision += n[c] * (scaled.T @ t_c)
+        b += scaled.T @ f[c]
+    return precision, b, np.linalg.solve(precision, b)
+
+
+def loop_train_t_matrix(stats, ubm, rank, iters, seed):
+    """Per-utterance, per-component EM reference; returns (T, objective history)."""
+    k, d = ubm.means.shape
+    t_matrix = 0.1 * np.random.default_rng(seed).standard_normal((k * d, rank))
+
+    def objective_and_accumulators():
+        a_acc, c_acc, objective = np.zeros((k, rank, rank)), np.zeros((k, d, rank)), 0.0
+        for st in stats:
+            precision, b, w = loop_posterior(t_matrix, ubm, st.n, st.f)
+            objective += -0.5 * np.linalg.slogdet(precision)[1] + 0.5 * float(b @ w)
+            second_moment = np.linalg.inv(precision) + np.outer(w, w)
+            for c in range(k):
+                a_acc[c] += st.n[c] * second_moment
+                c_acc[c] += np.outer(st.f[c], w)
+        return objective, a_acc, c_acc
+
+    history = []
+    for _ in range(iters):
+        objective, a_acc, c_acc = objective_and_accumulators()
+        history.append(objective)
+        new_t = t_matrix.copy()
+        for c in range(k):
+            if np.trace(a_acc[c]) > 0.0:
+                new_t[c * d : (c + 1) * d] = np.linalg.solve(a_acc[c], c_acc[c].T).T
+        t_matrix = new_t
+    history.append(objective_and_accumulators()[0])
+    return t_matrix, history
 
 
 def random_ubm(rng, k, d):
@@ -120,6 +166,57 @@ class TestTrainTMatrix:
         assert history.size == 9
         assert np.all(np.diff(history) >= -1e-8)
 
+    def test_matches_per_utterance_loop_oracle(self, rng):
+        k, d, rank = 5, 3, 4
+        ubm = random_ubm(rng, k, d)
+        stats = []
+        for _ in range(12):
+            st = baum_welch_stats(ubm, rng.standard_normal((40, d)) * 2.0)
+            st.n[2], st.f[2] = 0.0, 0.0  # component 2 never sees evidence
+            stats.append(st)
+        tv = train_t_matrix(stats, ubm, rank=rank, iters=6, seed=3)
+        t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=6, seed=3)
+        np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-9)
+        np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-9)
+        init = 0.1 * np.random.default_rng(3).standard_normal((k * d, rank))
+        assert np.array_equal(tv.t_matrix[2 * d : 3 * d], init[2 * d : 3 * d])
+
+    def test_blocked_e_step_matches_loop_oracle(self, rng, monkeypatch):
+        k, d, rank = 4, 3, 3
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
+        monkeypatch.setattr(ivector, "E_STEP_BLOCK", 5)  # blocks of 5, 5 and 2
+        tv = train_t_matrix(stats, ubm, rank=rank, iters=4, seed=2)
+        t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=4, seed=2)
+        np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-9)
+        np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-9)
+
+    def test_singular_m_step_system_gets_ridge_and_warning(self, rng, monkeypatch):
+        k, d, rank = 3, 2, 2
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(8)]
+        expected = train_t_matrix(stats, ubm, rank=rank, iters=1, seed=4).t_matrix
+        real_solve = np.linalg.solve
+        per_component_calls = []
+
+        def solve(a, b):
+            # the batched solve and component 1's plain solve report a singular system
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            per_component_calls.append(a)
+            if len(per_component_calls) == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        with pytest.warns(UserWarning, match="component 1; adding ridge"):
+            tv = train_t_matrix(stats, ubm, rank=rank, iters=1, seed=4)
+        np.testing.assert_array_equal(per_component_calls[2],
+                                      per_component_calls[1] + 1e-6 * np.eye(rank))
+        np.testing.assert_allclose(np.delete(tv.t_matrix, np.s_[d : 2 * d], axis=0),
+                                   np.delete(expected, np.s_[d : 2 * d], axis=0), rtol=1e-12)
+        np.testing.assert_allclose(tv.t_matrix[d : 2 * d], expected[d : 2 * d], rtol=1e-4)
+
     def test_few_utterances_warn(self, rng):
         ubm = random_ubm(rng, 2, 2)
         stats = [baum_welch_stats(ubm, rng.standard_normal((10, 2))) for _ in range(3)]
@@ -152,6 +249,34 @@ class TestExtractIvector:
             ivec = extract_ivector(tv, stats)
             oracle = dense_extract_oracle(tv, stats)
             assert np.max(np.abs(ivec.values - oracle)) <= 1e-8
+
+    def test_two_models_each_match_the_loop_oracle(self, rng):
+        # two phrases' models of one shape: each extraction must use the Gram
+        # matrices of its own model, however the calls interleave
+        k, d, rank = 4, 3, 3
+        models = [TotalVariabilityModel(random_ubm(rng, k, d),
+                                        rng.standard_normal((k * d, rank)))
+                  for _ in range(2)]
+        stats = [BaumWelchStats(rng.uniform(0.0, 20.0, k), rng.standard_normal((k, d)))
+                 for _ in range(3)]
+        for tv in (models[0], models[1], models[0]):
+            for st in stats:
+                _, _, expected = loop_posterior(tv.t_matrix, tv.ubm, st.n, st.f)
+                np.testing.assert_allclose(extract_ivector(tv, st).values, expected,
+                                           rtol=1e-9)
+
+    def test_model_arrays_are_read_only(self, rng):
+        ubm = random_ubm(rng, 2, 2)
+        t_matrix = rng.standard_normal((4, 2))
+        tv = TotalVariabilityModel(ubm, t_matrix)
+        extract_ivector(tv, BaumWelchStats(np.ones(2), np.ones((2, 2))))
+        t_matrix[0, 0] += 1.0  # the caller's array is copied, not shared
+        assert tv.t_matrix[0, 0] != t_matrix[0, 0]
+        for array in (tv.t_matrix, ubm.means, ubm.variances, ubm.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError):
+            tv.t_matrix = t_matrix
 
     def test_shape_mismatch(self, rng):
         ubm = random_ubm(rng, 2, 2)
