@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the back-end kernels on fixed seeded inputs at the sizes of the
-backend benchmark workload (LPCC-20 frames, phrase-dependent GMM-128, UBM-64
-with a rank-60 total-variability subspace).
+"""Time the corpus and back-end kernels on fixed seeded inputs at the sizes
+of the backend benchmark workload (1.2 s trials, LPCC-20 frames,
+phrase-dependent GMM-128, UBM-64 with a rank-60 total-variability subspace).
 
 Kernels, each timed as the median (and quartiles) of --repeats calls:
 
@@ -12,6 +12,10 @@ Kernels, each timed as the median (and quartiles) of --repeats calls:
 - ``ivector_extraction``: ``extract_ivector`` for one utterance with a TV
   model built once, as scoring does
 - ``llr_score``: one 147-frame utterance against two GMM-128 models
+- ``render_utterance``: ``render_genuine_utterance`` for the first trial of
+  the backend corpus (speaker 0, phrase 0, 1.2 s at 16 kHz)
+- ``replay_channel``: ``simulate_replay`` of that utterance through the
+  first trial's replay channel at the backend corpus settings
 
 BLAS and OpenMP run on one thread unless the environment says otherwise.
 
@@ -38,6 +42,10 @@ UBM_COMPONENTS = 64
 UTTERANCES = 38
 TV_RANK = 60
 SEED = 20170802
+# the corpus block of the backend workload
+CORPUS = {"n_speakers": 10, "n_phrases": 4, "duration_seconds": 1.2,
+          "cutoff_hz_range": (6800.0, 7800.0), "snr_db_range": (30.0, 38.0),
+          "gain_range": (0.6, 0.9), "seed": SEED}
 
 
 def seeded_frames(rng, n_frames, n_clusters=24):
@@ -71,6 +79,14 @@ def main():
     # BLAS reads its thread count when numpy loads, so import only now
     import numpy as np
 
+    from replaycm.corpus import (
+        CorpusConfig,
+        make_phrase_specs,
+        make_replay_channel,
+        render_genuine_utterance,
+        simulate_replay,
+        speaker_f0,
+    )
     from replaycm.gmm import gmm_em_train, llr_score
     from replaycm.ivector import (
         TotalVariabilityModel,
@@ -105,6 +121,22 @@ def main():
                                           args.repeats)
     kernels["llr_score"] = timed(lambda: llr_score(genuine, spoofed, utterances[0]),
                                  args.repeats)
+
+    # trial 0 as generate_synth_corpus seeds it
+    cfg = CorpusConfig(**CORPUS)
+    phrase = make_phrase_specs(cfg)[0]
+
+    def render():
+        rng = np.random.default_rng(np.random.SeedSequence([SEED, 202, 0]))
+        return render_genuine_utterance(speaker_f0(cfg, 0), phrase, cfg.duration_seconds,
+                                        cfg.sample_rate, rng)
+
+    source = render()
+    channel = make_replay_channel(
+        cfg, np.random.default_rng(np.random.SeedSequence([SEED, 303, 0])))
+    kernels["render_utterance"] = timed(render, args.repeats)
+    kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=SEED),
+                                      args.repeats)
 
     result = {
         "seed": SEED,

@@ -7,6 +7,13 @@ Spoofed trials pass a freshly rendered source utterance through a simulated
 replay channel: impulse-response convolution, low-pass filtering, additive
 noise at a target SNR, gain, and clipping.  Everything is reproducible from
 the corpus seed.
+
+A segment's harmonic sum  sum_h h^-rolloff sin(h phase + theta_h)  is rendered
+as  Im(sum_h c_h z^h)  with  c_h = h^-rolloff e^{i theta_h}  and
+z = e^{i phase}, evaluated by Horner's rule: one complex exponential per
+sample and one multiply-add per harmonic.  A room impulse response is sparse
+(a direct path plus a few reflections), so it is applied by shifting and
+adding the input at each non-zero tap.
 """
 
 from __future__ import annotations
@@ -124,7 +131,10 @@ def simulate_replay(wave: Waveform, channel: ReplayChannelConfig, seed: int = 0)
         )
     x = wave.samples
     ir = np.asarray(channel.impulse_response, dtype=np.float64)
-    y = np.convolve(x, ir)[: x.size]
+    # room IRs are sparse: shift and add the non-zero taps only
+    y = np.zeros(x.size)
+    for k in np.flatnonzero(ir[: x.size]):
+        y[k:] += ir[k] * x[: x.size - k]
     y = np.convolve(y, lowpass_fir(channel.lowpass_cutoff, wave.sample_rate), mode="same")
     power = float(np.mean(y**2))
     if np.isfinite(channel.noise_snr_db) and power > 0.0:
@@ -220,9 +230,16 @@ def render_genuine_utterance(
         )
         phase = 2.0 * np.pi * np.cumsum(base * vibrato) / sample_rate
         n_harmonics = max(min(int(7600.0 / base), 40), 1)
-        segment = np.zeros(n)
-        for h in range(1, n_harmonics + 1):
-            segment += (h ** -rolloff) * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
+        harmonics = np.arange(1, n_harmonics + 1)
+        coeffs = harmonics ** -rolloff * np.exp(1j * rng.uniform(0, 2 * np.pi, n_harmonics))
+        # Im(sum_h c_h z^h) by Horner's rule (see the module docstring)
+        z = np.exp(1j * phase)
+        acc = np.full(n, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= z
+            acc += c
+        acc *= z
+        segment = acc.imag
         attack = max(int(0.08 * n), 1)
         decay = max(int(0.15 * n), 1)
         envelope = np.ones(n)

@@ -135,9 +135,10 @@ def train_t_matrix(
     E-step: per-utterance posterior mean/covariance of the latent factor
     under the current T.  M-step: per-component least-squares solve from the
     accumulated systems.  Components with no accumulated evidence keep their
-    current rows; singular systems get a ridge term plus a warning.  The
-    per-iteration marginal objective (up to a T-independent constant) is
-    recorded on the returned model; EM makes it non-decreasing.
+    current rows, as do components whose solution is not finite (subnormal
+    counts), with a warning; singular systems get a ridge term plus a
+    warning.  The per-iteration marginal objective (up to a T-independent
+    constant) is recorded on the returned model; EM makes it non-decreasing.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -163,8 +164,14 @@ def train_t_matrix(
         active = np.trace(a_acc, axis1=1, axis2=2) > 0.0
         a_acc[~active] = np.eye(rank)
         solution = _m_step_solve(a_acc, c_acc.reshape(k, d, rank).transpose(0, 2, 1), ridge)
+        # a system too small to solve in floating point (subnormal counts)
+        # gives no usable solution either, so that component keeps its rows too
+        solved = np.isfinite(solution).all(axis=(1, 2))
+        for c in np.flatnonzero(active & ~solved):
+            warnings.warn(f"non-finite M-step solution for component {c}; keeping its rows",
+                          stacklevel=2)
         new_t = tv.t_matrix.reshape(k, d, rank).copy()
-        new_t[active] = solution[active].transpose(0, 2, 1)
+        new_t[active & solved] = solution[active & solved].transpose(0, 2, 1)
         tv = TotalVariabilityModel(ubm, new_t.reshape(k * d, rank))
 
     history.append(_e_step(tv, counts, firsts)[2])

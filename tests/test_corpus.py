@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -7,14 +8,17 @@ import pytest
 from replaycm.audio_io import Waveform, load_wav
 from replaycm.corpus import (
     CorpusConfig,
+    PhraseSpec,
     ProtocolError,
     ReplayChannelConfig,
     Trial,
+    _fricative_burst,
     generate_synth_corpus,
     lowpass_fir,
     make_phrase_specs,
     parse_protocol,
     partition_by_phrase,
+    render_genuine_utterance,
     render_trial_source,
     simulate_replay,
     write_protocol,
@@ -24,6 +28,72 @@ SMALL_CORPUS = CorpusConfig(
     n_train_genuine=6, n_train_spoof=6, n_eval_genuine=3, n_eval_spoof=3,
     n_speakers=3, n_phrases=2, duration_seconds=0.4, seed=11,
 )
+# SHA-256 of every file generate_synth_corpus(SMALL_CORPUS) writes (see
+# tree_digest) when it renders as loop_render_oracle and
+# convolve_replay_oracle do; a change to the draw order or the rendering of
+# any trial changes it
+SMALL_CORPUS_SHA256 = "fe8f2d9fdbe269395bcca5ad8647cd2b895896752c3cae535ebe7e3afb3a6855"
+
+
+def tree_digest(root):
+    """SHA-256 over the relative path, size and bytes of every file, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def loop_render_oracle(f0_hz, phrase, duration_seconds, sample_rate, rng):
+    """render_genuine_utterance with one np.sin call per harmonic."""
+    total = int(round(duration_seconds * sample_rate))
+    pieces = []
+    for share, semitones, rolloff in phrase.segments:
+        n = max(int(round(total * share)), 16)
+        t = np.arange(n) / sample_rate
+        base = f0_hz * 2.0 ** (semitones / 12.0)
+        vibrato = 1.0 + 0.008 * np.sin(
+            2.0 * np.pi * 5.5 * t + rng.uniform(0, 2 * np.pi)
+        )
+        phase = 2.0 * np.pi * np.cumsum(base * vibrato) / sample_rate
+        n_harmonics = max(min(int(7600.0 / base), 40), 1)
+        segment = np.zeros(n)
+        for h in range(1, n_harmonics + 1):
+            segment += (h ** -rolloff) * np.sin(h * phase + rng.uniform(0, 2 * np.pi))
+        attack = max(int(0.08 * n), 1)
+        decay = max(int(0.15 * n), 1)
+        envelope = np.ones(n)
+        envelope[:attack] = 0.5 - 0.5 * np.cos(np.pi * np.arange(attack) / attack)
+        envelope[-decay:] *= 0.5 + 0.5 * np.cos(np.pi * np.arange(decay) / decay)
+        segment = segment * envelope
+        burst_len = max(int(0.12 * n), 8)
+        burst_gain = rng.uniform(0.3, 0.45) * np.sqrt(np.mean(segment**2))
+        burst_env = np.sin(np.pi * np.arange(burst_len) / burst_len) ** 2
+        segment[-burst_len:] += (
+            burst_gain * burst_env * _fricative_burst(burst_len, sample_rate, rng)
+        )
+        pieces.append(segment)
+    x = np.concatenate(pieces)[:total]
+    if x.size < total:
+        x = np.pad(x, (0, total - x.size))
+    peak = float(np.max(np.abs(x)))
+    if peak > 0:
+        x = x * (rng.uniform(0.55, 0.8) / peak)
+    snr_db = rng.uniform(28.0, 38.0)
+    noise_std = np.sqrt(np.mean(x**2) * 10.0 ** (-snr_db / 10.0))
+    x = x + rng.standard_normal(total) * noise_std
+    return np.clip(x, -1.0, 1.0)
+
+
+def convolve_replay_oracle(wave, channel, seed):
+    """simulate_replay with np.convolve for the impulse response."""
+    x = wave.samples
+    y = np.convolve(x, np.asarray(channel.impulse_response))[: x.size]
+    y = np.convolve(y, lowpass_fir(channel.lowpass_cutoff, wave.sample_rate), mode="same")
+    noise_std = np.sqrt(np.mean(y**2) * 10.0 ** (-channel.noise_snr_db / 10.0))
+    y = y + np.random.default_rng(seed).standard_normal(y.size) * noise_std
+    return np.clip(y * channel.gain, -1.0, 1.0)
 
 
 class TestProtocol:
@@ -142,11 +212,38 @@ class TestSimulateReplay:
         with pytest.raises(ValueError, match="Nyquist"):
             simulate_replay(wave, channel, seed=0)
 
+    @pytest.mark.parametrize("ir_kind", ["dense", "one_tap", "longer_than_signal"])
+    def test_matches_convolve_oracle(self, rng, ir_kind):
+        x = rng.uniform(-0.5, 0.5, 900)
+        ir = {
+            "dense": rng.uniform(-0.4, 1.0, 64),
+            "one_tap": np.array([0.7]),
+            "longer_than_signal": rng.uniform(-0.3, 0.3, 1200),
+        }[ir_kind]
+        channel = ReplayChannelConfig(tuple(ir.tolist()), 3800.0, 25.0, 0.8)
+        out = simulate_replay(Waveform(x, 16000), channel, seed=9)
+        expected = convolve_replay_oracle(Waveform(x, 16000), channel, seed=9)
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-12)
+
     def test_lowpass_fir_is_normalized_linear_phase(self):
         h = lowpass_fir(4000.0, 16000)
         assert h.size == 63
         assert np.isclose(h.sum(), 1.0)
         assert np.allclose(h, h[::-1])
+
+
+class TestRenderGenuineUtterance:
+    def test_matches_per_harmonic_loop_oracle(self):
+        # at f0 110 Hz: 40 harmonics (the cap), 19 at +22 semitones and one
+        # at +62, rendered from one generator so the draw order is checked too
+        phrase = PhraseSpec(((0.3, 0.0, 1.0), (0.3, 22.0, 0.9), (0.4, 62.0, 1.2)))
+        assert [max(min(int(7600.0 / (110.0 * 2.0 ** (s / 12.0))), 40), 1)
+                for _, s, _ in phrase.segments] == [40, 19, 1]
+        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        out = render_genuine_utterance(110.0, phrase, 0.5, 16000, rng)
+        expected = loop_render_oracle(110.0, phrase, 0.5, 16000, rng_ref)
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-9)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestGenerateCorpus:
@@ -173,6 +270,10 @@ class TestGenerateCorpus:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+    def test_bytes_match_the_pinned_digest(self, tmp_path):
+        generate_synth_corpus(SMALL_CORPUS, tmp_path / "c")
+        assert tree_digest(tmp_path / "c") == SMALL_CORPUS_SHA256
 
     def test_spoof_trials_lose_high_band_energy(self, tmp_path):
         out = tmp_path / "corpus"

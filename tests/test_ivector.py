@@ -217,6 +217,20 @@ class TestTrainTMatrix:
                                    np.delete(expected, np.s_[d : 2 * d], axis=0), rtol=1e-12)
         np.testing.assert_allclose(tv.t_matrix[d : 2 * d], expected[d : 2 * d], rtol=1e-4)
 
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_subnormal_counts_keep_rows_with_warning(self, rng, tiny):
+        k, d, rank = 3, 2, 2
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(8)]
+        for st in stats:
+            st.n[1], st.f[1] = tiny, 0.0  # too little evidence to solve for in floating point
+        with pytest.warns(UserWarning, match="non-finite M-step solution for component 1"):
+            tv = train_t_matrix(stats, ubm, rank=rank, iters=3, seed=4)
+        assert np.all(np.isfinite(tv.t_matrix))
+        assert np.all(np.isfinite(tv.objective_history))
+        init = 0.1 * np.random.default_rng(4).standard_normal((k * d, rank))
+        assert np.array_equal(tv.t_matrix[d : 2 * d], init[d : 2 * d])
+
     def test_few_utterances_warn(self, rng):
         ubm = random_ubm(rng, 2, 2)
         stats = [baum_welch_stats(ubm, rng.standard_normal((10, 2))) for _ in range(3)]
