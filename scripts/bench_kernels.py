@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Time the corpus and back-end kernels on fixed seeded inputs at the sizes
-of the backend benchmark workload (1.2 s trials, LPCC-20 frames,
-phrase-dependent GMM-128, UBM-64 with a rank-60 total-variability subspace).
+"""Time the corpus, front-end and back-end kernels on fixed seeded inputs:
+the back-end kernels at the sizes of the backend benchmark workload (1.2 s
+trials, LPCC-20 frames, phrase-dependent GMM-128, UBM-64 with a rank-60
+total-variability subspace), the EEMD kernels on a trial of the frontends
+workload's corpus.
 
 Kernels, each timed as the median (and quartiles) of --repeats calls:
 
@@ -16,6 +18,13 @@ Kernels, each timed as the median (and quartiles) of --repeats calls:
   the backend corpus (speaker 0, phrase 0, 1.2 s at 16 kHz)
 - ``replay_channel``: ``simulate_replay`` of that utterance through the
   first trial's replay channel at the backend corpus settings
+- ``envelope``: one ``eemd._envelope`` call, the natural cubic spline
+  through the 3,869 maxima of frontends trial ``train_g_0001`` (1.2 s)
+- ``eemd_trial``: ``eemd_first_imf`` of that trial with ensemble size 5,
+  as the frontends ``deemd`` feature runs it
+- ``import_cli``: ``import replaycm.cli`` in a fresh interpreter, one per
+  repeat, from the same ``replaycm`` this script imports; reports the
+  import's wall time and the process's peak RSS after it
 
 BLAS and OpenMP run on one thread unless the environment says otherwise.
 
@@ -24,13 +33,17 @@ Usage:
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -46,6 +59,18 @@ SEED = 20170802
 CORPUS = {"n_speakers": 10, "n_phrases": 4, "duration_seconds": 1.2,
           "cutoff_hz_range": (6800.0, 7800.0), "snr_db_range": (30.0, 38.0),
           "gain_range": (0.6, 0.9), "seed": SEED}
+# the corpus block and seed of the frontends workload, and the trial timed
+FRONTENDS_CORPUS = {"n_train_genuine": 12, "n_train_spoof": 12, "n_eval_genuine": 8,
+                    "n_eval_spoof": 8, "n_speakers": 2, "n_phrases": 2,
+                    "duration_seconds": 1.2, "seed": 20170803}
+FRONTENDS_TRIAL = "train_g_0001"
+IMPORT_PROBE = (
+    "import resource, time\n"
+    "start = time.perf_counter()\n"
+    "import replaycm.cli\n"
+    "elapsed = time.perf_counter() - start\n"
+    "print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)\n"
+)
 
 
 def seeded_frames(rng, n_frames, n_clusters=24):
@@ -63,9 +88,25 @@ def timed(fn, repeats):
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
+    return {**quartiles([1e3 * t for t in samples], "ms"), "repeats": repeats}
+
+
+def quartiles(samples, unit):
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median_ms": 1e3 * median, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3,
-            "repeats": repeats}
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3}
+
+
+def import_cli(repeats):
+    """Wall time (ms) and peak RSS (MB) of importing the CLI, fresh each time."""
+    package = importlib.util.find_spec("replaycm").submodule_search_locations[0]
+    env = {**os.environ, "PYTHONPATH": str(Path(package).resolve().parent)}
+    times, rss = [], []
+    for _ in range(repeats):
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        times.append(1e3 * float(out[0]))
+        rss.append(float(out[1]))
+    return {**quartiles(times, "ms"), "rss_mb": quartiles(rss, "mb"), "repeats": repeats}
 
 
 def main():
@@ -76,17 +117,23 @@ def main():
         parser.error("--repeats must be >= 2")
     for name in THREAD_VARS:
         os.environ.setdefault(name, "1")
+    # Before this process loads anything: Linux carries a process's peak RSS
+    # across fork and exec into the child's ru_maxrss
+    import_probe = import_cli(args.repeats)
     # BLAS reads its thread count when numpy loads, so import only now
     import numpy as np
 
+    from replaycm.audio_io import load_wav
     from replaycm.corpus import (
         CorpusConfig,
+        generate_synth_corpus,
         make_phrase_specs,
         make_replay_channel,
         render_genuine_utterance,
         simulate_replay,
         speaker_f0,
     )
+    from replaycm.eemd import _envelope, eemd_first_imf, local_extrema
     from replaycm.gmm import gmm_em_train, llr_score
     from replaycm.ivector import (
         TotalVariabilityModel,
@@ -137,6 +184,16 @@ def main():
     kernels["render_utterance"] = timed(render, args.repeats)
     kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=SEED),
                                       args.repeats)
+
+    with tempfile.TemporaryDirectory() as corpus_dir:
+        generate_synth_corpus(CorpusConfig(**FRONTENDS_CORPUS), corpus_dir)
+        trial = load_wav(Path(corpus_dir) / "wav" / f"{FRONTENDS_TRIAL}.wav")
+    maxima, _ = local_extrema(trial.samples)
+    kernels["envelope"] = timed(
+        lambda: _envelope(maxima, trial.samples[maxima], trial.samples.size), args.repeats)
+    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(trial, ensemble_size=5, seed=SEED),
+                                  args.repeats)
+    kernels["import_cli"] = import_probe
 
     result = {
         "seed": SEED,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -88,7 +89,7 @@ def cmd_extract(args) -> int:
         try:
             pipeline.extract_trial(cfg, spec, trial, audio_dir, out_dir)
             return trial.trial_id, None
-        except Exception as exc:  # report per-trial failures, keep going
+        except (ValueError, OSError) as exc:  # report per-trial failures, keep going
             return trial.trial_id, str(exc)
 
     if args.jobs > 1:
@@ -255,13 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A user error (bad config, input or file: ValueError
+    or OSError) exits 2 with one ``error:`` line; any other exception is a
+    bug, so it exits 1 with its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:
+    except (ValueError, OSError) as exc:
         _err(str(exc))
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 1
 
 
 def entrypoint() -> None:

@@ -3,7 +3,10 @@ the spectrogram-difference feature built from them.
 
 Sifting uses natural cubic-spline envelopes through the local extrema, with
 up to two extrema mirrored past each signal edge to damp end swings, and a
-Cauchy-type stop criterion on successive sift iterates.
+Cauchy-type stop criterion on successive sift iterates.  The spline's
+second derivatives solve a tridiagonal system by cyclic reduction (Hockney
+1965; Buzbee, Golub & Nielson 1970), and each interval's cubic is evaluated
+by Horner's rule.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .audio_io import Waveform
 from .spectral import FftConfig, Spectrogram, fft_spectrogram
@@ -56,6 +58,65 @@ def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return maxima, minima
 
 
+def _solve_tridiagonal(a, b, c, d):
+    """Solve a_i x_{i-1} + b_i x_i + c_i x_{i+1} = d_i by cyclic reduction.
+
+    The system has 2^k - 1 rows, a[0] = c[-1] = 0, and is diagonally dominant.
+    Each level folds the even-indexed rows into their odd neighbours, leaving
+    a system of half the size in the odd unknowns; back substitution then
+    recovers the even unknowns level by level.
+    """
+    levels = []
+    while b.size > 1:
+        levels.append((a, b, c, d))
+        alpha = -a[1::2] / b[:-1:2]
+        gamma = -c[1::2] / b[2::2]
+        a, b, c, d = (alpha * a[:-1:2],
+                      b[1::2] + alpha * c[:-1:2] + gamma * a[2::2],
+                      gamma * c[2::2],
+                      d[1::2] + alpha * d[:-1:2] + gamma * d[2::2])
+    x = d / b
+    for a, b, c, d in reversed(levels):
+        full = np.zeros(b.size + 2)  # zero neighbours past both ends
+        full[2:-1:2] = x
+        full[1::2] = (d[::2] - a[::2] * full[:-2:2] - c[::2] * full[2::2]) / b[::2]
+        x = full[1:-1]
+    return x
+
+
+def _natural_spline(t: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Natural cubic spline through knots (t, v), evaluated at arange(n).
+
+    Knots are strictly increasing whole numbers (sample positions); points
+    outside them use the end cubics, as scipy's CubicSpline extrapolates.
+    """
+    m = t.size
+    h = np.diff(t)
+    slope = np.diff(v) / h
+    second = np.zeros(m)  # second derivatives, zero at the outer knots
+    if m > 2:
+        rows = m - 2
+        size = (1 << rows.bit_length()) - 1  # identity rows pad to 2^k - 1
+        a = np.zeros(size)
+        b = np.ones(size)
+        c = np.zeros(size)
+        d = np.zeros(size)
+        a[1:rows] = h[1:-1]
+        b[:rows] = 2.0 * (h[:-1] + h[1:])
+        c[: rows - 1] = h[1:-1]
+        d[:rows] = 6.0 * np.diff(slope)
+        second[1:-1] = _solve_tridiagonal(a, b, c, d)[:rows]
+    c1 = slope - h * (2.0 * second[:-1] + second[1:]) / 6.0
+    c2 = 0.5 * second[:-1]
+    c3 = np.diff(second) / (6.0 * h)
+
+    edges = np.clip(np.ceil(t), 0, n).astype(np.intp)
+    edges[0], edges[-1] = 0, n
+    interval = np.repeat(np.arange(m - 1), np.diff(edges))
+    dx = np.arange(n) - t[interval]
+    return ((c3[interval] * dx + c2[interval]) * dx + c1[interval]) * dx + v[interval]
+
+
 def _envelope(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through (idx, values), extrema mirrored at edges."""
     t = idx.astype(np.float64)
@@ -74,8 +135,7 @@ def _envelope(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
     knots_t = np.concatenate([left_t, t, right_t])
     knots_v = np.concatenate([left_v, v, right_v])
-    spline = CubicSpline(knots_t, knots_v, bc_type="natural")
-    return spline(np.arange(n))
+    return _natural_spline(knots_t, knots_v, n)
 
 
 def emd_first_imf(signal: Waveform, sift: SiftConfig = SiftConfig()) -> Imf:

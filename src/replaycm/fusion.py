@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass
@@ -37,7 +36,7 @@ def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
                    l2: float, sample_weight: np.ndarray):
     z = y * (aug @ theta)
     loss = float(np.sum(sample_weight * np.logaddexp(0.0, -z)) + l2 * theta @ theta)
-    sigma = expit(-z)  # d/dz log(1+e^-z) = -sigma(-z), computed stably
+    sigma = np.exp(-np.logaddexp(0.0, z))  # d/dz log(1+e^-z) = -1/(1+e^z), stably
     grad = aug.T @ (-(sample_weight * sigma) * y) + 2.0 * l2 * theta
     return loss, grad
 

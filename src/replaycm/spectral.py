@@ -13,6 +13,9 @@ import numpy as np
 from .audio_io import Waveform
 
 POWER_FLOOR = 1e-10
+# Largest total size of one configuration's cached CQT kernel matrices; the
+# workloads' 84-bin configuration needs 1.6 MiB
+CQT_KERNEL_BUDGET_BYTES = 64 << 20
 
 SCALES = ("power", "log-power", "normalized", "magnitude", "log-magnitude")
 
@@ -199,7 +202,9 @@ class _CqtKernels:
     matrix has shape (L, 2 * m) for m bins, L being the group's longest kernel:
     column j holds the real part of bin j's conjugate kernel and column m + j
     its imaginary part, both starting at row L // 2 - n_k // 2 so that every
-    kernel in the group is centred on the same frame centre.
+    kernel in the group is centred on the same frame centre.  A configuration
+    whose matrices would exceed CQT_KERNEL_BUDGET_BYTES is refused before any
+    of them is allocated.
     """
 
     def __init__(self, cfg: CqtConfig, sample_rate: int):
@@ -216,17 +221,26 @@ class _CqtKernels:
         q = cfg.q_factor
         lengths = [max(int(np.ceil(q * sample_rate / f)), 2) for f in freqs]
         self.max_length = max(lengths)
+        groups = [range(lo, min(lo + cfg.bins_per_octave, cfg.n_bins))
+                  for lo in range(0, cfg.n_bins, cfg.bins_per_octave)]
+        longest = [max(lengths[k] for k in group) for group in groups]
+        nbytes = sum(rows * 2 * len(group) * 8 for rows, group in zip(longest, groups))
+        if nbytes > CQT_KERNEL_BUDGET_BYTES:
+            raise ValueError(
+                f"CQT kernel matrices would take {nbytes / 2**20:.1f} MiB, over the "
+                f"{CQT_KERNEL_BUDGET_BYTES / 2**20:.0f} MiB budget; the longest kernel "
+                f"is {self.max_length} samples ({self.max_length / sample_rate:.2f} s); "
+                "raise f_min or lower bins_per_octave"
+            )
         self.groups: list[np.ndarray] = []
-        for lo in range(0, cfg.n_bins, cfg.bins_per_octave):
-            group = range(lo, min(lo + cfg.bins_per_octave, cfg.n_bins))
-            longest = max(lengths[k] for k in group)
-            matrix = np.zeros((longest, 2 * len(group)))
+        for group, rows in zip(groups, longest):
+            matrix = np.zeros((rows, 2 * len(group)))
             for j, k in enumerate(group):
                 n_k = lengths[k]
                 window = np.hanning(n_k)
                 phase = np.exp(2j * np.pi * freqs[k] * np.arange(n_k) / sample_rate)
                 kernel = np.conj(window * phase * (2.0 / window.sum()))
-                offset = longest // 2 - n_k // 2
+                offset = rows // 2 - n_k // 2
                 matrix[offset : offset + n_k, j] = kernel.real
                 matrix[offset : offset + n_k, len(group) + j] = kernel.imag
             self.groups.append(matrix)
@@ -326,14 +340,6 @@ def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return windows @ DB4_LOWPASS, windows @ DB4_HIGHPASS
 
 
-def _idwt_step(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    n = 2 * approx.size
-    idx = (2 * np.arange(approx.size)[:, None] + np.arange(DB4_LOWPASS.size)[None, :]) % n
-    x = np.zeros(n)
-    np.add.at(x, idx, approx[:, None] * DB4_LOWPASS + detail[:, None] * DB4_HIGHPASS)
-    return x
-
-
 def dwt_decompose(x: np.ndarray, levels: int) -> list[np.ndarray]:
     """Periodized multi-level db4 analysis: [a_L, d_L, d_{L-1}, ..., d_1]."""
     x = np.asarray(x, dtype=np.float64)
@@ -348,14 +354,6 @@ def dwt_decompose(x: np.ndarray, levels: int) -> list[np.ndarray]:
         approx, detail = _dwt_step(approx)
         details.append(detail)
     return [approx] + details[::-1]
-
-
-def dwt_reconstruct(coeffs: list[np.ndarray]) -> np.ndarray:
-    """Inverse of dwt_decompose (the analysis is orthogonal, so exact)."""
-    approx = coeffs[0]
-    for detail in coeffs[1:]:
-        approx = _idwt_step(approx, detail)
-    return approx
 
 
 def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> Spectrogram:

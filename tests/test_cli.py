@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -550,3 +552,82 @@ class TestSeedOverride:
                          "--seed", "999"]) == 0
         assert tree_hashes(out1) != tree_hashes(out2)
         assert tree_hashes(out2) == tree_hashes(out3)
+
+
+class TestExitCodes:
+    def test_user_error_is_one_error_line_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["eval", str(tmp_path / "absent.scores"),
+                       "--protocol", str(tmp_path / "absent.txt")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_internal_bug_prints_traceback_exit_1(self, tmp_path, monkeypatch, capsys):
+        def broken(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "cmd_eval", broken)
+        rc = cli.main(["eval", str(tmp_path / "a.scores"), "--protocol", "p.txt"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback (most recent call last)" in err
+        assert "TypeError: unsupported operand" in err
+        assert "error: " not in err
+
+    def test_internal_bug_in_a_trial_is_not_a_trial_failure(
+            self, workspace, tmp_path, monkeypatch, capsys):
+        cfg_path, work = workspace
+
+        def broken(*args):
+            raise AttributeError("no attribute 'values'")
+
+        monkeypatch.setattr(pipeline, "extract_trial", broken)
+        rc = cli.main(["extract", "--config", str(cfg_path), "--feature", "cqcc-small",
+                       "--protocol", str(work / "corpus/protocol_train.txt"),
+                       "--out-dir", str(tmp_path / "f"), "--keep-going"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "AttributeError: no attribute 'values'" in err
+        assert "extraction failed" not in err
+
+
+NO_SCIPY_SCRIPT = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import numpy as np
+from replaycm import cli
+from replaycm.fusion import fusion_train
+
+config, protocol, out_dir = sys.argv[1:]
+assert cli.main(["extract", "--config", config, "--feature", "deemd-small",
+                 "--protocol", protocol, "--out-dir", out_dir]) == 0
+rng = np.random.default_rng(0)
+labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+model = fusion_train(labels[:, None] + rng.standard_normal((6, 2)), labels)
+assert np.all(np.isfinite(model.weights))
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+"""
+
+
+def test_runtime_needs_no_scipy(workspace, tmp_path):
+    cfg_path, work = workspace
+    protocol = tmp_path / "one.txt"
+    protocol.write_text((work / "corpus/protocol_train.txt").read_text().splitlines()[0])
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg_path), str(protocol),
+         str(tmp_path / "f")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(list((tmp_path / "f").glob("*.rsft"))) == 1

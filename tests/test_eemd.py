@@ -1,8 +1,12 @@
 import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline
 
 from replaycm.audio_io import Waveform
 from replaycm.eemd import (
     SiftConfig,
+    _envelope,
+    _natural_spline,
     delta_eemd_spectrogram,
     eemd_first_imf,
     emd_first_imf,
@@ -17,6 +21,85 @@ FFT_CFG = FftConfig(framing=FramingConfig(0.032, 0.016), n_fft=512)
 def tone(freq, seconds=0.5, amp=1.0, sr=SR):
     t = np.arange(int(seconds * sr)) / sr
     return amp * np.sin(2 * np.pi * freq * t)
+
+
+def dense_natural_spline(t, v, x):
+    """Natural cubic spline by a dense solve of the full m x m system for the
+    second derivatives M (M_0 = M_{m-1} = 0), evaluated in the closed form
+    M_j (t_{j+1}-x)^3/6h + M_{j+1} (x-t_j)^3/6h + linear terms; points outside
+    the knots use the end intervals."""
+    m = t.size
+    h = np.diff(t)
+    system = np.zeros((m, m))
+    rhs = np.zeros(m)
+    system[0, 0] = system[-1, -1] = 1.0
+    for i in range(1, m - 1):
+        system[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+        rhs[i] = 6.0 * ((v[i + 1] - v[i]) / h[i] - (v[i] - v[i - 1]) / h[i - 1])
+    second = np.linalg.solve(system, rhs)
+    j = np.clip(np.searchsorted(t, x, side="right") - 1, 0, m - 2)
+    left, right, hj = x - t[j], t[j + 1] - x, h[j]
+    return (second[j] * right**3 / (6.0 * hj) + second[j + 1] * left**3 / (6.0 * hj)
+            + (v[j] / hj - second[j] * hj / 6.0) * right
+            + (v[j + 1] / hj - second[j + 1] * hj / 6.0) * left)
+
+
+def mirrored_knots(idx, values, n):
+    """The knots _envelope fits: up to two extrema mirrored past each edge."""
+    t = idx.astype(np.float64)
+    left = -t[:2][::-1] < t[0]
+    right = 2.0 * (n - 1) - t[-2:][::-1] > t[-1]
+    knots_t = np.concatenate([(-t[:2][::-1])[left], t, (2.0 * (n - 1) - t[-2:][::-1])[right]])
+    knots_v = np.concatenate([values[:2][::-1][left], values, values[-2:][::-1][right]])
+    return knots_t, knots_v
+
+
+class TestNaturalSpline:
+    N = 60
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 9, 10, 40])
+    @pytest.mark.parametrize("span", ["inside", "beyond"])
+    def test_matches_dense_solve_and_closed_form(self, m, span):
+        # m - 2 interior rows: 1..8 lie on both sides of the 2^k - 1 padding.
+        # "inside" knots leave points to extrapolate at both ends; "beyond"
+        # knots run below 0 and past n - 1.
+        rng = np.random.default_rng(m)
+        lo, hi = (3, self.N - 4) if span == "inside" else (-9, self.N + 8)
+        t = np.sort(rng.choice(np.arange(lo, hi + 1), m, replace=False)).astype(float)
+        t[0], t[-1] = lo, hi
+        v = rng.standard_normal(m)
+        got = _natural_spline(t, v, self.N)
+        want = dense_natural_spline(t, v, np.arange(self.N, dtype=float))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_two_knots_are_linear(self):
+        t = np.array([5.0, 12.0])
+        v = np.array([1.5, -2.0])
+        x = np.arange(20, dtype=float)
+        line = v[0] + (v[1] - v[0]) * (x - t[0]) / (t[1] - t[0])
+        assert np.max(np.abs(_natural_spline(t, v, 20) - line)) <= 1e-12
+
+    @pytest.mark.parametrize("idx", [[0, 4, 9, 15, 21, 29], [2, 7, 11, 20, 26, 27],
+                                     [1, 29], [0, 15, 29]])
+    def test_mirrored_edge_knots_match_dense_solve(self, idx):
+        n = 30
+        idx = np.array(idx)
+        values = np.cos(0.7 * idx) + 0.1 * idx
+        t, v = mirrored_knots(idx, values, n)
+        want = dense_natural_spline(t, v, np.arange(n, dtype=float))
+        got = _envelope(idx, values, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_envelope_matches_cubic_spline_on_a_corpus_length_signal(self):
+        # 1.2 s at 16 kHz, as the corpus trials: thousands of maxima as knots
+        rng = np.random.default_rng(20170803)
+        x = tone(180.0, 1.2) + 0.3 * tone(2300.0, 1.2) + 0.1 * rng.standard_normal(19200)
+        maxima, _ = local_extrema(x)
+        assert maxima.size > 3000
+        t, v = mirrored_knots(maxima, x[maxima], x.size)
+        want = CubicSpline(t, v, bc_type="natural")(np.arange(x.size))
+        got = _envelope(maxima, x[maxima], x.size)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEmd:

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from replaycm.fusion import FusionModel, fusion_apply, fusion_train
+from replaycm.fusion import FusionModel, _loss_and_grad, fusion_apply, fusion_train
 from replaycm.metrics import compute_eer
 
 
@@ -67,6 +69,21 @@ def test_gradient_norm_reached(rng):
     sigma = 1.0 / (1.0 + np.exp(z))
     grad = aug.T @ (-(sigma / 100.0) * labels) + 2e-6 * theta
     assert np.linalg.norm(grad) <= 1e-8
+
+
+def test_gradient_logistic_matches_closed_form_without_warnings():
+    # with one trial, label +1, unit weight and no L2, the gradient with
+    # respect to the offset is -1/(1+e^z) at margin z
+    z = np.concatenate([np.linspace(-800.0, 800.0, 3201), [-1e-300, 0.0, 1e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([-_loss_and_grad(np.array([zi]), np.ones((1, 1)), np.ones(1),
+                                        0.0, np.ones(1))[1][0] for zi in z])
+    # 1/(1+e^z), written as e^-z/(1+e^-z) for z > 0 so that nothing overflows
+    e = np.exp(-np.abs(z))
+    want = np.where(z > 0, e / (1.0 + e), 1.0 / (1.0 + e))
+    assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-300)
+    assert np.all(got[z > 740] < 1e-300) and np.all(got[z < -40] == 1.0)
 
 
 def test_single_class_rejected(rng):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from replaycm import spectral
 from replaycm.audio_io import Waveform
 from replaycm.spectral import (
     DB4_HIGHPASS,
@@ -14,7 +17,6 @@ from replaycm.spectral import (
     cqt_log_power_spectrogram,
     cqt_magnitude,
     dwt_decompose,
-    dwt_reconstruct,
     dwt_scalogram,
     fft_log_power_spectrogram,
     fft_spectrogram,
@@ -23,6 +25,20 @@ from replaycm.spectral import (
     sliding_windows,
     truncate_or_repeat,
 )
+
+
+def dwt_reconstruct(coeffs):
+    """Inverse of dwt_decompose by periodized db4 synthesis (the analysis is
+    orthogonal, so exact): each level scatters the approximation and detail
+    coefficients back through the two filters."""
+    approx = coeffs[0]
+    for detail in coeffs[1:]:
+        n = 2 * approx.size
+        idx = (2 * np.arange(approx.size)[:, None] + np.arange(DB4_LOWPASS.size)[None, :]) % n
+        x = np.zeros(n)
+        np.add.at(x, idx, approx[:, None] * DB4_LOWPASS + detail[:, None] * DB4_HIGHPASS)
+        approx = x
+    return approx
 
 
 def naive_dft_power(frame, n_fft):
@@ -214,6 +230,28 @@ class TestCqt:
         cfg = CqtConfig(f_min=500.0, bins_per_octave=12, n_bins=60, hop_length=256)
         with pytest.raises(ValueError, match="bin 48"):
             cqt_log_power_spectrogram(Waveform(np.zeros(4000), 16000), cfg)
+
+    def test_default_config_exceeds_kernel_budget(self):
+        # CqtConfig's own defaults (864 bins from 15.625 Hz) would cache
+        # 413 MiB of kernel matrices, with an 8.8 s longest kernel
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"413\.2 MiB.*141312 samples"):
+                cqt_magnitude(Waveform(np.zeros(4000), 16000), CqtConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_kernel_budget_counts_the_allocated_bytes(self, monkeypatch):
+        cfg = CqtConfig(f_min=62.5, bins_per_octave=12, n_bins=84, hop_length=256)
+        nbytes = sum(m.nbytes for m in spectral._CqtKernels(cfg, 16000).groups)
+        assert nbytes < 2 * 2**20
+        monkeypatch.setattr(spectral, "CQT_KERNEL_BUDGET_BYTES", nbytes)
+        spectral._CqtKernels(cfg, 16000)
+        monkeypatch.setattr(spectral, "CQT_KERNEL_BUDGET_BYTES", nbytes - 1)
+        with pytest.raises(ValueError, match="4306 samples"):
+            spectral._CqtKernels(cfg, 16000)
 
     def test_geometric_bin_spacing(self):
         cfg = CqtConfig(f_min=15.625, bins_per_octave=96, n_bins=864)
