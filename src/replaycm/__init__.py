@@ -8,7 +8,7 @@ replay corpus for end-to-end checks.
 """
 
 from .audio_io import Waveform, load_wav, write_wav
-from .cepstral import FeatureMatrix, cmvn, cqcc, dct_ii_ortho, lpcc
+from .cepstral import cmvn, cqcc, dct_ii_ortho, lpcc
 from .eemd import Imf, delta_eemd_spectrogram, eemd_first_imf, emd_first_imf
 from .fusion import FusionModel, fusion_apply, fusion_train
 from .gmm import GmmModel, gmm_avg_loglik, gmm_em_train, llr_score
@@ -24,8 +24,6 @@ from .ivector import (
 from .metrics import ScoreSet, compute_eer, det_points, read_scores, write_scores
 from .neural import max_pool_2x2, mfm, mfm_backward
 from .spectral import (
-    Spectrogram,
-    UnifiedFeature,
     cqt_log_power_spectrogram,
     dwt_scalogram,
     fft_log_power_spectrogram,

@@ -1,5 +1,6 @@
 """Cepstral front-ends: constant-Q cepstral coefficients, linear-prediction
-cepstral coefficients, and cepstral mean/variance normalization.
+cepstral coefficients, and cepstral mean/variance normalization.  Features
+are coefficients x frames matrices, like every front-end's.
 """
 
 from __future__ import annotations
@@ -15,35 +16,11 @@ from .spectral import (
     cqt_magnitude,
     floored_log_power,
     frame_signal,
+    mvn_spectrum,
     resample_rows_linear,
 )
 
 ENERGY_FLOOR = 1e-20
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-frame feature vectors, shape (time_frames, dim)."""
-
-    values: np.ndarray
-    name: str = ""
-    fingerprint: str = ""
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise ValueError(f"feature values must be 2-D (frames x dim), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature values must all be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -98,7 +75,7 @@ def dct_ii_ortho(row: np.ndarray, n_out: int | None = None) -> np.ndarray:
     return dct_matrix(n)[:n_out] @ row
 
 
-def cqcc(wave: Waveform, cfg: CqccConfig) -> FeatureMatrix:
+def cqcc(wave: Waveform, cfg: CqccConfig) -> np.ndarray:
     """Constant-Q cepstral coefficients.
 
     Pipeline: constant-Q magnitudes -> floored log power -> linear resampling
@@ -107,9 +84,8 @@ def cqcc(wave: Waveform, cfg: CqccConfig) -> FeatureMatrix:
     """
     mags, freqs = cqt_magnitude(wave, cfg.cqt)
     log_power = floored_log_power(mags, cfg.cqt.floor)
-    resampled, _ = resample_rows_linear(log_power, freqs, cfg.resample_bins)
-    coeffs = dct_matrix(cfg.resample_bins)[: cfg.n_coeffs] @ resampled
-    return FeatureMatrix(coeffs.T, name="cqcc", fingerprint=repr(cfg))
+    resampled = resample_rows_linear(log_power, freqs, cfg.resample_bins)
+    return dct_matrix(cfg.resample_bins)[: cfg.n_coeffs] @ resampled
 
 
 def levinson_durbin(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,10 +154,10 @@ def lpc_to_cepstrum(a: np.ndarray, err: np.ndarray, n_coeffs: int) -> np.ndarray
     return c[0] if single else c
 
 
-def lpcc(wave: Waveform, cfg: LpccConfig) -> FeatureMatrix:
-    """Linear-prediction cepstral coefficients, one row per analysis frame.
+def lpcc(wave: Waveform, cfg: LpccConfig) -> np.ndarray:
+    """Linear-prediction cepstral coefficients, one column per analysis frame.
 
-    Frames with (near) zero energy yield an all-zero cepstrum row.
+    Frames with (near) zero energy yield an all-zero cepstrum column.
     """
     frames = frame_signal(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
                           cfg.framing.window)
@@ -205,15 +181,9 @@ def lpcc(wave: Waveform, cfg: LpccConfig) -> FeatureMatrix:
         r[:, 0] *= 1.0 + 1e-9
         a, err, _ = levinson_durbin(r)
         values[live] = lpc_to_cepstrum(a, err, cfg.n_coeffs)
-    return FeatureMatrix(values, name="lpcc", fingerprint=repr(cfg))
+    return values.T
 
 
-def cmvn(features: FeatureMatrix, epsilon: float = 1e-12) -> FeatureMatrix:
-    """Per-dimension zero mean / unit variance over the utterance."""
-    if features.n_frames < 2:
-        raise ValueError("cepstral mean-variance normalization needs at least 2 frames")
-    mean = features.values.mean(axis=0, keepdims=True)
-    var = features.values.var(axis=0, keepdims=True)
-    values = (features.values - mean) / np.sqrt(np.maximum(var, epsilon))
-    values = np.where(var < epsilon, 0.0, values)  # degenerate columns go to zero
-    return FeatureMatrix(values, name=features.name, fingerprint=features.fingerprint)
+def cmvn(values: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
+    """Per-coefficient zero mean / unit variance over the utterance."""
+    return mvn_spectrum(values, epsilon)

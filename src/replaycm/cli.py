@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: synth, extract, train, score, fuse, eval.  Diagnostics go to
+Subcommands: synth, extract, train, score, fuse, eval, dump.  Diagnostics go to
 stderr; data goes to files or stdout.  Every command is deterministic given
 the configuration file and seeds.
 """
@@ -8,7 +8,6 @@ the configuration file and seeds.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline
+from . import containers, pipeline
 from .config import FEATURE_KINDS, ConfigError, load_config
 from .corpus import generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
@@ -29,16 +28,6 @@ def _err(message: str) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _hash_tree(root: Path) -> dict[str, str]:
-    digests = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            digests[str(path.relative_to(root))] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-    return digests
 
 
 def _configured_corpus_dir(paths) -> Path:
@@ -63,14 +52,11 @@ def _configured_corpus_dir(paths) -> Path:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, seed_override=args.seed)
     out_dir = Path(args.out_dir) if args.out_dir else _configured_corpus_dir(cfg.paths)
-    before = _hash_tree(out_dir) if out_dir.exists() else None
     try:
         generate_synth_corpus(cfg.corpus, out_dir)
     except OSError as exc:
         _err(f"cannot write corpus under {out_dir}: {exc}")
         return 2
-    if before is not None and before == _hash_tree(out_dir):
-        _info("identical corpus (regeneration reproduced every file byte-for-byte)")
     print(out_dir / "manifest.json")
     return 0
 
@@ -192,6 +178,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_dump(args) -> int:
+    kind, arrays = containers.read_model(args.model)
+    containers.write_model_text(args.out, kind, arrays)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replaycm",
@@ -252,6 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores")
     p.add_argument("--protocol", required=True)
     p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("dump", help="write a model file as human-readable text")
+    p.add_argument("model", help="model file (.rsmd)")
+    p.add_argument("out", help="text file to write")
+    p.set_defaults(func=cmd_dump)
     return parser
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .cepstral import CqccConfig, LpccConfig
 from .corpus import CorpusConfig
 from .eemd import SiftConfig
-from .spectral import CqtConfig, DwtConfig, FftConfig
+from .spectral import CqtConfig, DwtConfig, FftConfig, cqt_kernel_layout
 
 
 class ConfigError(ValueError):
@@ -215,7 +215,7 @@ def _build_block(cls, block, context: str, tag: str | None = None, **given):
     return built
 
 
-def _parse_feature(name: str, block) -> FeatureSpec:
+def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
     context = f"feature {name!r}"
     kind = _object(block, context).get("type")
     if kind not in FEATURE_KINDS:
@@ -229,6 +229,12 @@ def _parse_feature(name: str, block) -> FeatureSpec:
     spec = _build(FeatureSpec, block, context, unused, name=name, kind=kind,
                   config=_build(cls, block, context, unused))
     _reject_unused(unused, context)
+    cqt = getattr(spec.config, "cqt", spec.config)
+    if isinstance(cqt, CqtConfig):
+        try:  # size the kernels now rather than fail once per trial in extract
+            cqt_kernel_layout(cqt, sample_rate)
+        except ValueError as exc:
+            raise ConfigError(f"{context}: {exc}") from exc
     return spec
 
 
@@ -269,7 +275,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> PipelineConfig
     corpus = _build_block(CorpusConfig, corpus_block, "corpus")
 
     features = {
-        name: _parse_feature(name, block)
+        name: _parse_feature(name, block, sample_rate)
         for name, block in _object(data["features"], "features").items()
     }
     systems = {}

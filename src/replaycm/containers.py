@@ -27,9 +27,13 @@ class ContainerFormatError(ValueError):
 
 
 def write_matrix(path, values: np.ndarray, meta: dict) -> None:
+    """Write a 2-D matrix as RSFT; a non-finite matrix is refused unwritten."""
     values = np.ascontiguousarray(values, dtype=np.float32)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"{path}: refusing to write a matrix with {bad} non-finite value(s)")
     rows, cols = values.shape
     meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:

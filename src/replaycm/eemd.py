@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio_io import Waveform
-from .spectral import FftConfig, Spectrogram, fft_spectrogram
+from .spectral import FftConfig, fft_spectrogram
 
 
 @dataclass(frozen=True)
@@ -207,22 +207,14 @@ def delta_eemd_spectrogram(
     noise_strength_factor: float = 0.1,
     seed: int = 0,
     sift: SiftConfig = SiftConfig(),
-    log_output: bool = False,
-) -> Spectrogram:
+) -> np.ndarray:
     """Element-wise |S_original - S_first_mode| on magnitude spectrograms.
 
     Both spectrograms use the same FFT configuration; the difference is taken
-    on linear magnitudes so it is well defined and non-negative.  With
-    log_output the floored log of the magnitude difference is returned.
+    on linear magnitudes so it is well defined and non-negative.
     """
     original = fft_spectrogram(wave, fft_cfg, scale="magnitude")
     mode = eemd_first_imf(wave, ensemble_size, noise_strength_factor, seed, sift)
     mode_spec = fft_spectrogram(Waveform(mode.samples, wave.sample_rate), fft_cfg,
                                 scale="magnitude")
-    values = np.abs(original.values - mode_spec.values)
-    if log_output:
-        values = np.log(np.maximum(values, np.sqrt(fft_cfg.floor)))
-        scale = "log-magnitude"
-    else:
-        scale = "magnitude"
-    return Spectrogram(values, original.bin_frequencies, original.hop_seconds, scale)
+    return np.abs(original - mode_spec)

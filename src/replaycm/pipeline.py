@@ -11,7 +11,7 @@ import numpy as np
 
 from . import containers
 from .audio_io import Waveform, load_wav
-from .cepstral import FeatureMatrix, cmvn, cqcc, lpcc
+from .cepstral import cmvn, cqcc, lpcc
 from .config import (
     DeemdParams,
     FeatureSpec,
@@ -33,7 +33,6 @@ from .ivector import (
 )
 from .metrics import ScoreSet
 from .spectral import (
-    Spectrogram,
     cqt_log_power_spectrogram,
     dwt_scalogram,
     fft_log_power_spectrogram,
@@ -56,8 +55,8 @@ def model_dir(cfg: PipelineConfig, system_name: str) -> Path:
     return Path(cfg.paths.work_dir) / "models" / system_name
 
 
-def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int):
-    """Run one configured front-end; returns FeatureMatrix or Spectrogram."""
+def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.ndarray:
+    """Run one configured front-end; returns its dim x frames matrix."""
     if spec.kind == "cqcc":
         feats = cqcc(wave, spec.config)
         return cmvn(feats) if spec.cmvn else feats
@@ -85,32 +84,16 @@ def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int):
     return mvn_spectrum(spectrum) if spec.mvn else spectrum
 
 
-def save_feature(path, feature, spec: FeatureSpec) -> None:
-    if isinstance(feature, FeatureMatrix):
-        containers.write_matrix(
-            path,
-            feature.values.T,
-            {"kind": "features", "name": spec.name,
-             "fingerprint": repr(spec.config)},
-        )
-    elif isinstance(feature, Spectrogram):
-        containers.write_matrix(
-            path,
-            feature.values,
-            {"kind": "spectrogram", "name": spec.name, "scale": feature.scale,
-             "hop_seconds": feature.hop_seconds,
-             "fingerprint": repr(spec.config)},
-        )
-    else:
-        raise TypeError(f"cannot serialize feature of type {type(feature)!r}")
+def save_feature(path, values: np.ndarray, spec: FeatureSpec) -> None:
+    containers.write_matrix(path, values, {"name": spec.name, "kind": spec.kind,
+                                           "fingerprint": repr(spec.config)})
 
 
 def load_feature_frames(path) -> np.ndarray:
     """Read a feature container as a frames x dim matrix for modelling.
 
-    Both container layouts keep one column per frame (feature matrices are
-    stored dim x frames, spectrograms bins x frames), so modelling always
-    sees the transpose.
+    Containers hold every feature as dim x frames, one column per frame, so
+    modelling always sees the transpose.
     """
     values, _ = containers.read_matrix(path)
     return values.T
@@ -160,7 +143,6 @@ def _model_name(base: str, phrase_key: str) -> str:
 
 def _write_model(directory: Path, name: str, kind: str, arrays: dict) -> None:
     containers.write_model(directory / f"{name}.rsmd", kind, arrays)
-    containers.write_model_text(directory / f"{name}.txt", kind, arrays)
 
 
 def _gmm_arrays(model: GmmModel) -> dict:

@@ -1,6 +1,9 @@
 """Time-frequency analysis: framing, FFT / constant-Q / wavelet spectrograms,
-spectral mean-variance normalization, and the fixed-shape unifiers
+mean-variance normalization, and the fixed-shape unifiers
 (truncation-with-repeat and sliding windows) used to feed fixed-size inputs.
+
+Every front-end returns a float64 matrix with one row per bin or coefficient
+and one column per frame.
 """
 
 from __future__ import annotations
@@ -16,61 +19,6 @@ POWER_FLOOR = 1e-10
 # Largest total size of one configuration's cached CQT kernel matrices; the
 # workloads' 84-bin configuration needs 1.6 MiB
 CQT_KERNEL_BUDGET_BYTES = 64 << 20
-
-SCALES = ("power", "log-power", "normalized", "magnitude", "log-magnitude")
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Real-valued frequency x time matrix with per-bin center frequencies."""
-
-    values: np.ndarray          # (freq_bins, time_frames)
-    bin_frequencies: np.ndarray  # (freq_bins,) strictly increasing, Hz
-    hop_seconds: float
-    scale: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        freqs = np.asarray(self.bin_frequencies, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"values must be a non-empty 2-D matrix, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("spectrogram values must all be finite")
-        if freqs.shape != (values.shape[0],):
-            raise ValueError("bin_frequencies length must equal the number of rows")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("bin_frequencies must be strictly increasing")
-        if self.hop_seconds <= 0:
-            raise ValueError("hop_seconds must be positive")
-        if self.scale not in SCALES:
-            raise ValueError(f"unknown scale {self.scale!r}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bin_frequencies", freqs)
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class UnifiedFeature:
-    """Fixed-shape (freq x time) matrix for fixed-size model inputs."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("unified feature must be a 2-D matrix")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -154,17 +102,16 @@ def frame_signal(wave: Waveform, window_seconds: float, hop_seconds: float,
 
 
 def resample_rows_linear(values: np.ndarray, src_positions: np.ndarray,
-                         n_out: int) -> tuple[np.ndarray, np.ndarray]:
+                         n_out: int) -> np.ndarray:
     """Linearly interpolate matrix rows onto n_out uniformly spaced positions."""
     src = np.asarray(src_positions, dtype=np.float64)
     new = np.linspace(src[0], src[-1], n_out)
     idx = np.clip(np.searchsorted(src, new, side="right") - 1, 0, src.size - 2)
     w = (new - src[idx]) / (src[idx + 1] - src[idx])
-    out = values[idx] * (1.0 - w)[:, None] + values[idx + 1] * w[:, None]
-    return out, new
+    return values[idx] * (1.0 - w)[:, None] + values[idx + 1] * w[:, None]
 
 
-def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") -> Spectrogram:
+def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") -> np.ndarray:
     """FFT spectrogram in the requested scale (magnitude, power or log-power)."""
     frames = frame_signal(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
                           cfg.framing.window)
@@ -173,7 +120,6 @@ def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") ->
             f"n_fft ({cfg.n_fft}) must be >= frame length ({frames.shape[1]})"
         )
     spectrum = np.fft.rfft(frames, n=cfg.n_fft)
-    freqs = np.arange(cfg.n_fft // 2 + 1) * wave.sample_rate / cfg.n_fft
 
     if scale == "magnitude":
         values = np.abs(spectrum)
@@ -186,13 +132,47 @@ def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") ->
 
     values = values.T
     if cfg.target_bins is not None:
-        values, freqs = resample_rows_linear(values, freqs, cfg.target_bins)
-    return Spectrogram(values, freqs, cfg.framing.hop_seconds, scale)
+        freqs = np.arange(cfg.n_fft // 2 + 1) * wave.sample_rate / cfg.n_fft
+        values = resample_rows_linear(values, freqs, cfg.target_bins)
+    return values
 
 
-def fft_log_power_spectrogram(wave: Waveform, cfg: FftConfig) -> Spectrogram:
+def fft_log_power_spectrogram(wave: Waveform, cfg: FftConfig) -> np.ndarray:
     """Log of floored FFT power: log(max(|X|^2, floor))."""
     return fft_spectrogram(wave, cfg, scale="log-power")
+
+
+def cqt_kernel_layout(cfg: CqtConfig, sample_rate: int
+                      ) -> tuple[list[int], list[range], list[int]]:
+    """Per-bin kernel lengths, octave groups of bins and each group's longest
+    kernel for ``cfg`` at ``sample_rate``.
+
+    Allocates no kernel.  Raises ValueError if a bin reaches the Nyquist
+    frequency or the kernel matrices would exceed CQT_KERNEL_BUDGET_BYTES.
+    """
+    freqs = cfg.bin_frequencies()
+    nyquist = sample_rate / 2.0
+    over = np.nonzero(freqs >= nyquist)[0]
+    if over.size:
+        k = int(over[0])
+        raise ValueError(
+            f"CQT bin {k} center frequency {freqs[k]:.2f} Hz reaches the "
+            f"Nyquist frequency {nyquist:.2f} Hz"
+        )
+    q = cfg.q_factor
+    lengths = [max(int(np.ceil(q * sample_rate / f)), 2) for f in freqs]
+    groups = [range(lo, min(lo + cfg.bins_per_octave, cfg.n_bins))
+              for lo in range(0, cfg.n_bins, cfg.bins_per_octave)]
+    longest = [max(lengths[k] for k in group) for group in groups]
+    nbytes = sum(rows * 2 * len(group) * 8 for rows, group in zip(longest, groups))
+    if nbytes > CQT_KERNEL_BUDGET_BYTES:
+        raise ValueError(
+            f"CQT kernel matrices would take {nbytes / 2**20:.1f} MiB, over the "
+            f"{CQT_KERNEL_BUDGET_BYTES / 2**20:.0f} MiB budget; the longest kernel "
+            f"is {max(lengths)} samples ({max(lengths) / sample_rate:.2f} s); "
+            "raise f_min or lower bins_per_octave"
+        )
+    return lengths, groups, longest
 
 
 class _CqtKernels:
@@ -202,36 +182,13 @@ class _CqtKernels:
     matrix has shape (L, 2 * m) for m bins, L being the group's longest kernel:
     column j holds the real part of bin j's conjugate kernel and column m + j
     its imaginary part, both starting at row L // 2 - n_k // 2 so that every
-    kernel in the group is centred on the same frame centre.  A configuration
-    whose matrices would exceed CQT_KERNEL_BUDGET_BYTES is refused before any
-    of them is allocated.
+    kernel in the group is centred on the same frame centre.
     """
 
     def __init__(self, cfg: CqtConfig, sample_rate: int):
-        freqs = cfg.bin_frequencies()
-        nyquist = sample_rate / 2.0
-        over = np.nonzero(freqs >= nyquist)[0]
-        if over.size:
-            k = int(over[0])
-            raise ValueError(
-                f"CQT bin {k} center frequency {freqs[k]:.2f} Hz reaches the "
-                f"Nyquist frequency {nyquist:.2f} Hz"
-            )
-        self.frequencies = freqs
-        q = cfg.q_factor
-        lengths = [max(int(np.ceil(q * sample_rate / f)), 2) for f in freqs]
+        lengths, groups, longest = cqt_kernel_layout(cfg, sample_rate)
+        freqs = self.frequencies = cfg.bin_frequencies()
         self.max_length = max(lengths)
-        groups = [range(lo, min(lo + cfg.bins_per_octave, cfg.n_bins))
-                  for lo in range(0, cfg.n_bins, cfg.bins_per_octave)]
-        longest = [max(lengths[k] for k in group) for group in groups]
-        nbytes = sum(rows * 2 * len(group) * 8 for rows, group in zip(longest, groups))
-        if nbytes > CQT_KERNEL_BUDGET_BYTES:
-            raise ValueError(
-                f"CQT kernel matrices would take {nbytes / 2**20:.1f} MiB, over the "
-                f"{CQT_KERNEL_BUDGET_BYTES / 2**20:.0f} MiB budget; the longest kernel "
-                f"is {self.max_length} samples ({self.max_length / sample_rate:.2f} s); "
-                "raise f_min or lower bins_per_octave"
-            )
         self.groups: list[np.ndarray] = []
         for group, rows in zip(groups, longest):
             matrix = np.zeros((rows, 2 * len(group)))
@@ -288,11 +245,10 @@ def floored_log_power(magnitudes: np.ndarray, floor: float) -> np.ndarray:
     return np.log(np.maximum(magnitudes**2, floor))
 
 
-def cqt_log_power_spectrogram(wave: Waveform, cfg: CqtConfig) -> Spectrogram:
+def cqt_log_power_spectrogram(wave: Waveform, cfg: CqtConfig) -> np.ndarray:
     """Constant-Q spectrogram: log of floored squared kernel magnitudes."""
-    mags, freqs = cqt_magnitude(wave, cfg)
-    return Spectrogram(floored_log_power(mags, cfg.floor), freqs,
-                       cfg.hop_length / wave.sample_rate, "log-power")
+    mags, _ = cqt_magnitude(wave, cfg)
+    return floored_log_power(mags, cfg.floor)
 
 
 # 8-tap Daubechies (db4) scaling filter, natural order.
@@ -356,13 +312,11 @@ def dwt_decompose(x: np.ndarray, levels: int) -> list[np.ndarray]:
     return [approx] + details[::-1]
 
 
-def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> Spectrogram:
+def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> np.ndarray:
     """Per-frame db4 subband log-energies, one row per wavelet coefficient.
 
     Rows run low to high frequency: the depth-L approximation coefficients,
-    then details d_L .. d_1.  Each row carries a nominal center frequency
-    spaced linearly inside its subband so the frequency axis stays strictly
-    increasing.
+    then details d_L .. d_1.
     """
     if wave.samples.size < (1 << cfg.levels):
         raise ValueError(
@@ -379,33 +333,17 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> Spectrogram:
     for frame in frames:
         coeffs = dwt_decompose(frame, cfg.levels)
         rows.append(np.concatenate(coeffs))
-    values = floored_log_power(np.stack(rows, axis=1), cfg.floor)
-
-    # Band edges 0, fs/2^(L+1), fs/2^L, ..., fs/2; one band per subband in
-    # row order, with that band's coefficients spread linearly inside it.
-    nyquist = wave.sample_rate / 2.0
-    edges = [0.0] + [nyquist / (1 << level) for level in range(cfg.levels, -1, -1)]
-    sizes = [cfg.frame_len >> cfg.levels] + [
-        cfg.frame_len >> level for level in range(cfg.levels, 0, -1)
-    ]
-    freqs = np.concatenate(
-        [
-            lo + (np.arange(m) + 1) * (hi - lo) / m
-            for lo, hi, m in zip(edges[:-1], edges[1:], sizes)
-        ]
-    )
-    return Spectrogram(values, freqs, cfg.hop_length / wave.sample_rate, "log-power")
+    return floored_log_power(np.stack(rows, axis=1), cfg.floor)
 
 
-def mvn_spectrum(spec: Spectrogram, epsilon: float = 1e-12) -> Spectrogram:
-    """Normalize each frequency row to zero mean / unit variance over time."""
-    if spec.n_frames < 2:
+def mvn_spectrum(values: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
+    """Normalize each row to zero mean / unit variance over time (columns)."""
+    if values.shape[1] < 2:
         raise ValueError("mean-variance normalization needs at least 2 frames")
-    mean = spec.values.mean(axis=1, keepdims=True)
-    var = spec.values.var(axis=1, keepdims=True)
-    values = (spec.values - mean) / np.sqrt(np.maximum(var, epsilon))
-    values = np.where(var < epsilon, 0.0, values)  # degenerate rows go to zero
-    return Spectrogram(values, spec.bin_frequencies, spec.hop_seconds, "normalized")
+    mean = values.mean(axis=1, keepdims=True)
+    var = values.var(axis=1, keepdims=True)
+    out = (values - mean) / np.sqrt(np.maximum(var, epsilon))
+    return np.where(var < epsilon, 0.0, out)  # degenerate rows go to zero
 
 
 def _tile_columns(values: np.ndarray, target: int) -> np.ndarray:
@@ -416,15 +354,15 @@ def _tile_columns(values: np.ndarray, target: int) -> np.ndarray:
     return np.tile(values, (1, reps))[:, :target]
 
 
-def truncate_or_repeat(spec: Spectrogram, target_frames: int) -> UnifiedFeature:
+def truncate_or_repeat(values: np.ndarray, target_frames: int) -> np.ndarray:
     """Fix the time axis to target_frames: truncate, or cyclically repeat."""
     if target_frames < 1:
         raise ValueError("target_frames must be >= 1")
-    return UnifiedFeature(_tile_columns(spec.values, target_frames))
+    return _tile_columns(values, target_frames)
 
 
-def sliding_windows(spec: Spectrogram, window_frames: int,
-                    overlap_fraction: float) -> list[UnifiedFeature]:
+def sliding_windows(values: np.ndarray, window_frames: int,
+                    overlap_fraction: float) -> list[np.ndarray]:
     """Fixed-size windows with the given overlap along the time axis.
 
     Hop is max(1, round(window * (1 - overlap))).  Windows start at
@@ -436,7 +374,6 @@ def sliding_windows(spec: Spectrogram, window_frames: int,
         raise ValueError("window_frames must be >= 1")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must lie in [0, 1)")
-    values = spec.values
     if values.shape[1] < window_frames:
         values = _tile_columns(values, window_frames)
     hop = max(1, round(window_frames * (1.0 - overlap_fraction)))
@@ -444,4 +381,4 @@ def sliding_windows(spec: Spectrogram, window_frames: int,
     starts = list(range(0, last + 1, hop))
     if starts[-1] != last:
         starts.append(last)
-    return [UnifiedFeature(values[:, s : s + window_frames].copy()) for s in starts]
+    return [values[:, s : s + window_frames].copy() for s in starts]

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaycm import cli, pipeline, spectral
-from replaycm.config import load_config
+from replaycm import cli, containers, pipeline, spectral
+from replaycm.config import ConfigError, load_config
 from replaycm.corpus import parse_protocol
 from replaycm.gmm import GmmModel
 from replaycm.ivector import (
@@ -109,7 +109,6 @@ class TestSynth:
         cfg_path, work = workspace
         assert cli.main(["synth", "--config", str(cfg_path)]) == 0
         captured = capsys.readouterr()
-        assert "identical corpus" in captured.err
         assert "manifest.json" in captured.out
 
     @staticmethod
@@ -224,6 +223,59 @@ class TestExtract:
             assert rc == 0
             assert len(list(out_dir.glob("*.rsft"))) == 2
 
+    # configured rows of each TINY_CONFIG front-end: n_coeffs, n_fft // 2 + 1,
+    # n_bins or frame_len
+    FEATURE_ROWS = {"cqcc-small": 12, "lpcc-small": 20, "fft-small": 1025,
+                    "cqt-small": 24, "dwt-small": 64, "deemd-small": 1025}
+
+    @pytest.mark.parametrize("feature", sorted(FEATURE_ROWS))
+    def test_every_front_end_writes_dim_by_frames(self, workspace, tmp_path, feature):
+        cfg_path, work = workspace
+        protocol = tmp_path / "one.txt"
+        protocol.write_text((work / "corpus/protocol_train.txt").read_text().splitlines()[0])
+        assert cli.main(["extract", "--config", str(cfg_path), "--feature", feature,
+                         "--protocol", str(protocol), "--out-dir", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("*.rsft")
+        values, meta = containers.read_matrix(path)
+        assert values.shape[0] == self.FEATURE_ROWS[feature]
+        assert values.shape[1] > 1
+        assert np.array_equal(pipeline.load_feature_frames(path), values.T)
+        assert sorted(meta) == ["fingerprint", "kind", "name"]
+        assert meta["name"] == feature
+
+    def test_non_finite_feature_is_a_trial_failure(self, workspace, tmp_path, capsys,
+                                                   monkeypatch):
+        cfg_path, work = workspace
+        protocol = tmp_path / "one.txt"
+        protocol.write_text((work / "corpus/protocol_train.txt").read_text().splitlines()[0])
+        monkeypatch.setattr(pipeline, "compute_feature",
+                            lambda spec, wave, seed: np.full((3, 4), np.nan))
+        rc = cli.main(["extract", "--config", str(cfg_path), "--feature", "lpcc-small",
+                       "--protocol", str(protocol), "--out-dir", str(tmp_path / "f")])
+        assert rc == 2
+        assert "12 non-finite" in capsys.readouterr().err
+        assert not list((tmp_path / "f").glob("*.rsft"))
+
+    def test_cqt_over_the_kernel_budget_fails_once_at_config_load(self, tmp_path, capsys):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["features"]["cqt-small"] = {"type": "cqt"}
+        work = tmp_path / "work"
+        config["paths"] = {"work_dir": str(work), "audio_dir": str(work / "corpus/wav"),
+                           "protocol_train": str(work / "corpus/protocol_train.txt"),
+                           "protocol_eval": str(work / "corpus/protocol_eval.txt")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError, match=r"feature 'cqt-small'.*413\.2 MiB"):
+            load_config(cfg_path)
+        protocol = tmp_path / "two.txt"
+        protocol.write_text("a genuine S00 P00 - - -\nb spoof S00 P00 - - -\n")
+        rc = cli.main(["extract", "--config", str(cfg_path), "--feature", "cqt-small",
+                       "--protocol", str(protocol), "--keep-going"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("error:") == 1 and "413.2 MiB" in err
+        assert not work.exists()
+
     def test_deemd_extraction_deterministic(self, workspace, tmp_path):
         # the only seeded front-end: per-trial seeds derive from the config seed
         cfg_path, work = workspace
@@ -288,7 +340,17 @@ class TestTrainAndScore:
         _, work = trained
         files = {p.name for p in (work / "models/gmm-sys").glob("*.rsmd")}
         assert files == {"genuine.rsmd", "spoof.rsmd"}
-        assert (work / "models/gmm-sys/genuine.txt").exists()
+        assert not list((work / "models/gmm-sys").glob("*.txt"))
+
+    def test_dump_writes_the_model_text(self, trained, tmp_path):
+        _, work = trained
+        model = work / "models/gmm-sys/genuine.rsmd"
+        out = tmp_path / "genuine.txt"
+        assert cli.main(["dump", str(model), str(out)]) == 0
+        expected = tmp_path / "expected.txt"
+        containers.write_model_text(expected, *containers.read_model(model))
+        assert out.read_text() == expected.read_text()
+        assert out.read_text().startswith("RSMD-TEXT v1\nkind: gmm\n")
 
     def test_ivec_writes_four_models(self, trained):
         _, work = trained

@@ -409,3 +409,14 @@ def test_dataclass_errors_name_the_block():
             "work_dir": "w", "protocol_train": "t", "protocol_eval": "e"}))
     with pytest.raises(ConfigError, match="system 's': missing key 'feature'"):
         parse_config(minimal_config(systems={"s": {"model": "gmm"}}))
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"type": "cqt"}, r"feature 'k': CQT kernel matrices would take 413\.2 MiB"),
+    ({"type": "cqcc"}, r"feature 'k': CQT kernel matrices would take 413\.2 MiB"),
+    ({"type": "cqt", "f_min": 500.0, "bins_per_octave": 12, "n_bins": 60},
+     r"feature 'k': CQT bin 48 .* reaches the Nyquist"),
+], ids=["cqt-budget", "cqcc-budget", "cqt-nyquist"])
+def test_cqt_kernels_checked_when_the_config_loads(block, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(minimal_config(features={"f": {"type": "lpcc"}, "k": block}))

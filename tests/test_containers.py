@@ -31,6 +31,16 @@ def test_matrix_truncated_payload(tmp_path, rng):
         containers.read_matrix(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_matrix_non_finite_refused_and_not_written(tmp_path, rng, bad):
+    values = rng.standard_normal((3, 5))
+    values[1, 2] = bad  # 1e39 is finite in float64 but overflows float32
+    path = tmp_path / "m.rsft"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="1 non-finite"):
+        containers.write_matrix(path, values, {})
+    assert not path.exists()
+
+
 def test_model_roundtrip_all_kinds(tmp_path, rng):
     cases = {
         "gmm": {"weights": rng.dirichlet(np.ones(3)), "means": rng.standard_normal((3, 4)),

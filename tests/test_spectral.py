@@ -13,7 +13,6 @@ from replaycm.spectral import (
     DwtConfig,
     FftConfig,
     FramingConfig,
-    Spectrogram,
     cqt_log_power_spectrogram,
     cqt_magnitude,
     dwt_decompose,
@@ -95,8 +94,7 @@ def sliced_cqt_magnitude(x, sample_rate, cfg):
 
 
 def random_spectrogram(rng, bins=6, frames=20):
-    values = rng.standard_normal((bins, frames))
-    return Spectrogram(values, np.arange(1, bins + 1) * 100.0, 0.016, "power")
+    return rng.standard_normal((bins, frames))
 
 
 class TestFraming:
@@ -138,19 +136,19 @@ class TestFftSpectrogram:
         cfg = FftConfig(framing=FramingConfig(n_fft / sr, n_fft / sr, "rectangular"),
                         n_fft=n_fft)
         spec = fft_log_power_spectrogram(wave, cfg)
-        assert np.all(np.argmax(spec.values, axis=0) == k)
+        assert np.all(np.argmax(spec, axis=0) == k)
 
     def test_zero_signal_hits_floor(self):
         wave = Waveform(np.zeros(4096), 16000)
         cfg = FftConfig(n_fft=2048)
         spec = fft_log_power_spectrogram(wave, cfg)
-        assert np.all(spec.values == np.log(cfg.floor))
+        assert np.all(spec == np.log(cfg.floor))
 
     def test_matches_naive_dft_oracle(self, rng):
         x = rng.standard_normal(256)
         wave = Waveform(x, 256)
         cfg = FftConfig(framing=FramingConfig(1.0, 1.0, "rectangular"), n_fft=256)
-        power = fft_spectrogram(wave, cfg, scale="power").values[:, 0]
+        power = fft_spectrogram(wave, cfg, scale="power")[:, 0]
         oracle = naive_dft_power(x, 256)
         assert np.max(np.abs(power - oracle)) <= 1e-9 * oracle.max()
 
@@ -160,17 +158,16 @@ class TestFftSpectrogram:
         cfg = FftConfig(framing=FramingConfig(0.128, 0.064, "hann"), n_fft=128)
         spec = fft_spectrogram(wave, cfg, scale="power")
         frames = frame_signal(wave, 0.128, 0.064, "hann")
-        assert spec.values.shape[1] == frames.shape[0]
+        assert spec.shape[1] == frames.shape[0]
         for t, frame in enumerate(frames):
             oracle = naive_dft_power(frame, 128)
-            assert np.max(np.abs(spec.values[:, t] - oracle)) <= 1e-9 * oracle.max()
+            assert np.max(np.abs(spec[:, t] - oracle)) <= 1e-9 * oracle.max()
 
     def test_row_resampling_to_target_bins(self):
         wave = Waveform(np.random.default_rng(0).standard_normal(4096), 16000)
         cfg = FftConfig(n_fft=2048, target_bins=864)
         spec = fft_log_power_spectrogram(wave, cfg)
-        assert spec.values.shape[0] == 864
-        assert spec.bin_frequencies.size == 864
+        assert spec.shape[0] == 864
 
     def test_n_fft_must_cover_frame(self):
         wave = Waveform(np.zeros(4096), 16000)
@@ -193,12 +190,12 @@ class TestCqt:
         q_len = int(np.ceil(cfg.q_factor * sr / cfg.f_min))
         lo = q_len // 2 // cfg.hop_length + 1
         hi = (8000 - q_len // 2) // cfg.hop_length - 1
-        assert np.all(np.argmax(spec.values[:, lo:hi], axis=0) == k)
+        assert np.all(np.argmax(spec[:, lo:hi], axis=0) == k)
 
     def test_zero_signal_hits_floor(self):
         cfg = CqtConfig(f_min=500.0, bins_per_octave=12, n_bins=24, hop_length=256)
         spec = cqt_log_power_spectrogram(Waveform(np.zeros(4000), 16000), cfg)
-        assert np.all(spec.values == np.log(cfg.floor))
+        assert np.all(spec == np.log(cfg.floor))
 
     def test_chirp_matches_direct_oracle(self):
         sr = 16000
@@ -281,8 +278,8 @@ class TestDwt:
     def test_zero_signal_hits_floor(self):
         cfg = DwtConfig(frame_len=256, hop_length=256, levels=4)
         spec = dwt_scalogram(Waveform(np.zeros(1024), 16000), cfg)
-        assert np.all(spec.values == np.log(cfg.floor))
-        assert spec.values.shape[0] == 256
+        assert np.all(spec == np.log(cfg.floor))
+        assert spec.shape[0] == 256
 
     def test_perfect_reconstruction(self, rng):
         x = rng.standard_normal(64)
@@ -294,55 +291,46 @@ class TestDwt:
         with pytest.raises(ValueError, match="too short"):
             dwt_scalogram(Waveform(np.zeros(8), 16000), cfg)
 
-    def test_nominal_frequencies_strictly_increase(self, rng):
-        cfg = DwtConfig(frame_len=64, hop_length=64, levels=3)
-        spec = dwt_scalogram(Waveform(rng.standard_normal(512), 16000), cfg)
-        assert np.all(np.diff(spec.bin_frequencies) > 0)
-        assert spec.values.shape[0] == 64
-
 
 class TestMvn:
     def test_idempotent(self, rng):
         spec = random_spectrogram(rng)
         once = mvn_spectrum(spec)
         twice = mvn_spectrum(once)
-        assert np.max(np.abs(twice.values - once.values)) <= 1e-12
+        assert np.max(np.abs(twice - once)) <= 1e-12
 
     def test_constant_row_becomes_zero(self):
         values = np.vstack([np.full(50, 3.7), np.random.default_rng(1).standard_normal(50)])
-        spec = Spectrogram(values, [100.0, 200.0], 0.016, "power")
-        out = mvn_spectrum(spec)
-        assert np.all(out.values[0] == 0.0)
+        out = mvn_spectrum(values)
+        assert np.all(out[0] == 0.0)
 
     def test_moments_recomputed(self, rng):
         spec = random_spectrogram(rng, bins=5, frames=100)
         out = mvn_spectrum(spec)
-        assert np.max(np.abs(out.values.mean(axis=1))) < 1e-10
-        assert np.max(np.abs(out.values.var(axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(out.mean(axis=1))) < 1e-10
+        assert np.max(np.abs(out.var(axis=1) - 1.0)) < 1e-10
 
     def test_single_frame_rejected(self):
-        spec = Spectrogram(np.ones((3, 1)), [1.0, 2.0, 3.0], 0.016, "power")
         with pytest.raises(ValueError, match="at least 2 frames"):
-            mvn_spectrum(spec)
+            mvn_spectrum(np.ones((3, 1)))
 
 
 class TestUnifiers:
     def test_truncate_identity(self, rng):
         spec = random_spectrogram(rng, bins=4, frames=400)
         out = truncate_or_repeat(spec, 400)
-        assert np.array_equal(out.values, spec.values)
+        assert np.array_equal(out, spec)
 
     def test_repeat_pattern(self, rng):
         spec = random_spectrogram(rng, bins=3, frames=150)
         out = truncate_or_repeat(spec, 400)
         expected = np.concatenate(
-            [spec.values, spec.values, spec.values[:, :100]], axis=1
+            [spec, spec, spec[:, :100]], axis=1
         )
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out, expected)
 
     def test_unified_shape_864x400(self, rng):
-        spec = Spectrogram(rng.standard_normal((864, 137)),
-                           np.arange(1, 865, dtype=float), 0.016, "power")
+        spec = rng.standard_normal((864, 137))
         out = truncate_or_repeat(spec, 400)
         assert out.shape == (864, 400)
 
@@ -351,17 +339,16 @@ class TestUnifiers:
         windows = sliding_windows(spec, 200, 0.9)
         assert len(windows) == 11  # starts 0, 20, ..., 200
         for i, win in enumerate(windows):
-            assert np.array_equal(win.values, spec.values[:, i * 20 : i * 20 + 200])
+            assert np.array_equal(win, spec[:, i * 20 : i * 20 + 200])
 
     def test_single_window_identity(self, rng):
         spec = random_spectrogram(rng, bins=4, frames=200)
         windows = sliding_windows(spec, 200, 0.9)
         assert len(windows) == 1
-        assert np.array_equal(windows[0].values, spec.values)
+        assert np.array_equal(windows[0], spec)
 
     def test_unified_window_shape_864x200(self, rng):
-        spec = Spectrogram(rng.standard_normal((864, 400)),
-                           np.arange(1, 865, dtype=float), 0.016, "power")
+        spec = rng.standard_normal((864, 400))
         windows = sliding_windows(spec, 200, 0.9)
         assert all(w.shape == (864, 200) for w in windows)
 
@@ -369,28 +356,28 @@ class TestUnifiers:
         spec = random_spectrogram(rng, bins=2, frames=130)
         windows = sliding_windows(spec, 100, 0.5)  # hop 50; starts 0, then tail at 30
         assert len(windows) == 2
-        assert np.array_equal(windows[-1].values, spec.values[:, 30:130])
+        assert np.array_equal(windows[-1], spec[:, 30:130])
 
     def test_short_input_repeat_extended(self, rng):
         spec = random_spectrogram(rng, bins=2, frames=60)
         windows = sliding_windows(spec, 100, 0.0)
         assert len(windows) == 1
-        expected = np.concatenate([spec.values, spec.values[:, :40]], axis=1)
-        assert np.array_equal(windows[0].values, expected)
+        expected = np.concatenate([spec, spec[:, :40]], axis=1)
+        assert np.array_equal(windows[0], expected)
 
     def test_stitching_reproduces_source(self, rng):
         spec = random_spectrogram(rng, bins=3, frames=237)
         window, overlap = 64, 0.75
         windows = sliding_windows(spec, window, overlap)
         hop = max(1, round(window * (1 - overlap)))
-        starts = list(range(0, spec.values.shape[1] - window + 1, hop))
-        if starts[-1] != spec.values.shape[1] - window:
-            starts.append(spec.values.shape[1] - window)
-        rebuilt = np.full_like(spec.values, np.nan)
+        starts = list(range(0, spec.shape[1] - window + 1, hop))
+        if starts[-1] != spec.shape[1] - window:
+            starts.append(spec.shape[1] - window)
+        rebuilt = np.full_like(spec, np.nan)
         for start, win in zip(starts, windows):
-            rebuilt[:, start : start + window] = win.values
+            rebuilt[:, start : start + window] = win
         covered = ~np.isnan(rebuilt[0])
-        assert np.array_equal(rebuilt[:, covered], spec.values[:, covered])
+        assert np.array_equal(rebuilt[:, covered], spec[:, covered])
 
 
 @settings(max_examples=40, deadline=None)
@@ -401,8 +388,7 @@ class TestUnifiers:
 )
 def test_truncate_or_repeat_shape_contract(bins, frames, target):
     rng = np.random.default_rng(0)
-    spec = Spectrogram(rng.standard_normal((bins, frames)),
-                       np.arange(1, bins + 1, dtype=float), 0.01, "power")
+    spec = rng.standard_normal((bins, frames))
     out = truncate_or_repeat(spec, target)
     assert out.shape == (bins, target)
 
@@ -411,8 +397,7 @@ def test_truncate_or_repeat_shape_contract(bins, frames, target):
 @given(frames=st.integers(2, 80))
 def test_mvn_idempotence_property(frames):
     rng = np.random.default_rng(frames)
-    spec = Spectrogram(rng.standard_normal((4, frames)),
-                       np.arange(1, 5, dtype=float), 0.01, "power")
+    spec = rng.standard_normal((4, frames))
     once = mvn_spectrum(spec)
     twice = mvn_spectrum(once)
-    assert np.max(np.abs(twice.values - once.values)) <= 1e-12
+    assert np.max(np.abs(twice - once)) <= 1e-12
