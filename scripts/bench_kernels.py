@@ -18,6 +18,12 @@ Kernels, each timed as the median (and quartiles) of --repeats calls:
   the backend corpus (speaker 0, phrase 0, 1.2 s at 16 kHz)
 - ``replay_channel``: ``simulate_replay`` of that utterance through the
   first trial's replay channel at the backend corpus settings
+- ``lpcc_backend``: ``lpcc`` of that utterance as the backend workload's
+  ``lpcc20`` feature computes it (order 20, 20 coefficients, 147 frames of
+  512 samples)
+- ``lpcc_desk``: ``lpcc`` of that utterance as the desk preset's ``lpcc78``
+  feature computes it (order 26, 78 coefficients, 68 frames of 2,048
+  samples)
 - ``envelope``: one ``eemd._envelope`` call, the natural cubic spline
   through the 3,869 maxima of frontends trial ``train_g_0001`` (1.2 s)
 - ``eemd_trial``: ``eemd_first_imf`` of that trial with ensemble size 5,
@@ -59,6 +65,9 @@ SEED = 20170802
 CORPUS = {"n_speakers": 10, "n_phrases": 4, "duration_seconds": 1.2,
           "cutoff_hz_range": (6800.0, 7800.0), "snr_db_range": (30.0, 38.0),
           "gain_range": (0.6, 0.9), "seed": SEED}
+# (window s, hop s, LPC order, coefficients) of the backend workload's lpcc20
+# and the desk preset's lpcc78
+LPCC_SETTINGS = {"lpcc_backend": (0.032, 0.008, 20, 20), "lpcc_desk": (0.128, 0.016, 26, 78)}
 # the corpus block and seed of the frontends workload, and the trial timed
 FRONTENDS_CORPUS = {"n_train_genuine": 12, "n_train_spoof": 12, "n_eval_genuine": 8,
                     "n_eval_spoof": 8, "n_speakers": 2, "n_phrases": 2,
@@ -124,6 +133,7 @@ def main():
     import numpy as np
 
     from replaycm.audio_io import load_wav
+    from replaycm.cepstral import LpccConfig, lpcc
     from replaycm.corpus import (
         CorpusConfig,
         generate_synth_corpus,
@@ -141,6 +151,7 @@ def main():
         extract_ivector,
         train_t_matrix,
     )
+    from replaycm.spectral import FramingConfig
 
     rng = np.random.default_rng(SEED)
     gmm_frames = seeded_frames(rng, GMM_FRAMES)
@@ -184,6 +195,9 @@ def main():
     kernels["render_utterance"] = timed(render, args.repeats)
     kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=SEED),
                                       args.repeats)
+    for name, (window, hop, order, n_coeffs) in LPCC_SETTINGS.items():
+        lpcc_cfg = LpccConfig(FramingConfig(window, hop), order, n_coeffs)
+        kernels[name] = timed(lambda: lpcc(source, lpcc_cfg), args.repeats)
 
     with tempfile.TemporaryDirectory() as corpus_dir:
         generate_synth_corpus(CorpusConfig(**FRONTENDS_CORPUS), corpus_dir)

@@ -143,10 +143,9 @@ def lpc_to_cepstrum(a: np.ndarray, err: np.ndarray, n_coeffs: int) -> np.ndarray
     c = np.zeros((n, n_coeffs))
     c[:, 0] = np.log(np.maximum(err, ENERGY_FLOOR))
     for m in range(1, n_coeffs):
-        acc = np.zeros(n)
         lo = max(1, m - order)
-        for k in range(lo, m):
-            acc += (k / m) * c[:, k] * a[:, m - k]
+        # sum over k in [lo, m) of (k/m) c_k a_{m-k}, as one product
+        acc = (c[:, lo:m] * a[:, m - lo : 0 : -1]) @ (np.arange(lo, m) / m)
         if m <= order:
             c[:, m] = -a[:, m] - acc
         else:
@@ -168,9 +167,10 @@ def lpcc(wave: Waveform, cfg: LpccConfig) -> np.ndarray:
             f"length ({frame_len})"
         )
 
-    n_fft = 1 << int(np.ceil(np.log2(2 * frame_len)))
-    spectrum = np.fft.rfft(frames, n=n_fft)
-    autocorr = np.fft.irfft(np.abs(spectrum) ** 2, n=n_fft)[:, : cfg.lpc_order + 1]
+    # biased autocorrelation, only the lags 0..p the recursion needs
+    autocorr = np.empty((frames.shape[0], cfg.lpc_order + 1))
+    for k in range(cfg.lpc_order + 1):
+        autocorr[:, k] = np.einsum("fn,fn->f", frames[:, k:], frames[:, : frame_len - k])
     autocorr /= frame_len
 
     values = np.zeros((frames.shape[0], cfg.n_coeffs))

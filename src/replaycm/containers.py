@@ -57,7 +57,9 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
         raise ContainerFormatError(f"{path}: truncated RSFT payload")
     values = np.frombuffer(data[start:end], dtype="<f4").reshape(rows, cols)
     meta: dict = {}
-    if len(data) >= end + 4:
+    if len(data) > end:  # a file that ends with the payload has no metadata
+        if len(data) < end + 4:
+            raise ContainerFormatError(f"{path}: truncated RSFT metadata length")
         (meta_len,) = struct.unpack_from("<I", data, end)
         blob = data[end + 4 : end + 4 + meta_len]
         if len(blob) != meta_len:
@@ -92,13 +94,14 @@ def read_model(path) -> tuple[str, dict[str, np.ndarray]]:
     version, kind_len = struct.unpack_from("<BB", data, 4)
     if version != FORMAT_VERSION:
         raise ContainerFormatError(f"{path}: unsupported RSMD version {version}")
-    offset = 6
-    kind = data[offset : offset + kind_len].decode("ascii")
-    offset += kind_len
-    (n_arrays,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    offset = 6 + kind_len
     arrays: dict[str, np.ndarray] = {}
     try:
+        # unpacking past the end of the data raises, so a cut kind or name
+        # surfaces at the count that follows it
+        (n_arrays,) = struct.unpack_from("<I", data, offset)
+        kind = data[6:offset].decode("ascii")
+        offset += 4
         for _ in range(n_arrays):
             (name_len,) = struct.unpack_from("<B", data, offset)
             offset += 1

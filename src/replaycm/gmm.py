@@ -44,44 +44,41 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _log_densities(model: GmmModel, xx: np.ndarray) -> np.ndarray:
-    """log N(x | mu_k, var_k) for every row [x^2, x] of ``xx``, (N, K): with
-    the quadratic form expanded, one matmul plus a per-component constant."""
-    inv_var = 1.0 / model.variances
-    coef = np.vstack([-0.5 * inv_var.T, (model.means * inv_var).T])
-    const = -0.5 * (model.dim * LOG_2PI
-                     + np.sum(np.log(model.variances) + model.means**2 * inv_var, axis=1))
-    out = xx @ coef
-    out += const  # in place: a fresh N x K temporary costs as much as the matmul
-    return out
-
-
-def _posteriors_in_place(log_joint: np.ndarray) -> np.ndarray:
-    """Normalize (N, K) log joint densities into posteriors in place and
-    return the per-frame mixture log-likelihoods (log-sum-exp of each row)."""
-    m = np.max(log_joint, axis=1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    log_joint -= m
-    np.exp(log_joint, out=log_joint)
-    total = log_joint.sum(axis=1, keepdims=True)
-    log_joint /= total
-    return np.log(total[:, 0]) + m[:, 0]
-
-
-def log_component_densities(model: GmmModel, frames: np.ndarray) -> np.ndarray:
-    """Per-frame, per-component diagonal Gaussian log densities, (N, K)."""
+def _expanded(frames: np.ndarray, dim: int) -> np.ndarray:
+    """Rows [x^2, x, 1] of an N x dim frame matrix: the log joint densities
+    are linear in them."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != model.dim:
-        raise ValueError(
-            f"frames must be N x {model.dim}, got {frames.shape}"
-        )
-    return _log_densities(model, np.hstack([frames**2, frames]))
+    if frames.ndim != 2 or frames.shape[1] != dim:
+        raise ValueError(f"frames must be N x {dim}, got {frames.shape}")
+    return np.hstack([frames**2, frames, np.ones((len(frames), 1))])
+
+
+def _responsibilities(model: GmmModel, xx: np.ndarray):
+    """Responsibilities of expanded frames ``xx``, unnormalized: returns the
+    (N, K) matrix exp(log joint - row max), its row sums, and the per-frame
+    mixture log-likelihoods.
+
+    The log-weight and Gaussian constant of each component sit in the last
+    row of the coefficient matrix, so one matmul gives the log joint; a
+    zero-weight component gets log 0 = -inf there and responsibility 0.
+    """
+    inv_var = 1.0 / model.variances
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)
+    const = log_weights - 0.5 * (model.dim * LOG_2PI + np.sum(
+        np.log(model.variances) + model.means**2 * inv_var, axis=1))
+    resp = xx @ np.vstack([-0.5 * inv_var.T, (model.means * inv_var).T, const])
+    top = np.max(resp, axis=1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    resp -= top
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=1)
+    return resp, total, np.log(total) + top[:, 0]
 
 
 def frame_logliks(model: GmmModel, frames: np.ndarray) -> np.ndarray:
     """Per-frame mixture log-likelihoods log sum_k w_k N(x | mu_k, var_k)."""
-    log_joint = log_component_densities(model, frames) + np.log(model.weights)
-    return _posteriors_in_place(log_joint)
+    return _responsibilities(model, _expanded(frames, model.dim))[2]
 
 
 def gmm_avg_loglik(model: GmmModel, frames: np.ndarray) -> float:
@@ -137,17 +134,17 @@ def gmm_em_train(
     means = frames[rng.choice(n, size=k, replace=False)]
     model = GmmModel(np.full(k, 1.0 / k), means, np.tile(global_var, (k, 1)))
 
-    xx = np.hstack([frames**2, frames])
+    xx = _expanded(frames, d)
     history = []
     for _ in range(iters):
-        resp = _log_densities(model, xx)
-        resp += np.log(model.weights)
-        frame_ll = _posteriors_in_place(resp)
+        resp, total, frame_ll = _responsibilities(model, xx)
         history.append(float(np.mean(frame_ll)))
 
-        nk = resp.sum(axis=0)
+        # posterior-weighted sums of [x^2, x, 1]: the last column is the count
+        sums = resp.T @ (xx * (1.0 / total)[:, None])
+        nk = sums[:, -1]
         weights = nk / n
-        moments = (resp.T @ xx) / np.maximum(nk, 1e-300)[:, None]
+        moments = sums[:, :-1] / np.maximum(nk, 1e-300)[:, None]
         means = moments[:, d:]
         variances = np.maximum(moments[:, :d] - means**2, floor)
 
@@ -159,5 +156,5 @@ def gmm_em_train(
             weights = weights / weights.sum()
         model = GmmModel(weights, means, variances)
 
-    history.append(gmm_avg_loglik(model, frames))
+    history.append(float(np.mean(_responsibilities(model, xx)[2])))
     return GmmModel(model.weights, model.means, model.variances, tuple(history))

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gmm import GmmModel, log_component_densities, _posteriors_in_place
+from .gmm import GmmModel, _expanded, _responsibilities
 
 E_STEP_BLOCK = 256  # utterances per E-step block: bounds the (block, R, R) stacks
 
@@ -77,12 +77,12 @@ class IVector:
 
 def baum_welch_stats(ubm: GmmModel, frames: np.ndarray) -> BaumWelchStats:
     """Posterior-weighted zero- and centered first-order statistics."""
-    frames = np.asarray(frames, dtype=np.float64)
-    resp = log_component_densities(ubm, frames) + np.log(ubm.weights)
-    _posteriors_in_place(resp)
-    n = resp.sum(axis=0)
-    f = resp.T @ frames - n[:, None] * ubm.means
-    return BaumWelchStats(n, f)
+    xx = _expanded(frames, ubm.dim)
+    resp, total, _ = _responsibilities(ubm, xx)
+    # posterior-weighted sums of [x, 1]: the last column is the count
+    sums = resp.T @ (xx[:, ubm.dim:] * (1.0 / total)[:, None])
+    n = sums[:, -1].copy()  # not a view: the stats outlive the (K, D+1) sums
+    return BaumWelchStats(n, sums[:, :-1] - n[:, None] * ubm.means)
 
 
 def _e_step(tv: TotalVariabilityModel, counts: np.ndarray, firsts: np.ndarray):

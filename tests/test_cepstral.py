@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import toeplitz
 
+from replaycm import cepstral
 from replaycm.audio_io import Waveform
 from replaycm.cepstral import (
     CqccConfig,
@@ -18,6 +21,7 @@ from replaycm.spectral import (
     CqtConfig,
     FramingConfig,
     cqt_magnitude,
+    frame_signal,
     resample_rows_linear,
 )
 
@@ -33,6 +37,29 @@ def naive_dct_ii_ortho(x, n_out):
         scale = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
         out[k] = scale * acc
     return out
+
+
+def fft_autocorrelation(frames, order):
+    """Biased autocorrelation lags 0..order by rfft and irfft at twice the
+    frame length: the estimator lpcc computes lag by lag."""
+    frame_len = frames.shape[1]
+    n_fft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    spectrum = np.fft.rfft(frames, n=n_fft)
+    return np.fft.irfft(np.abs(spectrum) ** 2, n=n_fft)[:, : order + 1] / frame_len
+
+
+def loop_lpc_to_cepstrum(a, err, n_coeffs):
+    """The LPC-to-cepstrum recursion one term at a time."""
+    a = np.atleast_2d(a)
+    order = a.shape[-1] - 1
+    c = np.zeros((a.shape[0], n_coeffs))
+    c[:, 0] = np.log(np.maximum(err, cepstral.ENERGY_FLOOR))
+    for m in range(1, n_coeffs):
+        acc = np.zeros(a.shape[0])
+        for k in range(max(1, m - order), m):
+            acc += (k / m) * c[:, k] * a[:, m - k]
+        c[:, m] = (-a[:, m] if m <= order else 0.0) - acc
+    return c
 
 
 SMALL_CQT = CqtConfig(f_min=400.0, bins_per_octave=12, n_bins=36, hop_length=256)
@@ -178,6 +205,52 @@ class TestLpcc:
         cfg = LpccConfig(framing=FramingConfig(0.008, 0.008), lpc_order=200, n_coeffs=10)
         with pytest.raises(ValueError, match="lpc_order"):
             lpcc(wave, cfg)
+
+
+class TestLpccMatchesOracles:
+    """Direct-lag autocorrelation and the vectorized recursion against the
+    FFT autocorrelation and the term-by-term recursion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.integers(1, 30), data=st.data())
+    def test_lags_and_cepstra(self, order, data):
+        frame_len = data.draw(st.integers(order + 1, 2048), label="frame_len")
+        n_coeffs = data.draw(st.one_of(st.integers(1, max(1, order - 1)), st.just(order + 1),
+                                       st.integers(order + 2, 3 * order + 8)), label="n_coeffs")
+        window = data.draw(st.sampled_from(["hann", "rectangular"]), label="window")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        hop = max(1, frame_len // 2)
+        x = rng.standard_normal(frame_len + 3 * hop)
+        x[1:] += 0.7 * x[:-1]  # some spectral colour for the predictor
+        wave = Waveform(x * 0.3, 16000)
+        cfg = LpccConfig(FramingConfig(frame_len / 16000, hop / 16000, window), order, n_coeffs)
+
+        captured = []
+
+        def recording_levinson(r):
+            captured.append(r.copy())
+            return levinson_durbin(r)
+
+        with mock.patch.object(cepstral, "levinson_durbin", recording_levinson):
+            feats = lpcc(wave, cfg)
+        frames = frame_signal(wave, frame_len / 16000, hop / 16000, window)
+        expected = fft_autocorrelation(frames, order)
+        live = expected[:, 0] > cepstral.ENERGY_FLOOR
+        assert feats.shape == (n_coeffs, len(frames))
+        assert np.all(feats[:, ~live] == 0.0)
+        if not np.any(live):
+            assert not captured
+            return
+        (lags,) = captured
+        expected = expected[live]
+        expected[:, 0] *= 1.0 + 1e-9  # lpcc's diagonal loading
+        assert np.all(np.abs(lags - expected) <= 1e-12 * expected[:, :1])
+
+        a, err, _ = levinson_durbin(lags)
+        ceps = lpc_to_cepstrum(a, err, n_coeffs)
+        assert np.max(np.abs(ceps - loop_lpc_to_cepstrum(a, err, n_coeffs))) <= 1e-10
+        assert np.array_equal(feats[:, live], ceps.T)
 
 
 class TestCmvn:

@@ -82,3 +82,29 @@ def test_write_read_is_byte_stable(tmp_path, rng):
     containers.write_model(p1, "fusion", arrays)
     containers.write_model(p2, "fusion", arrays)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_every_proper_prefix_of_a_model_is_refused(tmp_path, rng):
+    path = tmp_path / "m.rsmd"
+    containers.write_model(path, "gmm", {"weights": rng.dirichlet(np.ones(2)),
+                                         "means": rng.standard_normal((2, 3))})
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(containers.ContainerFormatError):
+            containers.read_model(path)
+
+
+def test_every_proper_prefix_of_a_matrix_is_refused(tmp_path, rng):
+    path = tmp_path / "m.rsft"
+    containers.write_matrix(path, rng.standard_normal((2, 3)), {"name": "x"})
+    data = path.read_bytes()
+    payload_end = 13 + 2 * 3 * 4
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        if cut == payload_end:  # the documented metadata-less form
+            values, meta = containers.read_matrix(path)
+            assert values.shape == (2, 3) and meta == {}
+            continue
+        with pytest.raises(containers.ContainerFormatError):
+            containers.read_matrix(path)

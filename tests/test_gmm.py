@@ -3,11 +3,49 @@ import pytest
 
 from replaycm.gmm import (
     GmmModel,
+    _resolve_variance_floor,
+    frame_logliks,
     gmm_avg_loglik,
     gmm_em_train,
     llr_score,
-    log_component_densities,
 )
+from replaycm.ivector import baum_welch_stats
+
+LOG_2PI = np.log(2.0 * np.pi)
+
+
+# The E-step kernels of the earlier implementation, kept as oracles: log
+# densities from one matmul on rows [x^2, x] plus a per-component constant,
+# then the log-weights added and each row normalized in a second pass.
+def _log_densities(model, xx):
+    inv_var = 1.0 / model.variances
+    coef = np.vstack([-0.5 * inv_var.T, (model.means * inv_var).T])
+    const = -0.5 * (model.dim * LOG_2PI
+                    + np.sum(np.log(model.variances) + model.means**2 * inv_var, axis=1))
+    out = xx @ coef
+    out += const
+    return out
+
+
+def _posteriors_in_place(log_joint):
+    m = np.max(log_joint, axis=1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    log_joint -= m
+    np.exp(log_joint, out=log_joint)
+    total = log_joint.sum(axis=1, keepdims=True)
+    log_joint /= total
+    return np.log(total[:, 0]) + m[:, 0]
+
+
+def log_component_densities(model, frames):
+    return _log_densities(model, np.hstack([frames**2, frames]))
+
+
+def oracle_posteriors(model, frames):
+    """(posteriors (N, K), per-frame log-likelihoods) by the oracle kernels."""
+    with np.errstate(divide="ignore"):
+        resp = log_component_densities(model, frames) + np.log(model.weights)
+    return resp, _posteriors_in_place(resp)
 
 
 def naive_avg_loglik(model, frames):
@@ -83,7 +121,7 @@ class TestModel:
         model = GmmModel(np.array([1.0]), np.array([[0.3]]), np.array([[1.7]]))
         sigma = np.sqrt(1.7)
         grid = np.linspace(0.3 - 8 * sigma, 0.3 + 8 * sigma, 20001)
-        density = np.exp(log_component_densities(model, grid[:, None])[:, 0])
+        density = np.exp(frame_logliks(model, grid[:, None]))
         integral = np.trapezoid(density, grid)
         assert abs(integral - 1.0) <= 1e-6
 
@@ -206,3 +244,66 @@ class TestLlr:
         b = gmm_em_train(rng.standard_normal((50, 2)) + 1.0, k=2, iters=3, seed=6)
         frames = rng.standard_normal((15, 2))
         assert llr_score(a, b, frames) == -llr_score(b, a, frames)
+
+
+def random_model(rng, k, d):
+    return GmmModel(rng.dirichlet(np.ones(k)), rng.standard_normal((k, d)) * 2.0,
+                    rng.uniform(0.3, 2.0, (k, d)))
+
+
+class TestEStepMatchesOracleKernels:
+    """The folded E-step against the earlier two-pass kernels."""
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (5, 3), (16, 20)])
+    def test_one_em_iteration(self, rng, k, d):
+        frames = rng.standard_normal((300, d)) * rng.uniform(0.5, 2.0, d)
+        model = gmm_em_train(frames, k=k, iters=1, seed=7)
+        # the initial model and the oracle's single E and M step
+        floor = _resolve_variance_floor(frames, None)
+        global_var = np.maximum(frames.var(axis=0), floor)
+        init_rng = np.random.default_rng(7)
+        start = GmmModel(np.full(k, 1.0 / k), frames[init_rng.choice(len(frames), k, False)],
+                         np.tile(global_var, (k, 1)))
+        resp, frame_ll = oracle_posteriors(start, frames)
+        nk = resp.sum(axis=0)
+        means = resp.T @ frames / nk[:, None]
+        variances = np.maximum(resp.T @ frames**2 / nk[:, None] - means**2, floor)
+        np.testing.assert_allclose(model.weights, nk / len(frames), rtol=1e-10)
+        np.testing.assert_allclose(model.means, means, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(model.variances, variances, rtol=1e-10)
+        trained = GmmModel(nk / len(frames), means, variances)
+        np.testing.assert_allclose(
+            model.loglik_history,
+            [frame_ll.mean(), oracle_posteriors(trained, frames)[1].mean()], rtol=1e-10)
+
+    @pytest.mark.parametrize("k, d", [(1, 2), (8, 4), (64, 20)])
+    def test_baum_welch_stats_and_avg_loglik(self, rng, k, d):
+        model = random_model(rng, k, d)
+        frames = rng.standard_normal((150, d)) * 2.0
+        resp, frame_ll = oracle_posteriors(model, frames)
+        stats = baum_welch_stats(model, frames)
+        n = resp.sum(axis=0)
+        np.testing.assert_allclose(stats.n, n, rtol=1e-10, atol=1e-10)
+        # a view would keep each utterance's whole (K, D+1) sums matrix alive
+        assert stats.n.flags.owndata
+        np.testing.assert_allclose(stats.f, resp.T @ frames - n[:, None] * model.means,
+                                   rtol=1e-10, atol=1e-10)
+        assert abs(gmm_avg_loglik(model, frames) - frame_ll.mean()) <= 1e-10
+
+    @pytest.mark.filterwarnings("error")  # no divide-by-zero from log 0
+    def test_zero_weight_component_contributes_nothing(self, rng):
+        # log 0 = -inf is folded into the matmul's constant row; the dead
+        # component sits on the frames, where it would dominate if it counted
+        live = GmmModel(np.array([1.0]), np.array([[4.0, -1.0]]), np.array([[1.5, 0.7]]))
+        padded = GmmModel(np.array([1.0, 0.0]), np.array([[4.0, -1.0], [0.0, 0.0]]),
+                          np.array([[1.5, 0.7], [1.0, 1.0]]))
+        frames = rng.standard_normal((40, 2))
+        logliks = frame_logliks(padded, frames)
+        assert np.all(np.isfinite(logliks))
+        np.testing.assert_allclose(logliks, frame_logliks(live, frames), rtol=1e-12)
+        assert abs(gmm_avg_loglik(padded, frames) - gmm_avg_loglik(live, frames)) <= 1e-12
+        assert abs(llr_score(padded, live, frames)) <= 1e-12
+        stats, alone = baum_welch_stats(padded, frames), baum_welch_stats(live, frames)
+        assert stats.n[1] == 0.0 and np.all(stats.f[1] == 0.0)
+        np.testing.assert_allclose(stats.n[:1], alone.n, rtol=1e-12)
+        np.testing.assert_allclose(stats.f[:1], alone.f, rtol=1e-12)
