@@ -5,7 +5,9 @@ trials, LPCC-20 frames, phrase-dependent GMM-128, UBM-64 with a rank-60
 total-variability subspace), the EEMD kernels on a trial of the frontends
 workload's corpus.
 
-Kernels, each timed as the median (and quartiles) of --repeats calls:
+Kernels, each timed as the median (and quartiles) of --repeats calls; the
+two training kernels also report ``peak_mib``, the tracemalloc peak of one
+call above the heap at its entry (MiB):
 
 - ``gmm_em_iteration``: ``gmm_em_train(k=128, iters=1)`` on 2,940 frames,
   one E and M step plus the final log-likelihood
@@ -48,6 +50,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -98,6 +101,17 @@ def timed(fn, repeats):
         fn()
         samples.append(time.perf_counter() - start)
     return {**quartiles([1e3 * t for t in samples], "ms"), "repeats": repeats}
+
+
+def traced_peak(fn):
+    """Peak heap (MiB) that one call of ``fn`` allocates above its entry."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def quartiles(samples, unit):
@@ -168,11 +182,14 @@ def main():
         def tmatrix_iteration():
             train_t_matrix(stats, ubm, rank=TV_RANK, iters=1, seed=4)
 
+        def gmm_em_iteration():
+            gmm_em_train(gmm_frames, k=GMM_COMPONENTS, iters=1, seed=5)
+
         kernels = {
-            "gmm_em_iteration": timed(
-                lambda: gmm_em_train(gmm_frames, k=GMM_COMPONENTS, iters=1, seed=5),
-                args.repeats),
-            "tmatrix_em_iteration": timed(tmatrix_iteration, args.repeats),
+            "gmm_em_iteration": {**timed(gmm_em_iteration, args.repeats),
+                                 "peak_mib": traced_peak(gmm_em_iteration)},
+            "tmatrix_em_iteration": {**timed(tmatrix_iteration, args.repeats),
+                                     "peak_mib": traced_peak(tmatrix_iteration)},
         }
     tv = TotalVariabilityModel(ubm, t_matrix)
     kernels["ivector_extraction"] = timed(lambda: extract_ivector(tv, stats[0]),

@@ -26,6 +26,14 @@ class ContainerFormatError(ValueError):
     """Corrupt or unsupported container file."""
 
 
+def _refuse_surplus(path, magic: str, surplus: int) -> None:
+    """A file longer than its declared fields (two files concatenated, a
+    partial overwrite of a longer file) is corrupt, not valid."""
+    if surplus:
+        raise ContainerFormatError(
+            f"{path}: {surplus} byte(s) after the last declared {magic} field")
+
+
 def write_matrix(path, values: np.ndarray, meta: dict) -> None:
     """Write a 2-D matrix as RSFT; a non-finite matrix is refused unwritten."""
     values = np.ascontiguousarray(values, dtype=np.float32)
@@ -65,6 +73,7 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
         if len(blob) != meta_len:
             raise ContainerFormatError(f"{path}: truncated RSFT metadata")
         meta = json.loads(blob.decode("utf-8"))
+        _refuse_surplus(path, "RSFT", len(data) - (end + 4 + meta_len))
     return values.astype(np.float64), meta
 
 
@@ -119,6 +128,7 @@ def read_model(path) -> tuple[str, dict[str, np.ndarray]]:
             offset = end
     except struct.error as exc:
         raise ContainerFormatError(f"{path}: truncated RSMD header") from exc
+    _refuse_surplus(path, "RSMD", len(data) - offset)
     return kind, arrays
 
 

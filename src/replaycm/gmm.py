@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG_2PI = np.log(2.0 * np.pi)
+EM_BLOCK = 1024  # frames per EM block: bounds the (block, K) responsibilities
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,15 @@ def llr_score(genuine: GmmModel, spoofed: GmmModel, frames: np.ndarray) -> float
     return gmm_avg_loglik(genuine, frames) - gmm_avg_loglik(spoofed, frames)
 
 
+def _weighted_sums(model: GmmModel, frames: np.ndarray):
+    """Posterior-weighted sums of the rows [x^2, x, 1] of ``frames`` (K x
+    2D+1; the last column is the count) and their log-likelihoods."""
+    xx = _expanded(frames, model.dim)
+    resp, total, frame_ll = _responsibilities(model, xx)
+    xx *= (1.0 / total)[:, None]
+    return resp.T @ xx, frame_ll
+
+
 def _resolve_variance_floor(frames: np.ndarray, variance_floor) -> np.ndarray:
     global_var = frames.var(axis=0)
     if variance_floor is None:
@@ -116,7 +126,8 @@ def gmm_em_train(
     default rule of 1e-4 times the global per-dimension variance.  Components
     that lose all posterior mass are re-seeded from the frame the current
     model likes least.  The per-iteration average log-likelihood is recorded
-    on the returned model.
+    on the returned model.  Both steps run over blocks of EM_BLOCK frames, so
+    memory beyond the frames themselves does not grow with their number.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -134,14 +145,19 @@ def gmm_em_train(
     means = frames[rng.choice(n, size=k, replace=False)]
     model = GmmModel(np.full(k, 1.0 / k), means, np.tile(global_var, (k, 1)))
 
-    xx = _expanded(frames, d)
     history = []
     for _ in range(iters):
-        resp, total, frame_ll = _responsibilities(model, xx)
-        history.append(float(np.mean(frame_ll)))
+        sums = loglik = 0.0
+        worst_ll, worst = np.inf, 0
+        for start in range(0, n, EM_BLOCK):
+            block_sums, frame_ll = _weighted_sums(model, frames[start:start + EM_BLOCK])
+            sums += block_sums
+            loglik += frame_ll.sum()
+            i = int(np.argmin(frame_ll))
+            if frame_ll[i] < worst_ll:  # strict: the first worst frame wins
+                worst_ll, worst = frame_ll[i], start + i
+        history.append(float(loglik / n))
 
-        # posterior-weighted sums of [x^2, x, 1]: the last column is the count
-        sums = resp.T @ (xx * (1.0 / total)[:, None])
         nk = sums[:, -1]
         weights = nk / n
         moments = sums[:, :-1] / np.maximum(nk, 1e-300)[:, None]
@@ -150,11 +166,12 @@ def gmm_em_train(
 
         empty = nk < 1e-10
         if np.any(empty):
-            means[empty] = frames[np.argmin(frame_ll)]
+            means[empty] = frames[worst]
             variances[empty] = global_var
             weights[empty] = 1.0 / n
             weights = weights / weights.sum()
         model = GmmModel(weights, means, variances)
 
-    history.append(float(np.mean(_responsibilities(model, xx)[2])))
+    history.append(float(sum(frame_logliks(model, frames[start:start + EM_BLOCK]).sum()
+                             for start in range(0, n, EM_BLOCK)) / n))
     return GmmModel(model.weights, model.means, model.variances, tuple(history))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,11 +57,13 @@ class TotalVariabilityModel:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """The per-component Gram matrices T_c' S_c^-1 T_c stacked as K x R*R."""
+        """The per-component Gram matrices T_c' S_c^-1 T_c as packed upper
+        triangles, K x R(R+1)/2."""
         k, d = self.ubm.means.shape
         t_blocks = self.t_matrix.reshape(k, d, self.rank)
         scaled = t_blocks / self.ubm.variances[:, :, None]
-        return np.matmul(scaled.transpose(0, 2, 1), t_blocks).reshape(k, -1)
+        rows, cols = _triangle(self.rank)
+        return np.matmul(scaled.transpose(0, 2, 1), t_blocks)[:, rows, cols]
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,32 @@ class IVector:
         if values.ndim != 1 or not np.all(np.isfinite(values)):
             raise ValueError("i-vector must be a finite 1-D vector")
         object.__setattr__(self, "values", values)
+
+
+@cache
+def _triangle(rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a packed R x R upper triangle (read-only:
+    every caller shares them)."""
+    rows, cols = np.triu_indices(rank)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _unpack(packed: np.ndarray, rank: int) -> np.ndarray:
+    """Symmetric (..., R, R) matrices from packed upper triangles (..., P)."""
+    rows, cols = _triangle(rank)
+    full = np.empty(packed.shape[:-1] + (rank, rank))
+    full[..., cols, rows] = packed
+    full[..., rows, cols] = packed
+    return full
+
+
+def _precision(tv: TotalVariabilityModel, counts: np.ndarray) -> np.ndarray:
+    """Posterior precisions I + sum_c n_c T_c' S_c^-1 T_c of the latent
+    factor, one per row of zero-order ``counts`` (..., K)."""
+    precision = _unpack(counts @ tv.gram, tv.rank)
+    precision.reshape(-1, tv.rank**2)[:, :: tv.rank + 1] += 1.0  # the identity, in place
+    return precision
 
 
 def baum_welch_stats(ubm: GmmModel, frames: np.ndarray) -> BaumWelchStats:
@@ -87,21 +115,23 @@ def baum_welch_stats(ubm: GmmModel, frames: np.ndarray) -> BaumWelchStats:
 
 def _e_step(tv: TotalVariabilityModel, counts: np.ndarray, firsts: np.ndarray):
     """Posteriors of the latent factor for stacked statistics, reduced to the
-    M-step systems A (K, R, R) and right-hand sides C (K*D, R), and their
-    marginal log-likelihood up to a T-independent term."""
+    M-step systems A (K, R(R+1)/2, packed) and right-hand sides C (K*D, R),
+    and their marginal log-likelihood up to a T-independent term."""
+    rows, cols = _triangle(tv.rank)
     a_acc = c_acc = objective = 0.0
     for start in range(0, len(counts), E_STEP_BLOCK):
         n, f = counts[start:start + E_STEP_BLOCK], firsts[start:start + E_STEP_BLOCK]
-        precision = np.eye(tv.rank) + (n @ tv.gram).reshape(-1, tv.rank, tv.rank)
+        precision = _precision(tv, n)
         _, logdet = np.linalg.slogdet(precision)
-        second_moment = np.linalg.inv(precision)
+        covariance = np.linalg.inv(precision)
         info = (f / tv.ubm.variances.reshape(-1)) @ tv.t_matrix
-        w = np.matmul(second_moment, info[:, :, None])[:, :, 0]
+        w = np.matmul(covariance, info[:, :, None])[:, :, 0]
         objective += float(np.sum(0.5 * np.sum(info * w, axis=1) - 0.5 * logdet))
-        second_moment += w[:, :, None] * w[:, None, :]
-        a_acc += n.T @ second_moment.reshape(len(n), -1)
+        second_moment = covariance[:, rows, cols]
+        second_moment += w[:, rows] * w[:, cols]
+        a_acc += n.T @ second_moment
         c_acc += f.T @ w
-    return a_acc.reshape(-1, tv.rank, tv.rank), c_acc, objective
+    return a_acc, c_acc, objective
 
 
 def _m_step_solve(a_acc: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
@@ -117,9 +147,33 @@ def _m_step_solve(a_acc: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarra
             out[c] = np.linalg.solve(a_acc[c], rhs[c])
         except np.linalg.LinAlgError:
             warnings.warn(f"singular M-step system for component {c}; adding ridge",
-                          stacklevel=3)
+                          stacklevel=4)
             out[c] = np.linalg.solve(a_acc[c] + ridge * np.eye(len(rhs[c])), rhs[c])
     return out
+
+
+def _m_step(tv: TotalVariabilityModel, a_acc: np.ndarray, c_acc: np.ndarray,
+            ridge: float) -> np.ndarray:
+    """The next T from the packed systems.  A function of its own so that the
+    unpacked (K, R, R) systems and the solutions are freed before the next
+    E-step runs."""
+    k, d = tv.ubm.means.shape
+    rank = tv.rank
+    # a component with no evidence keeps its current rows; an identity
+    # system stands in for it so that all components solve in one call
+    a_acc = _unpack(a_acc, rank)
+    active = np.trace(a_acc, axis1=1, axis2=2) > 0.0
+    a_acc[~active] = np.eye(rank)
+    solution = _m_step_solve(a_acc, c_acc.reshape(k, d, rank).transpose(0, 2, 1), ridge)
+    # a system too small to solve in floating point (subnormal counts)
+    # gives no usable solution either, so that component keeps its rows too
+    solved = np.isfinite(solution).all(axis=(1, 2))
+    for c in np.flatnonzero(active & ~solved):
+        warnings.warn(f"non-finite M-step solution for component {c}; keeping its rows",
+                      stacklevel=3)
+    new_t = tv.t_matrix.reshape(k, d, rank).copy()
+    new_t[active & solved] = solution[active & solved].transpose(0, 2, 1)
+    return new_t.reshape(k * d, rank)
 
 
 def train_t_matrix(
@@ -159,20 +213,7 @@ def train_t_matrix(
     for _ in range(iters):
         a_acc, c_acc, objective = _e_step(tv, counts, firsts)
         history.append(objective)
-        # a component with no evidence keeps its current rows; an identity
-        # system stands in for it so that all components solve in one call
-        active = np.trace(a_acc, axis1=1, axis2=2) > 0.0
-        a_acc[~active] = np.eye(rank)
-        solution = _m_step_solve(a_acc, c_acc.reshape(k, d, rank).transpose(0, 2, 1), ridge)
-        # a system too small to solve in floating point (subnormal counts)
-        # gives no usable solution either, so that component keeps its rows too
-        solved = np.isfinite(solution).all(axis=(1, 2))
-        for c in np.flatnonzero(active & ~solved):
-            warnings.warn(f"non-finite M-step solution for component {c}; keeping its rows",
-                          stacklevel=2)
-        new_t = tv.t_matrix.reshape(k, d, rank).copy()
-        new_t[active & solved] = solution[active & solved].transpose(0, 2, 1)
-        tv = TotalVariabilityModel(ubm, new_t.reshape(k * d, rank))
+        tv = TotalVariabilityModel(ubm, _m_step(tv, a_acc, c_acc, ridge))
 
     history.append(_e_step(tv, counts, firsts)[2])
     if np.linalg.matrix_rank(tv.t_matrix) < rank:
@@ -188,7 +229,7 @@ def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> IVector
             f"statistics shaped {stats.n.shape}/{stats.f.shape} do not match "
             f"the UBM ({k} components x {d} dims)"
         )
-    precision = np.eye(tv.rank) + (stats.n @ tv.gram).reshape(tv.rank, tv.rank)
+    precision = _precision(tv, stats.n)
     info = (stats.f / tv.ubm.variances).reshape(-1) @ tv.t_matrix
     return IVector(np.linalg.solve(precision, info))
 

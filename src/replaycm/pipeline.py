@@ -243,9 +243,8 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
 
     ubms: dict[str, GmmModel] = {}
     for phrase_key, group in _phrase_groups(labeled, not spec.ubm_shared).items():
-        frames = np.vstack([frames_by_trial[t.trial_id] for t in group])
         ubm = gmm_em_train(
-            frames,
+            np.vstack([frames_by_trial[t.trial_id] for t in group]),
             k=spec.ubm_components,
             iters=spec.ubm_iterations,
             seed=derive_seed(cfg.seed, "train", spec.name, "ubm", phrase_key),
@@ -259,8 +258,9 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
     def ubm_for(trial: Trial) -> GmmModel:
         return ubms[SHARED_KEY if spec.ubm_shared else trial.phrase_id]
 
+    # each trial's frames are released once its statistics exist
     stats_by_trial = {
-        t.trial_id: baum_welch_stats(ubm_for(t), frames_by_trial[t.trial_id])
+        t.trial_id: baum_welch_stats(ubm_for(t), frames_by_trial.pop(t.trial_id))
         for t in labeled
     }
 

@@ -290,18 +290,21 @@ class DwtConfig:
 
 
 def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = x.size
+    """One periodized db4 analysis step along the last axis."""
+    n = x.shape[-1]
     idx = (2 * np.arange(n // 2)[:, None] + np.arange(DB4_LOWPASS.size)[None, :]) % n
-    windows = x[idx]
+    windows = x[..., idx]
     return windows @ DB4_LOWPASS, windows @ DB4_HIGHPASS
 
 
 def dwt_decompose(x: np.ndarray, levels: int) -> list[np.ndarray]:
-    """Periodized multi-level db4 analysis: [a_L, d_L, d_{L-1}, ..., d_1]."""
+    """Periodized multi-level db4 analysis of the last axis (one signal, or
+    one per row): [a_L, d_L, d_{L-1}, ..., d_1]."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size < (1 << levels) or x.size % (1 << levels):
+    n = x.shape[-1]
+    if n < (1 << levels) or n % (1 << levels):
         raise ValueError(
-            f"signal of {x.size} samples is too short (or not divisible) "
+            f"signal of {n} samples is too short (or not divisible) "
             f"for a depth-{levels} decomposition"
         )
     details = []
@@ -316,7 +319,7 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> np.ndarray:
     """Per-frame db4 subband log-energies, one row per wavelet coefficient.
 
     Rows run low to high frequency: the depth-L approximation coefficients,
-    then details d_L .. d_1.
+    then details d_L .. d_1.  All frames are decomposed in one pass.
     """
     if wave.samples.size < (1 << cfg.levels):
         raise ValueError(
@@ -329,11 +332,8 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> np.ndarray:
         cfg.hop_length / wave.sample_rate,
         window="rectangular",
     )
-    rows = []
-    for frame in frames:
-        coeffs = dwt_decompose(frame, cfg.levels)
-        rows.append(np.concatenate(coeffs))
-    return floored_log_power(np.stack(rows, axis=1), cfg.floor)
+    coeffs = np.concatenate(dwt_decompose(frames, cfg.levels), axis=1)
+    return floored_log_power(coeffs.T, cfg.floor)
 
 
 def mvn_spectrum(values: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:

@@ -108,3 +108,20 @@ def test_every_proper_prefix_of_a_matrix_is_refused(tmp_path, rng):
             continue
         with pytest.raises(containers.ContainerFormatError):
             containers.read_matrix(path)
+
+
+def test_matrix_with_trailing_bytes_is_refused(tmp_path, rng):
+    path = tmp_path / "m.rsft"
+    containers.write_matrix(path, rng.standard_normal((2, 3)), {"name": "x"})
+    path.write_bytes(path.read_bytes() + b"\x00\x01")
+    with pytest.raises(containers.ContainerFormatError, match="2 byte"):
+        containers.read_matrix(path)
+
+
+def test_model_with_trailing_bytes_is_refused(tmp_path, rng):
+    path = tmp_path / "m.rsmd"
+    containers.write_model(path, "gmm", {"weights": rng.dirichlet(np.ones(2)),
+                                         "means": rng.standard_normal((2, 3))})
+    path.write_bytes(path.read_bytes() + bytes(range(80)))
+    with pytest.raises(containers.ContainerFormatError, match="80 byte"):
+        containers.read_model(path)

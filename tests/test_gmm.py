@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from replaycm import gmm
 from replaycm.gmm import (
+    EM_BLOCK,
     GmmModel,
+    _expanded,
+    _responsibilities,
     _resolve_variance_floor,
     frame_logliks,
     gmm_avg_loglik,
@@ -102,6 +108,39 @@ def naive_em(frames, k, iters, variance_floor=None, seed=0):
         weights, means, variances = new_w / new_w.sum(), new_m, new_v
     history.append(frame_loglik_and_resp()[0].mean())
     return weights, means, variances, history, reseeds
+
+
+def unblocked_em(frames, k, iters, variance_floor=None, seed=0):
+    """The earlier EM loop, kept as the oracle: one (N, K) responsibility
+    matrix and one (N, 2D+1) expansion over all frames per iteration.
+    Returns (model, number of re-seeded components)."""
+    n, d = frames.shape
+    floor = _resolve_variance_floor(frames, variance_floor)
+    global_var = np.maximum(frames.var(axis=0), floor)
+    rng = np.random.default_rng(seed)
+    means = frames[rng.choice(n, size=k, replace=False)]
+    model = GmmModel(np.full(k, 1.0 / k), means, np.tile(global_var, (k, 1)))
+    xx = _expanded(frames, d)
+    history, reseeds = [], 0
+    for _ in range(iters):
+        resp, total, frame_ll = _responsibilities(model, xx)
+        history.append(float(np.mean(frame_ll)))
+        sums = resp.T @ (xx * (1.0 / total)[:, None])
+        nk = sums[:, -1]
+        weights = nk / n
+        moments = sums[:, :-1] / np.maximum(nk, 1e-300)[:, None]
+        means = moments[:, d:]
+        variances = np.maximum(moments[:, :d] - means**2, floor)
+        empty = nk < 1e-10
+        if np.any(empty):
+            means[empty] = frames[np.argmin(frame_ll)]
+            variances[empty] = global_var
+            weights[empty] = 1.0 / n
+            weights = weights / weights.sum()
+            reseeds += int(empty.sum())
+        model = GmmModel(weights, means, variances)
+    history.append(float(np.mean(_responsibilities(model, xx)[2])))
+    return GmmModel(model.weights, model.means, model.variances, tuple(history)), reseeds
 
 
 def two_cluster_data(rng, n=1000, sep=5.0):
@@ -225,6 +264,50 @@ class TestEmMatchesNaiveOracle:
         np.testing.assert_allclose(model.variances, variances, rtol=1e-9)
         np.testing.assert_allclose(model.loglik_history, history, rtol=1e-9)
         return reseeds
+
+
+class TestBlockedEmMatchesUnblockedLoop:
+    @staticmethod
+    def assert_matches(frames, k, iters, seed, variance_floor=None):
+        model = gmm_em_train(frames, k=k, iters=iters, variance_floor=variance_floor,
+                             seed=seed)
+        oracle, reseeds = unblocked_em(frames, k, iters, variance_floor, seed)
+        np.testing.assert_allclose(model.weights, oracle.weights, rtol=1e-10)
+        np.testing.assert_allclose(model.means, oracle.means, rtol=1e-10)
+        np.testing.assert_allclose(model.variances, oracle.variances, rtol=1e-10)
+        np.testing.assert_allclose(model.loglik_history, oracle.loglik_history, rtol=1e-10)
+        return reseeds
+
+    @pytest.mark.parametrize("n", [EM_BLOCK - 1, EM_BLOCK, EM_BLOCK + 1, 3 * EM_BLOCK + 7])
+    def test_block_boundaries(self, rng, n):
+        frames = rng.standard_normal((n, 3)) * [1.0, 2.0, 0.5] + [0.5, -1.0, 2.0]
+        self.assert_matches(frames, k=6, iters=4, seed=3)
+
+    def test_reseed_from_the_same_frame(self, monkeypatch):
+        # a tight cluster with one far outlier in the last of five blocks: a
+        # component loses all its mass and is re-seeded on the outlier, which
+        # only the last block can find
+        monkeypatch.setattr(gmm, "EM_BLOCK", 8)
+        cluster = np.random.default_rng(5).standard_normal((33, 1)) * 0.1
+        frames = np.vstack([cluster, np.array([[1e4]])])
+        assert self.assert_matches(frames, k=5, iters=12, seed=0) >= 1
+
+    def test_peak_memory_grows_with_the_input_not_the_components(self, rng):
+        # 4x the frames may only add the extra input (N x D), not the N x K
+        # responsibilities: K = 64 components of D = 2 dims
+        n, d, k = 2 * EM_BLOCK, 2, 64
+        peaks = []
+        for frames in (rng.standard_normal((n, d)), rng.standard_normal((4 * n, d))):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                gmm_em_train(frames, k=k, iters=2, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+        extra_input = 3 * n * d * 8
+        assert peaks[1] - peaks[0] <= 2 * extra_input
+        assert 2 * extra_input < 3 * n * k * 8 / 4  # an N x K term would show
 
 
 class TestLlr:

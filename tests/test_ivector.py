@@ -188,8 +188,11 @@ class TestTrainTMatrix:
         monkeypatch.setattr(ivector, "E_STEP_BLOCK", 5)  # blocks of 5, 5 and 2
         tv = train_t_matrix(stats, ubm, rank=rank, iters=4, seed=2)
         t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=4, seed=2)
-        np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-9)
-        np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-9)
+        np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-10)
+        np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-10)
+        for st in stats:
+            np.testing.assert_allclose(extract_ivector(tv, st).values,
+                                       dense_extract_oracle(tv, st), rtol=1e-10)
 
     def test_singular_m_step_system_gets_ridge_and_warning(self, rng, monkeypatch):
         k, d, rank = 3, 2, 2

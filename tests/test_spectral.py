@@ -286,6 +286,20 @@ class TestDwt:
         coeffs = dwt_decompose(x, 3)
         assert np.max(np.abs(dwt_reconstruct(coeffs) - x)) <= 1e-10
 
+    @pytest.mark.parametrize("frame_len, hop_length, levels",
+                             [(256, 256, 4), (64, 48, 3), (16, 8, 1)])
+    def test_scalogram_matches_per_frame_loop(self, rng, frame_len, hop_length, levels):
+        # the earlier implementation, kept as the oracle: one frame at a time
+        cfg = DwtConfig(frame_len=frame_len, hop_length=hop_length, levels=levels)
+        wave = Waveform(rng.standard_normal(1000), 16000)
+        frames = frame_signal(wave, frame_len / 16000, hop_length / 16000,
+                              window="rectangular")
+        rows = [np.concatenate(dwt_decompose(frame, levels)) for frame in frames]
+        oracle = np.log(np.maximum(np.stack(rows, axis=1) ** 2, cfg.floor))
+        spec = dwt_scalogram(wave, cfg)
+        assert spec.shape == oracle.shape == (frame_len, len(frames))
+        np.testing.assert_allclose(spec, oracle, rtol=0, atol=1e-9)
+
     def test_too_short_raises(self):
         cfg = DwtConfig(frame_len=256, hop_length=256, levels=4)
         with pytest.raises(ValueError, match="too short"):
