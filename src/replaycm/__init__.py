@@ -8,13 +8,12 @@ replay corpus for end-to-end checks.
 """
 
 from .audio_io import Waveform, load_wav, write_wav
-from .cepstral import cmvn, cqcc, dct_ii_ortho, lpcc
+from .cepstral import cmvn, cqcc, lpcc
 from .eemd import Imf, delta_eemd_spectrogram, eemd_first_imf, emd_first_imf
 from .fusion import FusionModel, fusion_apply, fusion_train
 from .gmm import GmmModel, gmm_avg_loglik, gmm_em_train, llr_score
 from .ivector import (
     BaumWelchStats,
-    IVector,
     TotalVariabilityModel,
     baum_welch_stats,
     center_length_normalize,

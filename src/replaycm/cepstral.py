@@ -64,17 +64,6 @@ def dct_matrix(n: int) -> np.ndarray:
     return _DCT_CACHE[n]
 
 
-def dct_ii_ortho(row: np.ndarray, n_out: int | None = None) -> np.ndarray:
-    """First n_out orthonormal DCT-II coefficients of a vector."""
-    row = np.asarray(row, dtype=np.float64)
-    n = row.size
-    if n_out is None:
-        n_out = n
-    if n_out > n:
-        raise ValueError(f"n_out ({n_out}) exceeds input length ({n})")
-    return dct_matrix(n)[:n_out] @ row
-
-
 def cqcc(wave: Waveform, cfg: CqccConfig) -> np.ndarray:
     """Constant-Q cepstral coefficients.
 

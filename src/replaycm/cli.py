@@ -140,7 +140,7 @@ def _aligned_score_matrix(paths: list[str]) -> tuple[tuple[str, ...], np.ndarray
 def cmd_fuse(args) -> int:
     trial_ids, matrix = _aligned_score_matrix(args.scores)
     if args.apply:
-        model = pipeline.load_fusion_model(args.apply)
+        model = pipeline.load_model(args.apply, "fusion")
     else:
         if not args.protocol:
             raise ValueError("training a fusion requires --protocol with labels")
@@ -148,7 +148,7 @@ def cmd_fuse(args) -> int:
         labels = pipeline.labels_vector(trials, trial_ids)
         model = fusion_train(matrix, labels, l2=args.l2)
         if args.out_model:
-            pipeline.save_fusion_model(args.out_model, model)
+            pipeline.save_model(args.out_model, "fusion", model)
             _info(f"fusion model -> {args.out_model}")
     fused = fusion_apply(model, matrix)
     write_scores(ScoreSet(trial_ids, fused), args.out_scores)

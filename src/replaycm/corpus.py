@@ -298,19 +298,6 @@ def _trial_plan(cfg: CorpusConfig) -> list[tuple[str, str, int]]:
     return plan
 
 
-def render_trial_source(cfg: CorpusConfig, entry: dict) -> Waveform:
-    """Re-render the clean source utterance recorded in a manifest entry."""
-    phrases = make_phrase_specs(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(entry["render_seed"]))
-    return render_genuine_utterance(
-        speaker_f0(cfg, entry["speaker_index"]),
-        phrases[entry["phrase_index"]],
-        cfg.duration_seconds,
-        cfg.sample_rate,
-        rng,
-    )
-
-
 def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
     """Write WAVs, per-subset protocol files, and a manifest; returns the manifest.
 

@@ -116,9 +116,7 @@ def fusion_train(
             stacklevel=2,
         )
 
-    model = FusionModel(theta[:-1].copy(), float(theta[-1]))
-    model.loss_history = tuple(history)
-    return model
+    return FusionModel(theta[:-1].copy(), float(theta[-1]), tuple(history))
 
 
 def fusion_apply(model: FusionModel, scores: np.ndarray):

@@ -66,17 +66,6 @@ class TotalVariabilityModel:
         return np.matmul(scaled.transpose(0, 2, 1), t_blocks)[:, rows, cols]
 
 
-@dataclass(frozen=True)
-class IVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or not np.all(np.isfinite(values)):
-            raise ValueError("i-vector must be a finite 1-D vector")
-        object.__setattr__(self, "values", values)
-
-
 @cache
 def _triangle(rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of a packed R x R upper triangle (read-only:
@@ -218,10 +207,12 @@ def train_t_matrix(
     history.append(_e_step(tv, counts, firsts)[2])
     if np.linalg.matrix_rank(tv.t_matrix) < rank:
         warnings.warn("trained t_matrix is numerically rank deficient", stacklevel=2)
-    return TotalVariabilityModel(ubm, tv.t_matrix, tuple(history))
+    # the final model keeps the Gram matrices its last E-step built
+    object.__setattr__(tv, "objective_history", tuple(history))
+    return tv
 
 
-def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> IVector:
+def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> np.ndarray:
     """Posterior mean of the latent factor: (I + T'S^-1NT)^-1 T'S^-1 f."""
     k, d = tv.ubm.means.shape
     if stats.n.shape != (k,) or stats.f.shape != (k, d):
@@ -231,33 +222,24 @@ def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> IVector
         )
     precision = _precision(tv, stats.n)
     info = (stats.f / tv.ubm.variances).reshape(-1) @ tv.t_matrix
-    return IVector(np.linalg.solve(precision, info))
+    return np.linalg.solve(precision, info)
 
 
 def center_length_normalize(
-    vectors: list[IVector], mean: np.ndarray | None = None
-) -> tuple[list[IVector], np.ndarray, list[bool]]:
-    """Subtract the mean (fitted here when not given) and scale to unit norm.
-
-    Returns (normalized vectors, mean used, degenerate flags); vectors that
-    coincide with the mean stay zero and are flagged.
-    """
-    if not vectors:
-        raise ValueError("need at least one i-vector")
-    matrix = np.stack([v.values for v in vectors])
+    vectors: np.ndarray, mean: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract the mean (fitted here when not given) from each row of an
+    N x R i-vector matrix and scale the rows to unit norm; a row that
+    coincides with the mean stays zero.  Returns (rows, mean used)."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2 or not len(vectors):
+        raise ValueError("need an N x R matrix of at least one i-vector")
     if mean is None:
-        mean = matrix.mean(axis=0)
+        mean = vectors.mean(axis=0)
     else:
         mean = np.asarray(mean, dtype=np.float64)
-        if mean.shape != (matrix.shape[1],):
+        if mean.shape != (vectors.shape[1],):
             raise ValueError("mean dimension does not match the i-vectors")
-    centered = matrix - mean
+    centered = vectors - mean
     norms = np.linalg.norm(centered, axis=1)
-    degenerate = norms == 0.0
-    safe = np.where(degenerate, 1.0, norms)
-    normalized = centered / safe[:, None]
-    return (
-        [IVector(row) for row in normalized],
-        mean,
-        [bool(flag) for flag in degenerate],
-    )
+    return centered / np.where(norms == 0.0, 1.0, norms)[:, None], mean

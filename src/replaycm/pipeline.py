@@ -1,6 +1,7 @@
 """Workflow plumbing shared by the CLI: feature extraction to containers,
 system training (GMM log-likelihood-ratio and i-vector + SVM back-ends,
-optionally per phrase), and scoring back to score sets.
+optionally per phrase), the model files they write, and scoring back to
+score sets.
 """
 
 from __future__ import annotations
@@ -141,24 +142,68 @@ def _model_name(base: str, phrase_key: str) -> str:
     return base if phrase_key == SHARED_KEY else f"{base}__{phrase_key}"
 
 
-def _write_model(directory: Path, name: str, kind: str, arrays: dict) -> None:
-    containers.write_model(directory / f"{name}.rsmd", kind, arrays)
+# Each model kind's arrays in file order, and the type built from them; a
+# kind without a type is one plain array, and a scalar field is stored as a
+# one-value array.  The only place a kind's layout is written down.
+MODEL_LAYOUTS = {
+    "gmm": (GmmModel, ("weights", "means", "variances"), ()),
+    "tmatrix": (None, ("t_matrix",), ()),
+    "mean": (None, ("mean",), ()),
+    "svm": (SvmModel, ("weight",), ("bias",)),
+    "fusion": (FusionModel, ("weights",), ("offset",)),
+}
 
 
-def _gmm_arrays(model: GmmModel) -> dict:
-    return {"weights": model.weights, "means": model.means,
-            "variances": model.variances}
+def save_model(path, kind: str, model) -> None:
+    """Write ``model`` to ``path`` as a ``kind`` model file."""
+    build, names, scalars = MODEL_LAYOUTS[kind]
+    fields = names + scalars
+    values = [model] if build is None else [getattr(model, name) for name in fields]
+    containers.write_model(path, kind, {name: np.atleast_1d(value)
+                                        for name, value in zip(fields, values)})
 
 
-def _gmm_from_arrays(arrays: dict) -> GmmModel:
-    return GmmModel(arrays["weights"], arrays["means"], arrays["variances"])
+def load_model(path, kind: str):
+    """The ``kind`` model stored at ``path``; a file of another kind, or one
+    whose arrays do not fit the kind, is refused."""
+    found, arrays = containers.read_model(path)
+    if found != kind:
+        raise ValueError(f"{path}: expected a {kind} container, found {found!r}")
+    build, names, scalars = MODEL_LAYOUTS[kind]
+    for name in sorted(set(names + scalars) ^ set(arrays)):
+        problem = "has an unexpected" if name in arrays else "has no"
+        raise containers.ContainerFormatError(f"{path}: {kind} model {problem} array {name!r}")
+    for name in scalars:
+        if arrays[name].size != 1:
+            raise containers.ContainerFormatError(
+                f"{path}: {kind} model array {name!r} holds {arrays[name].size} "
+                "values, not one")
+    values = [arrays[name] for name in names] + [float(arrays[name][0]) for name in scalars]
+    if build is None:
+        return values[0]
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise containers.ContainerFormatError(f"{path}: {exc}") from exc
+
+
+def _system_model_path(cfg: PipelineConfig, spec, base: str, phrase_key: str) -> Path:
+    return model_dir(cfg, spec.name) / f"{_model_name(base, phrase_key)}.rsmd"
+
+
+def _load_system_model(cfg: PipelineConfig, spec, base: str, phrase_key: str, kind: str):
+    path = _system_model_path(cfg, spec, base, phrase_key)
+    if not path.exists():
+        raise FileNotFoundError(
+            f"system {spec.name}: missing model {path}"
+            + (f" for phrase {phrase_key}" if phrase_key else "")
+        )
+    return load_model(path, kind)
 
 
 def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
                      trials: list[Trial]) -> dict:
     """Two-class GMM training; one model pair per phrase when phrase-dependent."""
-    out = model_dir(cfg, spec.name)
-    out.mkdir(parents=True, exist_ok=True)
     diagnostics = {}
     for phrase_key, group in _phrase_groups(_labeled(trials), spec.phrase_dependent).items():
         by_label = {"genuine": [], "spoof": []}
@@ -178,52 +223,17 @@ def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
                 variance_floor=spec.variance_floor,
                 seed=derive_seed(cfg.seed, "train", spec.name, label, phrase_key),
             )
-            _write_model(out, _model_name(label, phrase_key), "gmm", _gmm_arrays(model))
+            save_model(_system_model_path(cfg, spec, label, phrase_key), "gmm", model)
             diagnostics[f"{_model_name(label, phrase_key)}_final_loglik"] = (
                 model.loglik_history[-1]
             )
     return diagnostics
 
 
-def load_model(path, kind: str) -> dict[str, np.ndarray]:
-    """Arrays of the RSMD container at ``path``, which must hold a ``kind`` model."""
-    found, arrays = containers.read_model(path)
-    if found != kind:
-        raise ValueError(f"{path}: expected a {kind} container, found {found!r}")
-    return arrays
-
-
-def _load_system_model(directory: Path, system: str, base: str, phrase_key: str,
-                       kind: str) -> dict[str, np.ndarray]:
-    path = directory / f"{_model_name(base, phrase_key)}.rsmd"
-    if not path.exists():
-        raise FileNotFoundError(
-            f"system {system}: missing model {path}"
-            + (f" for phrase {phrase_key}" if phrase_key else "")
-        )
-    return load_model(path, kind)
-
-
-def _load_gmm_pair(cfg: PipelineConfig, spec: GmmSystemSpec, phrase_key: str):
-    out = model_dir(cfg, spec.name)
-    return tuple(
-        _gmm_from_arrays(_load_system_model(out, spec.name, label, phrase_key, "gmm"))
-        for label in ("genuine", "spoof")
-    )
-
-
-def score_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
-                     trials: list[Trial]) -> ScoreSet:
-    cache: dict[str, tuple[GmmModel, GmmModel]] = {}
-    scores = []
-    for trial in trials:
-        phrase_key = trial.phrase_id if spec.phrase_dependent else SHARED_KEY
-        if phrase_key not in cache:
-            cache[phrase_key] = _load_gmm_pair(cfg, spec, phrase_key)
-        genuine, spoofed = cache[phrase_key]
-        frames = _trial_frames(cfg, spec.feature, trial)
-        scores.append(llr_score(genuine, spoofed, frames))
-    return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
+def _gmm_scorer(cfg: PipelineConfig, spec: GmmSystemSpec, phrase_key: str):
+    genuine, spoofed = (_load_system_model(cfg, spec, label, phrase_key, "gmm")
+                        for label in ("genuine", "spoof"))
+    return lambda frames: llr_score(genuine, spoofed, frames)
 
 
 def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
@@ -231,154 +241,104 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
     """UBM -> T-matrix -> centered, length-normalized i-vectors -> linear SVM.
 
     Each stage is trained per phrase or shared according to the system's
-    sharing flags (shared T requires shared UBM, shared SVM requires shared T).
+    sharing flags.  A shared T requires a shared UBM and a shared SVM a shared
+    T, so each stage's groups split the group of the stage before; one UBM
+    group's frames and statistics are held at a time.
     """
-    out = model_dir(cfg, spec.name)
-    out.mkdir(parents=True, exist_ok=True)
-    labeled = _labeled(trials)
-    frames_by_trial = {
-        t.trial_id: _trial_frames(cfg, spec.feature, t) for t in labeled
-    }
     diagnostics = {}
-
-    ubms: dict[str, GmmModel] = {}
-    for phrase_key, group in _phrase_groups(labeled, not spec.ubm_shared).items():
+    for ubm_key, ubm_group in _phrase_groups(_labeled(trials), not spec.ubm_shared).items():
+        frame_list = [_trial_frames(cfg, spec.feature, t) for t in ubm_group]
         ubm = gmm_em_train(
-            np.vstack([frames_by_trial[t.trial_id] for t in group]),
+            np.vstack(frame_list),
             k=spec.ubm_components,
             iters=spec.ubm_iterations,
-            seed=derive_seed(cfg.seed, "train", spec.name, "ubm", phrase_key),
+            seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key),
         )
-        ubms[phrase_key] = ubm
-        _write_model(out, _model_name("ubm", phrase_key), "gmm", _gmm_arrays(ubm))
-        diagnostics[f"{_model_name('ubm', phrase_key)}_final_loglik"] = (
+        save_model(_system_model_path(cfg, spec, "ubm", ubm_key), "gmm", ubm)
+        diagnostics[f"{_model_name('ubm', ubm_key)}_final_loglik"] = (
             ubm.loglik_history[-1]
         )
+        # each trial's frames are released once its statistics exist
+        stats = {t.trial_id: baum_welch_stats(ubm, frame_list.pop(0)) for t in ubm_group}
 
-    def ubm_for(trial: Trial) -> GmmModel:
-        return ubms[SHARED_KEY if spec.ubm_shared else trial.phrase_id]
-
-    # each trial's frames are released once its statistics exist
-    stats_by_trial = {
-        t.trial_id: baum_welch_stats(ubm_for(t), frames_by_trial.pop(t.trial_id))
-        for t in labeled
-    }
-
-    tvs: dict[str, TotalVariabilityModel] = {}
-    for phrase_key, group in _phrase_groups(labeled, not spec.t_shared).items():
-        ubm = ubms[SHARED_KEY if spec.ubm_shared else phrase_key]
-        tv = train_t_matrix(
-            [stats_by_trial[t.trial_id] for t in group],
-            ubm,
-            rank=spec.tv_rank,
-            iters=spec.tv_iterations,
-            seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", phrase_key),
-        )
-        tvs[phrase_key] = tv
-        _write_model(out, _model_name("tmatrix", phrase_key), "tmatrix",
-                     {"t_matrix": tv.t_matrix})
-        diagnostics[f"{_model_name('tmatrix', phrase_key)}_final_objective"] = (
-            tv.objective_history[-1]
-        )
-
-    def tv_for(trial: Trial) -> TotalVariabilityModel:
-        return tvs[SHARED_KEY if spec.t_shared else trial.phrase_id]
-
-    ivectors = {
-        t.trial_id: extract_ivector(tv_for(t), stats_by_trial[t.trial_id])
-        for t in labeled
-    }
-
-    for phrase_key, group in _phrase_groups(labeled, not spec.svm_shared).items():
-        vectors = [ivectors[t.trial_id] for t in group]
-        normalized, mean, _ = center_length_normalize(vectors)
-        labels = np.array([1.0 if t.label == "genuine" else -1.0 for t in group])
-        if np.all(labels == labels[0]):
-            raise ValueError(
-                f"system {spec.name}: single-class training set"
-                + (f" for phrase {phrase_key}" if phrase_key else "")
+        for t_key, t_group in _phrase_groups(ubm_group, not spec.t_shared).items():
+            tv = train_t_matrix(
+                [stats[t.trial_id] for t in t_group],
+                ubm,
+                rank=spec.tv_rank,
+                iters=spec.tv_iterations,
+                seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key),
             )
-        svm = svm_train_linear(
-            np.stack([v.values for v in normalized]), labels, c=spec.svm_c
-        )
-        _write_model(out, _model_name("mean", phrase_key), "mean", {"mean": mean})
-        _write_model(out, _model_name("svm", phrase_key), "svm",
-                     {"weight": svm.weight, "bias": np.array([svm.bias])})
-        diagnostics[f"{_model_name('svm', phrase_key)}_final_dual_objective"] = (
-            svm.dual_objective_history[-1]
-        )
+            save_model(_system_model_path(cfg, spec, "tmatrix", t_key), "tmatrix",
+                       tv.t_matrix)
+            diagnostics[f"{_model_name('tmatrix', t_key)}_final_objective"] = (
+                tv.objective_history[-1]
+            )
+
+            for svm_key, group in _phrase_groups(t_group, not spec.svm_shared).items():
+                normalized, mean = center_length_normalize(
+                    np.stack([extract_ivector(tv, stats[t.trial_id]) for t in group]))
+                labels = np.array([1.0 if t.label == "genuine" else -1.0 for t in group])
+                if np.all(labels == labels[0]):
+                    raise ValueError(
+                        f"system {spec.name}: single-class training set"
+                        + (f" for phrase {svm_key}" if svm_key else "")
+                    )
+                svm = svm_train_linear(normalized, labels, c=spec.svm_c)
+                save_model(_system_model_path(cfg, spec, "mean", svm_key), "mean", mean)
+                save_model(_system_model_path(cfg, spec, "svm", svm_key), "svm", svm)
+                diagnostics[f"{_model_name('svm', svm_key)}_final_dual_objective"] = (
+                    svm.dual_objective_history[-1]
+                )
     return diagnostics
 
 
-class _IvecScorer:
-    """Builds each phrase's models once; a shared SVM (so shared T and UBM) serves all."""
+def _ivec_scorer(cfg: PipelineConfig, spec: IvecSystemSpec, phrase_key: str):
+    def load(base: str, shared: bool, kind: str):
+        return _load_system_model(cfg, spec, base, SHARED_KEY if shared else phrase_key,
+                                  kind)
 
-    def __init__(self, cfg: PipelineConfig, spec: IvecSystemSpec):
-        self.spec = spec
-        self.dir = model_dir(cfg, spec.name)
-        self._models: dict[str, tuple] = {}
+    ubm = load("ubm", spec.ubm_shared, "gmm")
+    tv = TotalVariabilityModel(ubm, load("tmatrix", spec.t_shared, "tmatrix"))
+    mean = load("mean", spec.svm_shared, "mean")
+    svm = load("svm", spec.svm_shared, "svm")
 
-    def _load(self, base: str, shared: bool, phrase_id: str, kind: str):
-        phrase_key = SHARED_KEY if shared else phrase_id
-        return _load_system_model(self.dir, self.spec.name, base, phrase_key, kind)
+    def score(frames: np.ndarray) -> float:
+        ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
+        rows, _ = center_length_normalize(ivec[None], mean)
+        return svm_score(svm, rows[0])
 
-    def _build(self, phrase_id: str) -> tuple:
-        spec = self.spec
-        ubm = _gmm_from_arrays(self._load("ubm", spec.ubm_shared, phrase_id, "gmm"))
-        t_matrix = self._load("tmatrix", spec.t_shared, phrase_id, "tmatrix")["t_matrix"]
-        mean = self._load("mean", spec.svm_shared, phrase_id, "mean")["mean"]
-        svm = self._load("svm", spec.svm_shared, phrase_id, "svm")
-        return (TotalVariabilityModel(ubm, t_matrix), mean,
-                SvmModel(svm["weight"], float(svm["bias"][0])))
-
-    def score(self, trial: Trial, frames: np.ndarray) -> float:
-        key = SHARED_KEY if self.spec.svm_shared else trial.phrase_id
-        if key not in self._models:
-            self._models[key] = self._build(key)
-        tv, mean, svm = self._models[key]
-        ivec = extract_ivector(tv, baum_welch_stats(tv.ubm, frames))
-        normalized, _, _ = center_length_normalize([ivec], mean=mean)
-        return svm_score(svm, normalized[0])
+    return score
 
 
-def score_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
-                      trials: list[Trial]) -> ScoreSet:
-    scorer = _IvecScorer(cfg, spec)
-    scores = []
-    for trial in trials:
-        frames = _trial_frames(cfg, spec.feature, trial)
-        scores.append(scorer.score(trial, frames))
-    return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
+# spec type -> (trainer, scorer factory).  The factory loads the models of one
+# phrase key and returns the function that scores a trial's frames with them.
+SYSTEM_TYPES = {
+    GmmSystemSpec: (train_gmm_system, _gmm_scorer),
+    IvecSystemSpec: (train_ivec_system, _ivec_scorer),
+}
 
 
 def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> dict:
     spec = cfg.systems[system_name]
-    if isinstance(spec, GmmSystemSpec):
-        return train_gmm_system(cfg, spec, trials)
-    if isinstance(spec, IvecSystemSpec):
-        return train_ivec_system(cfg, spec, trials)
-    raise ValueError(f"unknown system type for {system_name!r}")
+    model_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
+    return SYSTEM_TYPES[type(spec)][0](cfg, spec, trials)
 
 
 def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> ScoreSet:
+    """Score every trial, building each phrase key's scorer once.  A system
+    that is not phrase-dependent has one key for all trials: a shared SVM
+    implies a shared T-matrix and UBM."""
     spec = cfg.systems[system_name]
-    if isinstance(spec, GmmSystemSpec):
-        return score_gmm_system(cfg, spec, trials)
-    if isinstance(spec, IvecSystemSpec):
-        return score_ivec_system(cfg, spec, trials)
-    raise ValueError(f"unknown system type for {system_name!r}")
-
-
-def save_fusion_model(path, model: FusionModel) -> None:
-    containers.write_model(
-        path, "fusion",
-        {"weights": model.weights, "offset": np.array([model.offset])},
-    )
-
-
-def load_fusion_model(path) -> FusionModel:
-    arrays = load_model(path, "fusion")
-    return FusionModel(arrays["weights"], float(arrays["offset"][0]))
+    build_scorer = SYSTEM_TYPES[type(spec)][1]
+    scorers = {}
+    scores = []
+    for trial in trials:
+        phrase_key = trial.phrase_id if spec.phrase_dependent else SHARED_KEY
+        if phrase_key not in scorers:
+            scorers[phrase_key] = build_scorer(cfg, spec, phrase_key)
+        scores.append(scorers[phrase_key](_trial_frames(cfg, spec.feature, trial)))
+    return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
 
 
 def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...]) -> np.ndarray:

@@ -90,14 +90,12 @@ def svm_train_linear(
             stacklevel=2,
         )
 
-    model = SvmModel(w[:-1].copy(), float(w[-1]))
-    model.dual_objective_history = tuple(history)
-    return model
+    return SvmModel(w[:-1].copy(), float(w[-1]), tuple(history))
 
 
-def svm_score(model: SvmModel, v) -> float:
+def svm_score(model: SvmModel, v: np.ndarray) -> float:
     """Linear decision value w'v + b; higher means more genuine."""
-    vec = np.asarray(getattr(v, "values", v), dtype=np.float64)
+    vec = np.asarray(v, dtype=np.float64)
     if vec.shape != model.weight.shape:
         raise ValueError(
             f"input dimension {vec.shape} does not match the model "

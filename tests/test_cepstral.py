@@ -12,7 +12,7 @@ from replaycm.cepstral import (
     LpccConfig,
     cmvn,
     cqcc,
-    dct_ii_ortho,
+    dct_matrix,
     levinson_durbin,
     lpc_to_cepstrum,
     lpcc,
@@ -67,13 +67,13 @@ SMALL_CQT = CqtConfig(f_min=400.0, bins_per_octave=12, n_bins=36, hop_length=256
 
 class TestDct:
     def test_constant_vector_only_c0(self):
-        out = dct_ii_ortho(np.full(16, 2.5))
+        out = dct_matrix(16) @ np.full(16, 2.5)
         assert np.isclose(out[0], 2.5 * np.sqrt(16))
         assert np.max(np.abs(out[1:])) < 1e-12
 
     def test_roundtrip_via_basis_summation(self, rng):
         x = rng.standard_normal(24)
-        coeffs = dct_ii_ortho(x)
+        coeffs = dct_matrix(24) @ x
         rebuilt = np.zeros_like(x)
         n = len(x)
         for m in range(n):
@@ -84,19 +84,21 @@ class TestDct:
 
     def test_matches_naive_oracle(self, rng):
         x = rng.standard_normal(32)
-        assert np.max(np.abs(dct_ii_ortho(x, 32) - naive_dct_ii_ortho(x, 32))) <= 1e-10
+        assert np.max(np.abs(dct_matrix(32) @ x - naive_dct_ii_ortho(x, 32))) <= 1e-10
 
     def test_n_out_truncation_and_bounds(self, rng):
         x = rng.standard_normal(10)
-        assert dct_ii_ortho(x, 4).shape == (4,)
-        with pytest.raises(ValueError, match="n_out"):
-            dct_ii_ortho(x, 11)
+        assert np.max(np.abs(dct_matrix(10)[:4] @ x - naive_dct_ii_ortho(x, 4))) <= 1e-10
+        # cqcc keeps the first n_coeffs rows, so its config bounds them by the basis size
+        CqccConfig(resample_bins=10, n_coeffs=10)
+        with pytest.raises(ValueError, match="n_coeffs"):
+            CqccConfig(resample_bins=10, n_coeffs=11)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 48))
     def test_parseval(self, n):
         x = np.random.default_rng(n).standard_normal(n)
-        coeffs = dct_ii_ortho(x)
+        coeffs = dct_matrix(n) @ x
         assert np.isclose(coeffs @ coeffs, x @ x, atol=1e-10)
 
 
@@ -119,7 +121,7 @@ class TestCqcc:
         log_power = np.log(np.maximum(mags**2, SMALL_CQT.floor))
         # stage 3: uniform resampling; stage 4: DCT per frame
         resampled = resample_rows_linear(log_power, freqs, 48)
-        stage = np.stack([dct_ii_ortho(col, 12) for col in resampled.T], axis=1)
+        stage = np.stack([dct_matrix(48)[:12] @ col for col in resampled.T], axis=1)
         assert np.max(np.abs(feats - stage)) <= 1e-12
 
     def test_global_gain_moves_only_c0(self, rng):

@@ -445,23 +445,28 @@ class TestTrainAndScore:
             "--out-scores", str(out),
         ]) == 0
 
-    @pytest.mark.parametrize("system, builds", [("ivec-sys", 1), ("ivec-phrase", 2)])
+    @pytest.mark.parametrize("system, builds", [
+        ("ivec-sys", 1), ("ivec-phrase", 2), ("ivec-each-phrase", 2),
+        ("gmm-sys", 1), ("gmm-phrase", 2),
+    ])
     def test_scorer_builds_models_once_per_key(self, workspace, monkeypatch, system, builds):
         cfg_path, work = workspace
         assert cli.main(["train", "--config", str(cfg_path), "--system", system]) == 0
         cfg = load_config(cfg_path)
+        spec = cfg.systems[system]
         trials = parse_protocol(work / "corpus/protocol_eval.txt")
-        expected = pipeline.score_ivec_system(cfg, cfg.systems[system], trials)
+        expected = pipeline.score_system(cfg, system, trials)
         built = []
-        real_build = pipeline._IvecScorer._build
+        trainer, real_build = pipeline.SYSTEM_TYPES[type(spec)]
 
-        def build(scorer, key):
+        def build(cfg, spec, key):
             built.append(key)
-            return real_build(scorer, key)
+            return real_build(cfg, spec, key)
 
-        monkeypatch.setattr(pipeline._IvecScorer, "_build", build)
-        scores = pipeline.score_ivec_system(cfg, cfg.systems[system], trials)
-        assert len(built) == builds  # a shared SVM means one build for both phrases
+        monkeypatch.setitem(pipeline.SYSTEM_TYPES, type(spec), (trainer, build))
+        scores = pipeline.score_system(cfg, system, trials)
+        # a shared SVM (so a shared T and UBM) means one build for both phrases
+        assert len(built) == len(set(built)) == builds
         assert np.array_equal(scores.scores, expected.scores)
 
     @pytest.mark.parametrize("system", ["ivec-phrase", "ivec-each-phrase"])
@@ -472,11 +477,13 @@ class TestTrainAndScore:
         spec = cfg.systems[system]
         trials = parse_protocol(work / "corpus/protocol_eval.txt")
         assert len({t.phrase_id for t in trials}) == 2
-        scores = pipeline.score_ivec_system(cfg, spec, trials)
+        scores = pipeline.score_system(cfg, system, trials)
 
         def arrays(base, shared, phrase, kind):
             name = base if shared else f"{base}__{phrase}"
-            return pipeline.load_model(work / "models" / system / f"{name}.rsmd", kind)
+            found, arrays = containers.read_model(work / "models" / system / f"{name}.rsmd")
+            assert found == kind
+            return arrays
 
         for trial, score in zip(trials, scores.scores):
             phrase = trial.phrase_id
@@ -489,11 +496,35 @@ class TestTrainAndScore:
                 work / "features" / spec.feature / f"{trial.trial_id}.rsft")
             ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
             mean = arrays("mean", spec.svm_shared, phrase, "mean")["mean"]
-            normalized, _, _ = center_length_normalize([ivec], mean=mean)
+            normalized, _ = center_length_normalize(ivec[None], mean=mean)
             svm = arrays("svm", spec.svm_shared, phrase, "svm")
             expected = svm_score(SvmModel(svm["weight"], float(svm["bias"][0])),
                                  normalized[0])
             assert score == expected, trial.trial_id
+
+
+    def test_score_with_a_malformed_model_exits_2(self, workspace, tmp_path, capsys):
+        cfg_path, work = workspace
+        assert cli.main(["train", "--config", str(cfg_path), "--system", "gmm-phrase"]) == 0
+        model = work / "models/gmm-phrase/spoof__P01.rsmd"
+        intact = model.read_bytes()
+        _, arrays = containers.read_model(model)
+        del arrays["variances"]
+        containers.write_model(model, "gmm", arrays)
+        capsys.readouterr()
+        try:
+            rc = cli.main([
+                "score", "--config", str(cfg_path), "--system", "gmm-phrase",
+                "--protocol", str(work / "corpus/protocol_eval.txt"),
+                "--out-scores", str(tmp_path / "x"),
+            ])
+        finally:
+            model.write_bytes(intact)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(model) in err and "'variances'" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestFuseEval:
@@ -582,6 +613,25 @@ class TestFuseEval:
                        "--out-scores", str(tmp_path / "x")])
         assert rc == 2
         assert "expected a fusion container" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("arrays, problem", [
+        ({"weights": np.ones(1)}, "has no array 'offset'"),
+        ({"weights": np.ones(1), "offset": np.zeros(2)}, "array 'offset' holds 2 values, not one"),
+        ({"weights": np.ones(1), "offset": np.zeros(1), "bias": np.zeros(1)},
+         "has an unexpected array 'bias'"),
+    ])
+    def test_apply_refuses_a_malformed_fusion_model(self, tmp_path, capsys, arrays,
+                                                     problem):
+        scores = tmp_path / "a.scores"
+        scores.write_text("t1 1.0\nt2 2.0\n")
+        model = tmp_path / "fusion.rsmd"
+        containers.write_model(model, "fusion", arrays)
+        rc = cli.main(["fuse", str(scores), "--apply", str(model),
+                       "--out-scores", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {model}: fusion model {problem}\n"
         assert not (tmp_path / "x").exists()
 
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from replaycm import containers
+from replaycm import containers, pipeline
+from replaycm.fusion import FusionModel
+from replaycm.gmm import GmmModel
+from replaycm.svm import SvmModel
 
 
 def test_matrix_roundtrip(tmp_path, rng):
@@ -125,3 +130,57 @@ def test_model_with_trailing_bytes_is_refused(tmp_path, rng):
     path.write_bytes(path.read_bytes() + bytes(range(80)))
     with pytest.raises(containers.ContainerFormatError, match="80 byte"):
         containers.read_model(path)
+
+
+def example_model(kind: str):
+    """One model of each kind in the pipeline's layout table."""
+    rng = np.random.default_rng(7)
+    return {
+        "gmm": GmmModel(rng.dirichlet(np.ones(3)), rng.standard_normal((3, 4)),
+                        rng.uniform(0.5, 2.0, (3, 4))),
+        "tmatrix": rng.standard_normal((12, 2)),
+        "mean": rng.standard_normal(5),
+        "svm": SvmModel(rng.standard_normal(5), 0.25),
+        "fusion": FusionModel(rng.standard_normal(3), -1.5),
+    }[kind]
+
+
+def model_values(model) -> list:
+    if isinstance(model, np.ndarray):
+        return [model]
+    return [getattr(model, f.name) for f in dataclasses.fields(model) if f.compare]
+
+
+@pytest.mark.parametrize("kind", sorted(pipeline.MODEL_LAYOUTS))
+def test_every_model_kind_round_trips(tmp_path, kind):
+    model = example_model(kind)
+    path = tmp_path / f"{kind}.rsmd"
+    pipeline.save_model(path, kind, model)
+    back = pipeline.load_model(path, kind)
+    assert type(back) is type(model)
+    for saved, loaded in zip(model_values(model), model_values(back), strict=True):
+        assert np.array_equal(loaded, saved)
+    for other in set(pipeline.MODEL_LAYOUTS) - {kind}:
+        with pytest.raises(ValueError, match=f"expected a {other} container, found '{kind}'"):
+            pipeline.load_model(path, other)
+
+
+@pytest.mark.parametrize("kind", sorted(pipeline.MODEL_LAYOUTS))
+def test_a_model_missing_an_array_is_refused(tmp_path, kind):
+    path = tmp_path / f"{kind}.rsmd"
+    pipeline.save_model(path, kind, example_model(kind))
+    _, arrays = containers.read_model(path)
+    for name in list(arrays):
+        containers.write_model(path, kind, {k: v for k, v in arrays.items() if k != name})
+        with pytest.raises(containers.ContainerFormatError,
+                           match=f"{kind} model has no array '{name}'"):
+            pipeline.load_model(path, kind)
+
+
+def test_a_model_that_breaks_its_type_names_the_file(tmp_path):
+    path = tmp_path / "gmm.rsmd"
+    containers.write_model(path, "gmm", {"weights": np.array([0.5, 0.5]),
+                                         "means": np.zeros((2, 3)),
+                                         "variances": -np.ones((2, 3))})
+    with pytest.raises(containers.ContainerFormatError, match="variances must be strictly"):
+        pipeline.load_model(path, "gmm")

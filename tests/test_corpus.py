@@ -19,8 +19,8 @@ from replaycm.corpus import (
     parse_protocol,
     partition_by_phrase,
     render_genuine_utterance,
-    render_trial_source,
     simulate_replay,
+    speaker_f0,
     write_protocol,
 )
 
@@ -33,6 +33,18 @@ SMALL_CORPUS = CorpusConfig(
 # convolve_replay_oracle do; a change to the draw order or the rendering of
 # any trial changes it
 SMALL_CORPUS_SHA256 = "fe8f2d9fdbe269395bcca5ad8647cd2b895896752c3cae535ebe7e3afb3a6855"
+
+
+def render_trial_source(cfg, entry):
+    """Re-render the clean source utterance recorded in a manifest entry."""
+    rng = np.random.default_rng(np.random.SeedSequence(entry["render_seed"]))
+    return render_genuine_utterance(
+        speaker_f0(cfg, entry["speaker_index"]),
+        make_phrase_specs(cfg)[entry["phrase_index"]],
+        cfg.duration_seconds,
+        cfg.sample_rate,
+        rng,
+    )
 
 
 def tree_digest(root):

@@ -7,7 +7,6 @@ from replaycm import ivector
 from replaycm.gmm import GmmModel
 from replaycm.ivector import (
     BaumWelchStats,
-    IVector,
     TotalVariabilityModel,
     baum_welch_stats,
     center_length_normalize,
@@ -150,7 +149,7 @@ class TestTrainTMatrix:
         init = 0.1 * np.random.default_rng(7).standard_normal((k * d, 2))
         assert np.array_equal(tv.t_matrix, init)
         ivec = extract_ivector(tv, stats[0])
-        assert np.all(ivec.values == 0.0)
+        assert np.all(ivec == 0.0)
 
     def test_objective_non_decreasing(self, rng):
         k, d = 3, 2
@@ -191,7 +190,7 @@ class TestTrainTMatrix:
         np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-10)
         np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-10)
         for st in stats:
-            np.testing.assert_allclose(extract_ivector(tv, st).values,
+            np.testing.assert_allclose(extract_ivector(tv, st),
                                        dense_extract_oracle(tv, st), rtol=1e-10)
 
     def test_singular_m_step_system_gets_ridge_and_warning(self, rng, monkeypatch):
@@ -234,6 +233,18 @@ class TestTrainTMatrix:
         init = 0.1 * np.random.default_rng(4).standard_normal((k * d, rank))
         assert np.array_equal(tv.t_matrix[d : 2 * d], init[d : 2 * d])
 
+    def test_returned_model_keeps_its_gram_matrices(self, rng):
+        k, d, rank = 4, 3, 3
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
+        tv = train_t_matrix(stats, ubm, rank=rank, iters=3, seed=5)
+        assert "gram" in vars(tv)  # built by the final E-step, not again by extraction
+        fresh = TotalVariabilityModel(ubm, tv.t_matrix)
+        assert "gram" not in vars(fresh)
+        for st in stats:
+            assert np.array_equal(extract_ivector(tv, st), extract_ivector(fresh, st))
+        assert np.array_equal(tv.gram, fresh.gram)
+
     def test_few_utterances_warn(self, rng):
         ubm = random_ubm(rng, 2, 2)
         stats = [baum_welch_stats(ubm, rng.standard_normal((10, 2))) for _ in range(3)]
@@ -246,7 +257,7 @@ class TestExtractIvector:
         ubm = random_ubm(rng, 2, 2)
         tv = TotalVariabilityModel(ubm, rng.standard_normal((4, 2)))
         ivec = extract_ivector(tv, BaumWelchStats(np.zeros(2), np.zeros((2, 2))))
-        assert np.all(ivec.values == 0.0)
+        assert np.all(ivec == 0.0)
 
     def test_scalar_closed_form(self):
         ubm = GmmModel(np.array([1.0]), np.zeros((1, 1)), np.full((1, 1), 2.0))
@@ -254,7 +265,7 @@ class TestExtractIvector:
         stats = BaumWelchStats(np.array([3.0]), np.array([[1.5]]))
         ivec = extract_ivector(tv, stats)
         expected = (0.7 * 1.5 / 2.0) / (1.0 + 0.7**2 * 3.0 / 2.0)
-        assert np.isclose(ivec.values[0], expected)
+        assert np.isclose(ivec[0], expected)
 
     def test_matches_dense_solve_oracle(self, rng):
         for k, d, rank in ((2, 2, 2), (4, 4, 4), (2, 8, 3)):
@@ -265,7 +276,7 @@ class TestExtractIvector:
             )
             ivec = extract_ivector(tv, stats)
             oracle = dense_extract_oracle(tv, stats)
-            assert np.max(np.abs(ivec.values - oracle)) <= 1e-8
+            assert np.max(np.abs(ivec - oracle)) <= 1e-8
 
     def test_two_models_each_match_the_loop_oracle(self, rng):
         # two phrases' models of one shape: each extraction must use the Gram
@@ -279,7 +290,7 @@ class TestExtractIvector:
         for tv in (models[0], models[1], models[0]):
             for st in stats:
                 _, _, expected = loop_posterior(tv.t_matrix, tv.ubm, st.n, st.f)
-                np.testing.assert_allclose(extract_ivector(tv, st).values, expected,
+                np.testing.assert_allclose(extract_ivector(tv, st), expected,
                                            rtol=1e-9)
 
     def test_model_arrays_are_read_only(self, rng):
@@ -304,22 +315,28 @@ class TestExtractIvector:
 
 class TestCenterLengthNormalize:
     def test_unit_norms(self, rng):
-        vectors = [IVector(rng.standard_normal(5)) for _ in range(10)]
-        normalized, mean, flags = center_length_normalize(vectors)
-        assert not any(flags)
-        for v in normalized:
-            assert abs(np.linalg.norm(v.values) - 1.0) <= 1e-10
-        assert np.allclose(mean, np.mean([v.values for v in vectors], axis=0))
+        vectors = rng.standard_normal((10, 5))
+        normalized, mean = center_length_normalize(vectors)
+        assert normalized.shape == (10, 5)
+        np.testing.assert_allclose(np.linalg.norm(normalized, axis=1), 1.0, atol=1e-10)
+        assert np.allclose(mean, vectors.mean(axis=0))
 
-    def test_vector_equal_to_mean_flagged(self):
-        vectors = [IVector(np.array([1.0, 2.0])), IVector(np.array([1.0, 2.0]))]
-        normalized, _, flags = center_length_normalize(vectors)
-        assert flags == [True, True]
-        assert np.all(normalized[0].values == 0.0)
+    def test_vector_equal_to_mean_stays_zero(self):
+        normalized, _ = center_length_normalize(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        assert np.all(normalized == 0.0)
 
     def test_fitted_mean_reproduces_training_outputs(self, rng):
-        vectors = [IVector(rng.standard_normal(4)) for _ in range(8)]
-        at_fit, mean, _ = center_length_normalize(vectors)
-        again, _, _ = center_length_normalize(vectors, mean=mean)
-        for a, b in zip(at_fit, again):
-            assert np.array_equal(a.values, b.values)
+        vectors = rng.standard_normal((8, 4))
+        at_fit, mean = center_length_normalize(vectors)
+        again, _ = center_length_normalize(vectors, mean=mean)
+        one_by_one = [center_length_normalize(v[None], mean)[0][0] for v in vectors]
+        assert np.array_equal(at_fit, again)
+        assert np.array_equal(at_fit, np.stack(one_by_one))
+
+    def test_empty_or_mismatched_input_refused(self, rng):
+        with pytest.raises(ValueError, match="at least one"):
+            center_length_normalize(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="at least one"):
+            center_length_normalize(np.zeros(3))
+        with pytest.raises(ValueError, match="mean dimension"):
+            center_length_normalize(np.ones((2, 3)), mean=np.zeros(2))

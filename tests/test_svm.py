@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from replaycm.ivector import IVector
+from replaycm.gmm import GmmModel
+from replaycm.ivector import BaumWelchStats, TotalVariabilityModel, extract_ivector
 from replaycm.svm import SvmModel, svm_score, svm_train_linear
 
 
@@ -123,8 +124,12 @@ class TestScore:
         assert abs(svm_score(model, v) - expected) <= 1e-12
 
     def test_accepts_ivector(self, rng):
-        model = SvmModel(np.ones(3), 0.0)
-        assert np.isclose(svm_score(model, IVector(np.array([1.0, 2.0, 3.0]))), 6.0)
+        # extract_ivector returns the plain 1-D array the SVM scores
+        ubm = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
+        tv = TotalVariabilityModel(ubm, rng.standard_normal((2, 3)))
+        ivec = extract_ivector(tv, BaumWelchStats(np.array([4.0]), rng.standard_normal((1, 2))))
+        model = SvmModel(np.ones(3), 0.5)
+        assert svm_score(model, ivec) == float(np.ones(3) @ ivec + 0.5)
 
     def test_dimension_mismatch(self):
         model = SvmModel(np.ones(3), 0.0)
