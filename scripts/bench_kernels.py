@@ -218,11 +218,11 @@ def main():
 
     with tempfile.TemporaryDirectory() as corpus_dir:
         generate_synth_corpus(CorpusConfig(**FRONTENDS_CORPUS), corpus_dir)
-        trial = load_wav(Path(corpus_dir) / "wav" / f"{FRONTENDS_TRIAL}.wav")
-    maxima, _ = local_extrema(trial.samples)
+        samples = load_wav(Path(corpus_dir) / "wav" / f"{FRONTENDS_TRIAL}.wav").samples
+    maxima, _ = local_extrema(samples)
     kernels["envelope"] = timed(
-        lambda: _envelope(maxima, trial.samples[maxima], trial.samples.size), args.repeats)
-    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(trial, ensemble_size=5, seed=SEED),
+        lambda: _envelope(maxima, samples[maxima], samples.size), args.repeats)
+    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(samples, ensemble_size=5, seed=SEED),
                                   args.repeats)
     kernels["import_cli"] = import_probe
 

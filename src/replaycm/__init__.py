@@ -9,7 +9,7 @@ replay corpus for end-to-end checks.
 
 from .audio_io import Waveform, load_wav, write_wav
 from .cepstral import cmvn, cqcc, lpcc
-from .eemd import Imf, delta_eemd_spectrogram, eemd_first_imf, emd_first_imf
+from .eemd import delta_eemd_spectrogram, eemd_first_imf, emd_first_imf
 from .fusion import FusionModel, fusion_apply, fusion_train
 from .gmm import GmmModel, gmm_avg_loglik, gmm_em_train, llr_score
 from .ivector import (
@@ -25,7 +25,7 @@ from .neural import max_pool_2x2, mfm, mfm_backward
 from .spectral import (
     cqt_log_power_spectrogram,
     dwt_scalogram,
-    fft_log_power_spectrogram,
+    fft_spectrogram,
     frame_signal,
     mvn_spectrum,
     sliding_windows,

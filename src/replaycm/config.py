@@ -11,16 +11,24 @@ from __future__ import annotations
 import functools
 import json
 import zlib
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cepstral import CqccConfig, LpccConfig
+from .cepstral import CqccConfig, LpccConfig, cqcc, lpcc
 from .corpus import CorpusConfig
-from .eemd import SiftConfig
-from .spectral import CqtConfig, DwtConfig, FftConfig, cqt_kernel_layout
+from .eemd import DeemdParams, delta_eemd_spectrogram
+from .spectral import (
+    CqtConfig,
+    DwtConfig,
+    FftConfig,
+    cqt_kernel_layout,
+    cqt_log_power_spectrogram,
+    dwt_scalogram,
+    fft_spectrogram,
+)
 
 
 class ConfigError(ValueError):
@@ -49,20 +57,6 @@ class PathsConfig:
         for f in fields(self):
             if not getattr(self, f.name):
                 raise ConfigError(f"{f.name} must be a non-empty path")
-
-
-@dataclass(frozen=True)
-class DeemdParams:
-    fft: FftConfig
-    ensemble_size: int = 50
-    noise_strength_factor: float = 0.1
-    sift: SiftConfig = field(default_factory=SiftConfig)
-
-    def __post_init__(self):
-        if self.ensemble_size < 1:
-            raise ConfigError("deemd ensemble_size must be >= 1")
-        if self.noise_strength_factor < 0:
-            raise ConfigError("deemd noise_strength_factor must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -127,13 +121,18 @@ class PipelineConfig:
     systems: dict[str, object]
 
 
+# Each feature kind's config type, the FeatureSpec flag that normalises its
+# output, and its front-end, called as f(wave, config, trial_seed); the only
+# place a kind is written down.  A front-end looks its function up when run,
+# so one patched at module level (as bench/tracer.py does) is the one called.
 FEATURE_KINDS = {
-    "cqcc": CqccConfig,
-    "lpcc": LpccConfig,
-    "fft": FftConfig,
-    "cqt": CqtConfig,
-    "dwt": DwtConfig,
-    "deemd": DeemdParams,
+    "cqcc": (CqccConfig, "cmvn", lambda wave, cfg, seed: cqcc(wave, cfg)),
+    "lpcc": (LpccConfig, "cmvn", lambda wave, cfg, seed: lpcc(wave, cfg)),
+    "fft": (FftConfig, "mvn", lambda wave, cfg, seed: fft_spectrogram(wave, cfg)),
+    "cqt": (CqtConfig, "mvn", lambda wave, cfg, seed: cqt_log_power_spectrogram(wave, cfg)),
+    "dwt": (DwtConfig, "mvn", lambda wave, cfg, seed: dwt_scalogram(wave, cfg)),
+    "deemd": (DeemdParams, "mvn",
+              lambda wave, cfg, seed: delta_eemd_spectrogram(wave, cfg, seed)),
 }
 MODEL_KINDS = {"gmm": GmmSystemSpec, "ivec-svm": IvecSystemSpec}
 
@@ -220,9 +219,8 @@ def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
     kind = _object(block, context).get("type")
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"{context}: unknown type {kind!r}")
-    cls = FEATURE_KINDS[kind]
-    # compute_feature applies CMVN to cepstra and MVN to spectrograms only
-    ignored = "mvn" if cls in (CqccConfig, LpccConfig) else "cmvn"
+    cls, flag, _ = FEATURE_KINDS[kind]
+    ignored = "mvn" if flag == "cmvn" else "cmvn"
     if ignored in block:
         raise ConfigError(f"{context}: {ignored!r} does not apply to {kind} features")
     unused = set(block) - {"type"}

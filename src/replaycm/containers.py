@@ -1,8 +1,9 @@
 """Binary containers for features ("RSFT") and models ("RSMD").
 
 RSFT layout: magic "RSFT" | version u8 | rows u32 LE | cols u32 LE |
-rows*cols float32 row-major | meta_len u32 LE | UTF-8 JSON metadata.
-The metadata block is optional on read (older dumps may omit it).
+rows*cols float32 row-major | meta_len u32 LE | UTF-8 JSON metadata object.
+The metadata block is required: a file that ends after the payload is
+truncated.
 
 RSMD layout: magic "RSMD" | version u8 | kind_len u8 | kind (ASCII) |
 n_arrays u32 LE | per array: name_len u8 | name | ndim u32 | dims u32[ndim] |
@@ -64,16 +65,20 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
     if end > len(data):
         raise ContainerFormatError(f"{path}: truncated RSFT payload")
     values = np.frombuffer(data[start:end], dtype="<f4").reshape(rows, cols)
-    meta: dict = {}
-    if len(data) > end:  # a file that ends with the payload has no metadata
-        if len(data) < end + 4:
-            raise ContainerFormatError(f"{path}: truncated RSFT metadata length")
-        (meta_len,) = struct.unpack_from("<I", data, end)
-        blob = data[end + 4 : end + 4 + meta_len]
-        if len(blob) != meta_len:
-            raise ContainerFormatError(f"{path}: truncated RSFT metadata")
+    if len(data) < end + 4:
+        raise ContainerFormatError(f"{path}: truncated RSFT metadata length")
+    (meta_len,) = struct.unpack_from("<I", data, end)
+    blob = data[end + 4 : end + 4 + meta_len]
+    if len(blob) != meta_len:
+        raise ContainerFormatError(f"{path}: truncated RSFT metadata")
+    _refuse_surplus(path, "RSFT", len(data) - (end + 4 + meta_len))
+    try:
         meta = json.loads(blob.decode("utf-8"))
-        _refuse_surplus(path, "RSFT", len(data) - (end + 4 + meta_len))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerFormatError(f"{path}: RSFT metadata is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ContainerFormatError(
+            f"{path}: RSFT metadata is a JSON {type(meta).__name__}, not an object")
     return values.astype(np.float64), meta
 
 
@@ -128,6 +133,8 @@ def read_model(path) -> tuple[str, dict[str, np.ndarray]]:
             offset = end
     except struct.error as exc:
         raise ContainerFormatError(f"{path}: truncated RSMD header") from exc
+    except UnicodeDecodeError as exc:
+        raise ContainerFormatError(f"{path}: RSMD kind or array name is not ASCII ({exc})") from exc
     _refuse_surplus(path, "RSMD", len(data) - offset)
     return kind, arrays
 

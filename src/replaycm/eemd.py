@@ -11,7 +11,7 @@ by Horner's rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,20 +32,17 @@ class SiftConfig:
 
 
 @dataclass(frozen=True)
-class Imf:
-    """First intrinsic mode function; degenerate marks the too-few-extrema case."""
-
-    samples: np.ndarray
-    sample_rate: int
-    degenerate: bool = False
+class DeemdParams:
+    fft: FftConfig
+    ensemble_size: int = 50
+    noise_strength_factor: float = 0.1
+    sift: SiftConfig = field(default_factory=SiftConfig)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("IMF samples must be finite")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
+        if self.ensemble_size < 1:
+            raise ValueError("deemd ensemble_size must be >= 1")
+        if self.noise_strength_factor < 0:
+            raise ValueError("deemd noise_strength_factor must be >= 0")
 
 
 def local_extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,17 +135,16 @@ def _envelope(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return _natural_spline(knots_t, knots_v, n)
 
 
-def emd_first_imf(signal: Waveform, sift: SiftConfig = SiftConfig()) -> Imf:
-    """Extract the first empirical mode by iterative sifting.
+def emd_first_imf(x: np.ndarray, sift: SiftConfig = SiftConfig()) -> np.ndarray:
+    """First empirical mode of the 1-D samples ``x``, by iterative sifting.
 
     A signal with fewer than two maxima or two minima is treated as its own
-    residue; the returned IMF is zero and flagged degenerate.
+    residue, so its first mode is zero.
     """
-    x = signal.samples
     n = x.size
     maxima, minima = local_extrema(x)
     if maxima.size < 2 or minima.size < 2:
-        return Imf(np.zeros(n), signal.sample_rate, degenerate=True)
+        return np.zeros(n)
 
     h = x.copy()
     for _ in range(sift.max_sift_iters):
@@ -164,17 +160,17 @@ def emd_first_imf(signal: Waveform, sift: SiftConfig = SiftConfig()) -> Imf:
         h = h_next
         if sd < sift.sd_threshold:
             break
-    return Imf(h, signal.sample_rate)
+    return h
 
 
 def eemd_first_imf(
-    signal: Waveform,
+    x: np.ndarray,
     ensemble_size: int = 50,
     noise_strength_factor: float = 0.1,
     seed: int = 0,
     sift: SiftConfig = SiftConfig(),
-) -> Imf:
-    """Ensemble-averaged first mode.
+) -> np.ndarray:
+    """Ensemble-averaged first mode of the 1-D samples ``x``.
 
     Each ensemble member sifts the signal plus independent white Gaussian
     noise with standard deviation noise_strength_factor * std(signal).
@@ -185,36 +181,26 @@ def eemd_first_imf(
         raise ValueError("ensemble_size must be >= 1")
     if noise_strength_factor < 0:
         raise ValueError("noise_strength_factor must be non-negative")
-    x = signal.samples
     noise_std = noise_strength_factor * float(np.std(x))
     children = np.random.SeedSequence(seed).spawn(ensemble_size)
 
     total = np.zeros(x.size)
-    all_degenerate = True
     for child in children:
         rng = np.random.default_rng(child)
-        noisy = x + rng.standard_normal(x.size) * noise_std
-        member = emd_first_imf(Waveform(noisy, signal.sample_rate), sift)
-        total += member.samples
-        all_degenerate &= member.degenerate
-    return Imf(total / ensemble_size, signal.sample_rate, degenerate=all_degenerate)
+        total += emd_first_imf(x + rng.standard_normal(x.size) * noise_std, sift)
+    return total / ensemble_size
 
 
-def delta_eemd_spectrogram(
-    wave: Waveform,
-    fft_cfg: FftConfig,
-    ensemble_size: int = 50,
-    noise_strength_factor: float = 0.1,
-    seed: int = 0,
-    sift: SiftConfig = SiftConfig(),
-) -> np.ndarray:
+def delta_eemd_spectrogram(wave: Waveform, params: DeemdParams, seed: int = 0) -> np.ndarray:
     """Element-wise |S_original - S_first_mode| on magnitude spectrograms.
 
-    Both spectrograms use the same FFT configuration; the difference is taken
-    on linear magnitudes so it is well defined and non-negative.
+    Both spectrograms use ``params.fft``; the difference is taken on linear
+    magnitudes so it is well defined and non-negative.  ``seed`` seeds the
+    ensemble noise.
     """
-    original = fft_spectrogram(wave, fft_cfg, scale="magnitude")
-    mode = eemd_first_imf(wave, ensemble_size, noise_strength_factor, seed, sift)
-    mode_spec = fft_spectrogram(Waveform(mode.samples, wave.sample_rate), fft_cfg,
+    original = fft_spectrogram(wave, params.fft, scale="magnitude")
+    mode = eemd_first_imf(wave.samples, params.ensemble_size,
+                          params.noise_strength_factor, seed, params.sift)
+    mode_spec = fft_spectrogram(Waveform(mode, wave.sample_rate), params.fft,
                                 scale="magnitude")
     return np.abs(original - mode_spec)

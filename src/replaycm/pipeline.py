@@ -12,9 +12,9 @@ import numpy as np
 
 from . import containers
 from .audio_io import Waveform, load_wav
-from .cepstral import cmvn, cqcc, lpcc
+from .cepstral import cmvn
 from .config import (
-    DeemdParams,
+    FEATURE_KINDS,
     FeatureSpec,
     GmmSystemSpec,
     IvecSystemSpec,
@@ -22,7 +22,6 @@ from .config import (
     derive_seed,
 )
 from .corpus import Trial, partition_by_phrase
-from .eemd import delta_eemd_spectrogram
 from .fusion import FusionModel
 from .gmm import GmmModel, gmm_em_train, llr_score
 from .ivector import (
@@ -33,12 +32,7 @@ from .ivector import (
     train_t_matrix,
 )
 from .metrics import ScoreSet
-from .spectral import (
-    cqt_log_power_spectrogram,
-    dwt_scalogram,
-    fft_log_power_spectrogram,
-    mvn_spectrum,
-)
+from .spectral import mvn_spectrum
 from .svm import SvmModel, svm_score, svm_train_linear
 
 SHARED_KEY = ""
@@ -58,31 +52,11 @@ def model_dir(cfg: PipelineConfig, system_name: str) -> Path:
 
 def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.ndarray:
     """Run one configured front-end; returns its dim x frames matrix."""
-    if spec.kind == "cqcc":
-        feats = cqcc(wave, spec.config)
-        return cmvn(feats) if spec.cmvn else feats
-    if spec.kind == "lpcc":
-        feats = lpcc(wave, spec.config)
-        return cmvn(feats) if spec.cmvn else feats
-    if spec.kind == "fft":
-        spectrum = fft_log_power_spectrogram(wave, spec.config)
-    elif spec.kind == "cqt":
-        spectrum = cqt_log_power_spectrogram(wave, spec.config)
-    elif spec.kind == "dwt":
-        spectrum = dwt_scalogram(wave, spec.config)
-    elif spec.kind == "deemd":
-        params: DeemdParams = spec.config
-        spectrum = delta_eemd_spectrogram(
-            wave,
-            params.fft,
-            ensemble_size=params.ensemble_size,
-            noise_strength_factor=params.noise_strength_factor,
-            seed=trial_seed,
-            sift=params.sift,
-        )
-    else:
-        raise ValueError(f"unknown feature kind {spec.kind!r}")
-    return mvn_spectrum(spectrum) if spec.mvn else spectrum
+    _, flag, front_end = FEATURE_KINDS[spec.kind]
+    values = front_end(wave, spec.config, trial_seed)
+    if not getattr(spec, flag):
+        return values
+    return cmvn(values) if flag == "cmvn" else mvn_spectrum(values)
 
 
 def save_feature(path, values: np.ndarray, spec: FeatureSpec) -> None:

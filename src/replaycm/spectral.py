@@ -137,11 +137,6 @@ def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") ->
     return values
 
 
-def fft_log_power_spectrogram(wave: Waveform, cfg: FftConfig) -> np.ndarray:
-    """Log of floored FFT power: log(max(|X|^2, floor))."""
-    return fft_spectrogram(wave, cfg, scale="log-power")
-
-
 def cqt_kernel_layout(cfg: CqtConfig, sample_rate: int
                       ) -> tuple[list[int], list[range], list[int]]:
     """Per-bin kernel lengths, octave groups of bins and each group's longest

@@ -104,15 +104,46 @@ def test_every_proper_prefix_of_a_matrix_is_refused(tmp_path, rng):
     path = tmp_path / "m.rsft"
     containers.write_matrix(path, rng.standard_normal((2, 3)), {"name": "x"})
     data = path.read_bytes()
-    payload_end = 13 + 2 * 3 * 4
-    for cut in range(len(data)):
+    for cut in range(len(data)):  # including the cut right after the payload
         path.write_bytes(data[:cut])
-        if cut == payload_end:  # the documented metadata-less form
-            values, meta = containers.read_matrix(path)
-            assert values.shape == (2, 3) and meta == {}
-            continue
         with pytest.raises(containers.ContainerFormatError):
             containers.read_matrix(path)
+
+
+def matrix_with_metadata(path, blob: bytes) -> None:
+    """An RSFT file holding a 2 x 3 matrix and ``blob`` as its metadata."""
+    containers.write_matrix(path, np.zeros((2, 3)), {})
+    payload = path.read_bytes()[: 13 + 2 * 3 * 4]
+    path.write_bytes(payload + len(blob).to_bytes(4, "little") + blob)
+
+
+@pytest.mark.parametrize("blob, problem", [
+    (b'{"name": "\xff"}', "not UTF-8 JSON"),
+    (b'{"name": "x"', "not UTF-8 JSON"),
+    (b'["name", "x"]', "JSON list, not an object"),
+], ids=["not-utf8", "not-json", "not-an-object"])
+def test_corrupt_matrix_metadata_is_refused_naming_the_file(tmp_path, blob, problem):
+    path = tmp_path / "m.rsft"
+    matrix_with_metadata(path, blob)
+    with pytest.raises(containers.ContainerFormatError, match=problem) as info:
+        containers.read_matrix(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"gmm", b"g\xe9m"),
+    (b"weights", b"weight\xe9"),
+], ids=["kind", "array-name"])
+def test_non_ascii_model_text_is_refused_naming_the_file(tmp_path, rng, old, new):
+    path = tmp_path / "m.rsmd"
+    containers.write_model(path, "gmm", {"weights": rng.dirichlet(np.ones(2))})
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    with pytest.raises(containers.ContainerFormatError,
+                       match="RSMD kind or array name is not ASCII") as info:
+        containers.read_model(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_matrix_with_trailing_bytes_is_refused(tmp_path, rng):

@@ -17,7 +17,6 @@ from replaycm.spectral import (
     cqt_magnitude,
     dwt_decompose,
     dwt_scalogram,
-    fft_log_power_spectrogram,
     fft_spectrogram,
     frame_signal,
     mvn_spectrum,
@@ -135,13 +134,13 @@ class TestFftSpectrogram:
         wave = Waveform(0.5 * np.sin(2 * np.pi * (k * sr / n_fft) * t), sr)
         cfg = FftConfig(framing=FramingConfig(n_fft / sr, n_fft / sr, "rectangular"),
                         n_fft=n_fft)
-        spec = fft_log_power_spectrogram(wave, cfg)
+        spec = fft_spectrogram(wave, cfg)
         assert np.all(np.argmax(spec, axis=0) == k)
 
     def test_zero_signal_hits_floor(self):
         wave = Waveform(np.zeros(4096), 16000)
         cfg = FftConfig(n_fft=2048)
-        spec = fft_log_power_spectrogram(wave, cfg)
+        spec = fft_spectrogram(wave, cfg)
         assert np.all(spec == np.log(cfg.floor))
 
     def test_matches_naive_dft_oracle(self, rng):
@@ -166,14 +165,14 @@ class TestFftSpectrogram:
     def test_row_resampling_to_target_bins(self):
         wave = Waveform(np.random.default_rng(0).standard_normal(4096), 16000)
         cfg = FftConfig(n_fft=2048, target_bins=864)
-        spec = fft_log_power_spectrogram(wave, cfg)
+        spec = fft_spectrogram(wave, cfg)
         assert spec.shape[0] == 864
 
     def test_n_fft_must_cover_frame(self):
         wave = Waveform(np.zeros(4096), 16000)
         cfg = FftConfig(framing=FramingConfig(0.128, 0.016), n_fft=1024)
         with pytest.raises(ValueError, match="n_fft"):
-            fft_log_power_spectrogram(wave, cfg)
+            fft_spectrogram(wave, cfg)
 
 
 class TestCqt:
