@@ -157,7 +157,7 @@ def main():
         simulate_replay,
         speaker_f0,
     )
-    from replaycm.eemd import _envelope, eemd_first_imf, local_extrema
+    from replaycm.eemd import DeemdParams, _envelope, eemd_first_imf, local_extrema
     from replaycm.gmm import gmm_em_train, llr_score
     from replaycm.ivector import (
         TotalVariabilityModel,
@@ -165,7 +165,7 @@ def main():
         extract_ivector,
         train_t_matrix,
     )
-    from replaycm.spectral import FramingConfig
+    from replaycm.spectral import FftConfig, FramingConfig
 
     rng = np.random.default_rng(SEED)
     gmm_frames = seeded_frames(rng, GMM_FRAMES)
@@ -222,7 +222,8 @@ def main():
     maxima, _ = local_extrema(samples)
     kernels["envelope"] = timed(
         lambda: _envelope(maxima, samples[maxima], samples.size), args.repeats)
-    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(samples, ensemble_size=5, seed=SEED),
+    ensemble = DeemdParams(FftConfig(), ensemble_size=5)
+    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(samples, ensemble, seed=SEED),
                                   args.repeats)
     kernels["import_cli"] = import_probe
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import containers, pipeline
-from .config import FEATURE_KINDS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .corpus import generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
 from .metrics import ScoreSet, compute_eer, read_scores, write_scores
@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract features for every trial")
     add_common(p)
-    p.add_argument("--feature", required=True,
-                   help=f"configured feature name (types: {', '.join(FEATURE_KINDS)})")
+    p.add_argument("--feature", required=True, help="configured feature name "
+                   f"(types: {', '.join(pipeline.FEATURE_KINDS)})")
     p.add_argument("--protocol", required=True)
     p.add_argument("--audio-dir", default=None)
     p.add_argument("--out-dir", default=None)

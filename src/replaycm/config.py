@@ -17,18 +17,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cepstral import CqccConfig, LpccConfig, cqcc, lpcc
 from .corpus import CorpusConfig
-from .eemd import DeemdParams, delta_eemd_spectrogram
-from .spectral import (
-    CqtConfig,
-    DwtConfig,
-    FftConfig,
-    cqt_kernel_layout,
-    cqt_log_power_spectrogram,
-    dwt_scalogram,
-    fft_spectrogram,
-)
+from .spectral import CqtConfig, cqt_kernel_layout
 
 
 class ConfigError(ValueError):
@@ -121,19 +111,6 @@ class PipelineConfig:
     systems: dict[str, object]
 
 
-# Each feature kind's config type, the FeatureSpec flag that normalises its
-# output, and its front-end, called as f(wave, config, trial_seed); the only
-# place a kind is written down.  A front-end looks its function up when run,
-# so one patched at module level (as bench/tracer.py does) is the one called.
-FEATURE_KINDS = {
-    "cqcc": (CqccConfig, "cmvn", lambda wave, cfg, seed: cqcc(wave, cfg)),
-    "lpcc": (LpccConfig, "cmvn", lambda wave, cfg, seed: lpcc(wave, cfg)),
-    "fft": (FftConfig, "mvn", lambda wave, cfg, seed: fft_spectrogram(wave, cfg)),
-    "cqt": (CqtConfig, "mvn", lambda wave, cfg, seed: cqt_log_power_spectrogram(wave, cfg)),
-    "dwt": (DwtConfig, "mvn", lambda wave, cfg, seed: dwt_scalogram(wave, cfg)),
-    "deemd": (DeemdParams, "mvn",
-              lambda wave, cfg, seed: delta_eemd_spectrogram(wave, cfg, seed)),
-}
 MODEL_KINDS = {"gmm": GmmSystemSpec, "ivec-svm": IvecSystemSpec}
 
 _JSON_TYPES = {
@@ -216,6 +193,8 @@ def _build_block(cls, block, context: str, tag: str | None = None, **given):
 
 def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
     context = f"feature {name!r}"
+    from .pipeline import FEATURE_KINDS  # pipeline imports this module
+
     kind = _object(block, context).get("type")
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"{context}: unknown type {kind!r}")

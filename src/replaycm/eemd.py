@@ -136,7 +136,8 @@ def _envelope(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def emd_first_imf(x: np.ndarray, sift: SiftConfig = SiftConfig()) -> np.ndarray:
-    """First empirical mode of the 1-D samples ``x``, by iterative sifting.
+    """First empirical mode of the finite 1-D samples ``x``, by iterative
+    sifting (unchecked: ``eemd_first_imf`` checks its input once).
 
     A signal with fewer than two maxima or two minima is treated as its own
     residue, so its first mode is zero.
@@ -163,32 +164,25 @@ def emd_first_imf(x: np.ndarray, sift: SiftConfig = SiftConfig()) -> np.ndarray:
     return h
 
 
-def eemd_first_imf(
-    x: np.ndarray,
-    ensemble_size: int = 50,
-    noise_strength_factor: float = 0.1,
-    seed: int = 0,
-    sift: SiftConfig = SiftConfig(),
-) -> np.ndarray:
+def eemd_first_imf(x: np.ndarray, params: DeemdParams, seed: int = 0) -> np.ndarray:
     """Ensemble-averaged first mode of the 1-D samples ``x``.
 
-    Each ensemble member sifts the signal plus independent white Gaussian
-    noise with standard deviation noise_strength_factor * std(signal).
-    Members use seeds spawned deterministically from `seed` and are averaged
-    in a fixed order, so the result is reproducible.
+    Each of the ``params.ensemble_size`` members sifts the signal plus
+    independent white Gaussian noise with standard deviation
+    ``params.noise_strength_factor`` * std(signal).  Members use seeds spawned
+    deterministically from `seed` and are averaged in a fixed order, so the
+    result is reproducible.
     """
-    if ensemble_size < 1:
-        raise ValueError("ensemble_size must be >= 1")
-    if noise_strength_factor < 0:
-        raise ValueError("noise_strength_factor must be non-negative")
-    noise_std = noise_strength_factor * float(np.std(x))
-    children = np.random.SeedSequence(seed).spawn(ensemble_size)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError("EEMD needs a 1-D array of finite samples")
+    noise_std = params.noise_strength_factor * float(np.std(x))
+    children = np.random.SeedSequence(seed).spawn(params.ensemble_size)
 
     total = np.zeros(x.size)
     for child in children:
         rng = np.random.default_rng(child)
-        total += emd_first_imf(x + rng.standard_normal(x.size) * noise_std, sift)
-    return total / ensemble_size
+        total += emd_first_imf(x + rng.standard_normal(x.size) * noise_std, params.sift)
+    return total / params.ensemble_size
 
 
 def delta_eemd_spectrogram(wave: Waveform, params: DeemdParams, seed: int = 0) -> np.ndarray:
@@ -199,8 +193,7 @@ def delta_eemd_spectrogram(wave: Waveform, params: DeemdParams, seed: int = 0) -
     ensemble noise.
     """
     original = fft_spectrogram(wave, params.fft, scale="magnitude")
-    mode = eemd_first_imf(wave.samples, params.ensemble_size,
-                          params.noise_strength_factor, seed, params.sift)
+    mode = eemd_first_imf(wave.samples, params, seed)
     mode_spec = fft_spectrogram(Waveform(mode, wave.sample_rate), params.fft,
                                 scale="magnitude")
     return np.abs(original - mode_spec)

@@ -12,9 +12,8 @@ import numpy as np
 
 from . import containers
 from .audio_io import Waveform, load_wav
-from .cepstral import cmvn
+from .cepstral import CqccConfig, LpccConfig, cmvn, cqcc, lpcc
 from .config import (
-    FEATURE_KINDS,
     FeatureSpec,
     GmmSystemSpec,
     IvecSystemSpec,
@@ -22,6 +21,7 @@ from .config import (
     derive_seed,
 )
 from .corpus import Trial, partition_by_phrase
+from .eemd import DeemdParams, delta_eemd_spectrogram
 from .fusion import FusionModel
 from .gmm import GmmModel, gmm_em_train, llr_score
 from .ivector import (
@@ -32,7 +32,15 @@ from .ivector import (
     train_t_matrix,
 )
 from .metrics import ScoreSet
-from .spectral import mvn_spectrum
+from .spectral import (
+    CqtConfig,
+    DwtConfig,
+    FftConfig,
+    cqt_log_power_spectrogram,
+    dwt_scalogram,
+    fft_spectrogram,
+    mvn_spectrum,
+)
 from .svm import SvmModel, svm_score, svm_train_linear
 
 SHARED_KEY = ""
@@ -48,6 +56,22 @@ def feature_path(directory, trial_id: str) -> Path:
 
 def model_dir(cfg: PipelineConfig, system_name: str) -> Path:
     return Path(cfg.paths.work_dir) / "models" / system_name
+
+
+# Each feature kind's config type, the FeatureSpec flag that normalises its
+# output, and its front-end, called as f(wave, config, trial_seed); the only
+# place a kind is written down (config._parse_feature reads it too).  A
+# front-end looks its function up here when run, so one patched at module
+# level (as bench/tracer.py does) is the one called.
+FEATURE_KINDS = {
+    "cqcc": (CqccConfig, "cmvn", lambda wave, cfg, seed: cqcc(wave, cfg)),
+    "lpcc": (LpccConfig, "cmvn", lambda wave, cfg, seed: lpcc(wave, cfg)),
+    "fft": (FftConfig, "mvn", lambda wave, cfg, seed: fft_spectrogram(wave, cfg)),
+    "cqt": (CqtConfig, "mvn", lambda wave, cfg, seed: cqt_log_power_spectrogram(wave, cfg)),
+    "dwt": (DwtConfig, "mvn", lambda wave, cfg, seed: dwt_scalogram(wave, cfg)),
+    "deemd": (DeemdParams, "mvn",
+              lambda wave, cfg, seed: delta_eemd_spectrogram(wave, cfg, seed)),
+}
 
 
 def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.ndarray:

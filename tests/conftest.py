@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from replaycm.config import FEATURE_KINDS, parse_config
+from replaycm.config import parse_config
+from replaycm.pipeline import FEATURE_KINDS
 
 # One small configuration per feature kind, at 16 kHz; the delta-EEMD
 # ensemble is two members so that every kind runs in milliseconds.

@@ -4,7 +4,7 @@
 patching them from outside.  A traced function that is renamed or no longer
 bound at module level fails here, in the main suite, as well as in the
 benchmark.  So does a feature kind whose front-end the tracer cannot see,
-such as one that ``config.FEATURE_KINDS`` binds as a function object.
+such as one that ``pipeline.FEATURE_KINDS`` binds as a function object.
 """
 
 import sys
@@ -16,7 +16,7 @@ import pytest
 import replaycm.cli  # noqa: F401  (imports every module the benchmark traces)
 from replaycm import pipeline
 from replaycm.audio_io import Waveform
-from replaycm.config import FEATURE_KINDS
+from replaycm.pipeline import FEATURE_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

@@ -5,7 +5,6 @@ import pytest
 from replaycm.cepstral import CqccConfig, LpccConfig
 from replaycm.config import (
     ConfigError,
-    DeemdParams,
     FeatureSpec,
     GmmSystemSpec,
     IvecSystemSpec,
@@ -17,7 +16,7 @@ from replaycm.config import (
     parse_config,
 )
 from replaycm.corpus import CorpusConfig
-from replaycm.eemd import SiftConfig
+from replaycm.eemd import DeemdParams, SiftConfig
 from replaycm.spectral import CqtConfig, DwtConfig, FftConfig, FramingConfig
 
 

@@ -21,6 +21,10 @@ FFT_CFG = FftConfig(framing=FramingConfig(0.032, 0.016), n_fft=512)
 CLEAN_EMD = DeemdParams(FFT_CFG, ensemble_size=1, noise_strength_factor=0.0)
 
 
+def members(n, **params):
+    return DeemdParams(FFT_CFG, ensemble_size=n, **params)
+
+
 def tone(freq, seconds=0.5, amp=1.0, sr=SR):
     t = np.arange(int(seconds * sr)) / sr
     return amp * np.sin(2 * np.pi * freq * t)
@@ -140,19 +144,19 @@ class TestEemd:
     def test_degenerate_ensemble_equals_plain_emd(self):
         x = tone(500.0, 0.25)
         plain = emd_first_imf(x)
-        ensemble = eemd_first_imf(x, ensemble_size=1, noise_strength_factor=0.0, seed=3)
+        ensemble = eemd_first_imf(x, CLEAN_EMD, seed=3)
         assert np.array_equal(ensemble, plain)
 
     def test_same_seed_bit_identical(self):
         x = tone(500.0, 0.25) + 0.1 * tone(3000.0, 0.25)
-        a = eemd_first_imf(x, ensemble_size=8, seed=17)
-        b = eemd_first_imf(x, ensemble_size=8, seed=17)
+        a = eemd_first_imf(x, members(8), seed=17)
+        b = eemd_first_imf(x, members(8), seed=17)
         assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         x = tone(500.0, 0.25)
-        a = eemd_first_imf(x, ensemble_size=4, seed=1)
-        b = eemd_first_imf(x, ensemble_size=4, seed=2)
+        a = eemd_first_imf(x, members(4), seed=1)
+        b = eemd_first_imf(x, members(4), seed=2)
         assert not np.array_equal(a, b)
 
     def test_full_ensemble_close_to_clean_emd(self):
@@ -160,21 +164,27 @@ class TestEemd:
         # above the signal, so a low tone would be pushed out of the first mode
         x = tone(2000.0)
         clean = emd_first_imf(x)
-        averaged = eemd_first_imf(x, ensemble_size=50, seed=5)
+        averaged = eemd_first_imf(x, members(50), seed=5)
         rel = np.linalg.norm(averaged - clean) / np.linalg.norm(clean)
         assert rel <= 0.1
 
     def test_ensemble_averaging_reduces_variance(self):
         x = tone(55.0, seconds=0.4, sr=1000)  # ~22 cycles over 400 samples
         small, large = [], []
+        short = SiftConfig(max_sift_iters=6)
         for seed in range(20):
-            small.append(eemd_first_imf(x, ensemble_size=2, seed=seed,
-                                        sift=SiftConfig(max_sift_iters=6)))
-            large.append(eemd_first_imf(x, ensemble_size=50, seed=seed,
-                                        sift=SiftConfig(max_sift_iters=6)))
+            small.append(eemd_first_imf(x, members(2, sift=short), seed=seed))
+            large.append(eemd_first_imf(x, members(50, sift=short), seed=seed))
         var_small = np.var(np.stack(small), axis=0).mean()
         var_large = np.var(np.stack(large), axis=0).mean()
         assert var_large < var_small
+
+    @pytest.mark.parametrize("x", [np.array([0.0, 1.0, np.nan, -1.0, 0.0]),
+                                   np.array([0.0, np.inf, 0.0]), np.zeros((2, 100))],
+                             ids=["nan", "inf", "2-d"])
+    def test_refuses_non_finite_or_not_1d_input(self, x):
+        with pytest.raises(ValueError, match="1-D array of finite samples"):
+            eemd_first_imf(x, CLEAN_EMD)
 
 
 class TestDeltaSpectrogram:
@@ -192,7 +202,7 @@ class TestDeltaSpectrogram:
 
     def test_difference_is_nonnegative(self):
         wave = Waveform(tone(250.0, 0.3) + 0.4 * tone(3000.0, 0.3), SR)
-        spec = delta_eemd_spectrogram(wave, DeemdParams(FFT_CFG, ensemble_size=2), seed=9)
+        spec = delta_eemd_spectrogram(wave, members(2), seed=9)
         assert np.all(spec >= 0.0)
 
     def test_tone_plus_ripple_energy_sits_on_tone_rows(self):

@@ -10,7 +10,7 @@ import pytest
 
 from replaycm import cli, pipeline
 from replaycm.audio_io import Waveform, write_wav
-from replaycm.config import FEATURE_KINDS
+from replaycm.pipeline import FEATURE_KINDS
 
 SR = 16000
 N = 4000
