@@ -10,12 +10,21 @@ two training kernels also report ``peak_mib``, the tracemalloc peak of one
 call above the heap at its entry (MiB):
 
 - ``gmm_em_iteration``: ``gmm_em_train(k=128, iters=1)`` on 2,940 frames,
-  one E and M step plus the final log-likelihood
+  one E and M step plus the final log-likelihood.  It starts from random
+  init, where every component has the global variance, so no shifted log
+  joint comes near exp's underflow (-708.4) and it cannot show the cost of
+  underflowing entries; ``e_step_converged`` does
+- ``e_step_converged``: ``gmm._weighted_sums`` (one E step and the M-step
+  sums) of the first 1,024 of those frames against the GMM-128 trained on
+  them for 10 iterations; also reports ``below_floor_share``, the share of
+  shifted log joints below ``gmm.EXP_FLOOR``, and ``underflow_share``, the
+  share below log(smallest normal double), whose plain exp is subnormal or 0
 - ``tmatrix_em_iteration``: ``train_t_matrix(rank=60, iters=1)`` on 38
   utterances' statistics against a 64-component UBM
 - ``ivector_extraction``: ``extract_ivector`` for one utterance with a TV
   model built once, as scoring does
 - ``llr_score``: one 147-frame utterance against two GMM-128 models
+  trained for 10 iterations
 - ``render_utterance``: ``render_genuine_utterance`` for the first trial of
   the backend corpus (speaker 0, phrase 0, 1.2 s at 16 kHz)
 - ``replay_channel``: ``simulate_replay`` of that utterance through the
@@ -60,6 +69,7 @@ FRAME_DIM = 20
 FRAMES_PER_UTTERANCE = 147
 GMM_FRAMES = 2940
 GMM_COMPONENTS = 128
+GMM_ITERATIONS = 10  # as the backend workload trains its GMM-128 models
 UBM_COMPONENTS = 64
 UTTERANCES = 38
 TV_RANK = 60
@@ -91,6 +101,17 @@ def seeded_frames(rng, n_frames, n_clusters=24):
     scales = rng.uniform(0.3, 1.0, (n_clusters, FRAME_DIM))
     labels = rng.integers(0, n_clusters, n_frames)
     return centers[labels] + scales[labels] * rng.standard_normal((n_frames, FRAME_DIM))
+
+
+def shifted_log_joints(model, frames):
+    """log w_k N(x | mu_k, var_k) minus each frame's largest, as the E-step
+    exponentiates them."""
+    import numpy as np
+
+    log_joint = np.log(model.weights) - 0.5 * (
+        np.log(2.0 * np.pi * model.variances).sum(axis=1)
+        + (((frames[:, None, :] - model.means) ** 2) / model.variances).sum(axis=2))
+    return log_joint - log_joint.max(axis=1, keepdims=True)
 
 
 def timed(fn, repeats):
@@ -146,6 +167,7 @@ def main():
     # BLAS reads its thread count when numpy loads, so import only now
     import numpy as np
 
+    from replaycm import gmm
     from replaycm.audio_io import load_wav
     from replaycm.cepstral import LpccConfig, lpcc
     from replaycm.corpus import (
@@ -169,9 +191,9 @@ def main():
 
     rng = np.random.default_rng(SEED)
     gmm_frames = seeded_frames(rng, GMM_FRAMES)
-    genuine = gmm_em_train(gmm_frames, k=GMM_COMPONENTS, iters=3, seed=1)
-    spoofed = gmm_em_train(seeded_frames(rng, GMM_FRAMES), k=GMM_COMPONENTS, iters=3,
-                           seed=2)
+    genuine = gmm_em_train(gmm_frames, k=GMM_COMPONENTS, iters=GMM_ITERATIONS, seed=1)
+    spoofed = gmm_em_train(seeded_frames(rng, GMM_FRAMES), k=GMM_COMPONENTS,
+                           iters=GMM_ITERATIONS, seed=2)
     utterances = [seeded_frames(rng, FRAMES_PER_UTTERANCE) for _ in range(UTTERANCES)]
     ubm = gmm_em_train(np.vstack(utterances), k=UBM_COMPONENTS, iters=3, seed=3)
     stats = [baum_welch_stats(ubm, frames) for frames in utterances]
@@ -191,6 +213,13 @@ def main():
             "tmatrix_em_iteration": {**timed(tmatrix_iteration, args.repeats),
                                      "peak_mib": traced_peak(tmatrix_iteration)},
         }
+    block = gmm_frames[:gmm.EM_BLOCK]
+    shifted = shifted_log_joints(genuine, block)
+    kernels["e_step_converged"] = {
+        **timed(lambda: gmm._weighted_sums(genuine, block), args.repeats),
+        "below_floor_share": float(np.mean(shifted < gmm.EXP_FLOOR)),
+        "underflow_share": float(np.mean(shifted < np.log(np.finfo(float).tiny))),
+    }
     tv = TotalVariabilityModel(ubm, t_matrix)
     kernels["ivector_extraction"] = timed(lambda: extract_ivector(tv, stats[0]),
                                           args.repeats)

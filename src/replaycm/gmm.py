@@ -10,6 +10,12 @@ import numpy as np
 
 LOG_2PI = np.log(2.0 * np.pi)
 EM_BLOCK = 1024  # frames per EM block: bounds the (block, K) responsibilities
+# Shifted log joints below this floor get responsibility exactly 0.  exp
+# underflows below log(smallest normal) = -708.4, where numpy's exp leaves its
+# fast path and its subnormal results slow the M-step product as well; the
+# floor sits a little above that, where exp still measured fast.  A dropped
+# entry is below exp(-700) < 1e-304, against a row sum of at least 1.
+EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,9 @@ def _responsibilities(model: GmmModel, xx: np.ndarray):
 
     The log-weight and Gaussian constant of each component sit in the last
     row of the coefficient matrix, so one matmul gives the log joint; a
-    zero-weight component gets log 0 = -inf there and responsibility 0.
+    zero-weight component gets log 0 = -inf there and responsibility 0.  An
+    entry below EXP_FLOOR also gets 0, so no responsibility is subnormal; the
+    row sums and log-likelihoods are those of the plain exp.
     """
     inv_var = 1.0 / model.variances
     with np.errstate(divide="ignore"):
@@ -72,7 +80,10 @@ def _responsibilities(model: GmmModel, xx: np.ndarray):
     top = np.max(resp, axis=1, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
     resp -= top
+    keep = resp >= EXP_FLOOR
+    np.maximum(resp, EXP_FLOOR, out=resp)
     np.exp(resp, out=resp)
+    resp *= keep  # exp(EXP_FLOOR) * 0 is 0; a NaN stays NaN
     total = resp.sum(axis=1)
     return resp, total, np.log(total) + top[:, 0]
 

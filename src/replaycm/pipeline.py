@@ -75,9 +75,13 @@ FEATURE_KINDS = {
 
 
 def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.ndarray:
-    """Run one configured front-end; returns its dim x frames matrix."""
+    """Run one configured front-end; returns its dim x frames matrix.  A
+    wave too short for 2 frames is refused, whatever the kind."""
     _, flag, front_end = FEATURE_KINDS[spec.kind]
     values = front_end(wave, spec.config, trial_seed)
+    if values.shape[1] < 2:
+        raise ValueError(f"{wave.samples.size} samples give {values.shape[1]} "
+                         f"{spec.kind} frame(s); a feature needs at least 2")
     if not getattr(spec, flag):
         return values
     return cmvn(values) if flag == "cmvn" else mvn_spectrum(values)
@@ -189,16 +193,6 @@ def _system_model_path(cfg: PipelineConfig, spec, base: str, phrase_key: str) ->
     return model_dir(cfg, spec.name) / f"{_model_name(base, phrase_key)}.rsmd"
 
 
-def _load_system_model(cfg: PipelineConfig, spec, base: str, phrase_key: str, kind: str):
-    path = _system_model_path(cfg, spec, base, phrase_key)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"system {spec.name}: missing model {path}"
-            + (f" for phrase {phrase_key}" if phrase_key else "")
-        )
-    return load_model(path, kind)
-
-
 def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
                      trials: list[Trial]) -> dict:
     """Two-class GMM training; one model pair per phrase when phrase-dependent."""
@@ -228,9 +222,8 @@ def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
     return diagnostics
 
 
-def _gmm_scorer(cfg: PipelineConfig, spec: GmmSystemSpec, phrase_key: str):
-    genuine, spoofed = (_load_system_model(cfg, spec, label, phrase_key, "gmm")
-                        for label in ("genuine", "spoof"))
+def _gmm_scorer(load, spec: GmmSystemSpec, phrase_key: str):
+    genuine, spoofed = (load(label, phrase_key, "gmm") for label in ("genuine", "spoof"))
     return lambda frames: llr_score(genuine, spoofed, frames)
 
 
@@ -291,15 +284,16 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
     return diagnostics
 
 
-def _ivec_scorer(cfg: PipelineConfig, spec: IvecSystemSpec, phrase_key: str):
-    def load(base: str, shared: bool, kind: str):
-        return _load_system_model(cfg, spec, base, SHARED_KEY if shared else phrase_key,
-                                  kind)
+def _ivec_scorer(load, spec: IvecSystemSpec, phrase_key: str):
+    def key(shared: bool) -> str:
+        return SHARED_KEY if shared else phrase_key
 
-    ubm = load("ubm", spec.ubm_shared, "gmm")
-    tv = TotalVariabilityModel(ubm, load("tmatrix", spec.t_shared, "tmatrix"))
-    mean = load("mean", spec.svm_shared, "mean")
-    svm = load("svm", spec.svm_shared, "svm")
+    ubm = load("ubm", key(spec.ubm_shared), "gmm")
+    # the "tmatrix" load gives the TV model, so a shared T keeps one Gram triangle
+    tv = load("tmatrix", key(spec.t_shared), "tmatrix",
+              lambda t_matrix: TotalVariabilityModel(ubm, t_matrix))
+    mean = load("mean", key(spec.svm_shared), "mean")
+    svm = load("svm", key(spec.svm_shared), "svm")
 
     def score(frames: np.ndarray) -> float:
         ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
@@ -309,8 +303,9 @@ def _ivec_scorer(cfg: PipelineConfig, spec: IvecSystemSpec, phrase_key: str):
     return score
 
 
-# spec type -> (trainer, scorer factory).  The factory loads the models of one
-# phrase key and returns the function that scores a trial's frames with them.
+# spec type -> (trainer, scorer factory).  The factory is called as
+# f(load, spec, phrase_key): it loads the models of one phrase key through
+# ``load`` and returns the function that scores a trial's frames with them.
 SYSTEM_TYPES = {
     GmmSystemSpec: (train_gmm_system, _gmm_scorer),
     IvecSystemSpec: (train_ivec_system, _ivec_scorer),
@@ -326,15 +321,31 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
 def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> ScoreSet:
     """Score every trial, building each phrase key's scorer once.  A system
     that is not phrase-dependent has one key for all trials: a shared SVM
-    implies a shared T-matrix and UBM."""
+    implies a shared T-matrix and UBM.  Each model file is read once, so the
+    scorers of a system with shared models share them."""
     spec = cfg.systems[system_name]
     build_scorer = SYSTEM_TYPES[type(spec)][1]
+    loaded = {}
+
+    def load(base: str, phrase_key: str, kind: str, build=lambda model: model):
+        """The model ``base`` of ``phrase_key``, passed through ``build`` on
+        its first load."""
+        path = _system_model_path(cfg, spec, base, phrase_key)
+        if path not in loaded:
+            if not path.exists():
+                raise FileNotFoundError(
+                    f"system {spec.name}: missing model {path}"
+                    + (f" for phrase {phrase_key}" if phrase_key else "")
+                )
+            loaded[path] = build(load_model(path, kind))
+        return loaded[path]
+
     scorers = {}
     scores = []
     for trial in trials:
         phrase_key = trial.phrase_id if spec.phrase_dependent else SHARED_KEY
         if phrase_key not in scorers:
-            scorers[phrase_key] = build_scorer(cfg, spec, phrase_key)
+            scorers[phrase_key] = build_scorer(load, spec, phrase_key)
         scores.append(scorers[phrase_key](_trial_frames(cfg, spec.feature, trial)))
     return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
 

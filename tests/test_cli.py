@@ -456,17 +456,33 @@ class TestTrainAndScore:
         spec = cfg.systems[system]
         trials = parse_protocol(work / "corpus/protocol_eval.txt")
         expected = pipeline.score_system(cfg, system, trials)
-        built = []
+        built, reads, tv_models = [], [], []
         trainer, real_build = pipeline.SYSTEM_TYPES[type(spec)]
+        real_read, real_tv = containers.read_model, pipeline.TotalVariabilityModel
 
-        def build(cfg, spec, key):
+        def build(load, spec, key):
             built.append(key)
-            return real_build(cfg, spec, key)
+            return real_build(load, spec, key)
+
+        def read(path):
+            reads.append(Path(path).name)
+            return real_read(path)
+
+        def tv_model(*args):
+            tv_models.append(args)
+            return real_tv(*args)
 
         monkeypatch.setitem(pipeline.SYSTEM_TYPES, type(spec), (trainer, build))
+        monkeypatch.setattr(containers, "read_model", read)
+        monkeypatch.setattr(pipeline, "TotalVariabilityModel", tv_model)
         scores = pipeline.score_system(cfg, system, trials)
         # a shared SVM (so a shared T and UBM) means one build for both phrases
         assert len(built) == len(set(built)) == builds
+        # every model file is read once, a shared one too, and each T-matrix
+        # gives one TV model (so one Gram triangle)
+        assert sorted(reads) == sorted(
+            p.name for p in (work / "models" / system).glob("*.rsmd"))
+        assert len(tv_models) == len([name for name in reads if name.startswith("tmatrix")])
         assert np.array_equal(scores.scores, expected.scores)
 
     @pytest.mark.parametrize("system", ["ivec-phrase", "ivec-each-phrase"])

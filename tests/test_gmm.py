@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from replaycm import gmm
+from replaycm import gmm, ivector
 from replaycm.gmm import (
     EM_BLOCK,
     GmmModel,
@@ -390,3 +390,98 @@ class TestEStepMatchesOracleKernels:
         assert stats.n[1] == 0.0 and np.all(stats.f[1] == 0.0)
         np.testing.assert_allclose(stats.n[:1], alone.n, rtol=1e-12)
         np.testing.assert_allclose(stats.f[:1], alone.f, rtol=1e-12)
+
+
+def plain_exp_responsibilities(model, xx):
+    """``_responsibilities`` with a plain exp: underflowing entries come out
+    subnormal or 0, as numpy's exp gives them."""
+    inv_var = 1.0 / model.variances
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)
+    const = log_weights - 0.5 * (model.dim * LOG_2PI + np.sum(
+        np.log(model.variances) + model.means**2 * inv_var, axis=1))
+    resp = xx @ np.vstack([-0.5 * inv_var.T, (model.means * inv_var).T, const])
+    top = np.max(resp, axis=1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    resp -= top
+    np.exp(resp, out=resp)
+    total = resp.sum(axis=1)
+    return resp, total, np.log(total) + top[:, 0]
+
+
+class TestExpFloor:
+    """Shifted log joints below EXP_FLOOR get responsibility 0 instead of a
+    subnormal or underflowing exp, and nothing the E-step returns moves."""
+
+    TINY = np.finfo(float).tiny
+    LOG_TINY = np.log(np.finfo(float).tiny)  # -708.4
+    LOG_SMALLEST = np.log(np.finfo(float).smallest_subnormal)  # -744.4
+
+    @pytest.fixture
+    def far_model(self):
+        # unit-variance components far from frames near 0: the shifted log
+        # joint of mean m is about -m^2/2, so these land above the floor,
+        # between the floor and log(tiny), in the subnormal band and below it;
+        # the last component has weight 0
+        means = np.array([0.0, 1.0, 30.0, 37.5, 38.2, 40.0, 5.0])
+        weights = np.array([0.4, 0.2, 0.1, 0.1, 0.1, 0.1, 0.0])
+        return GmmModel(weights, means[:, None], np.ones((len(means), 1)))
+
+    @pytest.fixture
+    def frames(self, rng):
+        return rng.uniform(-0.05, 0.05, (400, 1))
+
+    def test_log_joints_cover_every_band(self, far_model, frames):
+        with np.errstate(divide="ignore"):
+            shifted = log_component_densities(far_model, frames) + np.log(far_model.weights)
+        shifted -= shifted.max(axis=1, keepdims=True)
+        for low, high in [(gmm.EXP_FLOOR, 0.0), (self.LOG_TINY, gmm.EXP_FLOOR),
+                          (self.LOG_SMALLEST, self.LOG_TINY), (-np.inf, self.LOG_SMALLEST)]:
+            assert np.any((shifted >= low) & (shifted < high)), (low, high)
+
+    def test_totals_and_logliks_are_bitwise_those_of_plain_exp(self, far_model, frames):
+        xx = _expanded(frames, 1)
+        resp, total, frame_ll = _responsibilities(far_model, xx)
+        plain, plain_total, plain_ll = plain_exp_responsibilities(far_model, xx)
+        assert np.array_equal(total, plain_total)
+        assert np.array_equal(frame_ll, plain_ll)
+        kept = plain >= np.exp(gmm.EXP_FLOOR)
+        assert np.array_equal(resp[kept], plain[kept])
+        assert np.all(resp[~kept] == 0.0)
+
+    def test_no_responsibility_is_subnormal(self, far_model, frames):
+        xx = _expanded(frames, 1)
+        resp, _, _ = _responsibilities(far_model, xx)
+        plain, _, _ = plain_exp_responsibilities(far_model, xx)
+        assert np.any((plain > 0.0) & (plain < self.TINY))  # the plain exp has some
+        assert np.all((resp == 0.0) | (resp >= self.TINY))
+
+    def test_zero_weight_component_gets_exactly_zero(self, far_model):
+        on_its_mean = np.full((50, 1), 5.0)
+        resp, total, _ = _responsibilities(far_model, _expanded(on_its_mean, 1))
+        assert np.all(resp[:, -1] == 0.0)
+        assert np.all(total >= 1.0)
+        stats = baum_welch_stats(far_model, on_its_mean)
+        assert stats.n[-1] == 0.0 and np.all(stats.f[-1] == 0.0)
+
+    def test_baum_welch_stats_move_only_below_the_floor(self, far_model, frames,
+                                                         monkeypatch):
+        stats = baum_welch_stats(far_model, frames)
+        monkeypatch.setattr(ivector, "_responsibilities", plain_exp_responsibilities)
+        plain = baum_welch_stats(far_model, frames)
+        np.testing.assert_allclose(stats.n, plain.n, rtol=0, atol=1e-300)
+        np.testing.assert_allclose(stats.f, plain.f, rtol=0, atol=1e-300)
+
+    def test_em_training_is_bitwise_that_of_plain_exp(self, monkeypatch):
+        # well-separated clusters and many components: trained components sit
+        # so far from most frames that their log joints fall below the floor
+        rng = np.random.default_rng(20171802)
+        centers = rng.standard_normal((6, 4)) * 12.0
+        frames = np.vstack([c + 0.4 * rng.standard_normal((300, 4)) for c in centers])
+        model = gmm_em_train(frames, k=16, iters=10, seed=3)
+        resp, _, _ = plain_exp_responsibilities(model, _expanded(frames, 4))
+        assert np.mean(resp < np.exp(gmm.EXP_FLOOR)) > 0.1  # the floor is hit
+        monkeypatch.setattr(gmm, "_responsibilities", plain_exp_responsibilities)
+        plain = gmm_em_train(frames, k=16, iters=10, seed=3)
+        for name in ("weights", "means", "variances", "loglik_history"):
+            assert np.array_equal(getattr(model, name), getattr(plain, name)), name
