@@ -2,29 +2,35 @@
 """Time the corpus, front-end and back-end kernels on fixed seeded inputs:
 the back-end kernels at the sizes of the backend benchmark workload (1.2 s
 trials, LPCC-20 frames, phrase-dependent GMM-128, UBM-64 with a rank-60
-total-variability subspace), the EEMD kernels on a trial of the frontends
-workload's corpus.
+total-variability subspace), the GMM kernels on that workload's own frames,
+the EEMD kernels on a trial of the frontends workload's corpus.
+
+The GMM kernels read the cepstrally normalised ``lpcc20`` frames of the
+backend corpus's 20 genuine and 20 spoofed phrase-P00 training trials
+(2,940 frames each), which the script renders as the workload does.  Their
+two GMM-128 models are the workload's ``lpcc-gmm`` P00 pair: trained for 10
+iterations on those frames with the workload's seeds.
 
 Kernels, each timed as the median (and quartiles) of --repeats calls; the
 two training kernels also report ``peak_mib``, the tracemalloc peak of one
 call above the heap at its entry (MiB):
 
-- ``gmm_em_iteration``: ``gmm_em_train(k=128, iters=1)`` on 2,940 frames,
-  one E and M step plus the final log-likelihood.  It starts from random
-  init, where every component has the global variance, so no shifted log
-  joint comes near exp's underflow (-708.4) and it cannot show the cost of
-  underflowing entries; ``e_step_converged`` does
+- ``gmm_em_iteration``: ``gmm_em_train(k=128, iters=1)`` on the 2,940
+  genuine frames, one E and M step plus the final log-likelihood.  It starts
+  from random init, where every component has the global variance, so no
+  shifted log joint comes near exp's underflow (-708.4) and it cannot show
+  the cost of underflowing entries; ``e_step_converged`` does
 - ``e_step_converged``: ``gmm._weighted_sums`` (one E step and the M-step
-  sums) of the first 1,024 of those frames against the GMM-128 trained on
-  them for 10 iterations; also reports ``below_floor_share``, the share of
-  shifted log joints below ``gmm.EXP_FLOOR``, and ``underflow_share``, the
-  share below log(smallest normal double), whose plain exp is subnormal or 0
+  sums) of the first 1,024 genuine frames against the genuine model; also
+  reports ``below_floor_share``, the share of shifted log joints below
+  ``gmm.EXP_FLOOR``, and ``underflow_share``, the share below log(smallest
+  normal double), whose plain exp is subnormal or 0
 - ``tmatrix_em_iteration``: ``train_t_matrix(rank=60, iters=1)`` on 38
-  utterances' statistics against a 64-component UBM
+  seeded utterances' statistics against a 64-component UBM
 - ``ivector_extraction``: ``extract_ivector`` for one utterance with a TV
   model built once, as scoring does
-- ``llr_score``: one 147-frame utterance against two GMM-128 models
-  trained for 10 iterations
+- ``llr_score``: the 147 frames of trial ``train_g_0000`` against the
+  genuine and spoofed models
 - ``render_utterance``: ``render_genuine_utterance`` for the first trial of
   the backend corpus (speaker 0, phrase 0, 1.2 s at 16 kHz)
 - ``replay_channel``: ``simulate_replay`` of that utterance through the
@@ -75,9 +81,11 @@ UTTERANCES = 38
 TV_RANK = 60
 SEED = 20170802
 # the corpus block of the backend workload
-CORPUS = {"n_speakers": 10, "n_phrases": 4, "duration_seconds": 1.2,
-          "cutoff_hz_range": (6800.0, 7800.0), "snr_db_range": (30.0, 38.0),
-          "gain_range": (0.6, 0.9), "seed": SEED}
+CORPUS = {"n_train_genuine": 75, "n_train_spoof": 75, "n_eval_genuine": 50,
+          "n_eval_spoof": 50, "n_speakers": 10, "n_phrases": 4,
+          "duration_seconds": 1.2, "cutoff_hz_range": (6800.0, 7800.0),
+          "snr_db_range": (30.0, 38.0), "gain_range": (0.6, 0.9), "seed": SEED}
+GMM_PHRASE = "P00"
 # (window s, hop s, LPC order, coefficients) of the backend workload's lpcc20
 # and the desk preset's lpcc78
 LPCC_SETTINGS = {"lpcc_backend": (0.032, 0.008, 20, 20), "lpcc_desk": (0.128, 0.016, 26, 78)}
@@ -93,6 +101,35 @@ IMPORT_PROBE = (
     "elapsed = time.perf_counter() - start\n"
     "print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)\n"
 )
+
+
+def backend_frames(lpcc_cfg):
+    """genuine and spoof -> the stacked lpcc20 frames of the backend corpus's
+    phrase-P00 training trials, in protocol order, as extract and train
+    build them."""
+    import dataclasses
+
+    import numpy as np
+
+    from replaycm.audio_io import load_wav
+    from replaycm.cepstral import cmvn, lpcc
+    from replaycm.corpus import CorpusConfig, generate_synth_corpus, parse_protocol
+
+    # the training trials come first in the plan, so they render as in the
+    # full corpus
+    cfg = dataclasses.replace(CorpusConfig(**CORPUS), n_eval_genuine=0, n_eval_spoof=0)
+    frames = {"genuine": [], "spoof": []}
+    with tempfile.TemporaryDirectory() as corpus_dir:
+        generate_synth_corpus(cfg, corpus_dir)
+        for trial in parse_protocol(Path(corpus_dir) / "protocol_train.txt"):
+            if trial.phrase_id == GMM_PHRASE:
+                wave = load_wav(Path(corpus_dir) / "wav" / f"{trial.trial_id}.wav")
+                # stored as write_matrix stores it and read back as
+                # load_feature_frames reads it, so that EM sums the same
+                # values in the same memory order as train
+                stored = np.ascontiguousarray(cmvn(lpcc(wave, lpcc_cfg)), dtype=np.float32)
+                frames[trial.label].append(stored.astype(np.float64).T)
+    return {label: np.vstack(blocks) for label, blocks in frames.items()}
 
 
 def seeded_frames(rng, n_frames, n_clusters=24):
@@ -170,6 +207,7 @@ def main():
     from replaycm import gmm
     from replaycm.audio_io import load_wav
     from replaycm.cepstral import LpccConfig, lpcc
+    from replaycm.config import derive_seed
     from replaycm.corpus import (
         CorpusConfig,
         generate_synth_corpus,
@@ -189,11 +227,16 @@ def main():
     )
     from replaycm.spectral import FftConfig, FramingConfig
 
+    lpcc_configs = {name: LpccConfig(FramingConfig(window, hop), order, n_coeffs)
+                    for name, (window, hop, order, n_coeffs) in LPCC_SETTINGS.items()}
+    p00_frames = backend_frames(lpcc_configs["lpcc_backend"])
+    gmm_frames = p00_frames["genuine"]
+    assert gmm_frames.shape == p00_frames["spoof"].shape == (GMM_FRAMES, FRAME_DIM)
+    genuine, spoofed = (
+        gmm_em_train(p00_frames[label], k=GMM_COMPONENTS, iters=GMM_ITERATIONS,
+                     seed=derive_seed(SEED, "train", "lpcc-gmm", label, GMM_PHRASE))
+        for label in ("genuine", "spoof"))
     rng = np.random.default_rng(SEED)
-    gmm_frames = seeded_frames(rng, GMM_FRAMES)
-    genuine = gmm_em_train(gmm_frames, k=GMM_COMPONENTS, iters=GMM_ITERATIONS, seed=1)
-    spoofed = gmm_em_train(seeded_frames(rng, GMM_FRAMES), k=GMM_COMPONENTS,
-                           iters=GMM_ITERATIONS, seed=2)
     utterances = [seeded_frames(rng, FRAMES_PER_UTTERANCE) for _ in range(UTTERANCES)]
     ubm = gmm_em_train(np.vstack(utterances), k=UBM_COMPONENTS, iters=3, seed=3)
     stats = [baum_welch_stats(ubm, frames) for frames in utterances]
@@ -223,8 +266,8 @@ def main():
     tv = TotalVariabilityModel(ubm, t_matrix)
     kernels["ivector_extraction"] = timed(lambda: extract_ivector(tv, stats[0]),
                                           args.repeats)
-    kernels["llr_score"] = timed(lambda: llr_score(genuine, spoofed, utterances[0]),
-                                 args.repeats)
+    kernels["llr_score"] = timed(
+        lambda: llr_score(genuine, spoofed, gmm_frames[:FRAMES_PER_UTTERANCE]), args.repeats)
 
     # trial 0 as generate_synth_corpus seeds it
     cfg = CorpusConfig(**CORPUS)
@@ -241,8 +284,7 @@ def main():
     kernels["render_utterance"] = timed(render, args.repeats)
     kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=SEED),
                                       args.repeats)
-    for name, (window, hop, order, n_coeffs) in LPCC_SETTINGS.items():
-        lpcc_cfg = LpccConfig(FramingConfig(window, hop), order, n_coeffs)
+    for name, lpcc_cfg in lpcc_configs.items():
         kernels[name] = timed(lambda: lpcc(source, lpcc_cfg), args.repeats)
 
     with tempfile.TemporaryDirectory() as corpus_dir:

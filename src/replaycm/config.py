@@ -54,8 +54,7 @@ class FeatureSpec:
     name: str
     kind: str
     config: object
-    cmvn: bool = False
-    mvn: bool = False
+    normalise: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,12 +198,9 @@ def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"{context}: unknown type {kind!r}")
     cls, flag, _ = FEATURE_KINDS[kind]
-    ignored = "mvn" if flag == "cmvn" else "cmvn"
-    if ignored in block:
-        raise ConfigError(f"{context}: {ignored!r} does not apply to {kind} features")
-    unused = set(block) - {"type"}
-    spec = _build(FeatureSpec, block, context, unused, name=name, kind=kind,
-                  config=_build(cls, block, context, unused))
+    unused = set(block) - {"type", flag}
+    spec = FeatureSpec(name, kind, _build(cls, block, context, unused),
+                       _checked(block.get(flag, False), bool, f"{context}: {flag}"))
     _reject_unused(unused, context)
     cqt = getattr(spec.config, "cqt", spec.config)
     if isinstance(cqt, CqtConfig):
@@ -245,11 +241,8 @@ def parse_config(data: dict, seed_override: int | None = None) -> PipelineConfig
     sample_rate = _checked(data.get("sample_rate", 16000), hints["sample_rate"],
                            "sample_rate")
     paths = _build_block(PathsConfig, data["paths"], "paths")
-    corpus_block = {"seed": seed, "sample_rate": sample_rate,
-                    **_object(data.get("corpus", {}), "corpus")}
-    if seed_override is not None:
-        corpus_block["seed"] = seed
-    corpus = _build_block(CorpusConfig, corpus_block, "corpus")
+    corpus = _build_block(CorpusConfig, data.get("corpus", {}), "corpus",
+                          seed=seed, sample_rate=sample_rate)
 
     features = {
         name: _parse_feature(name, block, sample_rate)

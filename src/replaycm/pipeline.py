@@ -58,11 +58,11 @@ def model_dir(cfg: PipelineConfig, system_name: str) -> Path:
     return Path(cfg.paths.work_dir) / "models" / system_name
 
 
-# Each feature kind's config type, the FeatureSpec flag that normalises its
-# output, and its front-end, called as f(wave, config, trial_seed); the only
-# place a kind is written down (config._parse_feature reads it too).  A
-# front-end looks its function up here when run, so one patched at module
-# level (as bench/tracer.py does) is the one called.
+# Each feature kind's config type, the JSON key that sets its
+# FeatureSpec.normalise, and its front-end, called as f(wave, config,
+# trial_seed); the only place a kind is written down (config._parse_feature
+# reads it too).  A front-end looks its function up here when run, so one
+# patched at module level (as bench/tracer.py does) is the one called.
 FEATURE_KINDS = {
     "cqcc": (CqccConfig, "cmvn", lambda wave, cfg, seed: cqcc(wave, cfg)),
     "lpcc": (LpccConfig, "cmvn", lambda wave, cfg, seed: lpcc(wave, cfg)),
@@ -82,7 +82,7 @@ def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.nd
     if values.shape[1] < 2:
         raise ValueError(f"{wave.samples.size} samples give {values.shape[1]} "
                          f"{spec.kind} frame(s); a feature needs at least 2")
-    if not getattr(spec, flag):
+    if not spec.normalise:
         return values
     return cmvn(values) if flag == "cmvn" else mvn_spectrum(values)
 

@@ -8,6 +8,7 @@ and one column per frame.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 
@@ -170,8 +171,10 @@ def cqt_kernel_layout(cfg: CqtConfig, sample_rate: int
     return lengths, groups, longest
 
 
-class _CqtKernels:
-    """Conjugate CQT kernels grouped by octave into real correlation matrices.
+@functools.cache
+def _cqt_kernels(cfg: CqtConfig, sample_rate: int) -> tuple[int, list[np.ndarray]]:
+    """The longest kernel length and the conjugate CQT kernels grouped by
+    octave into real correlation matrices, built once per configuration.
 
     Group g covers bins [g * bins_per_octave, (g + 1) * bins_per_octave).  Its
     matrix has shape (L, 2 * m) for m bins, L being the group's longest kernel:
@@ -179,35 +182,25 @@ class _CqtKernels:
     its imaginary part, both starting at row L // 2 - n_k // 2 so that every
     kernel in the group is centred on the same frame centre.
     """
-
-    def __init__(self, cfg: CqtConfig, sample_rate: int):
-        lengths, groups, longest = cqt_kernel_layout(cfg, sample_rate)
-        freqs = self.frequencies = cfg.bin_frequencies()
-        self.max_length = max(lengths)
-        self.groups: list[np.ndarray] = []
-        for group, rows in zip(groups, longest):
-            matrix = np.zeros((rows, 2 * len(group)))
-            for j, k in enumerate(group):
-                n_k = lengths[k]
-                window = np.hanning(n_k)
-                phase = np.exp(2j * np.pi * freqs[k] * np.arange(n_k) / sample_rate)
-                kernel = np.conj(window * phase * (2.0 / window.sum()))
-                offset = rows // 2 - n_k // 2
-                matrix[offset : offset + n_k, j] = kernel.real
-                matrix[offset : offset + n_k, len(group) + j] = kernel.imag
-            self.groups.append(matrix)
+    lengths, groups, longest = cqt_kernel_layout(cfg, sample_rate)
+    freqs = cfg.bin_frequencies()
+    matrices = []
+    for group, rows in zip(groups, longest):
+        matrix = np.zeros((rows, 2 * len(group)))
+        for j, k in enumerate(group):
+            n_k = lengths[k]
+            window = np.hanning(n_k)
+            phase = np.exp(2j * np.pi * freqs[k] * np.arange(n_k) / sample_rate)
+            kernel = np.conj(window * phase * (2.0 / window.sum()))
+            offset = rows // 2 - n_k // 2
+            matrix[offset : offset + n_k, j] = kernel.real
+            matrix[offset : offset + n_k, len(group) + j] = kernel.imag
+        matrices.append(matrix)
+    return max(lengths), matrices
 
 
-_KERNEL_CACHE: dict[tuple[CqtConfig, int], _CqtKernels] = {}
-_KERNEL_CACHE_LOCK = threading.Lock()
-
-
-def _cqt_kernels(cfg: CqtConfig, sample_rate: int) -> _CqtKernels:
-    key = (cfg, sample_rate)
-    with _KERNEL_CACHE_LOCK:
-        if key not in _KERNEL_CACHE:
-            _KERNEL_CACHE[key] = _CqtKernels(cfg, sample_rate)
-        return _KERNEL_CACHE[key]
+# --jobs threads share the cache; the lock has each configuration built once
+_CQT_KERNELS_LOCK = threading.Lock()
 
 
 def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -220,19 +213,19 @@ def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarra
     bins is one matrix product of the strided frame windows with the group's
     kernel matrix (Brown & Puckette 1992).
     """
-    kernels = _cqt_kernels(cfg, wave.sample_rate)
+    with _CQT_KERNELS_LOCK:
+        pad, matrices = _cqt_kernels(cfg, wave.sample_rate)
     n = wave.samples.size
     n_frames = (n - 1) // cfg.hop_length + 1
-    pad = kernels.max_length
     padded = np.pad(wave.samples, pad)
 
     mags = []
-    for matrix in kernels.groups:
+    for matrix in matrices:
         length, m = matrix.shape[0], matrix.shape[1] // 2
         windows = np.lib.stride_tricks.sliding_window_view(padded, length)
         corr = windows[pad - length // 2 :: cfg.hop_length][:n_frames] @ matrix
         mags.append(np.hypot(corr[:, :m], corr[:, m:]).T)
-    return np.concatenate(mags), kernels.frequencies
+    return np.concatenate(mags), cfg.bin_frequencies()
 
 
 def floored_log_power(magnitudes: np.ndarray, floor: float) -> np.ndarray:
@@ -316,11 +309,6 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> np.ndarray:
     Rows run low to high frequency: the depth-L approximation coefficients,
     then details d_L .. d_1.  All frames are decomposed in one pass.
     """
-    if wave.samples.size < (1 << cfg.levels):
-        raise ValueError(
-            f"signal of {wave.samples.size} samples is too short for a "
-            f"depth-{cfg.levels} decomposition"
-        )
     frames = frame_signal(
         wave,
         cfg.frame_len / wave.sample_rate,

@@ -1,4 +1,5 @@
-"""The benchmark's traced names stay bound in the package.
+"""The benchmark's traced names stay bound in the package, and its
+configurations still load.
 
 ``bench/workload_pass.TRACED`` names the functions the benchmark times by
 patching them from outside.  A traced function that is renamed or no longer
@@ -16,6 +17,7 @@ import pytest
 import replaycm.cli  # noqa: F401  (imports every module the benchmark traces)
 from replaycm import pipeline
 from replaycm.audio_io import Waveform
+from replaycm.config import parse_config
 from replaycm.pipeline import FEATURE_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -69,8 +71,31 @@ def test_every_feature_kind_reaches_its_traced_front_end(monkeypatch, small_feat
     finally:
         tracer.uninstall()
     expected = dict(FRONT_END_CALLS[kind])
-    if normalised and spec.cmvn:
+    if normalised and FEATURE_KINDS[kind][1] == "cmvn":
         expected["cepstral.cmvn"] = 1
     calls = {name: entry["calls"] for name, entry in tracer.summary().items()
              if name in FRONT_ENDS}
     assert calls == expected
+
+
+def _bench_workloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads
+
+
+WORKLOADS = _bench_workloads()
+
+
+# default_desk_config() is parsed by test_config.py in the same way
+@pytest.mark.parametrize("name", WORKLOADS.workload_names())
+def test_every_benchmark_workload_config_parses(name, tmp_path):
+    # a key the parser stops accepting fails here, not only in a benchmark run
+    workload = WORKLOADS.Workload.load(name)
+    cfg = parse_config(workload.full_config(tmp_path))
+    assert set(cfg.features) == set(workload.features)
+    assert set(cfg.systems) == set(workload.systems)
+    assert cfg.seed == workload.seed

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from replaycm import cli, containers, pipeline, spectral
 from replaycm.config import ConfigError, load_config
-from replaycm.corpus import parse_protocol
+from replaycm.corpus import parse_protocol, write_protocol
 from replaycm.gmm import GmmModel
 from replaycm.ivector import (
     TotalVariabilityModel,
@@ -305,10 +306,10 @@ class TestExtract:
             assert rc == 0
         assert tree_hashes(serial) == tree_hashes(parallel)
 
-    def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path, monkeypatch):
+    def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path):
         # The pool threads, not a serial run, build the CQT kernels here.
         cfg_path, work = workspace
-        monkeypatch.setattr(spectral, "_KERNEL_CACHE", {})
+        spectral._cqt_kernels.cache_clear()
         parallel = tmp_path / "parallel"
         serial = tmp_path / "serial"
         interval = sys.getswitchinterval()
@@ -543,6 +544,83 @@ class TestTrainAndScore:
         assert not (tmp_path / "x").exists()
 
 
+class TestSinglePhraseProtocols:
+    """Phrase-dependent systems on protocols that leave a phrase out or give
+    it one class: each refusal is one ``error:`` line and exit 2."""
+
+    @pytest.fixture
+    def phrase_work(self, workspace, tmp_path):
+        """A config like the workspace's but with its own model directory (the
+        features are copied), and a writer of filtered protocols."""
+        cfg_path, work = workspace
+        config = json.loads(cfg_path.read_text())
+        config["paths"]["work_dir"] = str(tmp_path / "work")
+        shutil.copytree(work / "features", tmp_path / "work/features")
+        own_cfg = tmp_path / "cfg.json"
+        own_cfg.write_text(json.dumps(config))
+
+        def protocol(name, subset, keep):
+            path = tmp_path / f"{name}.txt"
+            write_protocol([t for t in parse_protocol(work / f"corpus/protocol_{subset}.txt")
+                            if keep(t)], path)
+            return str(path)
+
+        return own_cfg, tmp_path / "work/models", protocol
+
+    @staticmethod
+    def run(capsys, *argv):
+        rc = cli.main(list(argv))
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("system, message", [
+        ("gmm-phrase", "system gmm-phrase: no spoof trials to train on for phrase P01"),
+        ("ivec-phrase", "system ivec-phrase: single-class training set for phrase P01"),
+    ])
+    def test_a_phrase_without_spoofs_is_refused(self, phrase_work, capsys, system, message):
+        cfg_path, _, protocol = phrase_work
+        train = protocol("no-p01-spoofs", "train",
+                         lambda t: not (t.phrase_id == "P01" and t.label == "spoof"))
+        rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
+                           "--protocol", train)
+        assert (rc, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("system, model", [
+        ("gmm-phrase", "genuine__P01.rsmd"), ("ivec-each-phrase", "ubm__P01.rsmd"),
+    ])
+    def test_scoring_a_phrase_with_no_model_is_refused(self, phrase_work, capsys,
+                                                        system, model):
+        cfg_path, models, protocol = phrase_work
+        train = protocol("p00-train", "train", lambda t: t.phrase_id == "P00")
+        rc, _ = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
+                         "--protocol", train)
+        assert rc == 0
+        out = models.parent / "x.scores"
+        rc, err = self.run(capsys, "score", "--config", str(cfg_path), "--system", system,
+                           "--protocol", protocol("eval", "eval", lambda t: True),
+                           "--out-scores", str(out))
+        assert (rc, err) == (2, f"error: system {system}: missing model "
+                                f"{models / system / model} for phrase P01\n")
+        assert not out.exists()
+
+    def test_a_one_phrase_protocol_trains_and_scores(self, phrase_work, capsys):
+        cfg_path, models, protocol = phrase_work
+        def p00(trial):
+            return trial.phrase_id == "P00"
+
+        train, test = protocol("p00-train", "train", p00), protocol("p00-eval", "eval", p00)
+        rc, _ = self.run(capsys, "train", "--config", str(cfg_path),
+                         "--system", "gmm-phrase", "--protocol", train)
+        assert rc == 0
+        assert {p.name for p in (models / "gmm-phrase").iterdir()} == {
+            "genuine__P00.rsmd", "spoof__P00.rsmd"}
+        out = models.parent / "p00.scores"
+        rc, _ = self.run(capsys, "score", "--config", str(cfg_path), "--system", "gmm-phrase",
+                         "--protocol", test, "--out-scores", str(out))
+        assert rc == 0
+        assert read_scores(out).trial_ids == tuple(t.trial_id for t in parse_protocol(test))
+        assert cli.main(["eval", str(out), "--protocol", test]) == 0
+
+
 class TestFuseEval:
     def test_eval_perfect_scores(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
@@ -652,12 +730,20 @@ class TestFuseEval:
 
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
+        protocol = work / "corpus/protocol_eval.txt"
         scores = tmp_path / "bad.scores"
         scores.write_text("not_a_trial 1.0\n")
-        rc = cli.main(["eval", str(scores),
-                       "--protocol", str(work / "corpus/protocol_eval.txt")])
+        rc = cli.main(["eval", str(scores), "--protocol", str(protocol)])
         assert rc == 2
         assert "not_a_trial" in capsys.readouterr().err
+        # every scored trial is labeled, but one labeled trial has no score
+        dropped, *kept = parse_protocol(protocol)
+        scores.write_text("".join(f"{t.trial_id} 1.0\n" for t in kept))
+        rc = cli.main(["eval", str(scores), "--protocol", str(protocol)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: 1 labeled trial(s) have no score, "
+                       f"e.g. ['{dropped.trial_id}']\n")
 
 
 class TestSeedOverride:

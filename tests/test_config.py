@@ -58,7 +58,8 @@ def test_all_feature_kinds_parse():
     assert isinstance(cfg.features["d"].config, CqtConfig)
     assert isinstance(cfg.features["e"].config, DwtConfig)
     assert isinstance(cfg.features["g"].config, DeemdParams)
-    assert cfg.features["c"].mvn
+    assert cfg.features["c"].normalise
+    assert not cfg.features["b"].normalise
 
 
 def test_unknown_feature_key_rejected():
@@ -207,9 +208,9 @@ EVERY_KEY = {
     "corpus": {
         "n_train_genuine": 3, "n_train_spoof": 4, "n_eval_genuine": 5,
         "n_eval_spoof": 6, "n_speakers": 2, "n_phrases": 3,
-        "duration_seconds": 0.7, "sample_rate": 16000,
+        "duration_seconds": 0.7,
         "cutoff_hz_range": [3000, 4000.5], "snr_db_range": [10.0, 20.0],
-        "gain_range": [0.4, 0.8], "max_reflections": 3, "seed": 11,
+        "gain_range": [0.4, 0.8], "max_reflections": 3,
     },
     "features": {
         "a": {"type": "cqcc", "f_min": 100, "bins_per_octave": 24, "n_bins": 48,
@@ -250,14 +251,14 @@ def test_every_key_of_every_kind_builds_the_expected_tree():
             n_train_genuine=3, n_train_spoof=4, n_eval_genuine=5, n_eval_spoof=6,
             n_speakers=2, n_phrases=3, duration_seconds=0.7, sample_rate=16000,
             cutoff_hz_range=(3000, 4000.5), snr_db_range=(10.0, 20.0),
-            gain_range=(0.4, 0.8), max_reflections=3, seed=11,
+            gain_range=(0.4, 0.8), max_reflections=3, seed=7,
         ),
         features={
             "a": FeatureSpec("a", "cqcc", CqccConfig(
                 cqt=CqtConfig(f_min=100, bins_per_octave=24, n_bins=48,
                               hop_length=128, floor=1e-12),
                 resample_bins=64, n_coeffs=19,
-            ), cmvn=True),
+            ), normalise=True),
             "b": FeatureSpec("b", "lpcc", LpccConfig(
                 framing=FramingConfig(window_seconds=0.032, hop_seconds=0.01,
                                       window="rectangular"),
@@ -266,13 +267,13 @@ def test_every_key_of_every_kind_builds_the_expected_tree():
             "c": FeatureSpec("c", "fft", FftConfig(
                 framing=FramingConfig(window_seconds=0.064, hop_seconds=0.02),
                 n_fft=1024, floor=1e-9, target_bins=100,
-            ), mvn=True),
+            ), normalise=True),
             "d": FeatureSpec("d", "cqt", CqtConfig(
                 f_min=200.0, bins_per_octave=12, n_bins=24, hop_length=512, floor=1e-8,
             )),
             "e": FeatureSpec("e", "dwt", DwtConfig(
                 frame_len=128, hop_length=64, levels=3, floor=1e-7,
-            ), mvn=True),
+            ), normalise=True),
             "g": FeatureSpec("g", "deemd", DeemdParams(
                 fft=FftConfig(
                     framing=FramingConfig(window_seconds=0.05, hop_seconds=0.025,
@@ -281,7 +282,7 @@ def test_every_key_of_every_kind_builds_the_expected_tree():
                 ),
                 ensemble_size=3, noise_strength_factor=0.2,
                 sift=SiftConfig(max_sift_iters=4, sd_threshold=0.3),
-            ), mvn=True),
+            ), normalise=True),
         },
         systems={
             "s1": GmmSystemSpec("s1", "a", components=3, iterations=2,
@@ -344,7 +345,7 @@ def test_top_level_values_type_checked():
     ("a", "mvn"), ("b", "mvn"),
 ])
 def test_normalisation_the_feature_ignores_rejected(name, key):
-    with pytest.raises(ConfigError, match=f"feature '{name}': '{key}' does not apply"):
+    with pytest.raises(ConfigError, match=f"feature '{name}': unknown key.*'{key}'"):
         parse_config(with_key("features", name, key, True))
 
 
@@ -358,6 +359,8 @@ def test_normalisation_the_feature_ignores_rejected(name, key):
     ("systems", "s2", "phrase_dependent"),
     ("paths", None, "work_dirr"),
     ("corpus", None, "n_speaker"),
+    ("corpus", None, "seed"),
+    ("corpus", None, "sample_rate"),
 ])
 def test_key_of_another_block_rejected_naming_the_block(section, name, key):
     data = json.loads(json.dumps(EVERY_KEY))
