@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from replaycm import cli
+from replaycm import cli, pipeline
 from replaycm.config import ConfigError, default_desk_config, load_config
 from replaycm.corpus import parse_protocol
 from replaycm.metrics import compute_eer, read_scores
@@ -32,13 +32,15 @@ def run(*args):
         sys.exit(code)
 
 
-def eer_percent(score_path, labels):
+def eer_percent(score_path, trials):
+    """EER of a score file against a labeled protocol; a score/protocol
+    mismatch is refused as ``eval`` refuses it."""
     scores = read_scores(score_path)
-    genuine = [s for tid, s in zip(scores.trial_ids, scores.scores)
-               if labels[tid] == "genuine"]
-    spoof = [s for tid, s in zip(scores.trial_ids, scores.scores)
-             if labels[tid] == "spoof"]
-    return 100.0 * compute_eer(genuine, spoof)[0]
+    try:
+        labels = pipeline.labels_vector(trials, scores.trial_ids)
+    except ValueError as exc:
+        sys.exit(f"error: {score_path}: {exc}")
+    return 100.0 * compute_eer(scores.scores[labels > 0], scores.scores[labels < 0])[0]
 
 
 def main():
@@ -106,14 +108,14 @@ def main():
             "--out-scores", work / "fused.eval.scores")
         timings["fuse"] = time.time() - start
 
-    labels = {t.trial_id: t.label for t in parse_protocol(protocols["eval"])}
+    eval_trials = parse_protocol(protocols["eval"])
     print()
     print(f"{'system':24s}  eval EER")
     for system in systems:
-        print(f"{system:24s}  {eer_percent(work / f'{system}.eval.scores', labels):6.2f}%")
+        print(f"{system:24s}  {eer_percent(work / f'{system}.eval.scores', eval_trials):6.2f}%")
     if fused:
         label = f"fusion ({len(systems)}-way)"
-        print(f"{label:24s}  {eer_percent(work / 'fused.eval.scores', labels):6.2f}%")
+        print(f"{label:24s}  {eer_percent(work / 'fused.eval.scores', eval_trials):6.2f}%")
     print()
     total = sum(timings.values())
     for stage, seconds in timings.items():

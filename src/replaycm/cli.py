@@ -146,7 +146,7 @@ def cmd_fuse(args) -> int:
             raise ValueError("training a fusion requires --protocol with labels")
         trials = parse_protocol(args.protocol)
         labels = pipeline.labels_vector(trials, trial_ids)
-        model = fusion_train(matrix, labels, l2=args.l2)
+        model = fusion_train(matrix, labels)
         if args.out_model:
             pipeline.save_model(args.out_model, "fusion", model)
             _info(f"fusion model -> {args.out_model}")
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--apply", default=None, help="apply an existing fusion model")
     p.add_argument("--out-model", default=None)
     p.add_argument("--out-scores", required=True)
-    p.add_argument("--l2", type=float, default=1e-6)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", help="report the equal error rate of a score file")

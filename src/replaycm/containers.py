@@ -1,147 +1,141 @@
-"""Binary containers for features ("RSFT") and models ("RSMD").
+"""One binary container for features and models.
 
-RSFT layout: magic "RSFT" | version u8 | rows u32 LE | cols u32 LE |
-rows*cols float32 row-major | meta_len u32 LE | UTF-8 JSON metadata object.
-The metadata block is required: a file that ends after the payload is
-truncated.
+Layout (integers little-endian): magic "RSCM" | version u8 | kind_len u8 |
+kind (ASCII) | meta_len u32 | metadata (UTF-8 JSON object) | n_arrays u32 |
+per array: name_len u8 | name (ASCII) | item size u8 (4 = float32,
+8 = float64) | ndim u8 | dims u32[ndim] | row-major payload.
 
-RSMD layout: magic "RSMD" | version u8 | kind_len u8 | kind (ASCII) |
-n_arrays u32 LE | per array: name_len u8 | name | ndim u32 | dims u32[ndim] |
-float64 row-major payload.
+A feature is kind "feature" holding one 2-D float32 array "values"; a model
+is its kind's float64 arrays with empty metadata.  Every field is required:
+a proper prefix of a container, or one with bytes after its last array, is
+refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-FEATURE_MAGIC = b"RSFT"
-MODEL_MAGIC = b"RSMD"
-FORMAT_VERSION = 1
+MAGIC = b"RSCM"
+FORMAT_VERSION = 2
+FEATURE_KIND = "feature"
 
 
 class ContainerFormatError(ValueError):
     """Corrupt or unsupported container file."""
 
 
-def _refuse_surplus(path, magic: str, surplus: int) -> None:
-    """A file longer than its declared fields (two files concatenated, a
-    partial overwrite of a longer file) is corrupt, not valid."""
-    if surplus:
+def _write(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write one container; every header field is encoded before the file
+    is opened, so a refused kind or name leaves nothing written."""
+    kind_b = kind.encode("ascii")
+    if not 1 <= len(kind_b) <= 255:
+        raise ValueError("container kind must be a short ASCII string")
+    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
+    chunks = [MAGIC, struct.pack("<BB", FORMAT_VERSION, len(kind_b)), kind_b,
+              struct.pack("<I", len(meta_b)), meta_b, struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        name_b = name.encode("ascii")
+        chunks += [struct.pack("<B", len(name_b)), name_b,
+                   struct.pack(f"<BB{arr.ndim}I", arr.dtype.itemsize, arr.ndim, *arr.shape),
+                   arr.tobytes()]
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+
+
+def _read(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """The kind, metadata and arrays of the container at ``path``."""
+    data = Path(path).read_bytes()
+    if data[:4] != MAGIC:
         raise ContainerFormatError(
-            f"{path}: {surplus} byte(s) after the last declared {magic} field")
+            f"{path}: not a replaycm container (magic {data[:4]!r}, expected {MAGIC!r})")
+    offset = 4
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        if offset + size > len(data):
+            raise ContainerFormatError(f"{path}: truncated container")
+        offset += size
+        return data[offset - size : offset]
+
+    def number(fmt: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+    def ascii_text(size: int) -> str:
+        try:
+            return take(size).decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ContainerFormatError(
+                f"{path}: container kind or array name is not ASCII ({exc})") from exc
+
+    version = number("<B")
+    if version != FORMAT_VERSION:
+        raise ContainerFormatError(f"{path}: unsupported container version {version}")
+    kind = ascii_text(number("<B"))
+    try:
+        meta = json.loads(take(number("<I")).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerFormatError(f"{path}: metadata is not UTF-8 JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ContainerFormatError(
+            f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
+    arrays = {}
+    for _ in range(number("<I")):
+        name = ascii_text(number("<B"))
+        itemsize, ndim = number("<B"), number("<B")
+        if itemsize not in (4, 8):
+            raise ContainerFormatError(f"{path}: array {name!r} has item size {itemsize}")
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        # a Python int product cannot wrap, so a huge shape reads as truncated
+        payload = take(math.prod(dims) * itemsize)
+        arrays[name] = np.frombuffer(payload, dtype=f"<f{itemsize}").reshape(dims)
+    if offset != len(data):
+        raise ContainerFormatError(
+            f"{path}: {len(data) - offset} byte(s) after the last declared field")
+    return kind, meta, arrays
 
 
 def write_matrix(path, values: np.ndarray, meta: dict) -> None:
-    """Write a 2-D matrix as RSFT; a non-finite matrix is refused unwritten."""
-    values = np.ascontiguousarray(values, dtype=np.float32)
+    """Write a 2-D matrix as a feature; a non-finite matrix is refused unwritten."""
+    values = np.ascontiguousarray(values, dtype="<f4")
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
     bad = values.size - np.count_nonzero(np.isfinite(values))
     if bad:
         raise ValueError(f"{path}: refusing to write a matrix with {bad} non-finite value(s)")
-    rows, cols = values.shape
-    meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<BII", FORMAT_VERSION, rows, cols))
-        fh.write(values.tobytes())
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
+    _write(path, FEATURE_KIND, meta, {"values": values})
 
 
 def read_matrix(path) -> tuple[np.ndarray, dict]:
-    data = Path(path).read_bytes()
-    if len(data) < 13 or data[:4] != FEATURE_MAGIC:
-        raise ContainerFormatError(f"{path}: not an RSFT feature container")
-    version, rows, cols = struct.unpack_from("<BII", data, 4)
-    if version != FORMAT_VERSION:
-        raise ContainerFormatError(f"{path}: unsupported RSFT version {version}")
-    start = 13
-    end = start + rows * cols * 4
-    if end > len(data):
-        raise ContainerFormatError(f"{path}: truncated RSFT payload")
-    values = np.frombuffer(data[start:end], dtype="<f4").reshape(rows, cols)
-    if len(data) < end + 4:
-        raise ContainerFormatError(f"{path}: truncated RSFT metadata length")
-    (meta_len,) = struct.unpack_from("<I", data, end)
-    blob = data[end + 4 : end + 4 + meta_len]
-    if len(blob) != meta_len:
-        raise ContainerFormatError(f"{path}: truncated RSFT metadata")
-    _refuse_surplus(path, "RSFT", len(data) - (end + 4 + meta_len))
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerFormatError(f"{path}: RSFT metadata is not UTF-8 JSON ({exc})") from exc
-    if not isinstance(meta, dict):
+    """The float64 matrix and metadata of a feature container; any other
+    container is refused."""
+    kind, meta, arrays = _read(path)
+    if kind != FEATURE_KIND or list(arrays) != ["values"] or arrays["values"].ndim != 2:
         raise ContainerFormatError(
-            f"{path}: RSFT metadata is a JSON {type(meta).__name__}, not an object")
-    return values.astype(np.float64), meta
+            f"{path}: not a feature container (kind {kind!r}, arrays {list(arrays)})")
+    return arrays["values"].astype(np.float64), meta
 
 
 def write_model(path, kind: str, arrays: dict[str, np.ndarray]) -> None:
-    kind_b = kind.encode("ascii")
-    if not 1 <= len(kind_b) <= 255:
-        raise ValueError("model kind must be a short ASCII string")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<BB", FORMAT_VERSION, len(kind_b)))
-        fh.write(kind_b)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            name_b = name.encode("ascii")
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            fh.write(struct.pack("<B", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    _write(path, kind, {}, {name: np.ascontiguousarray(arr, dtype="<f8")
+                            for name, arr in arrays.items()})
 
 
 def read_model(path) -> tuple[str, dict[str, np.ndarray]]:
-    data = Path(path).read_bytes()
-    if len(data) < 6 or data[:4] != MODEL_MAGIC:
-        raise ContainerFormatError(f"{path}: not an RSMD model container")
-    version, kind_len = struct.unpack_from("<BB", data, 4)
-    if version != FORMAT_VERSION:
-        raise ContainerFormatError(f"{path}: unsupported RSMD version {version}")
-    offset = 6 + kind_len
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        # unpacking past the end of the data raises, so a cut kind or name
-        # surfaces at the count that follows it
-        (n_arrays,) = struct.unpack_from("<I", data, offset)
-        kind = data[6:offset].decode("ascii")
-        offset += 4
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            name = data[offset : offset + name_len].decode("ascii")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            dims = struct.unpack_from(f"<{ndim}I", data, offset)
-            offset += 4 * ndim
-            count = int(np.prod(dims)) if ndim else 1
-            end = offset + count * 8
-            if end > len(data):
-                raise ContainerFormatError(f"{path}: truncated RSMD payload")
-            arrays[name] = np.frombuffer(data[offset:end], dtype="<f8").reshape(dims)
-            offset = end
-    except struct.error as exc:
-        raise ContainerFormatError(f"{path}: truncated RSMD header") from exc
-    except UnicodeDecodeError as exc:
-        raise ContainerFormatError(f"{path}: RSMD kind or array name is not ASCII ({exc})") from exc
-    _refuse_surplus(path, "RSMD", len(data) - offset)
+    """The kind and arrays of a model container; a feature is refused."""
+    kind, _, arrays = _read(path)
+    if kind == FEATURE_KIND:
+        raise ContainerFormatError(f"{path}: a feature container, not a model")
     return kind, arrays
 
 
 def write_model_text(path, kind: str, arrays: dict[str, np.ndarray]) -> None:
-    """Human-readable companion dump of an RSMD container."""
-    lines = [f"RSMD-TEXT v{FORMAT_VERSION}", f"kind: {kind}"]
+    """Human-readable companion dump of a model container."""
+    lines = ["RSMD-TEXT v1", f"kind: {kind}"]  # versioned apart from the binary format
     for name, arr in arrays.items():
         arr = np.asarray(arr, dtype=np.float64)
         lines.append(f"array {name} shape {arr.shape}")

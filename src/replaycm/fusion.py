@@ -119,19 +119,9 @@ def fusion_train(
     return FusionModel(theta[:-1].copy(), float(theta[-1]), tuple(history))
 
 
-def fusion_apply(model: FusionModel, scores: np.ndarray):
-    """Fused score w's + b for one trial (vector) or many (matrix rows)."""
+def fusion_apply(model: FusionModel, scores: np.ndarray) -> np.ndarray:
+    """Fused scores w's + b of a trials x systems score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim == 1:
-        if scores.shape != model.weights.shape:
-            raise ValueError(
-                f"expected {model.n_systems} per-system scores, got {scores.shape}"
-            )
-        return float(model.weights @ scores + model.offset)
-    if scores.ndim == 2:
-        if scores.shape[1] != model.n_systems:
-            raise ValueError(
-                f"expected trials x {model.n_systems} scores, got {scores.shape}"
-            )
-        return scores @ model.weights + model.offset
-    raise ValueError("scores must be a vector or a matrix")
+    if scores.ndim != 2 or scores.shape[1] != model.n_systems:
+        raise ValueError(f"expected trials x {model.n_systems} scores, got {scores.shape}")
+    return scores @ model.weights + model.offset

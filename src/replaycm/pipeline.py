@@ -130,10 +130,6 @@ def _trial_frames(cfg: PipelineConfig, feature_name: str, trial: Trial) -> np.nd
     return load_feature_frames(path)
 
 
-def _labeled(trials: list[Trial]) -> list[Trial]:
-    return [t for t in trials if t.label in ("genuine", "spoof")]
-
-
 def _phrase_groups(trials: list[Trial], phrase_dependent: bool) -> dict[str, list[Trial]]:
     if not phrase_dependent:
         return {SHARED_KEY: trials}
@@ -195,9 +191,10 @@ def _system_model_path(cfg: PipelineConfig, spec, base: str, phrase_key: str) ->
 
 def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
                      trials: list[Trial]) -> dict:
-    """Two-class GMM training; one model pair per phrase when phrase-dependent."""
+    """Two-class GMM training on labeled trials; one model pair per phrase
+    when phrase-dependent."""
     diagnostics = {}
-    for phrase_key, group in _phrase_groups(_labeled(trials), spec.phrase_dependent).items():
+    for phrase_key, group in _phrase_groups(trials, spec.phrase_dependent).items():
         by_label = {"genuine": [], "spoof": []}
         for trial in group:
             by_label[trial.label].append(_trial_frames(cfg, spec.feature, trial))
@@ -229,7 +226,8 @@ def _gmm_scorer(load, spec: GmmSystemSpec, phrase_key: str):
 
 def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
                       trials: list[Trial]) -> dict:
-    """UBM -> T-matrix -> centered, length-normalized i-vectors -> linear SVM.
+    """UBM -> T-matrix -> centered, length-normalized i-vectors -> linear SVM,
+    on labeled trials.
 
     Each stage is trained per phrase or shared according to the system's
     sharing flags.  A shared T requires a shared UBM and a shared SVM a shared
@@ -237,7 +235,7 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
     group's frames and statistics are held at a time.
     """
     diagnostics = {}
-    for ubm_key, ubm_group in _phrase_groups(_labeled(trials), not spec.ubm_shared).items():
+    for ubm_key, ubm_group in _phrase_groups(trials, not spec.ubm_shared).items():
         frame_list = [_trial_frames(cfg, spec.feature, t) for t in ubm_group]
         ubm = gmm_em_train(
             np.vstack(frame_list),
@@ -313,9 +311,15 @@ SYSTEM_TYPES = {
 
 
 def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> dict:
+    """Train a system on the genuine and spoof trials of ``trials``; a
+    protocol with none is refused."""
     spec = cfg.systems[system_name]
+    labeled = [t for t in trials if t.label in ("genuine", "spoof")]
+    if not labeled:
+        raise ValueError(f"system {spec.name}: the training protocol has no "
+                         "genuine or spoof trials")
     model_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
-    return SYSTEM_TYPES[type(spec)][0](cfg, spec, trials)
+    return SYSTEM_TYPES[type(spec)][0](cfg, spec, labeled)
 
 
 def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> ScoreSet:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -583,6 +584,20 @@ class TestSinglePhraseProtocols:
         rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
                            "--protocol", train)
         assert (rc, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("system", ["gmm-phrase", "ivec-each-phrase", "ivec-sys"])
+    def test_a_protocol_with_no_labeled_trials_is_refused(self, phrase_work, capsys,
+                                                          tmp_path, system):
+        cfg_path, models, _ = phrase_work
+        unlabeled = tmp_path / "unlabeled.txt"
+        train = json.loads(cfg_path.read_text())["paths"]["protocol_train"]
+        write_protocol([dataclasses.replace(t, label="unknown") for t in parse_protocol(train)],
+                       unlabeled)
+        rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
+                           "--protocol", str(unlabeled))
+        assert (rc, err) == (2, f"error: system {system}: the training protocol has no "
+                                "genuine or spoof trials\n")
+        assert not (models / system).exists()
 
     @pytest.mark.parametrize("system, model", [
         ("gmm-phrase", "genuine__P01.rsmd"), ("ivec-each-phrase", "ubm__P01.rsmd"),

@@ -1,9 +1,10 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
-from replaycm import containers, pipeline
+from replaycm import cli, containers, pipeline
 from replaycm.fusion import FusionModel
 from replaycm.gmm import GmmModel
 from replaycm.svm import SvmModel
@@ -23,7 +24,7 @@ def test_matrix_roundtrip(tmp_path, rng):
 def test_matrix_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.rsft"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(containers.ContainerFormatError, match="RSFT"):
+    with pytest.raises(containers.ContainerFormatError, match="not a replaycm container"):
         containers.read_matrix(path)
 
 
@@ -31,7 +32,7 @@ def test_matrix_truncated_payload(tmp_path, rng):
     path = tmp_path / "m.rsft"
     containers.write_matrix(path, rng.standard_normal((4, 4)), {})
     data = path.read_bytes()
-    path.write_bytes(data[: 13 + 10])
+    path.write_bytes(data[:-10])  # the payload is the last field
     with pytest.raises(containers.ContainerFormatError, match="truncated"):
         containers.read_matrix(path)
 
@@ -67,8 +68,8 @@ def test_model_roundtrip_all_kinds(tmp_path, rng):
 
 def test_model_bad_magic(tmp_path):
     path = tmp_path / "bad.rsmd"
-    path.write_bytes(b"XXXX\x01\x03gmm")
-    with pytest.raises(containers.ContainerFormatError, match="RSMD"):
+    path.write_bytes(b"XXXX\x02\x03gmm")
+    with pytest.raises(containers.ContainerFormatError, match="not a replaycm container"):
         containers.read_model(path)
 
 
@@ -104,17 +105,19 @@ def test_every_proper_prefix_of_a_matrix_is_refused(tmp_path, rng):
     path = tmp_path / "m.rsft"
     containers.write_matrix(path, rng.standard_normal((2, 3)), {"name": "x"})
     data = path.read_bytes()
-    for cut in range(len(data)):  # including the cut right after the payload
+    for cut in range(len(data)):
         path.write_bytes(data[:cut])
         with pytest.raises(containers.ContainerFormatError):
             containers.read_matrix(path)
 
 
 def matrix_with_metadata(path, blob: bytes) -> None:
-    """An RSFT file holding a 2 x 3 matrix and ``blob`` as its metadata."""
+    """A feature file holding a 2 x 3 matrix and ``blob`` as its metadata."""
     containers.write_matrix(path, np.zeros((2, 3)), {})
-    payload = path.read_bytes()[: 13 + 2 * 3 * 4]
-    path.write_bytes(payload + len(blob).to_bytes(4, "little") + blob)
+    empty = (2).to_bytes(4, "little") + b"{}"  # the length-prefixed "{}"
+    data = path.read_bytes()
+    assert data.count(empty) == 1
+    path.write_bytes(data.replace(empty, len(blob).to_bytes(4, "little") + blob))
 
 
 @pytest.mark.parametrize("blob, problem", [
@@ -141,7 +144,7 @@ def test_non_ascii_model_text_is_refused_naming_the_file(tmp_path, rng, old, new
     assert data.count(old) == 1
     path.write_bytes(data.replace(old, new))
     with pytest.raises(containers.ContainerFormatError,
-                       match="RSMD kind or array name is not ASCII") as info:
+                       match="container kind or array name is not ASCII") as info:
         containers.read_model(path)
     assert str(info.value).startswith(f"{path}: ")
 
@@ -215,3 +218,70 @@ def test_a_model_that_breaks_its_type_names_the_file(tmp_path):
                                          "variances": -np.ones((2, 3))})
     with pytest.raises(containers.ContainerFormatError, match="variances must be strictly"):
         pipeline.load_model(path, "gmm")
+
+
+def test_dims_whose_product_overflows_int64_are_refused_naming_the_file(tmp_path):
+    """(65536,) * 4 holds 2**64 values: a product in int64 wraps to 0 and the
+    header would pass for an empty array."""
+    path = tmp_path / "m.rsmd"
+    containers.write_model(path, "tmatrix", {"t_matrix": np.full((1, 1, 1, 1), 0.5)})
+    ones, huge = struct.pack("<4I", 1, 1, 1, 1), struct.pack("<4I", *[65536] * 4)
+    data = path.read_bytes()
+    assert data.count(ones) == 1
+    path.write_bytes(data.replace(ones, huge))
+    with pytest.raises(containers.ContainerFormatError) as info:
+        containers.read_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    out = tmp_path / "m.txt"
+    assert cli.main(["dump", str(path), str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_feature_is_not_a_model_and_a_model_is_not_a_feature(tmp_path, rng):
+    feature, model = tmp_path / "f.rsft", tmp_path / "m.rsmd"
+    containers.write_matrix(feature, rng.standard_normal((2, 3)), {"name": "x"})
+    pipeline.save_model(model, "mean", rng.standard_normal(3))
+    with pytest.raises(containers.ContainerFormatError, match="not a model") as info:
+        pipeline.load_model(feature, "gmm")
+    assert str(info.value).startswith(f"{feature}: ")
+    with pytest.raises(containers.ContainerFormatError,
+                       match="not a feature container") as info:
+        containers.read_matrix(model)
+    assert str(info.value).startswith(f"{model}: ")
+
+
+@pytest.mark.parametrize("arrays", [
+    {"values": np.zeros(3)},
+    {"values": np.zeros((2, 3)), "extra": np.zeros(1)},
+    {"other": np.zeros((2, 3))},
+], ids=["1-D", "two-arrays", "misnamed"])
+def test_read_matrix_wants_one_2d_values_array(tmp_path, arrays):
+    path = tmp_path / "f.rsft"
+    containers._write(path, containers.FEATURE_KIND, {}, arrays)
+    with pytest.raises(containers.ContainerFormatError, match="not a feature container"):
+        containers.read_matrix(path)
+
+
+@pytest.mark.parametrize("header, problem", [
+    (b"RSFT\x01\x02\x00\x00\x00\x03\x00\x00\x00", "not a replaycm container"),
+    (b"RSMD\x01\x03gmm\x00\x00\x00\x00", "not a replaycm container"),
+    (b"RSCM\x01\x03gmm", "unsupported container version 1"),
+], ids=["v1-feature", "v1-model", "version-1"])
+def test_a_version_1_file_is_refused_naming_it(tmp_path, header, problem):
+    path = tmp_path / "old.bin"
+    path.write_bytes(header + bytes(24))
+    for read in (containers.read_matrix, containers.read_model):
+        with pytest.raises(containers.ContainerFormatError, match=problem) as info:
+            read(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def test_an_item_size_other_than_4_or_8_is_refused(tmp_path):
+    path = tmp_path / "m.rsmd"
+    containers.write_model(path, "mean", {"mean": np.zeros(3)})
+    data = path.read_bytes()
+    marker = b"mean\x08\x01"  # name, item size 8, ndim 1
+    assert data.count(marker) == 1
+    path.write_bytes(data.replace(marker, b"mean\x02\x01"))
+    with pytest.raises(containers.ContainerFormatError, match="item size 2"):
+        containers.read_model(path)

@@ -100,17 +100,18 @@ def test_non_finite_scores_rejected():
 class TestApply:
     def test_projection_weight(self):
         model = FusionModel(np.array([1.0, 0.0, 0.0]), 0.0)
-        assert fusion_apply(model, np.array([0.7, -5.0, 3.0])) == 0.7
+        assert fusion_apply(model, np.array([[0.7, -5.0, 3.0]])).tolist() == [0.7]
 
     def test_constant_offset(self):
         model = FusionModel(np.zeros(2), -1.25)
-        assert fusion_apply(model, np.array([4.0, 5.0])) == -1.25
+        assert fusion_apply(model, np.array([[4.0, 5.0]])).tolist() == [-1.25]
 
     def test_matches_dot_product_oracle(self, rng):
         model = FusionModel(rng.standard_normal(4), 0.3)
         s = rng.standard_normal(4)
         expected = sum(model.weights[i] * s[i] for i in range(4)) + model.offset
-        assert abs(fusion_apply(model, s) - expected) <= 1e-12
+        (fused,) = fusion_apply(model, s[None, :])
+        assert abs(fused - expected) <= 1e-12
 
     def test_matrix_application(self, rng):
         model = FusionModel(rng.standard_normal(2), 0.1)
@@ -121,5 +122,6 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         model = FusionModel(np.ones(3), 0.0)
-        with pytest.raises(ValueError, match="per-system"):
-            fusion_apply(model, np.ones(2))
+        for shape in [(1, 2), (3,), (1, 1, 3)]:
+            with pytest.raises(ValueError, match="trials x 3"):
+                fusion_apply(model, np.ones(shape))

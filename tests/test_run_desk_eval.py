@@ -1,10 +1,14 @@
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
 
-from replaycm.corpus import parse_protocol
-from replaycm.metrics import read_scores
+import numpy as np
+import pytest
+
+from replaycm.corpus import Trial, parse_protocol
+from replaycm.metrics import ScoreSet, read_scores, write_scores
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_eval.py"
 
@@ -51,3 +55,20 @@ def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
     eval_ids = [t.trial_id for t in parse_protocol(work / "corpus/protocol_eval.txt")]
     assert list(read_scores(work / "fused.eval.scores").trial_ids) == eval_ids
     assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("label, problem", [
+    (None, "1 scored trial(s) absent from the protocol"),
+    ("unknown", "1 scored trial(s) have no ground-truth label"),
+], ids=["absent", "unlabeled"])
+def test_a_score_protocol_mismatch_is_refused_as_eval_refuses_it(tmp_path, label, problem):
+    eer_percent = runpy.run_path(str(SCRIPT))["eer_percent"]
+    trials = [Trial("g1", "genuine", "s", "P00"), Trial("g2", "genuine", "s", "P00"),
+              Trial("s1", "spoof", "s", "P00"), Trial("s2", "spoof", "s", "P00")]
+    scores = tmp_path / "x.scores"
+    write_scores(ScoreSet(("g1", "g2", "s1", "s2", "t9"), -np.arange(5.0)), scores)
+    if label:
+        trials.append(Trial("t9", label, "s", "P00"))
+    with pytest.raises(SystemExit, match=re.escape(f"error: {scores}: {problem}")):
+        eer_percent(scores, trials)
+    assert eer_percent(scores, trials[:4] + [Trial("t9", "spoof", "s", "P00")]) == 0.0
