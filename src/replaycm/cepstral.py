@@ -69,7 +69,7 @@ def cqcc(wave: Waveform, cfg: CqccConfig) -> np.ndarray:
     keeping the first n_coeffs coefficients per frame.
     """
     mags, freqs = cqt_magnitude(wave, cfg.cqt)
-    log_power = floored_log_power(mags, cfg.cqt.floor)
+    log_power = floored_log_power(mags)
     resampled = resample_rows_linear(log_power, freqs, cfg.resample_bins)
     return dct_matrix(cfg.resample_bins)[: cfg.n_coeffs] @ resampled
 

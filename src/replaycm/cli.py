@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, extract, train, score, fuse, eval, dump.  Diagnostics go to
-stderr; data goes to files or stdout.  Every command is deterministic given
-the configuration file and seeds.
+stderr; data goes to files or stdout.  A command that takes ``--config`` reads
+every setting, the seed and the paths included, from that one file.
 """
 
 from __future__ import annotations
@@ -43,15 +43,14 @@ def _configured_corpus_dir(paths) -> Path:
             raise ConfigError(
                 f"paths.{key} is {getattr(paths, key)!r}, but synth writes the "
                 f"corpus as <dir>/wav, <dir>/protocol_train.txt and "
-                f"<dir>/protocol_eval.txt of one directory (expected {expected}); "
-                "fix the paths or pass --out-dir"
+                f"<dir>/protocol_eval.txt of one directory (expected {expected})"
             )
     return corpus
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
-    out_dir = Path(args.out_dir) if args.out_dir else _configured_corpus_dir(cfg.paths)
+    cfg = load_config(args.config)
+    out_dir = _configured_corpus_dir(cfg.paths)
     try:
         generate_synth_corpus(cfg.corpus, out_dir)
     except OSError as exc:
@@ -62,18 +61,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config)
     if args.feature not in cfg.features:
         raise ConfigError(f"feature {args.feature!r} is not configured")
     spec = cfg.features[args.feature]
     trials = parse_protocol(args.protocol)
-    audio_dir = Path(args.audio_dir or cfg.paths.audio_dir)
-    out_dir = Path(args.out_dir) if args.out_dir else pipeline.feature_dir(cfg, spec.name)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    pipeline.feature_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
 
     def work(trial):
         try:
-            pipeline.extract_trial(cfg, spec, trial, audio_dir, out_dir)
+            pipeline.extract_trial(cfg, spec, trial)
             return trial.trial_id, None
         except (ValueError, OSError) as exc:  # report per-trial failures, keep going
             return trial.trial_id, str(exc)
@@ -95,7 +92,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config)
     if args.system not in cfg.systems:
         raise ConfigError(f"system {args.system!r} is not configured")
     trials = parse_protocol(args.protocol or cfg.paths.protocol_train)
@@ -107,7 +104,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg = load_config(args.config, seed_override=args.seed)
+    cfg = load_config(args.config)
     if args.system not in cfg.systems:
         raise ConfigError(f"system {args.system!r} is not configured")
     trials = parse_protocol(args.protocol)
@@ -141,6 +138,10 @@ def cmd_fuse(args) -> int:
     trial_ids, matrix = _aligned_score_matrix(args.scores)
     if args.apply:
         model = pipeline.load_model(args.apply, "fusion")
+        if model.n_systems != len(args.scores):
+            raise ValueError(f"{args.apply}: the fusion model was trained on "
+                             f"{model.n_systems} system(s), not the "
+                             f"{len(args.scores)} score file(s) given")
     else:
         if not args.protocol:
             raise ValueError("training a fusion requires --protocol with labels")
@@ -161,12 +162,6 @@ def cmd_eval(args) -> int:
     score_set = read_scores(args.scores)
     trials = parse_protocol(args.protocol)
     labels = pipeline.labels_vector(trials, score_set.trial_ids)
-    scored_ids = set(score_set.trial_ids)
-    unscored = [t.trial_id for t in trials
-                if t.label != "unknown" and t.trial_id not in scored_ids]
-    if unscored:
-        raise ValueError(f"{len(unscored)} labeled trial(s) have no score, "
-                         f"e.g. {unscored[:5]}")
     genuine = score_set.scores[labels > 0]
     spoof = score_set.scores[labels < 0]
     eer, threshold = compute_eer(genuine, spoof)
@@ -188,40 +183,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="pipeline configuration (JSON)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configuration seed")
+    def add_config(p):
+        p.add_argument("--config", required=True,
+                       help="pipeline configuration (JSON), the source of every setting")
 
-    p = sub.add_parser("synth", help="generate the synthetic replay corpus")
-    add_common(p)
-    p.add_argument("--out-dir", default=None,
-                   help="corpus directory (default: the parent of paths.audio_dir, "
-                   "which must hold both protocols)")
+    p = sub.add_parser("synth", help="generate the synthetic replay corpus where "
+                       "the configured paths point")
+    add_config(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="extract features for every trial")
-    add_common(p)
+    add_config(p)
     p.add_argument("--feature", required=True, help="configured feature name "
                    f"(types: {', '.join(pipeline.FEATURE_KINDS)})")
     p.add_argument("--protocol", required=True)
-    p.add_argument("--audio-dir", default=None)
-    p.add_argument("--out-dir", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even if some trials failed")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train a configured system")
-    add_common(p)
+    add_config(p)
     p.add_argument("--system", required=True)
     p.add_argument("--protocol", default=None,
                    help="training protocol (default: paths.protocol_train)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a protocol with a trained system")
-    add_common(p)
+    add_config(p)
     p.add_argument("--system", required=True)
     p.add_argument("--protocol", required=True)
     p.add_argument("--out-scores", required=True)

@@ -110,8 +110,6 @@ class PipelineConfig:
     systems: dict[str, object]
 
 
-MODEL_KINDS = {"gmm": GmmSystemSpec, "ivec-svm": IvecSystemSpec}
-
 _JSON_TYPES = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
@@ -213,10 +211,12 @@ def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
 
 def _parse_system(name: str, block) -> object:
     context = f"system {name!r}"
+    from .pipeline import SYSTEM_KINDS  # pipeline imports this module
+
     model = _object(block, context).get("model")
-    if model not in MODEL_KINDS:
+    if model not in SYSTEM_KINDS:
         raise ConfigError(f"{context}: unknown model {model!r}")
-    return _build_block(MODEL_KINDS[model], block, context, "model", name=name)
+    return _build_block(SYSTEM_KINDS[model][0], block, context, "model", name=name)
 
 
 def _reject_duplicate_keys(pairs):
@@ -228,16 +228,13 @@ def _reject_duplicate_keys(pairs):
     return data
 
 
-def parse_config(data: dict, seed_override: int | None = None) -> PipelineConfig:
+def parse_config(data: dict) -> PipelineConfig:
     hints = {f.name: hint for f, hint in _field_types(PipelineConfig)}
     _reject_unused(set(_object(data, "configuration")) - set(hints), "configuration")
     for section in ("paths", "features", "systems"):
         if section not in data:
             raise ConfigError(f"missing configuration section {section!r}")
-    if seed_override is None:
-        seed = _checked(data.get("seed", 0), hints["seed"], "seed")
-    else:
-        seed = int(seed_override)
+    seed = _checked(data.get("seed", 0), hints["seed"], "seed")
     sample_rate = _checked(data.get("sample_rate", 16000), hints["sample_rate"],
                            "sample_rate")
     paths = _build_block(PathsConfig, data["paths"], "paths")
@@ -268,7 +265,7 @@ def parse_config(data: dict, seed_override: int | None = None) -> PipelineConfig
     )
 
 
-def load_config(path, seed_override: int | None = None) -> PipelineConfig:
+def load_config(path) -> PipelineConfig:
     try:
         raw = json.loads(
             Path(path).read_text(encoding="utf-8"),
@@ -277,7 +274,7 @@ def load_config(path, seed_override: int | None = None) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     try:
-        return parse_config(raw, seed_override)
+        return parse_config(raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

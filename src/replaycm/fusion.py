@@ -33,11 +33,11 @@ class FusionModel:
 
 
 def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
-                   l2: float, sample_weight: np.ndarray):
+                   l2: float, trial_weight: float):
     z = y * (aug @ theta)
-    loss = float(np.sum(sample_weight * np.logaddexp(0.0, -z)) + l2 * theta @ theta)
+    loss = float(np.sum(trial_weight * np.logaddexp(0.0, -z)) + l2 * theta @ theta)
     sigma = np.exp(-np.logaddexp(0.0, z))  # d/dz log(1+e^-z) = -1/(1+e^z), stably
-    grad = aug.T @ (-(sample_weight * sigma) * y) + 2.0 * l2 * theta
+    grad = aug.T @ (-(trial_weight * sigma) * y) + 2.0 * l2 * theta
     return loss, grad
 
 
@@ -70,11 +70,9 @@ def fusion_train(
         raise ValueError("l2 must be non-negative")
 
     n = scores.shape[0]
-    sample_weight = np.full(n, 1.0 / n)
-
     aug = np.hstack([scores, np.ones((n, 1))])
     theta = np.zeros(aug.shape[1])
-    loss, grad = _loss_and_grad(theta, aug, labels, l2, sample_weight)
+    loss, grad = _loss_and_grad(theta, aug, labels, l2, 1.0 / n)
     history = [loss]
     step = 1.0
     prev_theta = None
@@ -97,7 +95,7 @@ def fusion_train(
         stalled = False
         while True:
             candidate = theta - step * grad
-            new_loss, new_grad = _loss_and_grad(candidate, aug, labels, l2, sample_weight)
+            new_loss, new_grad = _loss_and_grad(candidate, aug, labels, l2, 1.0 / n)
             if new_loss <= loss:
                 break
             if step < 1e-18:

@@ -102,9 +102,10 @@ def load_feature_frames(path) -> np.ndarray:
     return values.T
 
 
-def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial,
-                  audio_dir, out_dir) -> Path:
-    wav_path = Path(audio_dir) / f"{trial.trial_id}.wav"
+def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
+    """Read a trial's WAV from paths.audio_dir and write its feature to
+    feature_dir, which must exist."""
+    wav_path = Path(cfg.paths.audio_dir) / f"{trial.trial_id}.wav"
     if not wav_path.exists():
         raise FileNotFoundError(f"trial {trial.trial_id}: missing audio {wav_path}")
     wave = load_wav(wav_path)
@@ -115,7 +116,7 @@ def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial,
         )
     seed = derive_seed(cfg.seed, "extract", spec.name, trial.trial_id)
     feature = compute_feature(spec, wave, seed)
-    out_path = feature_path(out_dir, trial.trial_id)
+    out_path = feature_path(feature_dir(cfg, spec.name), trial.trial_id)
     save_feature(out_path, feature, spec)
     return out_path
 
@@ -301,13 +302,20 @@ def _ivec_scorer(load, spec: IvecSystemSpec, phrase_key: str):
     return score
 
 
-# spec type -> (trainer, scorer factory).  The factory is called as
+# Each system kind's spec type, trainer and scorer factory, keyed by the
+# JSON ``model`` tag; the only place a kind is written down
+# (config._parse_system reads it too).  The factory is called as
 # f(load, spec, phrase_key): it loads the models of one phrase key through
 # ``load`` and returns the function that scores a trial's frames with them.
-SYSTEM_TYPES = {
-    GmmSystemSpec: (train_gmm_system, _gmm_scorer),
-    IvecSystemSpec: (train_ivec_system, _ivec_scorer),
+SYSTEM_KINDS = {
+    "gmm": (GmmSystemSpec, train_gmm_system, _gmm_scorer),
+    "ivec-svm": (IvecSystemSpec, train_ivec_system, _ivec_scorer),
 }
+
+
+def _system_kind(spec) -> tuple:
+    """The SYSTEM_KINDS entry of a parsed system spec."""
+    return next(kind for kind in SYSTEM_KINDS.values() if type(spec) is kind[0])
 
 
 def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> dict:
@@ -319,7 +327,7 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
         raise ValueError(f"system {spec.name}: the training protocol has no "
                          "genuine or spoof trials")
     model_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
-    return SYSTEM_TYPES[type(spec)][0](cfg, spec, labeled)
+    return _system_kind(spec)[1](cfg, spec, labeled)
 
 
 def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> ScoreSet:
@@ -328,7 +336,7 @@ def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     implies a shared T-matrix and UBM.  Each model file is read once, so the
     scorers of a system with shared models share them."""
     spec = cfg.systems[system_name]
-    build_scorer = SYSTEM_TYPES[type(spec)][1]
+    build_scorer = _system_kind(spec)[2]
     loaded = {}
 
     def load(base: str, phrase_key: str, kind: str, build=lambda model: model):
@@ -355,7 +363,9 @@ def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
 
 
 def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...]) -> np.ndarray:
-    """+1/-1 labels for the given trial ids, drawn from a labeled protocol."""
+    """+1/-1 labels for the given trial ids, drawn from a labeled protocol.
+    A trial id absent from the protocol or unlabeled there is refused, and so
+    is a labeled protocol trial that ``trial_ids`` leaves out."""
     by_id = {t.trial_id: t.label for t in trials}
     missing = [tid for tid in trial_ids if tid not in by_id]
     if missing:
@@ -369,4 +379,10 @@ def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...]) -> np.ndarray
             f"{len(unknown)} scored trial(s) have no ground-truth label, "
             f"e.g. {unknown[:5]}"
         )
+    scored = set(trial_ids)
+    unscored = [t.trial_id for t in trials
+                if t.label != "unknown" and t.trial_id not in scored]
+    if unscored:
+        raise ValueError(f"{len(unscored)} labeled trial(s) have no score, "
+                         f"e.g. {unscored[:5]}")
     return np.array([1.0 if by_id[tid] == "genuine" else -1.0 for tid in trial_ids])

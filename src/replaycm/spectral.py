@@ -39,15 +39,12 @@ class FramingConfig:
 class FftConfig:
     framing: FramingConfig = field(default_factory=FramingConfig)
     n_fft: int = 2048
-    floor: float = POWER_FLOOR
     # Optional linear row resampling, e.g. to the 864-row layout.
     target_bins: int | None = None
 
     def __post_init__(self):
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
             raise ValueError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
-        if self.floor <= 0:
-            raise ValueError("power floor must be positive")
         if self.target_bins is not None and self.target_bins < 2:
             raise ValueError("target_bins must be >= 2")
 
@@ -58,15 +55,12 @@ class CqtConfig:
     bins_per_octave: int = 96
     n_bins: int = 864
     hop_length: int = 256
-    floor: float = POWER_FLOOR
 
     def __post_init__(self):
         if self.f_min <= 0:
             raise ValueError("f_min must be positive")
         if self.bins_per_octave < 1 or self.n_bins < 1 or self.hop_length < 1:
             raise ValueError("bins_per_octave, n_bins and hop_length must be >= 1")
-        if self.floor <= 0:
-            raise ValueError("power floor must be positive")
 
     @property
     def q_factor(self) -> float:
@@ -127,7 +121,7 @@ def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") ->
     elif scale == "power":
         values = np.abs(spectrum) ** 2
     elif scale == "log-power":
-        values = floored_log_power(np.abs(spectrum), cfg.floor)
+        values = floored_log_power(np.abs(spectrum))
     else:
         raise ValueError(f"unsupported fft scale {scale!r}")
 
@@ -228,15 +222,15 @@ def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(mags), cfg.bin_frequencies()
 
 
-def floored_log_power(magnitudes: np.ndarray, floor: float) -> np.ndarray:
-    """Log of squared magnitudes floored at `floor`: log(max(|X|^2, floor))."""
-    return np.log(np.maximum(magnitudes**2, floor))
+def floored_log_power(magnitudes: np.ndarray) -> np.ndarray:
+    """Log of squared magnitudes floored at POWER_FLOOR."""
+    return np.log(np.maximum(magnitudes**2, POWER_FLOOR))
 
 
 def cqt_log_power_spectrogram(wave: Waveform, cfg: CqtConfig) -> np.ndarray:
     """Constant-Q spectrogram: log of floored squared kernel magnitudes."""
     mags, _ = cqt_magnitude(wave, cfg)
-    return floored_log_power(mags, cfg.floor)
+    return floored_log_power(mags)
 
 
 # 8-tap Daubechies (db4) scaling filter, natural order.
@@ -261,7 +255,6 @@ class DwtConfig:
     frame_len: int = 256
     hop_length: int = 256
     levels: int = 4
-    floor: float = POWER_FLOOR
 
     def __post_init__(self):
         if self.frame_len < 2 or self.hop_length < 1:
@@ -273,8 +266,6 @@ class DwtConfig:
                 f"frame_len {self.frame_len} must be divisible by 2^levels "
                 f"({1 << self.levels})"
             )
-        if self.floor <= 0:
-            raise ValueError("power floor must be positive")
 
 
 def _dwt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +307,7 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> np.ndarray:
         window="rectangular",
     )
     coeffs = np.concatenate(dwt_decompose(frames, cfg.levels), axis=1)
-    return floored_log_power(coeffs.T, cfg.floor)
+    return floored_log_power(coeffs.T)
 
 
 def mvn_spectrum(values: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:

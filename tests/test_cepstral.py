@@ -18,6 +18,7 @@ from replaycm.cepstral import (
     lpcc,
 )
 from replaycm.spectral import (
+    POWER_FLOOR,
     CqtConfig,
     FramingConfig,
     cqt_magnitude,
@@ -106,7 +107,7 @@ class TestCqcc:
     def test_zero_signal_constant_cepstrum(self):
         cfg = CqccConfig(cqt=SMALL_CQT, resample_bins=48, n_coeffs=12)
         feats = cqcc(Waveform(np.zeros(4000), 16000), cfg)
-        expected_c0 = np.sqrt(48) * np.log(SMALL_CQT.floor)
+        expected_c0 = np.sqrt(48) * np.log(POWER_FLOOR)
         assert np.allclose(feats[0], expected_c0)
         assert np.max(np.abs(feats[1:])) < 1e-9
         assert np.all(feats == feats[:, :1])
@@ -118,7 +119,7 @@ class TestCqcc:
         feats = cqcc(wave, cfg)
         # stage 1: constant-Q magnitudes; stage 2: floored log power
         mags, freqs = cqt_magnitude(wave, SMALL_CQT)
-        log_power = np.log(np.maximum(mags**2, SMALL_CQT.floor))
+        log_power = np.log(np.maximum(mags**2, POWER_FLOOR))
         # stage 3: uniform resampling; stage 4: DCT per frame
         resampled = resample_rows_linear(log_power, freqs, 48)
         stage = np.stack([dct_matrix(48)[:12] @ col for col in resampled.T], axis=1)
@@ -131,7 +132,7 @@ class TestCqcc:
         base = cqcc(Waveform(x, 16000), cfg)
         scaled = cqcc(Waveform(gain * x, 16000), cfg)
         mags, _ = cqt_magnitude(Waveform(x, 16000), SMALL_CQT)
-        assert mags.min() ** 2 > SMALL_CQT.floor  # floor must not clip either run
+        assert mags.min() ** 2 > POWER_FLOOR  # floor must not clip either run
         shift = scaled[0] - base[0]
         assert np.allclose(shift, 2.0 * np.log(gain) * np.sqrt(48), atol=1e-9)
         assert np.max(np.abs(scaled[1:] - base[1:])) <= 1e-9

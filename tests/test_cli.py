@@ -76,6 +76,18 @@ def tree_hashes(root: Path) -> dict:
     }
 
 
+def config_with_work_dir(cfg_path: Path, work_dir: Path) -> Path:
+    """A copy of the configuration at ``cfg_path`` whose work_dir is
+    ``work_dir``, written there as config.json; its corpus paths are kept, so
+    extract reads the same corpus and writes under work_dir/features."""
+    config = json.loads(cfg_path.read_text())
+    config["paths"]["work_dir"] = str(work_dir)
+    work_dir.mkdir(parents=True, exist_ok=True)
+    own_cfg = work_dir / "config.json"
+    own_cfg.write_text(json.dumps(config))
+    return own_cfg
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Tiny corpus with cqcc/lpcc features extracted for both subsets."""
@@ -149,12 +161,15 @@ class TestSynth:
         assert len(list((tmp_path / "work/features/lpcc-small").glob("*.rsft"))) == 16
         assert cli.main(["train", "--config", str(cfg_path), "--system", "ivec-sys"]) == 0
 
-    def test_unwritable_out_dir_exits_2(self, workspace, tmp_path, capsys):
-        cfg_path, _ = workspace
+    def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
-        rc = cli.main(["synth", "--config", str(cfg_path),
-                       "--out-dir", str(blocker / "corpus")])
+        corpus = blocker / "corpus"
+        cfg_path = self.write_config(tmp_path, {
+            "work_dir": tmp_path / "work", "audio_dir": corpus / "wav",
+            "protocol_train": corpus / "protocol_train.txt",
+            "protocol_eval": corpus / "protocol_eval.txt"})
+        rc = cli.main(["synth", "--config", str(cfg_path)])
         assert rc == 2
         assert "blocker" in capsys.readouterr().err
 
@@ -180,25 +195,24 @@ class TestExtract:
         protocol = tmp_path / "broken.txt"
         lines = (work / "corpus/protocol_train.txt").read_text().splitlines()
         protocol.write_text("\n".join(lines + ["ghost_trial genuine S00 P00 - - -"]))
-        out_dir = tmp_path / "feats"
         rc = cli.main([
-            "extract", "--config", str(cfg_path), "--feature", "cqcc-small",
-            "--protocol", str(protocol), "--out-dir", str(out_dir),
+            "extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+            "--feature", "cqcc-small", "--protocol", str(protocol),
         ])
         err = capsys.readouterr().err
         assert rc == 2
         assert "ghost_trial" in err
         assert "16" in err and "1 failure" in err
-        assert len(list(out_dir.glob("*.rsft"))) == 16  # others succeeded
+        # the others succeeded
+        assert len(list((tmp_path / "features/cqcc-small").glob("*.rsft"))) == 16
 
     def test_keep_going_exits_zero(self, workspace, tmp_path):
         cfg_path, work = workspace
         protocol = tmp_path / "broken.txt"
         protocol.write_text("ghost genuine S00 P00 - - -\n")
         rc = cli.main([
-            "extract", "--config", str(cfg_path), "--feature", "cqcc-small",
-            "--protocol", str(protocol), "--out-dir", str(tmp_path / "f"),
-            "--keep-going",
+            "extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+            "--feature", "cqcc-small", "--protocol", str(protocol), "--keep-going",
         ])
         assert rc == 0
 
@@ -216,14 +230,14 @@ class TestExtract:
         protocol = tmp_path / "two.txt"
         lines = (work / "corpus/protocol_train.txt").read_text().splitlines()[:2]
         protocol.write_text("\n".join(lines))
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
         for feature in ("fft-small", "cqt-small", "dwt-small", "deemd-small"):
-            out_dir = tmp_path / feature
             rc = cli.main([
-                "extract", "--config", str(cfg_path), "--feature", feature,
-                "--protocol", str(protocol), "--out-dir", str(out_dir),
+                "extract", "--config", str(own_cfg), "--feature", feature,
+                "--protocol", str(protocol),
             ])
             assert rc == 0
-            assert len(list(out_dir.glob("*.rsft"))) == 2
+            assert len(list((tmp_path / "features" / feature).glob("*.rsft"))) == 2
 
     # configured rows of each TINY_CONFIG front-end: n_coeffs, n_fft // 2 + 1,
     # n_bins or frame_len
@@ -235,9 +249,9 @@ class TestExtract:
         cfg_path, work = workspace
         protocol = tmp_path / "one.txt"
         protocol.write_text((work / "corpus/protocol_train.txt").read_text().splitlines()[0])
-        assert cli.main(["extract", "--config", str(cfg_path), "--feature", feature,
-                         "--protocol", str(protocol), "--out-dir", str(tmp_path)]) == 0
-        (path,) = tmp_path.glob("*.rsft")
+        assert cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                         "--feature", feature, "--protocol", str(protocol)]) == 0
+        (path,) = (tmp_path / "features" / feature).glob("*.rsft")
         values, meta = containers.read_matrix(path)
         assert values.shape[0] == self.FEATURE_ROWS[feature]
         assert values.shape[1] > 1
@@ -252,11 +266,11 @@ class TestExtract:
         protocol.write_text((work / "corpus/protocol_train.txt").read_text().splitlines()[0])
         monkeypatch.setattr(pipeline, "compute_feature",
                             lambda spec, wave, seed: np.full((3, 4), np.nan))
-        rc = cli.main(["extract", "--config", str(cfg_path), "--feature", "lpcc-small",
-                       "--protocol", str(protocol), "--out-dir", str(tmp_path / "f")])
+        rc = cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                       "--feature", "lpcc-small", "--protocol", str(protocol)])
         assert rc == 2
         assert "12 non-finite" in capsys.readouterr().err
-        assert not list((tmp_path / "f").glob("*.rsft"))
+        assert not list((tmp_path / "features/lpcc-small").glob("*.rsft"))
 
     def test_cqt_over_the_kernel_budget_fails_once_at_config_load(self, tmp_path, capsys):
         config = json.loads(json.dumps(TINY_CONFIG))
@@ -286,26 +300,26 @@ class TestExtract:
         protocol.write_text("\n".join(lines))
         first = tmp_path / "d1"
         second = tmp_path / "d2"
-        for out_dir in (first, second):
+        for work_dir in (first, second):
             rc = cli.main([
-                "extract", "--config", str(cfg_path), "--feature", "deemd-small",
-                "--protocol", str(protocol), "--out-dir", str(out_dir),
+                "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
+                "--feature", "deemd-small", "--protocol", str(protocol),
             ])
             assert rc == 0
-        assert tree_hashes(first) == tree_hashes(second)
+        assert tree_hashes(first / "features") == tree_hashes(second / "features")
 
     def test_parallel_jobs_identical_output(self, workspace, tmp_path):
         cfg_path, work = workspace
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
-        for out_dir, jobs in ((serial, 1), (parallel, 3)):
+        for work_dir, jobs in ((serial, 1), (parallel, 3)):
             rc = cli.main([
-                "extract", "--config", str(cfg_path), "--feature", "cqcc-small",
-                "--protocol", str(work / "corpus/protocol_train.txt"),
-                "--out-dir", str(out_dir), "--jobs", str(jobs),
+                "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
+                "--feature", "cqcc-small",
+                "--protocol", str(work / "corpus/protocol_train.txt"), "--jobs", str(jobs),
             ])
             assert rc == 0
-        assert tree_hashes(serial) == tree_hashes(parallel)
+        assert tree_hashes(serial / "features") == tree_hashes(parallel / "features")
 
     def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path):
         # The pool threads, not a serial run, build the CQT kernels here.
@@ -316,16 +330,17 @@ class TestExtract:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for out_dir, jobs in ((parallel, 3), (serial, 1)):
+            for work_dir, jobs in ((parallel, 3), (serial, 1)):
                 rc = cli.main([
-                    "extract", "--config", str(cfg_path), "--feature", "cqcc-small",
+                    "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
+                    "--feature", "cqcc-small",
                     "--protocol", str(work / "corpus/protocol_train.txt"),
-                    "--out-dir", str(out_dir), "--jobs", str(jobs),
+                    "--jobs", str(jobs),
                 ])
                 assert rc == 0
         finally:
             sys.setswitchinterval(interval)
-        assert tree_hashes(parallel) == tree_hashes(serial)
+        assert tree_hashes(parallel / "features") == tree_hashes(serial / "features")
 
 
 @pytest.fixture(scope="module")
@@ -459,7 +474,9 @@ class TestTrainAndScore:
         trials = parse_protocol(work / "corpus/protocol_eval.txt")
         expected = pipeline.score_system(cfg, system, trials)
         built, reads, tv_models = [], [], []
-        trainer, real_build = pipeline.SYSTEM_TYPES[type(spec)]
+        model = TINY_CONFIG["systems"][system]["model"]
+        spec_type, trainer, real_build = pipeline.SYSTEM_KINDS[model]
+        assert type(spec) is spec_type
         real_read, real_tv = containers.read_model, pipeline.TotalVariabilityModel
 
         def build(load, spec, key):
@@ -474,7 +491,7 @@ class TestTrainAndScore:
             tv_models.append(args)
             return real_tv(*args)
 
-        monkeypatch.setitem(pipeline.SYSTEM_TYPES, type(spec), (trainer, build))
+        monkeypatch.setitem(pipeline.SYSTEM_KINDS, model, (spec_type, trainer, build))
         monkeypatch.setattr(containers, "read_model", read)
         monkeypatch.setattr(pipeline, "TotalVariabilityModel", tv_model)
         scores = pipeline.score_system(cfg, system, trials)
@@ -554,11 +571,8 @@ class TestSinglePhraseProtocols:
         """A config like the workspace's but with its own model directory (the
         features are copied), and a writer of filtered protocols."""
         cfg_path, work = workspace
-        config = json.loads(cfg_path.read_text())
-        config["paths"]["work_dir"] = str(tmp_path / "work")
+        own_cfg = config_with_work_dir(cfg_path, tmp_path / "work")
         shutil.copytree(work / "features", tmp_path / "work/features")
-        own_cfg = tmp_path / "cfg.json"
-        own_cfg.write_text(json.dumps(config))
 
         def protocol(name, subset, keep):
             path = tmp_path / f"{name}.txt"
@@ -743,6 +757,37 @@ class TestFuseEval:
         assert err == f"error: {model}: fusion model {problem}\n"
         assert not (tmp_path / "x").exists()
 
+    def test_apply_names_a_model_trained_on_another_number_of_systems(self, tmp_path,
+                                                                      capsys):
+        a, b = tmp_path / "a.scores", tmp_path / "b.scores"
+        for path in (a, b):
+            path.write_text("t1 1.0\nt2 2.0\n")
+        model = tmp_path / "fusion.rsmd"
+        containers.write_model(model, "fusion", {"weights": np.ones(3), "offset": np.zeros(1)})
+        rc = cli.main(["fuse", str(a), str(b), "--apply", str(model),
+                       "--out-scores", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: the fusion model was trained on 3 system(s), not the "
+            "2 score file(s) given\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_training_refuses_scores_missing_a_labeled_trial(self, workspace, tmp_path,
+                                                             capsys):
+        _, work = workspace
+        protocol = work / "corpus/protocol_train.txt"
+        dropped, *kept = parse_protocol(protocol)
+        scores = tmp_path / "a.scores"
+        scores.write_text("".join(f"{t.trial_id} {1.0 if t.label == 'genuine' else -1.0}\n"
+                                  for t in kept))
+        rc = cli.main(["fuse", str(scores), "--protocol", str(protocol),
+                       "--out-model", str(tmp_path / "fusion.rsmd"),
+                       "--out-scores", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: 1 labeled trial(s) have no score, "
+                                           f"e.g. ['{dropped.trial_id}']\n")
+        assert not (tmp_path / "fusion.rsmd").exists() and not (tmp_path / "x").exists()
+
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
         protocol = work / "corpus/protocol_eval.txt"
@@ -761,26 +806,44 @@ class TestFuseEval:
                        f"e.g. ['{dropped.trial_id}']\n")
 
 
-class TestSeedOverride:
+class TestTheConfigIsTheOnlySource:
     def test_seed_changes_corpus(self, tmp_path):
-        config = json.loads(json.dumps(TINY_CONFIG))
-        work = tmp_path / "w"
-        config["paths"] = {
-            "work_dir": str(work),
-            "audio_dir": str(work / "corpus/wav"),
-            "protocol_train": str(work / "corpus/protocol_train.txt"),
-            "protocol_eval": str(work / "corpus/protocol_eval.txt"),
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        out1, out2, out3 = tmp_path / "c1", tmp_path / "c2", tmp_path / "c3"
-        assert cli.main(["synth", "--config", str(cfg_path), "--out-dir", str(out1)]) == 0
-        assert cli.main(["synth", "--config", str(cfg_path), "--out-dir", str(out2),
-                         "--seed", "999"]) == 0
-        assert cli.main(["synth", "--config", str(cfg_path), "--out-dir", str(out3),
-                         "--seed", "999"]) == 0
-        assert tree_hashes(out1) != tree_hashes(out2)
-        assert tree_hashes(out2) == tree_hashes(out3)
+        corpora = []
+        for run, seed in (("c1", TINY_CONFIG["seed"]), ("c2", 999), ("c3", 999)):
+            config = json.loads(json.dumps(TINY_CONFIG))
+            config["seed"] = seed
+            corpus = tmp_path / run
+            config["paths"] = {
+                "work_dir": str(tmp_path / "w"),
+                "audio_dir": str(corpus / "wav"),
+                "protocol_train": str(corpus / "protocol_train.txt"),
+                "protocol_eval": str(corpus / "protocol_eval.txt"),
+            }
+            cfg_path = tmp_path / f"{run}.json"
+            cfg_path.write_text(json.dumps(config))
+            assert cli.main(["synth", "--config", str(cfg_path)]) == 0
+            corpora.append(tree_hashes(corpus))
+        assert corpora[0] != corpora[1]
+        assert corpora[1] == corpora[2]
+
+    # the seed and the corpus and feature locations are set only in the file
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--seed", "1"],
+        ["synth", "--out-dir", "elsewhere"],
+        ["extract", "--feature", "lpcc-small", "--protocol", "p.txt", "--seed", "1"],
+        ["extract", "--feature", "lpcc-small", "--protocol", "p.txt", "--out-dir", "f"],
+        ["extract", "--feature", "lpcc-small", "--protocol", "p.txt", "--audio-dir", "a"],
+        ["train", "--system", "gmm-sys", "--seed", "1"],
+        ["score", "--system", "gmm-sys", "--protocol", "p.txt", "--out-scores", "x",
+         "--seed", "1"],
+    ], ids=["synth-seed", "synth-out-dir", "extract-seed", "extract-out-dir",
+            "extract-audio-dir", "train-seed", "score-seed"])
+    def test_a_removed_option_is_refused(self, workspace, tmp_path, capsys, argv):
+        cfg_path, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--config", str(cfg_path)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -811,9 +874,9 @@ class TestExitCodes:
             raise AttributeError("no attribute 'values'")
 
         monkeypatch.setattr(pipeline, "extract_trial", broken)
-        rc = cli.main(["extract", "--config", str(cfg_path), "--feature", "cqcc-small",
-                       "--protocol", str(work / "corpus/protocol_train.txt"),
-                       "--out-dir", str(tmp_path / "f"), "--keep-going"])
+        rc = cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                       "--feature", "cqcc-small",
+                       "--protocol", str(work / "corpus/protocol_train.txt"), "--keep-going"])
         err = capsys.readouterr().err
         assert rc == 1
         assert "AttributeError: no attribute 'values'" in err
@@ -837,9 +900,9 @@ import numpy as np
 from replaycm import cli
 from replaycm.fusion import fusion_train
 
-config, protocol, out_dir = sys.argv[1:]
+config, protocol = sys.argv[1:]
 assert cli.main(["extract", "--config", config, "--feature", "deemd-small",
-                 "--protocol", protocol, "--out-dir", out_dir]) == 0
+                 "--protocol", protocol]) == 0
 rng = np.random.default_rng(0)
 labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 model = fusion_train(labels[:, None] + rng.standard_normal((6, 2)), labels)
@@ -855,8 +918,8 @@ def test_runtime_needs_no_scipy(workspace, tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg_path), str(protocol),
-         str(tmp_path / "f")],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT,
+         str(config_with_work_dir(cfg_path, tmp_path)), str(protocol)],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert len(list((tmp_path / "f").glob("*.rsft"))) == 1
+    assert len(list((tmp_path / "features/deemd-small").glob("*.rsft"))) == 1

@@ -141,14 +141,6 @@ def test_invalid_json_reported(tmp_path):
         load_config(path)
 
 
-def test_seed_override(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(minimal_config()))
-    cfg = load_config(path, seed_override=99)
-    assert cfg.seed == 99
-    assert cfg.corpus.seed == 99
-
-
 def test_derive_seed_stable_and_distinct():
     a = derive_seed(7, "train", "sys", "genuine")
     b = derive_seed(7, "train", "sys", "genuine")
@@ -214,20 +206,17 @@ EVERY_KEY = {
     },
     "features": {
         "a": {"type": "cqcc", "f_min": 100, "bins_per_octave": 24, "n_bins": 48,
-              "hop_length": 128, "floor": 1e-12, "resample_bins": 64,
-              "n_coeffs": 19, "cmvn": True},
+              "hop_length": 128, "resample_bins": 64, "n_coeffs": 19, "cmvn": True},
         "b": {"type": "lpcc", "window_seconds": 0.032, "hop_seconds": 0.01,
               "window": "rectangular", "lpc_order": 12, "n_coeffs": 15, "cmvn": False},
         "c": {"type": "fft", "window_seconds": 0.064, "hop_seconds": 0.02,
-              "window": "hann", "n_fft": 1024, "floor": 1e-9, "target_bins": 100,
-              "mvn": True},
+              "window": "hann", "n_fft": 1024, "target_bins": 100, "mvn": True},
         "d": {"type": "cqt", "f_min": 200.0, "bins_per_octave": 12, "n_bins": 24,
-              "hop_length": 512, "floor": 1e-8, "mvn": False},
-        "e": {"type": "dwt", "frame_len": 128, "hop_length": 64, "levels": 3,
-              "floor": 1e-7, "mvn": True},
+              "hop_length": 512, "mvn": False},
+        "e": {"type": "dwt", "frame_len": 128, "hop_length": 64, "levels": 3, "mvn": True},
         "g": {"type": "deemd", "window_seconds": 0.05, "hop_seconds": 0.025,
-              "window": "rectangular", "n_fft": 4096, "floor": 1e-6,
-              "target_bins": None, "ensemble_size": 3, "noise_strength_factor": 0.2,
+              "window": "rectangular", "n_fft": 4096, "target_bins": None,
+              "ensemble_size": 3, "noise_strength_factor": 0.2,
               "max_sift_iters": 4, "sd_threshold": 0.3, "mvn": True},
     },
     "systems": {
@@ -256,7 +245,7 @@ def test_every_key_of_every_kind_builds_the_expected_tree():
         features={
             "a": FeatureSpec("a", "cqcc", CqccConfig(
                 cqt=CqtConfig(f_min=100, bins_per_octave=24, n_bins=48,
-                              hop_length=128, floor=1e-12),
+                              hop_length=128),
                 resample_bins=64, n_coeffs=19,
             ), normalise=True),
             "b": FeatureSpec("b", "lpcc", LpccConfig(
@@ -266,19 +255,19 @@ def test_every_key_of_every_kind_builds_the_expected_tree():
             )),
             "c": FeatureSpec("c", "fft", FftConfig(
                 framing=FramingConfig(window_seconds=0.064, hop_seconds=0.02),
-                n_fft=1024, floor=1e-9, target_bins=100,
+                n_fft=1024, target_bins=100,
             ), normalise=True),
             "d": FeatureSpec("d", "cqt", CqtConfig(
-                f_min=200.0, bins_per_octave=12, n_bins=24, hop_length=512, floor=1e-8,
+                f_min=200.0, bins_per_octave=12, n_bins=24, hop_length=512,
             )),
             "e": FeatureSpec("e", "dwt", DwtConfig(
-                frame_len=128, hop_length=64, levels=3, floor=1e-7,
+                frame_len=128, hop_length=64, levels=3,
             ), normalise=True),
             "g": FeatureSpec("g", "deemd", DeemdParams(
                 fft=FftConfig(
                     framing=FramingConfig(window_seconds=0.05, hop_seconds=0.025,
                                           window="rectangular"),
-                    n_fft=4096, floor=1e-6, target_bins=None,
+                    n_fft=4096, target_bins=None,
                 ),
                 ensemble_size=3, noise_strength_factor=0.2,
                 sift=SiftConfig(max_sift_iters=4, sd_threshold=0.3),
@@ -371,6 +360,20 @@ def test_key_of_another_block_rejected_naming_the_block(section, name, key):
         parse_config(data)
 
 
+@pytest.mark.parametrize("name", ["a", "c", "d", "e", "g"])
+def test_a_power_floor_key_is_rejected_naming_the_block(name):
+    # every front-end floors its power at spectral.POWER_FLOOR
+    with pytest.raises(ConfigError, match=f"feature '{name}': unknown key.*'floor'"):
+        parse_config(with_key("features", name, "floor", 1e-10))
+
+
+def test_unknown_type_or_model_rejected_naming_the_block():
+    with pytest.raises(ConfigError, match="feature 'a': unknown type 'mfcc'"):
+        parse_config(with_key("features", "a", "type", "mfcc"))
+    with pytest.raises(ConfigError, match="system 's1': unknown model 'svm'"):
+        parse_config(with_key("systems", "s1", "model", "svm"))
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="sed"):
         parse_config(minimal_config(sed=4))
@@ -398,7 +401,7 @@ def test_non_object_configuration_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="configuration must be a JSON object"):
-        load_config(path, seed_override=3)
+        load_config(path)
 
 
 def test_dataclass_errors_name_the_block():

@@ -72,3 +72,15 @@ def test_a_score_protocol_mismatch_is_refused_as_eval_refuses_it(tmp_path, label
     with pytest.raises(SystemExit, match=re.escape(f"error: {scores}: {problem}")):
         eer_percent(scores, trials)
     assert eer_percent(scores, trials[:4] + [Trial("t9", "spoof", "s", "P00")]) == 0.0
+
+
+def test_a_labeled_trial_without_a_score_is_refused(tmp_path):
+    eer_percent = runpy.run_path(str(SCRIPT))["eer_percent"]
+    trials = [Trial("g1", "genuine", "s", "P00"), Trial("g2", "genuine", "s", "P00"),
+              Trial("s1", "spoof", "s", "P00"), Trial("s2", "spoof", "s", "P00"),
+              Trial("s3", "spoof", "s", "P00")]
+    scores = tmp_path / "x.scores"
+    write_scores(ScoreSet(("g1", "g2", "s1", "s2"), -np.arange(4.0)), scores)
+    with pytest.raises(SystemExit, match=re.escape(
+            f"error: {scores}: 1 labeled trial(s) have no score, e.g. ['s3']")):
+        eer_percent(scores, trials)
