@@ -1,61 +1,61 @@
 #!/usr/bin/env python3
-"""Time the corpus, front-end and back-end kernels on fixed seeded inputs:
-the back-end kernels at the sizes of the backend benchmark workload (1.2 s
-trials, LPCC-20 frames, phrase-dependent GMM-128, UBM-64 with a rank-60
-total-variability subspace), the GMM kernels on that workload's own frames,
-the EEMD kernels on a trial of the frontends workload's corpus.
+"""Time the corpus, front-end and back-end kernels on the benchmark
+workloads' own inputs.
 
-The GMM kernels read the cepstrally normalised ``lpcc20`` frames of the
-backend corpus's 20 genuine and 20 spoofed phrase-P00 training trials
-(2,940 frames each), which the script renders as the workload does.  Their
-two GMM-128 models are the workload's ``lpcc-gmm`` P00 pair: trained for 10
-iterations on those frames with the workload's seeds.
+First the script runs two workloads of ``bench/workloads.json`` at their
+default seeds through ``replaycm.cli.main`` in a temporary directory:
+``backend`` (synth, extract on the training protocol, train of both systems)
+and ``frontends`` (synth).  Every kernel input is read back from those runs
+or built from their configurations.  P00 below is backend phrase P00, whose
+training protocol holds 20 genuine and 20 spoofed trials.
 
 Kernels, each timed as the median (and quartiles) of --repeats calls; the
 two training kernels also report ``peak_mib``, the tracemalloc peak of one
 call above the heap at its entry (MiB):
 
-- ``gmm_em_iteration``: ``gmm_em_train(k=128, iters=1)`` on the 2,940
-  genuine frames, one E and M step plus the final log-likelihood.  It starts
-  from random init, where every component has the global variance, so no
-  shifted log joint comes near exp's underflow (-708.4) and it cannot show
-  the cost of underflowing entries; ``e_step_converged`` does
+- ``gmm_em_iteration``: one-iteration ``gmm_em_train`` with the ``lpcc-gmm``
+  component count on the genuine P00 ``lpcc20`` frames, one E and M step
+  plus the final log-likelihood.  It starts from random init, where every
+  component has the global variance, so no shifted log joint comes near
+  exp's underflow (-708.4) and it cannot show the cost of underflowing
+  entries; ``e_step_converged`` does
 - ``e_step_converged``: ``gmm._weighted_sums`` (one E step and the M-step
-  sums) of the first 1,024 genuine frames against the genuine model; also
-  reports ``below_floor_share``, the share of shifted log joints below
-  ``gmm.EXP_FLOOR``, and ``underflow_share``, the share below log(smallest
-  normal double), whose plain exp is subnormal or 0
-- ``tmatrix_em_iteration``: ``train_t_matrix(rank=60, iters=1)`` on 38
-  seeded utterances' statistics against a 64-component UBM
-- ``ivector_extraction``: ``extract_ivector`` for one utterance with a TV
-  model built once, as scoring does
-- ``llr_score``: the 147 frames of trial ``train_g_0000`` against the
-  genuine and spoofed models
-- ``render_utterance``: ``render_genuine_utterance`` for the first trial of
-  the backend corpus (speaker 0, phrase 0, 1.2 s at 16 kHz)
+  sums) of the first ``gmm.EM_BLOCK`` of those frames against the trained
+  ``lpcc-gmm`` P00 genuine model; also reports ``below_floor_share``, the
+  share of shifted log joints below ``gmm.EXP_FLOOR``, and
+  ``underflow_share``, the share below log(smallest normal double), whose
+  plain exp is subnormal or 0
+- ``tmatrix_em_iteration``: one-iteration ``train_t_matrix`` on the
+  Baum-Welch statistics of the 40 P00 trials against the trained
+  ``lpcc-ivec`` P00 UBM, with that system's rank and its own start seed
+- ``ivector_extraction``: ``extract_ivector`` of the first P00 trial's
+  statistics with the trained P00 UBM and T-matrix, as scoring does
+- ``llr_score``: the frames of trial ``train_g_0000`` against the trained
+  P00 genuine and spoofed models
+- ``render_utterance``: ``render_genuine_utterance`` of backend trial 0
 - ``replay_channel``: ``simulate_replay`` of that utterance through the
-  first trial's replay channel at the backend corpus settings
-- ``lpcc_backend``: ``lpcc`` of that utterance as the backend workload's
-  ``lpcc20`` feature computes it (order 20, 20 coefficients, 147 frames of
-  512 samples)
-- ``lpcc_desk``: ``lpcc`` of that utterance as the desk preset's ``lpcc78``
-  feature computes it (order 26, 78 coefficients, 68 frames of 2,048
-  samples)
+  replay channel synth would draw for trial 0
+- ``lpcc_backend`` and ``lpcc_desk``: ``lpcc`` of that utterance as the
+  backend workload's ``lpcc20`` and the desk preset's ``lpcc78`` features
+  compute it
 - ``envelope``: one ``eemd._envelope`` call, the natural cubic spline
-  through the 3,869 maxima of frontends trial ``train_g_0001`` (1.2 s)
-- ``eemd_trial``: ``eemd_first_imf`` of that trial with ensemble size 5,
-  as the frontends ``deemd`` feature runs it
+  through the maxima of frontends trial ``train_g_0001``
+- ``eemd_trial``: ``eemd_first_imf`` of that trial as the frontends
+  ``deemd`` feature extracts it
 - ``import_cli``: ``import replaycm.cli`` in a fresh interpreter, one per
   repeat, from the same ``replaycm`` this script imports; reports the
   import's wall time and the process's peak RSS after it
 
 BLAS and OpenMP run on one thread unless the environment says otherwise.
+The workload commands write to stderr; stdout is the JSON result, whose
+``seed`` is the backend workload's.
 
 Usage:
     python scripts/bench_kernels.py [--repeats N] > kernels.json
 """
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import os
@@ -69,30 +69,10 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-FRAME_DIM = 20
-FRAMES_PER_UTTERANCE = 147
-GMM_FRAMES = 2940
-GMM_COMPONENTS = 128
-GMM_ITERATIONS = 10  # as the backend workload trains its GMM-128 models
-UBM_COMPONENTS = 64
-UTTERANCES = 38
-TV_RANK = 60
-SEED = 20170802
-# the corpus block of the backend workload
-CORPUS = {"n_train_genuine": 75, "n_train_spoof": 75, "n_eval_genuine": 50,
-          "n_eval_spoof": 50, "n_speakers": 10, "n_phrases": 4,
-          "duration_seconds": 1.2, "cutoff_hz_range": (6800.0, 7800.0),
-          "snr_db_range": (30.0, 38.0), "gain_range": (0.6, 0.9), "seed": SEED}
-GMM_PHRASE = "P00"
-# (window s, hop s, LPC order, coefficients) of the backend workload's lpcc20
-# and the desk preset's lpcc78
-LPCC_SETTINGS = {"lpcc_backend": (0.032, 0.008, 20, 20), "lpcc_desk": (0.128, 0.016, 26, 78)}
-# the corpus block and seed of the frontends workload, and the trial timed
-FRONTENDS_CORPUS = {"n_train_genuine": 12, "n_train_spoof": 12, "n_eval_genuine": 8,
-                    "n_eval_spoof": 8, "n_speakers": 2, "n_phrases": 2,
-                    "duration_seconds": 1.2, "seed": 20170803}
+PHRASE = "P00"
+LLR_TRIAL = "train_g_0000"
 FRONTENDS_TRIAL = "train_g_0001"
 IMPORT_PROBE = (
     "import resource, time\n"
@@ -103,41 +83,33 @@ IMPORT_PROBE = (
 )
 
 
-def backend_frames(lpcc_cfg):
-    """genuine and spoof -> the stacked lpcc20 frames of the backend corpus's
-    phrase-P00 training trials, in protocol order, as extract and train
-    build them."""
-    import dataclasses
+def run_workload(name, work_dir, train):
+    """Run benchmark workload ``name`` under ``work_dir`` through the CLI:
+    ``synth``, then with ``train`` ``extract`` of every feature on the
+    training protocol and ``train`` of every system.  Returns its parsed
+    configuration."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import Workload
+    finally:
+        sys.path.remove(str(BENCH))
+    from replaycm import cli
+    from replaycm.config import load_config
 
-    import numpy as np
-
-    from replaycm.audio_io import load_wav
-    from replaycm.cepstral import cmvn, lpcc
-    from replaycm.corpus import CorpusConfig, generate_synth_corpus, parse_protocol
-
-    # the training trials come first in the plan, so they render as in the
-    # full corpus
-    cfg = dataclasses.replace(CorpusConfig(**CORPUS), n_eval_genuine=0, n_eval_spoof=0)
-    frames = {"genuine": [], "spoof": []}
-    with tempfile.TemporaryDirectory() as corpus_dir:
-        generate_synth_corpus(cfg, corpus_dir)
-        for trial in parse_protocol(Path(corpus_dir) / "protocol_train.txt"):
-            if trial.phrase_id == GMM_PHRASE:
-                wave = load_wav(Path(corpus_dir) / "wav" / f"{trial.trial_id}.wav")
-                # stored as write_matrix stores it and read back as
-                # load_feature_frames reads it, so that EM sums the same
-                # values in the same memory order as train
-                stored = np.ascontiguousarray(cmvn(lpcc(wave, lpcc_cfg)), dtype=np.float32)
-                frames[trial.label].append(stored.astype(np.float64).T)
-    return {label: np.vstack(blocks) for label, blocks in frames.items()}
-
-
-def seeded_frames(rng, n_frames, n_clusters=24):
-    """Frames from a fixed random mixture, so EM has structure to find."""
-    centers = rng.standard_normal((n_clusters, FRAME_DIM)) * 1.5
-    scales = rng.uniform(0.3, 1.0, (n_clusters, FRAME_DIM))
-    labels = rng.integers(0, n_clusters, n_frames)
-    return centers[labels] + scales[labels] * rng.standard_normal((n_frames, FRAME_DIM))
+    config_path = Path(work_dir) / "config.json"
+    config_path.parent.mkdir(parents=True)
+    config_path.write_text(json.dumps(Workload.load(name).full_config(work_dir)))
+    cfg = load_config(config_path)
+    commands = [["synth"]]
+    if train:
+        commands += [["extract", "--feature", feature, "--protocol",
+                      cfg.paths.protocol_train] for feature in cfg.features]
+        commands += [["train", "--system", system] for system in cfg.systems]
+    with contextlib.redirect_stdout(sys.stderr):
+        for argv in commands:
+            if cli.main([*argv, "--config", str(config_path)]) != 0:
+                sys.exit(f"error: workload {name}: {argv[0]} failed")
+    return cfg
 
 
 def shifted_log_joints(model, frames):
@@ -206,18 +178,17 @@ def main():
 
     from replaycm import gmm
     from replaycm.audio_io import load_wav
-    from replaycm.cepstral import LpccConfig, lpcc
-    from replaycm.config import derive_seed
+    from replaycm.cepstral import lpcc
+    from replaycm.config import default_desk_config, derive_seed, parse_config
     from replaycm.corpus import (
-        CorpusConfig,
-        generate_synth_corpus,
         make_phrase_specs,
         make_replay_channel,
+        parse_protocol,
         render_genuine_utterance,
         simulate_replay,
         speaker_f0,
     )
-    from replaycm.eemd import DeemdParams, _envelope, eemd_first_imf, local_extrema
+    from replaycm.eemd import _envelope, eemd_first_imf, local_extrema
     from replaycm.gmm import gmm_em_train, llr_score
     from replaycm.ivector import (
         TotalVariabilityModel,
@@ -225,30 +196,47 @@ def main():
         extract_ivector,
         train_t_matrix,
     )
-    from replaycm.spectral import FftConfig, FramingConfig
+    from replaycm.pipeline import (
+        feature_dir,
+        feature_path,
+        load_feature_frames,
+        load_model,
+        model_dir,
+    )
 
-    lpcc_configs = {name: LpccConfig(FramingConfig(window, hop), order, n_coeffs)
-                    for name, (window, hop, order, n_coeffs) in LPCC_SETTINGS.items()}
-    p00_frames = backend_frames(lpcc_configs["lpcc_backend"])
-    gmm_frames = p00_frames["genuine"]
-    assert gmm_frames.shape == p00_frames["spoof"].shape == (GMM_FRAMES, FRAME_DIM)
-    genuine, spoofed = (
-        gmm_em_train(p00_frames[label], k=GMM_COMPONENTS, iters=GMM_ITERATIONS,
-                     seed=derive_seed(SEED, "train", "lpcc-gmm", label, GMM_PHRASE))
-        for label in ("genuine", "spoof"))
-    rng = np.random.default_rng(SEED)
-    utterances = [seeded_frames(rng, FRAMES_PER_UTTERANCE) for _ in range(UTTERANCES)]
-    ubm = gmm_em_train(np.vstack(utterances), k=UBM_COMPONENTS, iters=3, seed=3)
-    stats = [baum_welch_stats(ubm, frames) for frames in utterances]
+    with tempfile.TemporaryDirectory() as tmp:
+        backend = run_workload("backend", Path(tmp) / "backend", train=True)
+        frontends = run_workload("frontends", Path(tmp) / "frontends", train=False)
+        gmm_spec, ivec_spec = backend.systems["lpcc-gmm"], backend.systems["lpcc-ivec"]
+
+        def frames(spec, trial_id):
+            return load_feature_frames(
+                feature_path(feature_dir(backend, spec.feature), trial_id))
+
+        def model(spec, base, kind):
+            return load_model(model_dir(backend, spec.name) / f"{base}__{PHRASE}.rsmd", kind)
+
+        trials = [t for t in parse_protocol(backend.paths.protocol_train)
+                  if t.phrase_id == PHRASE]
+        gmm_frames = np.vstack([frames(gmm_spec, t.trial_id) for t in trials
+                                if t.label == "genuine"])
+        llr_frames = frames(gmm_spec, LLR_TRIAL)
+        genuine, spoofed = (model(gmm_spec, label, "gmm") for label in ("genuine", "spoof"))
+        ubm = model(ivec_spec, "ubm", "gmm")
+        tv = TotalVariabilityModel(ubm, model(ivec_spec, "tmatrix", "tmatrix"))
+        stats = [baum_welch_stats(ubm, frames(ivec_spec, t.trial_id)) for t in trials]
+        deemd = next(spec for spec in frontends.features.values() if spec.kind == "deemd")
+        samples = load_wav(Path(frontends.paths.audio_dir) / f"{FRONTENDS_TRIAL}.wav").samples
+
+    t_seed = derive_seed(backend.seed, "train", ivec_spec.name, "tmatrix", PHRASE)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fewer utterances than the rank
-        t_matrix = train_t_matrix(stats, ubm, rank=TV_RANK, iters=2, seed=4).t_matrix
 
         def tmatrix_iteration():
-            train_t_matrix(stats, ubm, rank=TV_RANK, iters=1, seed=4)
+            train_t_matrix(stats, ubm, rank=ivec_spec.tv_rank, iters=1, seed=t_seed)
 
         def gmm_em_iteration():
-            gmm_em_train(gmm_frames, k=GMM_COMPONENTS, iters=1, seed=5)
+            gmm_em_train(gmm_frames, k=gmm_spec.components, iters=1, seed=5)
 
         kernels = {
             "gmm_em_iteration": {**timed(gmm_em_iteration, args.repeats),
@@ -263,43 +251,41 @@ def main():
         "below_floor_share": float(np.mean(shifted < gmm.EXP_FLOOR)),
         "underflow_share": float(np.mean(shifted < np.log(np.finfo(float).tiny))),
     }
-    tv = TotalVariabilityModel(ubm, t_matrix)
     kernels["ivector_extraction"] = timed(lambda: extract_ivector(tv, stats[0]),
                                           args.repeats)
-    kernels["llr_score"] = timed(
-        lambda: llr_score(genuine, spoofed, gmm_frames[:FRAMES_PER_UTTERANCE]), args.repeats)
+    kernels["llr_score"] = timed(lambda: llr_score(genuine, spoofed, llr_frames),
+                                 args.repeats)
 
     # trial 0 as generate_synth_corpus seeds it
-    cfg = CorpusConfig(**CORPUS)
-    phrase = make_phrase_specs(cfg)[0]
+    corpus = backend.corpus
+    phrase = make_phrase_specs(corpus)[0]
 
     def render():
-        rng = np.random.default_rng(np.random.SeedSequence([SEED, 202, 0]))
-        return render_genuine_utterance(speaker_f0(cfg, 0), phrase, cfg.duration_seconds,
-                                        cfg.sample_rate, rng)
+        rng = np.random.default_rng(np.random.SeedSequence([corpus.seed, 202, 0]))
+        return render_genuine_utterance(speaker_f0(corpus, 0), phrase,
+                                        corpus.duration_seconds, corpus.sample_rate, rng)
 
     source = render()
     channel = make_replay_channel(
-        cfg, np.random.default_rng(np.random.SeedSequence([SEED, 303, 0])))
+        corpus, np.random.default_rng(np.random.SeedSequence([corpus.seed, 303, 0])))
     kernels["render_utterance"] = timed(render, args.repeats)
-    kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=SEED),
+    kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=corpus.seed),
                                       args.repeats)
+    lpcc_configs = {"lpcc_backend": backend.features[gmm_spec.feature].config,
+                    "lpcc_desk": parse_config(default_desk_config()).features["lpcc78"].config}
     for name, lpcc_cfg in lpcc_configs.items():
         kernels[name] = timed(lambda: lpcc(source, lpcc_cfg), args.repeats)
 
-    with tempfile.TemporaryDirectory() as corpus_dir:
-        generate_synth_corpus(CorpusConfig(**FRONTENDS_CORPUS), corpus_dir)
-        samples = load_wav(Path(corpus_dir) / "wav" / f"{FRONTENDS_TRIAL}.wav").samples
     maxima, _ = local_extrema(samples)
     kernels["envelope"] = timed(
         lambda: _envelope(maxima, samples[maxima], samples.size), args.repeats)
-    ensemble = DeemdParams(FftConfig(), ensemble_size=5)
-    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(samples, ensemble, seed=SEED),
+    eemd_seed = derive_seed(frontends.seed, "extract", deemd.name, FRONTENDS_TRIAL)
+    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(samples, deemd.config, eemd_seed),
                                   args.repeats)
     kernels["import_cli"] = import_probe
 
     result = {
-        "seed": SEED,
+        "seed": backend.seed,
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "threads": {name: os.environ[name] for name in THREAD_VARS}},

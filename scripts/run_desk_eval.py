@@ -7,11 +7,12 @@ the training scores when there are two or more, and reports per-system and
 fused equal error rates for the evaluation subset, with stage timings.
 
 Without --config the desk preset (CQCC-GMM and LPCC i-vector + SVM) is
-written to <work-dir>/desk_config.json and run. Protocols come from the
-config's paths; score files and the fusion model go to its work_dir.
+written to <work-dir>/desk_config.json and run. Every setting, the seed and
+the paths included, comes from the config: protocols from its paths, and
+score files and the fusion model go to its work_dir.
 
 Usage:
-    python scripts/run_desk_eval.py --work-dir work [--seed N] [--config cfg.json]
+    python scripts/run_desk_eval.py [--work-dir work | --config cfg.json]
 """
 
 import argparse
@@ -45,10 +46,10 @@ def eer_percent(score_path, trials):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--work-dir", default="work",
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--work-dir", default="work",
                         help="work directory of the generated desk config")
-    parser.add_argument("--seed", type=int, default=20170801)
-    parser.add_argument("--config", default=None,
+    source.add_argument("--config", default=None,
                         help="existing pipeline config (default: generated)")
     args = parser.parse_args()
 
@@ -59,7 +60,7 @@ def main():
         work.mkdir(parents=True, exist_ok=True)
         cfg_path = work / "desk_config.json"
         cfg_path.write_text(
-            json.dumps(default_desk_config(str(work), seed=args.seed), indent=2)
+            json.dumps(default_desk_config(str(work)), indent=2)
         )
         print(f"config -> {cfg_path}")
     try:

@@ -48,6 +48,16 @@ def _configured_corpus_dir(paths) -> Path:
     return corpus
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     out_dir = _configured_corpus_dir(cfg.paths)
@@ -197,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", required=True, help="configured feature name "
                    f"(types: {', '.join(pipeline.FEATURE_KINDS)})")
     p.add_argument("--protocol", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="trials extracted in parallel (default: 1)")
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even if some trials failed")
     p.set_defaults(func=cmd_extract)

@@ -51,7 +51,8 @@ class Trial:
 
 
 def parse_protocol(path) -> list[Trial]:
-    """Parse one trial per line: id label speaker phrase env playback recording."""
+    """Parse one trial per line: id label speaker phrase env playback recording.
+    A trial or phrase id may not contain '/'."""
     trials: list[Trial] = []
     seen: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -64,6 +65,10 @@ def parse_protocol(path) -> list[Trial]:
                 f"got {len(parts)}"
             )
         trial_id, label = parts[0], parts[1]
+        # trial and phrase ids name feature and model files
+        for field, value in (("trial_id", trial_id), ("phrase_id", parts[3])):
+            if "/" in value:
+                raise ProtocolError(f"{path}:{lineno}: {field} {value!r} contains '/'")
         if label not in LABELS:
             raise ProtocolError(f"{path}:{lineno}: unknown label token {label!r}")
         if trial_id in seen:

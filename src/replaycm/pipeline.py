@@ -6,6 +6,8 @@ score sets.
 
 from __future__ import annotations
 
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +188,14 @@ def load_model(path, kind: str):
         raise containers.ContainerFormatError(f"{path}: {exc}") from exc
 
 
-def _system_model_path(cfg: PipelineConfig, spec, base: str, phrase_key: str) -> Path:
-    return model_dir(cfg, spec.name) / f"{_model_name(base, phrase_key)}.rsmd"
+def _model_path(directory: Path, base: str, phrase_key: str) -> Path:
+    return directory / f"{_model_name(base, phrase_key)}.rsmd"
 
 
 def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
-                     trials: list[Trial]) -> dict:
-    """Two-class GMM training on labeled trials; one model pair per phrase
-    when phrase-dependent."""
+                     trials: list[Trial], out_dir: Path) -> dict:
+    """Two-class GMM training on labeled trials, writing to ``out_dir``; one
+    model pair per phrase when phrase-dependent."""
     diagnostics = {}
     for phrase_key, group in _phrase_groups(trials, spec.phrase_dependent).items():
         by_label = {"genuine": [], "spoof": []}
@@ -213,7 +215,7 @@ def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
                 variance_floor=spec.variance_floor,
                 seed=derive_seed(cfg.seed, "train", spec.name, label, phrase_key),
             )
-            save_model(_system_model_path(cfg, spec, label, phrase_key), "gmm", model)
+            save_model(_model_path(out_dir, label, phrase_key), "gmm", model)
             diagnostics[f"{_model_name(label, phrase_key)}_final_loglik"] = (
                 model.loglik_history[-1]
             )
@@ -226,9 +228,9 @@ def _gmm_scorer(load, spec: GmmSystemSpec, phrase_key: str):
 
 
 def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
-                      trials: list[Trial]) -> dict:
+                      trials: list[Trial], out_dir: Path) -> dict:
     """UBM -> T-matrix -> centered, length-normalized i-vectors -> linear SVM,
-    on labeled trials.
+    on labeled trials, writing to ``out_dir``.
 
     Each stage is trained per phrase or shared according to the system's
     sharing flags.  A shared T requires a shared UBM and a shared SVM a shared
@@ -244,7 +246,7 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
             iters=spec.ubm_iterations,
             seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key),
         )
-        save_model(_system_model_path(cfg, spec, "ubm", ubm_key), "gmm", ubm)
+        save_model(_model_path(out_dir, "ubm", ubm_key), "gmm", ubm)
         diagnostics[f"{_model_name('ubm', ubm_key)}_final_loglik"] = (
             ubm.loglik_history[-1]
         )
@@ -259,8 +261,7 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
                 iters=spec.tv_iterations,
                 seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key),
             )
-            save_model(_system_model_path(cfg, spec, "tmatrix", t_key), "tmatrix",
-                       tv.t_matrix)
+            save_model(_model_path(out_dir, "tmatrix", t_key), "tmatrix", tv.t_matrix)
             diagnostics[f"{_model_name('tmatrix', t_key)}_final_objective"] = (
                 tv.objective_history[-1]
             )
@@ -275,8 +276,8 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
                         + (f" for phrase {svm_key}" if svm_key else "")
                     )
                 svm = svm_train_linear(normalized, labels, c=spec.svm_c)
-                save_model(_system_model_path(cfg, spec, "mean", svm_key), "mean", mean)
-                save_model(_system_model_path(cfg, spec, "svm", svm_key), "svm", svm)
+                save_model(_model_path(out_dir, "mean", svm_key), "mean", mean)
+                save_model(_model_path(out_dir, "svm", svm_key), "svm", svm)
                 diagnostics[f"{_model_name('svm', svm_key)}_final_dual_objective"] = (
                     svm.dual_objective_history[-1]
                 )
@@ -304,9 +305,11 @@ def _ivec_scorer(load, spec: IvecSystemSpec, phrase_key: str):
 
 # Each system kind's spec type, trainer and scorer factory, keyed by the
 # JSON ``model`` tag; the only place a kind is written down
-# (config._parse_system reads it too).  The factory is called as
-# f(load, spec, phrase_key): it loads the models of one phrase key through
-# ``load`` and returns the function that scores a trial's frames with them.
+# (config._parse_system reads it too).  The trainer is called as
+# f(cfg, spec, labeled_trials, out_dir): it writes every model to out_dir and
+# returns its diagnostics.  The factory is called as f(load, spec,
+# phrase_key): it loads the models of one phrase key through ``load`` and
+# returns the function that scores a trial's frames with them.
 SYSTEM_KINDS = {
     "gmm": (GmmSystemSpec, train_gmm_system, _gmm_scorer),
     "ivec-svm": (IvecSystemSpec, train_ivec_system, _ivec_scorer),
@@ -320,14 +323,33 @@ def _system_kind(spec) -> tuple:
 
 def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> dict:
     """Train a system on the genuine and spoof trials of ``trials``; a
-    protocol with none is refused."""
+    protocol with none is refused.
+
+    The new model set replaces the system's model directory whole: the
+    models are written, as each is trained, to ``models/.<system>.new``, which
+    takes the directory's place only once every model is written.  A refused
+    or failed run leaves the previous set as it was.
+    """
     spec = cfg.systems[system_name]
     labeled = [t for t in trials if t.label in ("genuine", "spoof")]
     if not labeled:
         raise ValueError(f"system {spec.name}: the training protocol has no "
                          "genuine or spoof trials")
-    model_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
-    return _system_kind(spec)[1](cfg, spec, labeled)
+    final = model_dir(cfg, spec.name)
+    staging, retired = (final.with_name(f".{spec.name}.{tag}") for tag in ("new", "old"))
+    for leftover in (staging, retired):  # from an interrupted run
+        shutil.rmtree(leftover, ignore_errors=True)
+    staging.mkdir(parents=True)
+    try:
+        diagnostics = _system_kind(spec)[1](cfg, spec, labeled, staging)
+    except BaseException:
+        shutil.rmtree(staging)
+        raise
+    if final.exists():
+        os.rename(final, retired)
+    os.rename(staging, final)
+    shutil.rmtree(retired, ignore_errors=True)
+    return diagnostics
 
 
 def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> ScoreSet:
@@ -342,7 +364,7 @@ def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     def load(base: str, phrase_key: str, kind: str, build=lambda model: model):
         """The model ``base`` of ``phrase_key``, passed through ``build`` on
         its first load."""
-        path = _system_model_path(cfg, spec, base, phrase_key)
+        path = _model_path(model_dir(cfg, spec.name), base, phrase_key)
         if path not in loaded:
             if not path.exists():
                 raise FileNotFoundError(

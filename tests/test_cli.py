@@ -225,6 +225,41 @@ class TestExtract:
         assert rc == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_refused(self, workspace, tmp_path, capsys, jobs):
+        cfg_path, work = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                "--feature", "lpcc-small",
+                "--protocol", str(work / "corpus/protocol_train.txt"), "--jobs", jobs,
+            ])
+        assert exit_info.value.code == 2
+        assert (f"argument --jobs: expected a positive integer, got '{jobs}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "features").exists()
+
+    def test_a_trial_id_with_a_slash_is_refused(self, workspace, tmp_path, capsys):
+        # the id points at a real wave outside the corpus, and its feature
+        # file would land outside <work_dir>/features
+        cfg_path, work = workspace
+        config = json.loads(cfg_path.read_text())
+        config["paths"].update(work_dir=str(tmp_path / "w"),
+                               audio_dir=str(tmp_path / "w/corpus/wav"))
+        own_cfg = tmp_path / "config.json"
+        own_cfg.write_text(json.dumps(config))
+        (tmp_path / "w/corpus/wav").mkdir(parents=True)
+        (tmp_path / "outside").mkdir()
+        shutil.copy(work / "corpus/wav/train_g_0000.wav", tmp_path / "outside/x.wav")
+        protocol = tmp_path / "escape.txt"
+        protocol.write_text("../../../outside/x genuine S00 P00 - - -\n")
+        rc = cli.main(["extract", "--config", str(own_cfg), "--feature", "lpcc-small",
+                       "--protocol", str(protocol)])
+        assert (rc, capsys.readouterr().err) == (
+            2, f"error: {protocol}:1: trial_id '../../../outside/x' contains '/'\n")
+        assert [p.name for p in (tmp_path / "outside").iterdir()] == ["x.wav"]
+        assert not (tmp_path / "w/features").exists()
+
     def test_spectrogram_feature_paths(self, workspace, tmp_path):
         cfg_path, work = workspace
         protocol = tmp_path / "two.txt"
@@ -630,6 +665,56 @@ class TestSinglePhraseProtocols:
         assert (rc, err) == (2, f"error: system {system}: missing model "
                                 f"{models / system / model} for phrase P01\n")
         assert not out.exists()
+
+    def test_a_phrase_id_with_a_slash_is_refused(self, phrase_work, capsys):
+        cfg_path, models, protocol = phrase_work
+        train = protocol("slash", "train", lambda t: True)
+        lines = Path(train).read_text().replace(" P01 ", " ../P01 ")
+        Path(train).write_text(lines)
+        lineno = next(i for i, line in enumerate(lines.splitlines(), 1) if "../P01" in line)
+        rc, err = self.run(capsys, "train", "--config", str(cfg_path),
+                           "--system", "gmm-phrase", "--protocol", train)
+        assert (rc, err) == (2, f"error: {train}:{lineno}: phrase_id '../P01' contains '/'\n")
+        assert not models.exists()
+
+    @pytest.mark.parametrize("system, model", [
+        ("gmm-phrase", "genuine__P01.rsmd"), ("ivec-each-phrase", "ubm__P01.rsmd"),
+    ])
+    def test_a_retrain_replaces_the_model_set_whole(self, phrase_work, capsys,
+                                                    system, model):
+        cfg_path, models, protocol = phrase_work
+        for keep in (lambda t: True, lambda t: t.phrase_id == "P00"):
+            rc, _ = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
+                             "--protocol", protocol("train", "train", keep))
+            assert rc == 0
+        assert all(p.name.endswith("__P00.rsmd") for p in (models / system).iterdir())
+        assert [p.name for p in models.iterdir()] == [system]
+        out = models.parent / "x.scores"
+        rc, err = self.run(capsys, "score", "--config", str(cfg_path), "--system", system,
+                           "--protocol", protocol("eval", "eval", lambda t: True),
+                           "--out-scores", str(out))
+        assert (rc, err) == (2, f"error: system {system}: missing model "
+                                f"{models / system / model} for phrase P01\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system", ["gmm-phrase", "ivec-each-phrase"])
+    def test_a_refused_train_leaves_the_previous_model_set(self, phrase_work, capsys,
+                                                           system):
+        cfg_path, models, protocol = phrase_work
+        rc, _ = self.run(capsys, "train", "--config", str(cfg_path), "--system", system)
+        assert rc == 0
+        before = tree_hashes(models)
+        # P00 trains on other trials than before, then P01 is refused
+        p00_genuine = [t.trial_id for t in parse_protocol(json.loads(
+            cfg_path.read_text())["paths"]["protocol_train"])
+            if (t.phrase_id, t.label) == ("P00", "genuine")]
+        train = protocol("refused", "train", lambda t: t.trial_id != p00_genuine[0] and not (
+            t.phrase_id == "P01" and t.label == "spoof"))
+        rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
+                           "--protocol", train)
+        assert rc == 2 and "for phrase P01" in err
+        assert tree_hashes(models) == before
+        assert [p.name for p in models.iterdir()] == [system]
 
     def test_a_one_phrase_protocol_trains_and_scores(self, phrase_work, capsys):
         cfg_path, models, protocol = phrase_work

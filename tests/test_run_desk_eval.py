@@ -44,8 +44,8 @@ def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "small.json"
     cfg_path.write_text(json.dumps(config))
 
-    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--config", str(cfg_path),
-                                      "--work-dir", str(tmp_path / "unused")])
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--config", str(cfg_path)])
+    monkeypatch.chdir(tmp_path)
     runpy.run_path(str(SCRIPT), run_name="__main__")
 
     out = capsys.readouterr().out
@@ -54,7 +54,24 @@ def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in (work / "features").iterdir()) == ["dw", "lp"]
     eval_ids = [t.trial_id for t in parse_protocol(work / "corpus/protocol_eval.txt")]
     assert list(read_scores(work / "fused.eval.scores").trial_ids) == eval_ids
-    assert not (tmp_path / "unused").exists()
+    assert not (tmp_path / "work").exists()
+
+
+# the config file is the only source of the seed and the paths
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "c.json", "--work-dir", "w"],
+     "argument --work-dir: not allowed with argument --config"),
+    (["--seed", "1"], "unrecognized arguments: --seed 1"),
+], ids=["config-and-work-dir", "seed"])
+def test_an_option_the_config_would_override_is_refused(tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), *argv])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("label, problem", [
