@@ -211,7 +211,8 @@ def main():
 
         def frames(spec, trial_id):
             return load_feature_frames(
-                feature_path(feature_dir(backend, spec.feature), trial_id))
+                feature_path(feature_dir(backend, spec.feature), trial_id),
+                backend.features[spec.feature])
 
         def model(spec, base, kind):
             return load_model(model_dir(backend, spec.name) / f"{base}__{PHRASE}.rsmd", kind)

@@ -24,7 +24,6 @@ from pathlib import Path
 from replaycm import cli, pipeline
 from replaycm.config import ConfigError, default_desk_config, load_config
 from replaycm.corpus import parse_protocol
-from replaycm.metrics import compute_eer, read_scores
 
 
 def run(*args):
@@ -34,14 +33,11 @@ def run(*args):
 
 
 def eer_percent(score_path, trials):
-    """EER of a score file against a labeled protocol; a score/protocol
-    mismatch is refused as ``eval`` refuses it."""
-    scores = read_scores(score_path)
+    """The EER (%) that ``eval`` reports for a score file, or its refusal."""
     try:
-        labels = pipeline.labels_vector(trials, scores.trial_ids)
+        return 100.0 * pipeline.evaluate(score_path, trials)[0]
     except ValueError as exc:
-        sys.exit(f"error: {score_path}: {exc}")
-    return 100.0 * compute_eer(scores.scores[labels > 0], scores.scores[labels < 0])[0]
+        sys.exit(f"error: {exc}")
 
 
 def main():

@@ -10,7 +10,7 @@ replay corpus for end-to-end checks.
 from .audio_io import Waveform, load_wav, write_wav
 from .cepstral import cmvn, cqcc, lpcc
 from .eemd import delta_eemd_spectrogram, eemd_first_imf, emd_first_imf
-from .fusion import FusionModel, fusion_apply, fusion_train
+from .fusion import fusion_apply, fusion_train
 from .gmm import GmmModel, gmm_avg_loglik, gmm_em_train, llr_score
 from .ivector import (
     BaumWelchStats,
@@ -31,6 +31,6 @@ from .spectral import (
     sliding_windows,
     truncate_or_repeat,
 )
-from .svm import SvmModel, svm_score, svm_train_linear
+from .svm import LinearModel, svm_score, svm_train_linear
 
 __version__ = "0.1.0"

@@ -50,34 +50,39 @@ class Trial:
             raise ValueError(f"unknown label {self.label!r}")
 
 
+def read_records(path, n_fields: int, error: type[ValueError]):
+    """("path:line", fields) for each non-blank line of a whitespace-separated
+    file of trial records, trial id first.  A line with another field count,
+    or a trial id seen on an earlier line, is refused with ``error``."""
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        fields = line.split()
+        if not fields:
+            continue
+        where = f"{path}:{lineno}"
+        if len(fields) != n_fields:
+            raise error(f"{where}: expected {n_fields} whitespace-separated fields, "
+                        f"got {len(fields)}")
+        if fields[0] in first_line:
+            raise error(f"{where}: duplicate trial_id {fields[0]!r} "
+                        f"(first seen on line {first_line[fields[0]]})")
+        first_line[fields[0]] = lineno
+        yield where, fields
+
+
 def parse_protocol(path) -> list[Trial]:
     """Parse one trial per line: id label speaker phrase env playback recording.
     A trial or phrase id may not contain '/'."""
     trials: list[Trial] = []
-    seen: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 7:
-            raise ProtocolError(
-                f"{path}:{lineno}: expected 7 whitespace-separated fields, "
-                f"got {len(parts)}"
-            )
-        trial_id, label = parts[0], parts[1]
+    for where, fields in read_records(path, 7, ProtocolError):
+        trial_id, label, _, phrase_id = fields[:4]
         # trial and phrase ids name feature and model files
-        for field, value in (("trial_id", trial_id), ("phrase_id", parts[3])):
+        for name, value in (("trial_id", trial_id), ("phrase_id", phrase_id)):
             if "/" in value:
-                raise ProtocolError(f"{path}:{lineno}: {field} {value!r} contains '/'")
+                raise ProtocolError(f"{where}: {name} {value!r} contains '/'")
         if label not in LABELS:
-            raise ProtocolError(f"{path}:{lineno}: unknown label token {label!r}")
-        if trial_id in seen:
-            raise ProtocolError(
-                f"{path}:{lineno}: duplicate trial_id {trial_id!r} "
-                f"(first seen on line {seen[trial_id]})"
-            )
-        seen[trial_id] = lineno
-        trials.append(Trial(trial_id, label, *parts[2:]))
+            raise ProtocolError(f"{where}: unknown label token {label!r}")
+        trials.append(Trial(*fields))
     return trials
 
 
@@ -175,6 +180,20 @@ class CorpusConfig:
             raise ValueError("need at least one speaker and one phrase")
         if self.duration_seconds <= 0 or self.sample_rate <= 0:
             raise ValueError("duration and sample rate must be positive")
+        # the replay channel draws each value uniformly from its range
+        for name in ("cutoff_hz_range", "snr_db_range", "gain_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must be [low, high] with low <= high, "
+                                 f"got {[low, high]}")
+        if self.cutoff_hz_range[0] <= 0 or self.cutoff_hz_range[1] >= self.sample_rate / 2:
+            raise ValueError(f"cutoff_hz_range must lie between 0 and the Nyquist "
+                             f"frequency {self.sample_rate / 2} Hz, got "
+                             f"{list(self.cutoff_hz_range)}")
+        if self.gain_range[0] <= 0:
+            raise ValueError(f"gain_range must be positive, got {list(self.gain_range)}")
+        if self.max_reflections < 1:
+            raise ValueError(f"max_reflections must be >= 1, got {self.max_reflections}")
 
 
 @dataclass(frozen=True)

@@ -9,27 +9,10 @@ is the linear part w's + b.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-
-@dataclass
-class FusionModel:
-    weights: np.ndarray
-    offset: float
-    loss_history: tuple = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.ndim != 1 or not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be a finite vector")
-        if not np.isfinite(self.offset):
-            raise ValueError("offset must be finite")
-
-    @property
-    def n_systems(self) -> int:
-        return self.weights.size
+from .svm import LinearModel, augmented_training_set
 
 
 def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
@@ -47,21 +30,14 @@ def fusion_train(
     l2: float = 1e-6,
     tol: float = 1e-8,
     max_iters: int = 50000,
-) -> FusionModel:
+) -> LinearModel:
     """Train fusion weights on a trials x systems score matrix.
 
     labels holds +1 for genuine and -1 for spoof trials.  Optimization stops
-    when the gradient norm drops below tol; the recorded loss history is
-    non-increasing.
+    when the gradient norm drops below tol; the model's history, the loss per
+    iteration, is non-increasing.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if scores.ndim != 2 or labels.shape != (scores.shape[0],):
-        raise ValueError("scores must be trials x systems with one label per trial")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must all be finite")
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 (genuine) or -1 (spoof)")
+    aug, labels = augmented_training_set(scores, labels)
     n_genuine = int(np.sum(labels == 1.0))
     n_spoof = int(np.sum(labels == -1.0))
     if min(n_genuine, n_spoof) < 2:
@@ -69,8 +45,7 @@ def fusion_train(
     if l2 < 0:
         raise ValueError("l2 must be non-negative")
 
-    n = scores.shape[0]
-    aug = np.hstack([scores, np.ones((n, 1))])
+    n = aug.shape[0]
     theta = np.zeros(aug.shape[1])
     loss, grad = _loss_and_grad(theta, aug, labels, l2, 1.0 / n)
     history = [loss]
@@ -114,12 +89,12 @@ def fusion_train(
             stacklevel=2,
         )
 
-    return FusionModel(theta[:-1].copy(), float(theta[-1]), tuple(history))
+    return LinearModel(theta[:-1].copy(), float(theta[-1]), tuple(history))
 
 
-def fusion_apply(model: FusionModel, scores: np.ndarray) -> np.ndarray:
+def fusion_apply(model: LinearModel, scores: np.ndarray) -> np.ndarray:
     """Fused scores w's + b of a trials x systems score matrix."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[1] != model.n_systems:
-        raise ValueError(f"expected trials x {model.n_systems} scores, got {scores.shape}")
-    return scores @ model.weights + model.offset
+    if scores.ndim != 2 or scores.shape[1] != model.weights.size:
+        raise ValueError(f"expected trials x {model.weights.size} scores, got {scores.shape}")
+    return scores @ model.weights + model.bias

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_records
+
 
 class ScoreFileError(ValueError):
     """Malformed score file."""
@@ -92,28 +94,12 @@ def read_scores(path) -> ScoreSet:
     """Parse a "trial_id score" per-line file; blank lines are skipped."""
     trial_ids: list[str] = []
     scores: list[float] = []
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ScoreFileError(
-                f"{path}:{lineno}: expected 'trial_id score', got {len(parts)} fields"
-            )
-        trial_id, raw = parts
+    for where, (trial_id, raw) in read_records(path, 2, ScoreFileError):
         try:
-            value = float(raw)
+            scores.append(float(raw))
         except ValueError as exc:
-            raise ScoreFileError(f"{path}:{lineno}: invalid score {raw!r}") from exc
-        if trial_id in first_line:
-            raise ScoreFileError(
-                f"{path}:{lineno}: duplicate trial_id {trial_id!r} "
-                f"(first seen on line {first_line[trial_id]})"
-            )
-        first_line[trial_id] = lineno
+            raise ScoreFileError(f"{where}: invalid score {raw!r}") from exc
         trial_ids.append(trial_id)
-        scores.append(value)
     return ScoreSet(tuple(trial_ids), np.array(scores, dtype=np.float64))
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from .config import (
 )
 from .corpus import Trial, partition_by_phrase
 from .eemd import DeemdParams, delta_eemd_spectrogram
-from .fusion import FusionModel
 from .gmm import GmmModel, gmm_em_train, llr_score
 from .ivector import (
     TotalVariabilityModel,
@@ -33,7 +33,7 @@ from .ivector import (
     extract_ivector,
     train_t_matrix,
 )
-from .metrics import ScoreSet
+from .metrics import ScoreSet, compute_eer, read_scores
 from .spectral import (
     CqtConfig,
     DwtConfig,
@@ -43,7 +43,7 @@ from .spectral import (
     fft_spectrogram,
     mvn_spectrum,
 )
-from .svm import SvmModel, svm_score, svm_train_linear
+from .svm import LinearModel, svm_score, svm_train_linear
 
 SHARED_KEY = ""
 
@@ -94,13 +94,17 @@ def save_feature(path, values: np.ndarray, spec: FeatureSpec) -> None:
                                            "fingerprint": repr(spec.config)})
 
 
-def load_feature_frames(path) -> np.ndarray:
-    """Read a feature container as a frames x dim matrix for modelling.
+def load_feature_frames(path, spec: FeatureSpec) -> np.ndarray:
+    """Read a feature container as a frames x dim matrix for modelling; a
+    file whose kind or fingerprint is not ``spec``'s is refused.
 
     Containers hold every feature as dim x frames, one column per frame, so
     modelling always sees the transpose.
     """
-    values, _ = containers.read_matrix(path)
+    values, meta = containers.read_matrix(path)
+    if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, repr(spec.config)):
+        raise ValueError(f"{path}: extracted with other settings than feature "
+                         f"{spec.name!r} has now; re-run extract")
     return values.T
 
 
@@ -130,7 +134,7 @@ def _trial_frames(cfg: PipelineConfig, feature_name: str, trial: Trial) -> np.nd
             f"trial {trial.trial_id}: missing features {path} "
             f"(run extract for feature {feature_name!r} first)"
         )
-    return load_feature_frames(path)
+    return load_feature_frames(path, cfg.features[feature_name])
 
 
 def _phrase_groups(trials: list[Trial], phrase_dependent: bool) -> dict[str, list[Trial]]:
@@ -144,24 +148,25 @@ def _model_name(base: str, phrase_key: str) -> str:
 
 
 # Each model kind's arrays in file order, and the type built from them; a
-# kind without a type is one plain array, and a scalar field is stored as a
-# one-value array.  The only place a kind's layout is written down.
+# kind's arrays are the leading fields of its type, in order, so two kinds may
+# name one type's fields differently.  A kind without a type is one plain
+# array, and a scalar field is stored as a one-value array.  The only place a
+# kind's layout is written down.
 MODEL_LAYOUTS = {
     "gmm": (GmmModel, ("weights", "means", "variances"), ()),
     "tmatrix": (None, ("t_matrix",), ()),
     "mean": (None, ("mean",), ()),
-    "svm": (SvmModel, ("weight",), ("bias",)),
-    "fusion": (FusionModel, ("weights",), ("offset",)),
+    "svm": (LinearModel, ("weight",), ("bias",)),
+    "fusion": (LinearModel, ("weights",), ("offset",)),
 }
 
 
 def save_model(path, kind: str, model) -> None:
     """Write ``model`` to ``path`` as a ``kind`` model file."""
     build, names, scalars = MODEL_LAYOUTS[kind]
-    fields = names + scalars
-    values = [model] if build is None else [getattr(model, name) for name in fields]
+    values = [model] if build is None else [getattr(model, f.name) for f in fields(model)]
     containers.write_model(path, kind, {name: np.atleast_1d(value)
-                                        for name, value in zip(fields, values)})
+                                        for name, value in zip(names + scalars, values)})
 
 
 def load_model(path, kind: str):
@@ -279,7 +284,7 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
                 save_model(_model_path(out_dir, "mean", svm_key), "mean", mean)
                 save_model(_model_path(out_dir, "svm", svm_key), "svm", svm)
                 diagnostics[f"{_model_name('svm', svm_key)}_final_dual_objective"] = (
-                    svm.dual_objective_history[-1]
+                    svm.history[-1]
                 )
     return diagnostics
 
@@ -384,27 +389,29 @@ def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
 
 
-def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...]) -> np.ndarray:
-    """+1/-1 labels for the given trial ids, drawn from a labeled protocol.
-    A trial id absent from the protocol or unlabeled there is refused, and so
-    is a labeled protocol trial that ``trial_ids`` leaves out."""
+def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...], score_path) -> np.ndarray:
+    """+1/-1 labels for the trial ids of score file ``score_path``, drawn from
+    a labeled protocol.  A trial id absent from the protocol or unlabeled
+    there is refused, and so is a labeled protocol trial that ``trial_ids``
+    leaves out; each refusal names the score file."""
     by_id = {t.trial_id: t.label for t in trials}
-    missing = [tid for tid in trial_ids if tid not in by_id]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} scored trial(s) absent from the protocol, "
-            f"e.g. {missing[:5]}"
-        )
-    unknown = [tid for tid in trial_ids if by_id[tid] == "unknown"]
-    if unknown:
-        raise ValueError(
-            f"{len(unknown)} scored trial(s) have no ground-truth label, "
-            f"e.g. {unknown[:5]}"
-        )
     scored = set(trial_ids)
-    unscored = [t.trial_id for t in trials
-                if t.label != "unknown" and t.trial_id not in scored]
-    if unscored:
-        raise ValueError(f"{len(unscored)} labeled trial(s) have no score, "
-                         f"e.g. {unscored[:5]}")
+    for found, problem in (
+        ([tid for tid in trial_ids if tid not in by_id],
+         "scored trial(s) absent from the protocol"),
+        ([tid for tid in trial_ids if by_id.get(tid) == "unknown"],
+         "scored trial(s) have no ground-truth label"),
+        ([t.trial_id for t in trials if t.label != "unknown" and t.trial_id not in scored],
+         "labeled trial(s) have no score"),
+    ):
+        if found:
+            raise ValueError(f"{score_path}: {len(found)} {problem}, e.g. {found[:5]}")
     return np.array([1.0 if by_id[tid] == "genuine" else -1.0 for tid in trial_ids])
+
+
+def evaluate(score_path, trials: list[Trial]) -> tuple[float, float]:
+    """The equal error rate of a score file against a labeled protocol, and
+    the threshold where the error rates cross."""
+    score_set = read_scores(score_path)
+    labels = labels_vector(trials, score_set.trial_ids, score_path)
+    return compute_eer(score_set.scores[labels > 0], score_set.scores[labels < 0])

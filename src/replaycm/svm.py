@@ -1,7 +1,8 @@
-"""L2-regularized hinge-loss linear SVM trained by dual coordinate descent.
+"""The linear model w'x + b, and the L2-regularized hinge-loss linear SVM
+that dual coordinate descent trains as one (score fusion trains another).
 
-The bias is realized as an extra always-one feature that shares the
-regularizer, so the dual stays a box-constrained quadratic program.
+The trainers realize the bias as an extra always-one feature that shares the
+regularizer, so the SVM dual stays a box-constrained quadratic program.
 Coordinates are visited in a fixed sequential order; training is
 deterministic.
 """
@@ -15,17 +16,33 @@ import numpy as np
 
 
 @dataclass
-class SvmModel:
-    weight: np.ndarray
+class LinearModel:
+    """weights'x + bias, with its trainer's objective per step as history."""
+
+    weights: np.ndarray
     bias: float
-    dual_objective_history: tuple = field(default=(), compare=False, repr=False)
+    history: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        if self.weight.ndim != 1 or not np.all(np.isfinite(self.weight)):
-            raise ValueError("weight must be a finite vector")
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.weights.ndim != 1 or not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be a finite vector")
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
+
+
+def augmented_training_set(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x with an always-one column appended, and y, as float64 arrays; x must
+    be N x D and finite, with one +1 or -1 label per row in y."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise ValueError("training rows must be N x D with one label per row")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training rows must all be finite")
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be +1 (genuine) or -1 (spoof)")
+    return np.hstack([x, np.ones((x.shape[0], 1))]), y
 
 
 def svm_train_linear(
@@ -34,28 +51,20 @@ def svm_train_linear(
     c: float = 1.0,
     tol: float = 1e-6,
     max_epochs: int = 2000,
-) -> SvmModel:
+) -> LinearModel:
     """Train on rows of x with labels y in {+1, -1}.
 
     Runs epochs of dual coordinate descent until the duality gap drops below
     tol * (primal + 1).  The dual objective (minimization form) after each
-    epoch is recorded on the model and decreases monotonically.
+    epoch is the model's history and decreases monotonically.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise ValueError("x must be N x D with one label per row")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("training rows must be finite")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 or -1")
+    aug, y = augmented_training_set(x, y)
     if np.all(y == 1.0) or np.all(y == -1.0):
         raise ValueError("training data contains a single class; need both labels")
     if c <= 0:
         raise ValueError("regularization parameter c must be positive")
 
-    n = x.shape[0]
-    aug = np.hstack([x, np.ones((n, 1))])
+    n = aug.shape[0]
     q_diag = np.einsum("ij,ij->i", aug, aug)
     alpha = np.zeros(n)
     w = np.zeros(aug.shape[1])
@@ -90,15 +99,15 @@ def svm_train_linear(
             stacklevel=2,
         )
 
-    return SvmModel(w[:-1].copy(), float(w[-1]), tuple(history))
+    return LinearModel(w[:-1].copy(), float(w[-1]), tuple(history))
 
 
-def svm_score(model: SvmModel, v: np.ndarray) -> float:
+def svm_score(model: LinearModel, v: np.ndarray) -> float:
     """Linear decision value w'v + b; higher means more genuine."""
     vec = np.asarray(v, dtype=np.float64)
-    if vec.shape != model.weight.shape:
+    if vec.shape != model.weights.shape:
         raise ValueError(
             f"input dimension {vec.shape} does not match the model "
-            f"({model.weight.shape})"
+            f"({model.weights.shape})"
         )
-    return float(model.weight @ vec + model.bias)
+    return float(model.weights @ vec + model.bias)

@@ -17,7 +17,7 @@ import pytest
 import replaycm.cli  # noqa: F401  (imports every module the benchmark traces)
 from replaycm import pipeline
 from replaycm.audio_io import Waveform
-from replaycm.config import parse_config
+from replaycm.config import default_desk_config, parse_config
 from replaycm.pipeline import FEATURE_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -99,3 +99,9 @@ def test_every_benchmark_workload_config_parses(name, tmp_path):
     assert set(cfg.features) == set(workload.features)
     assert set(cfg.systems) == set(workload.systems)
     assert cfg.seed == workload.seed
+
+
+def test_the_desk_workload_is_the_desk_preset(tmp_path):
+    # scripts/run_desk_eval.py runs the preset; the benchmark's desk workload must match it
+    assert default_desk_config(str(tmp_path)) == WORKLOADS.Workload.load("desk").full_config(
+        tmp_path)

@@ -21,7 +21,7 @@ from replaycm.ivector import (
     extract_ivector,
 )
 from replaycm.metrics import compute_eer, read_scores
-from replaycm.svm import SvmModel, svm_score
+from replaycm.svm import LinearModel, svm_score
 
 TINY_CONFIG = {
     "seed": 4242,
@@ -161,6 +161,29 @@ class TestSynth:
         assert len(list((tmp_path / "work/features/lpcc-small").glob("*.rsft"))) == 16
         assert cli.main(["train", "--config", str(cfg_path), "--system", "ivec-sys"]) == 0
 
+    @pytest.mark.parametrize("key, value", [
+        ("cutoff_hz_range", [8500, 9000]),
+        ("cutoff_hz_range", [0, 3000]),
+        ("gain_range", [-0.5, -0.1]),
+        ("max_reflections", 0),
+        ("snr_db_range", [30, 20]),
+    ], ids=["cutoff-above-nyquist", "cutoff-from-zero", "negative-gain", "no-reflection",
+            "snr-reversed"])
+    def test_a_corpus_setting_synth_cannot_render_is_refused(self, tmp_path, capsys,
+                                                             key, value):
+        corpus = tmp_path / "work/corpus"
+        cfg_path = self.write_config(tmp_path, {
+            "work_dir": tmp_path / "work", "audio_dir": corpus / "wav",
+            "protocol_train": corpus / "protocol_train.txt",
+            "protocol_eval": corpus / "protocol_eval.txt"})
+        config = json.loads(cfg_path.read_text())
+        config["corpus"][key] = value
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["synth", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: corpus: {key} ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -290,7 +313,8 @@ class TestExtract:
         values, meta = containers.read_matrix(path)
         assert values.shape[0] == self.FEATURE_ROWS[feature]
         assert values.shape[1] > 1
-        assert np.array_equal(pipeline.load_feature_frames(path), values.T)
+        spec = load_config(cfg_path).features[feature]
+        assert np.array_equal(pipeline.load_feature_frames(path, spec), values.T)
         assert sorted(meta) == ["fingerprint", "kind", "name"]
         assert meta["name"] == feature
 
@@ -563,15 +587,39 @@ class TestTrainAndScore:
             tv = TotalVariabilityModel(
                 ubm, arrays("tmatrix", spec.t_shared, phrase, "tmatrix")["t_matrix"])
             frames = pipeline.load_feature_frames(
-                work / "features" / spec.feature / f"{trial.trial_id}.rsft")
+                work / "features" / spec.feature / f"{trial.trial_id}.rsft",
+                cfg.features[spec.feature])
             ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
             mean = arrays("mean", spec.svm_shared, phrase, "mean")["mean"]
             normalized, _ = center_length_normalize(ivec[None], mean=mean)
             svm = arrays("svm", spec.svm_shared, phrase, "svm")
-            expected = svm_score(SvmModel(svm["weight"], float(svm["bias"][0])),
+            expected = svm_score(LinearModel(svm["weight"], float(svm["bias"][0])),
                                  normalized[0])
             assert score == expected, trial.trial_id
 
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_features_extracted_with_other_settings_are_refused(self, trained, tmp_path,
+                                                                capsys, command):
+        cfg_path, work = trained
+        for part in ("features/cqcc-small", "models/gmm-sys"):
+            shutil.copytree(work / part, tmp_path / part)
+        config = json.loads(cfg_path.read_text())
+        config["features"]["cqcc-small"].update(bins_per_octave=24, n_bins=48)
+        config["paths"]["work_dir"] = str(tmp_path)
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(config))
+        before = tree_hashes(tmp_path)
+        protocol = work / "corpus/protocol_train.txt"
+        out = ["--out-scores", str(tmp_path / "x")] if command == "score" else []
+        rc = cli.main([command, "--config", str(stale), "--system", "gmm-sys",
+                       "--protocol", str(protocol), *out])
+        first = tmp_path / "features/cqcc-small" / f"{parse_protocol(protocol)[0].trial_id}.rsft"
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {first}: extracted with other settings than feature 'cqcc-small' "
+            "has now; re-run extract\n")
+        assert tree_hashes(tmp_path) == before
 
     def test_score_with_a_malformed_model_exits_2(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
@@ -869,8 +917,24 @@ class TestFuseEval:
                        "--out-model", str(tmp_path / "fusion.rsmd"),
                        "--out-scores", str(tmp_path / "x")])
         assert rc == 2
-        assert capsys.readouterr().err == (f"error: 1 labeled trial(s) have no score, "
-                                           f"e.g. ['{dropped.trial_id}']\n")
+        assert capsys.readouterr().err == (f"error: {scores}: 1 labeled trial(s) have no "
+                                           f"score, e.g. ['{dropped.trial_id}']\n")
+        assert not (tmp_path / "fusion.rsmd").exists() and not (tmp_path / "x").exists()
+
+    def test_training_names_the_score_file_with_a_trial_the_protocol_lacks(
+            self, workspace, tmp_path, capsys):
+        _, work = workspace
+        protocol = work / "corpus/protocol_train.txt"
+        a, b = tmp_path / "a.scores", tmp_path / "b.scores"
+        for path in (a, b):
+            path.write_text("".join(f"{t.trial_id} {1.0 if t.label == 'genuine' else -1.0}\n"
+                                    for t in parse_protocol(protocol)) + "stray 0.5\n")
+        rc = cli.main(["fuse", str(a), str(b), "--protocol", str(protocol),
+                       "--out-model", str(tmp_path / "fusion.rsmd"),
+                       "--out-scores", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {a}: 1 scored trial(s) absent from the protocol, e.g. ['stray']\n")
         assert not (tmp_path / "fusion.rsmd").exists() and not (tmp_path / "x").exists()
 
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
@@ -880,14 +944,16 @@ class TestFuseEval:
         scores.write_text("not_a_trial 1.0\n")
         rc = cli.main(["eval", str(scores), "--protocol", str(protocol)])
         assert rc == 2
-        assert "not_a_trial" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {scores}: 1 scored trial(s) absent from the protocol, "
+            "e.g. ['not_a_trial']\n")
         # every scored trial is labeled, but one labeled trial has no score
         dropped, *kept = parse_protocol(protocol)
         scores.write_text("".join(f"{t.trial_id} 1.0\n" for t in kept))
         rc = cli.main(["eval", str(scores), "--protocol", str(protocol)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == (f"error: 1 labeled trial(s) have no score, "
+        assert err == (f"error: {scores}: 1 labeled trial(s) have no score, "
                        f"e.g. ['{dropped.trial_id}']\n")
 
 
@@ -938,6 +1004,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_the_module_runs_as_a_script(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "replaycm.cli", "synth", "--config",
+             str(tmp_path / "absent.json")],
+            env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "absent.json" in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_internal_bug_prints_traceback_exit_1(self, tmp_path, monkeypatch, capsys):
         def broken(args):

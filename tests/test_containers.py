@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from replaycm import cli, containers, pipeline
-from replaycm.fusion import FusionModel
 from replaycm.gmm import GmmModel
-from replaycm.svm import SvmModel
+from replaycm.svm import LinearModel
 
 
 def test_matrix_roundtrip(tmp_path, rng):
@@ -174,8 +173,8 @@ def example_model(kind: str):
                         rng.uniform(0.5, 2.0, (3, 4))),
         "tmatrix": rng.standard_normal((12, 2)),
         "mean": rng.standard_normal(5),
-        "svm": SvmModel(rng.standard_normal(5), 0.25),
-        "fusion": FusionModel(rng.standard_normal(3), -1.5),
+        "svm": LinearModel(rng.standard_normal(5), 0.25),
+        "fusion": LinearModel(rng.standard_normal(3), -1.5),
     }[kind]
 
 

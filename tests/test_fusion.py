@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from replaycm.fusion import FusionModel, _loss_and_grad, fusion_apply, fusion_train
+from replaycm.fusion import _loss_and_grad, fusion_apply, fusion_train
+from replaycm.svm import LinearModel
 from replaycm.metrics import compute_eer
 
 
@@ -54,7 +55,7 @@ def test_loss_history_non_increasing(rng):
     labels = np.where(rng.random(60) > 0.5, 1.0, -1.0)
     labels[:4] = [1.0, 1.0, -1.0, -1.0]
     model = fusion_train(scores, labels)
-    history = np.array(model.loss_history)
+    history = np.array(model.history)
     assert np.all(np.diff(history) <= 0.0)
 
 
@@ -64,7 +65,7 @@ def test_gradient_norm_reached(rng):
     model = fusion_train(scores, labels, tol=1e-8)
     # recompute the gradient at the trained point
     aug = np.hstack([scores, np.ones((100, 1))])
-    theta = np.concatenate([model.weights, [model.offset]])
+    theta = np.concatenate([model.weights, [model.bias]])
     z = labels * (aug @ theta)
     sigma = 1.0 / (1.0 + np.exp(z))
     grad = aug.T @ (-(sigma / 100.0) * labels) + 2e-6 * theta
@@ -99,29 +100,29 @@ def test_non_finite_scores_rejected():
 
 class TestApply:
     def test_projection_weight(self):
-        model = FusionModel(np.array([1.0, 0.0, 0.0]), 0.0)
+        model = LinearModel(np.array([1.0, 0.0, 0.0]), 0.0)
         assert fusion_apply(model, np.array([[0.7, -5.0, 3.0]])).tolist() == [0.7]
 
     def test_constant_offset(self):
-        model = FusionModel(np.zeros(2), -1.25)
+        model = LinearModel(np.zeros(2), -1.25)
         assert fusion_apply(model, np.array([[4.0, 5.0]])).tolist() == [-1.25]
 
     def test_matches_dot_product_oracle(self, rng):
-        model = FusionModel(rng.standard_normal(4), 0.3)
+        model = LinearModel(rng.standard_normal(4), 0.3)
         s = rng.standard_normal(4)
-        expected = sum(model.weights[i] * s[i] for i in range(4)) + model.offset
+        expected = sum(model.weights[i] * s[i] for i in range(4)) + model.bias
         (fused,) = fusion_apply(model, s[None, :])
         assert abs(fused - expected) <= 1e-12
 
     def test_matrix_application(self, rng):
-        model = FusionModel(rng.standard_normal(2), 0.1)
+        model = LinearModel(rng.standard_normal(2), 0.1)
         scores = rng.standard_normal((5, 2))
         fused = fusion_apply(model, scores)
         assert fused.shape == (5,)
-        assert np.allclose(fused, scores @ model.weights + model.offset)
+        assert np.allclose(fused, scores @ model.weights + model.bias)
 
     def test_dimension_mismatch(self):
-        model = FusionModel(np.ones(3), 0.0)
+        model = LinearModel(np.ones(3), 0.0)
         for shape in [(1, 2), (3,), (1, 1, 3)]:
             with pytest.raises(ValueError, match="trials x 3"):
                 fusion_apply(model, np.ones(shape))

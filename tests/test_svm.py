@@ -5,7 +5,7 @@ import pytest
 
 from replaycm.gmm import GmmModel
 from replaycm.ivector import BaumWelchStats, TotalVariabilityModel, extract_ivector
-from replaycm.svm import SvmModel, svm_score, svm_train_linear
+from replaycm.svm import LinearModel, svm_score, svm_train_linear
 
 
 def qp_oracle_objective(x, y, c):
@@ -62,7 +62,7 @@ def test_separable_blobs_train_accuracy(rng):
     x = np.vstack([pos, neg])
     y = np.array([1.0] * 40 + [-1.0] * 40)
     model = svm_train_linear(x, y, c=1.0)
-    predictions = np.sign(x @ model.weight + model.bias)
+    predictions = np.sign(x @ model.weights + model.bias)
     assert np.all(predictions == y)
 
 
@@ -75,7 +75,7 @@ def test_tiny_problems_match_qp_oracle(rng):
             y[0] = -y[0]
         c = float(rng.uniform(0.3, 2.0))
         model = svm_train_linear(x, y, c=c, tol=1e-10, max_epochs=200000)
-        solver_obj = model.dual_objective_history[-1]
+        solver_obj = model.history[-1]
         oracle_obj = qp_oracle_objective(x, y, c)
         assert abs(solver_obj - oracle_obj) <= 1e-4
 
@@ -85,7 +85,7 @@ def test_dual_objective_monotone_per_epoch(rng):
     y = np.where(rng.random(30) > 0.5, 1.0, -1.0)
     y[:2] = [1.0, -1.0]
     model = svm_train_linear(x, y, c=1.0)
-    history = np.array(model.dual_objective_history)
+    history = np.array(model.history)
     assert np.all(np.diff(history) <= 1e-12)
 
 
@@ -100,17 +100,17 @@ def test_training_is_deterministic(rng):
     y[:2] = [1.0, -1.0]
     a = svm_train_linear(x, y, c=1.0)
     b = svm_train_linear(x, y, c=1.0)
-    assert np.array_equal(a.weight, b.weight)
+    assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
 
 
 class TestScore:
     def test_zero_weight_constant_bias(self):
-        model = SvmModel(np.zeros(4), 0.3)
+        model = LinearModel(np.zeros(4), 0.3)
         assert svm_score(model, np.ones(4)) == 0.3
 
     def test_linearity(self, rng):
-        model = SvmModel(rng.standard_normal(4), -0.7)
+        model = LinearModel(rng.standard_normal(4), -0.7)
         v = rng.standard_normal(4)
         alpha = 2.5
         lhs = svm_score(model, alpha * v) - model.bias
@@ -118,9 +118,9 @@ class TestScore:
         assert np.isclose(lhs, rhs)
 
     def test_matches_dot_product_oracle(self, rng):
-        model = SvmModel(rng.standard_normal(6), 0.1)
+        model = LinearModel(rng.standard_normal(6), 0.1)
         v = rng.standard_normal(6)
-        expected = sum(model.weight[i] * v[i] for i in range(6)) + model.bias
+        expected = sum(model.weights[i] * v[i] for i in range(6)) + model.bias
         assert abs(svm_score(model, v) - expected) <= 1e-12
 
     def test_accepts_ivector(self, rng):
@@ -128,10 +128,10 @@ class TestScore:
         ubm = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
         tv = TotalVariabilityModel(ubm, rng.standard_normal((2, 3)))
         ivec = extract_ivector(tv, BaumWelchStats(np.array([4.0]), rng.standard_normal((1, 2))))
-        model = SvmModel(np.ones(3), 0.5)
+        model = LinearModel(np.ones(3), 0.5)
         assert svm_score(model, ivec) == float(np.ones(3) @ ivec + 0.5)
 
     def test_dimension_mismatch(self):
-        model = SvmModel(np.ones(3), 0.0)
+        model = LinearModel(np.ones(3), 0.0)
         with pytest.raises(ValueError, match="dimension"):
             svm_score(model, np.ones(4))
