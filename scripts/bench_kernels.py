@@ -202,6 +202,7 @@ def main():
         load_feature_frames,
         load_model,
         model_dir,
+        model_path,
     )
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -211,11 +212,11 @@ def main():
 
         def frames(spec, trial_id):
             return load_feature_frames(
-                feature_path(feature_dir(backend, spec.feature), trial_id),
-                backend.features[spec.feature])
+                backend, backend.features[spec.feature],
+                feature_path(feature_dir(backend, spec.feature), trial_id))
 
         def model(spec, base, kind):
-            return load_model(model_dir(backend, spec.name) / f"{base}__{PHRASE}.rsmd", kind)
+            return load_model(model_path(model_dir(backend, spec.name), base, PHRASE), kind)
 
         trials = [t for t in parse_protocol(backend.paths.protocol_train)
                   if t.phrase_id == PHRASE]

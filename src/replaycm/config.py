@@ -121,8 +121,8 @@ _JSON_TYPES = {
 def _checked(value, hint, where: str):
     """Check a JSON value against a field annotation; a list becomes a tuple.
 
-    Nothing else is converted: the repr of a parsed feature config is the
-    fingerprint stored in every feature container.
+    Nothing else is converted: the repr of a parsed feature config is part
+    of the fingerprint stored in every feature container.
     """
     args = get_args(hint)
     if type(None) in args:

@@ -25,7 +25,7 @@ class GmmModel:
     weights: np.ndarray    # (K,)
     means: np.ndarray      # (K, D)
     variances: np.ndarray  # (K, D)
-    loglik_history: tuple = field(default=(), compare=False, repr=False)
+    history: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("weights", "means", "variances"):

@@ -39,7 +39,7 @@ class TotalVariabilityModel:
 
     ubm: GmmModel
     t_matrix: np.ndarray  # (K*D, R)
-    objective_history: tuple = field(default=(), compare=False, repr=False)
+    history: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         t_matrix = np.array(self.t_matrix, dtype=np.float64)
@@ -208,7 +208,7 @@ def train_t_matrix(
     if np.linalg.matrix_rank(tv.t_matrix) < rank:
         warnings.warn("trained t_matrix is numerically rank deficient", stacklevel=2)
     # the final model keeps the Gram matrices its last E-step built
-    object.__setattr__(tv, "objective_history", tuple(history))
+    object.__setattr__(tv, "history", tuple(history))
     return tv
 
 

@@ -4,6 +4,7 @@ linear interpolation at the crossing, and the two-column score file format.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,7 +92,8 @@ def compute_eer(genuine, spoof) -> tuple[float, float]:
 
 
 def read_scores(path) -> ScoreSet:
-    """Parse a "trial_id score" per-line file; blank lines are skipped."""
+    """Parse a "trial_id score" per-line file; blank lines are skipped.  A
+    score that is not a finite number is refused, naming its line."""
     trial_ids: list[str] = []
     scores: list[float] = []
     for where, (trial_id, raw) in read_records(path, 2, ScoreFileError):
@@ -99,6 +101,8 @@ def read_scores(path) -> ScoreSet:
             scores.append(float(raw))
         except ValueError as exc:
             raise ScoreFileError(f"{where}: invalid score {raw!r}") from exc
+        if not math.isfinite(scores[-1]):
+            raise ScoreFileError(f"{where}: score {raw!r} is not finite")
         trial_ids.append(trial_id)
     return ScoreSet(tuple(trial_ids), np.array(scores, dtype=np.float64))
 

@@ -89,20 +89,25 @@ def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.nd
     return cmvn(values) if flag == "cmvn" else mvn_spectrum(values)
 
 
-def save_feature(path, values: np.ndarray, spec: FeatureSpec) -> None:
-    containers.write_matrix(path, values, {"name": spec.name, "kind": spec.kind,
-                                           "fingerprint": repr(spec.config)})
+def feature_fingerprint(cfg: PipelineConfig, spec: FeatureSpec) -> str:
+    """Every setting that changes a feature file's values: the front-end's
+    configuration, its normalisation flag, the sample rate and the run seed
+    (which renders every WAV and seeds each trial's front-end)."""
+    flag = FEATURE_KINDS[spec.kind][1]
+    return (f"{spec.config!r} {flag}={spec.normalise} "
+            f"sample_rate={cfg.sample_rate} seed={cfg.seed}")
 
 
-def load_feature_frames(path, spec: FeatureSpec) -> np.ndarray:
+def load_feature_frames(cfg: PipelineConfig, spec: FeatureSpec, path) -> np.ndarray:
     """Read a feature container as a frames x dim matrix for modelling; a
-    file whose kind or fingerprint is not ``spec``'s is refused.
+    file whose kind or fingerprint is not ``spec``'s under ``cfg`` is refused.
 
     Containers hold every feature as dim x frames, one column per frame, so
     modelling always sees the transpose.
     """
     values, meta = containers.read_matrix(path)
-    if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, repr(spec.config)):
+    fingerprint = feature_fingerprint(cfg, spec)
+    if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, fingerprint):
         raise ValueError(f"{path}: extracted with other settings than feature "
                          f"{spec.name!r} has now; re-run extract")
     return values.T
@@ -123,7 +128,8 @@ def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
     seed = derive_seed(cfg.seed, "extract", spec.name, trial.trial_id)
     feature = compute_feature(spec, wave, seed)
     out_path = feature_path(feature_dir(cfg, spec.name), trial.trial_id)
-    save_feature(out_path, feature, spec)
+    containers.write_matrix(out_path, feature, {
+        "name": spec.name, "kind": spec.kind, "fingerprint": feature_fingerprint(cfg, spec)})
     return out_path
 
 
@@ -134,7 +140,7 @@ def _trial_frames(cfg: PipelineConfig, feature_name: str, trial: Trial) -> np.nd
             f"trial {trial.trial_id}: missing features {path} "
             f"(run extract for feature {feature_name!r} first)"
         )
-    return load_feature_frames(path, cfg.features[feature_name])
+    return load_feature_frames(cfg, cfg.features[feature_name], path)
 
 
 def _phrase_groups(trials: list[Trial], phrase_dependent: bool) -> dict[str, list[Trial]]:
@@ -143,8 +149,10 @@ def _phrase_groups(trials: list[Trial], phrase_dependent: bool) -> dict[str, lis
     return partition_by_phrase(trials)
 
 
-def _model_name(base: str, phrase_key: str) -> str:
-    return base if phrase_key == SHARED_KEY else f"{base}__{phrase_key}"
+def model_path(directory, base: str, phrase_key: str) -> Path:
+    """Model ``base`` of ``phrase_key`` in a system's model directory."""
+    name = base if phrase_key == SHARED_KEY else f"{base}__{phrase_key}"
+    return Path(directory) / f"{name}.rsmd"
 
 
 # Each model kind's arrays in file order, and the type built from them; a
@@ -193,38 +201,21 @@ def load_model(path, kind: str):
         raise containers.ContainerFormatError(f"{path}: {exc}") from exc
 
 
-def _model_path(directory: Path, base: str, phrase_key: str) -> Path:
-    return directory / f"{_model_name(base, phrase_key)}.rsmd"
-
-
-def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec,
-                     trials: list[Trial], out_dir: Path) -> dict:
-    """Two-class GMM training on labeled trials, writing to ``out_dir``; one
-    model pair per phrase when phrase-dependent."""
-    diagnostics = {}
+def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec, trials: list[Trial],
+                     save) -> None:
+    """Two-class GMM training on labeled trials, passing each model to
+    ``save``; one model pair per phrase when phrase-dependent."""
     for phrase_key, group in _phrase_groups(trials, spec.phrase_dependent).items():
-        by_label = {"genuine": [], "spoof": []}
-        for trial in group:
-            by_label[trial.label].append(_trial_frames(cfg, spec.feature, trial))
-        for label, frame_list in by_label.items():
-            if not frame_list:
-                raise ValueError(
-                    f"system {spec.name}: no {label} trials to train on"
-                    + (f" for phrase {phrase_key}" if phrase_key else "")
-                )
-            frames = np.vstack(frame_list)
+        for label in ("genuine", "spoof"):
             model = gmm_em_train(
-                frames,
+                np.vstack([_trial_frames(cfg, spec.feature, t) for t in group
+                           if t.label == label]),
                 k=spec.components,
                 iters=spec.iterations,
                 variance_floor=spec.variance_floor,
                 seed=derive_seed(cfg.seed, "train", spec.name, label, phrase_key),
             )
-            save_model(_model_path(out_dir, label, phrase_key), "gmm", model)
-            diagnostics[f"{_model_name(label, phrase_key)}_final_loglik"] = (
-                model.loglik_history[-1]
-            )
-    return diagnostics
+            save(label, phrase_key, "gmm", model, model.history)
 
 
 def _gmm_scorer(load, spec: GmmSystemSpec, phrase_key: str):
@@ -232,17 +223,16 @@ def _gmm_scorer(load, spec: GmmSystemSpec, phrase_key: str):
     return lambda frames: llr_score(genuine, spoofed, frames)
 
 
-def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
-                      trials: list[Trial], out_dir: Path) -> dict:
+def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec, trials: list[Trial],
+                      save) -> None:
     """UBM -> T-matrix -> centered, length-normalized i-vectors -> linear SVM,
-    on labeled trials, writing to ``out_dir``.
+    on labeled trials, passing each model to ``save``.
 
     Each stage is trained per phrase or shared according to the system's
     sharing flags.  A shared T requires a shared UBM and a shared SVM a shared
     T, so each stage's groups split the group of the stage before; one UBM
     group's frames and statistics are held at a time.
     """
-    diagnostics = {}
     for ubm_key, ubm_group in _phrase_groups(trials, not spec.ubm_shared).items():
         frame_list = [_trial_frames(cfg, spec.feature, t) for t in ubm_group]
         ubm = gmm_em_train(
@@ -251,10 +241,7 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
             iters=spec.ubm_iterations,
             seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key),
         )
-        save_model(_model_path(out_dir, "ubm", ubm_key), "gmm", ubm)
-        diagnostics[f"{_model_name('ubm', ubm_key)}_final_loglik"] = (
-            ubm.loglik_history[-1]
-        )
+        save("ubm", ubm_key, "gmm", ubm, ubm.history)
         # each trial's frames are released once its statistics exist
         stats = {t.trial_id: baum_welch_stats(ubm, frame_list.pop(0)) for t in ubm_group}
 
@@ -266,27 +253,15 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec,
                 iters=spec.tv_iterations,
                 seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key),
             )
-            save_model(_model_path(out_dir, "tmatrix", t_key), "tmatrix", tv.t_matrix)
-            diagnostics[f"{_model_name('tmatrix', t_key)}_final_objective"] = (
-                tv.objective_history[-1]
-            )
+            save("tmatrix", t_key, "tmatrix", tv.t_matrix, tv.history)
 
             for svm_key, group in _phrase_groups(t_group, not spec.svm_shared).items():
                 normalized, mean = center_length_normalize(
                     np.stack([extract_ivector(tv, stats[t.trial_id]) for t in group]))
                 labels = np.array([1.0 if t.label == "genuine" else -1.0 for t in group])
-                if np.all(labels == labels[0]):
-                    raise ValueError(
-                        f"system {spec.name}: single-class training set"
-                        + (f" for phrase {svm_key}" if svm_key else "")
-                    )
                 svm = svm_train_linear(normalized, labels, c=spec.svm_c)
-                save_model(_model_path(out_dir, "mean", svm_key), "mean", mean)
-                save_model(_model_path(out_dir, "svm", svm_key), "svm", svm)
-                diagnostics[f"{_model_name('svm', svm_key)}_final_dual_objective"] = (
-                    svm.history[-1]
-                )
-    return diagnostics
+                save("mean", svm_key, "mean", mean)
+                save("svm", svm_key, "svm", svm, svm.history)
 
 
 def _ivec_scorer(load, spec: IvecSystemSpec, phrase_key: str):
@@ -311,10 +286,11 @@ def _ivec_scorer(load, spec: IvecSystemSpec, phrase_key: str):
 # Each system kind's spec type, trainer and scorer factory, keyed by the
 # JSON ``model`` tag; the only place a kind is written down
 # (config._parse_system reads it too).  The trainer is called as
-# f(cfg, spec, labeled_trials, out_dir): it writes every model to out_dir and
-# returns its diagnostics.  The factory is called as f(load, spec,
-# phrase_key): it loads the models of one phrase key through ``load`` and
-# returns the function that scores a trial's frames with them.
+# f(cfg, spec, labeled_trials, save), with both classes in every phrase
+# group, and passes every model it trains to train_system's ``save``.  The
+# factory is called as f(load, spec, phrase_key): it loads the models of one
+# phrase key through ``load`` and returns the function that scores a trial's
+# frames with them.
 SYSTEM_KINDS = {
     "gmm": (GmmSystemSpec, train_gmm_system, _gmm_scorer),
     "ivec-svm": (IvecSystemSpec, train_ivec_system, _ivec_scorer),
@@ -327,8 +303,11 @@ def _system_kind(spec) -> tuple:
 
 
 def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> dict:
-    """Train a system on the genuine and spoof trials of ``trials``; a
-    protocol with none is refused.
+    """Train a system on the genuine and spoof trials of ``trials``, and
+    return each model's final training value as
+    ``<model>_final_<loglik|objective|dual_objective>``.  A protocol with no
+    labeled trials, or a phrase group without both classes, is refused
+    before any model trains.
 
     The new model set replaces the system's model directory whole: the
     models are written, as each is trained, to ``models/.<system>.new``, which
@@ -340,13 +319,27 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     if not labeled:
         raise ValueError(f"system {spec.name}: the training protocol has no "
                          "genuine or spoof trials")
+    for phrase_key, group in _phrase_groups(labeled, spec.phrase_dependent).items():
+        for label in sorted({"genuine", "spoof"} - {t.label for t in group}):
+            raise ValueError(f"system {spec.name}: no {label} trials to train on"
+                             + (f" for phrase {phrase_key}" if phrase_key else ""))
     final = model_dir(cfg, spec.name)
     staging, retired = (final.with_name(f".{spec.name}.{tag}") for tag in ("new", "old"))
     for leftover in (staging, retired):  # from an interrupted run
         shutil.rmtree(leftover, ignore_errors=True)
     staging.mkdir(parents=True)
+    diagnostics = {}
+
+    def save(base: str, phrase_key: str, kind: str, model, history=()) -> None:
+        """Write a trained model and record the last value of its history."""
+        path = model_path(staging, base, phrase_key)
+        save_model(path, kind, model)
+        if history:  # what each step of the kind's history records
+            value = {"gmm": "loglik", "tmatrix": "objective", "svm": "dual_objective"}[kind]
+            diagnostics[f"{path.stem}_final_{value}"] = history[-1]
+
     try:
-        diagnostics = _system_kind(spec)[1](cfg, spec, labeled, staging)
+        _system_kind(spec)[1](cfg, spec, labeled, save)
     except BaseException:
         shutil.rmtree(staging)
         raise
@@ -369,7 +362,7 @@ def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     def load(base: str, phrase_key: str, kind: str, build=lambda model: model):
         """The model ``base`` of ``phrase_key``, passed through ``build`` on
         its first load."""
-        path = _model_path(model_dir(cfg, spec.name), base, phrase_key)
+        path = model_path(model_dir(cfg, spec.name), base, phrase_key)
         if path not in loaded:
             if not path.exists():
                 raise FileNotFoundError(

@@ -172,7 +172,7 @@ class TestEmMonotonicity:
         for seed in range(20):
             frames = rng.standard_normal((300, 4)) + rng.uniform(-1, 1, 4)
             model = gmm_em_train(frames, k=5, iters=15, seed=seed)
-            diffs = np.diff(np.array(model.loglik_history))
+            diffs = np.diff(np.array(model.history))
             assert np.all(diffs >= -1e-8), f"seed {seed}: loglik decreased"
 
     def test_tmatrix_objective_non_decreasing_20_seeds(self):
@@ -185,7 +185,7 @@ class TestEmMonotonicity:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 tv = train_t_matrix(stats, ubm, rank=2, iters=6, seed=seed)
-            diffs = np.diff(np.array(tv.objective_history))
+            diffs = np.diff(np.array(tv.history))
             assert np.all(diffs >= -1e-8), f"seed {seed}: objective decreased"
 
 

@@ -313,8 +313,9 @@ class TestExtract:
         values, meta = containers.read_matrix(path)
         assert values.shape[0] == self.FEATURE_ROWS[feature]
         assert values.shape[1] > 1
-        spec = load_config(cfg_path).features[feature]
-        assert np.array_equal(pipeline.load_feature_frames(path, spec), values.T)
+        cfg = load_config(cfg_path)
+        assert np.array_equal(pipeline.load_feature_frames(cfg, cfg.features[feature], path),
+                              values.T)
         assert sorted(meta) == ["fingerprint", "kind", "name"]
         assert meta["name"] == feature
 
@@ -587,8 +588,8 @@ class TestTrainAndScore:
             tv = TotalVariabilityModel(
                 ubm, arrays("tmatrix", spec.t_shared, phrase, "tmatrix")["t_matrix"])
             frames = pipeline.load_feature_frames(
-                work / "features" / spec.feature / f"{trial.trial_id}.rsft",
-                cfg.features[spec.feature])
+                cfg, cfg.features[spec.feature],
+                work / "features" / spec.feature / f"{trial.trial_id}.rsft")
             ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
             mean = arrays("mean", spec.svm_shared, phrase, "mean")["mean"]
             normalized, _ = center_length_normalize(ivec[None], mean=mean)
@@ -618,6 +619,31 @@ class TestTrainAndScore:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {first}: extracted with other settings than feature 'cqcc-small' "
+            "has now; re-run extract\n")
+        assert tree_hashes(tmp_path) == before
+
+    @pytest.mark.parametrize("setting", ["cmvn", "sample_rate", "seed"])
+    def test_features_of_another_flag_rate_or_seed_are_refused(self, trained, tmp_path,
+                                                                capsys, setting):
+        cfg_path, work = trained
+        for part in ("features/lpcc-small", "models/ivec-sys"):
+            shutil.copytree(work / part, tmp_path / part)
+        config = json.loads(cfg_path.read_text())
+        config["paths"]["work_dir"] = str(tmp_path)
+        if setting == "cmvn":
+            config["features"]["lpcc-small"]["cmvn"] = True
+        else:
+            config[setting] += 1
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(config))
+        before = tree_hashes(tmp_path)
+        protocol = work / "corpus/protocol_train.txt"
+        rc = cli.main(["train", "--config", str(stale), "--system", "ivec-sys",
+                       "--protocol", str(protocol)])
+        first = tmp_path / "features/lpcc-small" / f"{parse_protocol(protocol)[0].trial_id}.rsft"
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {first}: extracted with other settings than feature 'lpcc-small' "
             "has now; re-run extract\n")
         assert tree_hashes(tmp_path) == before
 
@@ -672,7 +698,7 @@ class TestSinglePhraseProtocols:
 
     @pytest.mark.parametrize("system, message", [
         ("gmm-phrase", "system gmm-phrase: no spoof trials to train on for phrase P01"),
-        ("ivec-phrase", "system ivec-phrase: single-class training set for phrase P01"),
+        ("ivec-phrase", "system ivec-phrase: no spoof trials to train on for phrase P01"),
     ])
     def test_a_phrase_without_spoofs_is_refused(self, phrase_work, capsys, system, message):
         cfg_path, _, protocol = phrase_work
@@ -681,6 +707,27 @@ class TestSinglePhraseProtocols:
         rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
                            "--protocol", train)
         assert (rc, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("system, phrase", [
+        ("gmm-phrase", "P01"), ("ivec-phrase", "P01"), ("gmm-sys", None), ("ivec-sys", None),
+    ])
+    def test_the_class_refusal_comes_before_any_training(self, phrase_work, capsys,
+                                                         monkeypatch, system, phrase):
+        cfg_path, models, protocol = phrase_work
+        calls = {"gmm_em_train": 0, "train_t_matrix": 0}
+        for name in calls:
+            def counted(*args, _name=name, _train=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _train(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        train = protocol("no-spoofs", "train",
+                         lambda t: not (t.label == "spoof" and phrase in (None, t.phrase_id)))
+        rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
+                           "--protocol", train)
+        where = f" for phrase {phrase}" if phrase else ""
+        assert (rc, err) == (2, f"error: system {system}: no spoof trials to train on{where}\n")
+        assert calls == {"gmm_em_train": 0, "train_t_matrix": 0}
+        assert not models.exists()
 
     @pytest.mark.parametrize("system", ["gmm-phrase", "ivec-each-phrase", "ivec-sys"])
     def test_a_protocol_with_no_labeled_trials_is_refused(self, phrase_work, capsys,
@@ -936,6 +983,26 @@ class TestFuseEval:
         assert capsys.readouterr().err == (
             f"error: {a}: 1 scored trial(s) absent from the protocol, e.g. ['stray']\n")
         assert not (tmp_path / "fusion.rsmd").exists() and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "-inf"])
+    @pytest.mark.parametrize("command", ["eval", "fuse-protocol", "fuse-apply"])
+    def test_a_score_that_is_not_finite_is_refused_by_line(self, workspace, tmp_path,
+                                                           capsys, command, raw):
+        _, work = workspace
+        protocol = work / "corpus/protocol_train.txt"
+        scores = tmp_path / "a.scores"
+        scores.write_text("".join(f"{t.trial_id} {raw if i == 1 else 1.0}\n"
+                                  for i, t in enumerate(parse_protocol(protocol))))
+        model = tmp_path / "fusion.rsmd"
+        containers.write_model(model, "fusion", {"weights": np.ones(1), "offset": np.zeros(1)})
+        options = {"eval": ["--protocol", str(protocol)],
+                   "fuse-protocol": ["--protocol", str(protocol),
+                                     "--out-scores", str(tmp_path / "x")],
+                   "fuse-apply": ["--apply", str(model), "--out-scores", str(tmp_path / "x")]}
+        rc = cli.main([command.split("-")[0], str(scores), *options[command]])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {scores}:2: score {raw!r} is not finite\n"
+        assert not (tmp_path / "x").exists()
 
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace

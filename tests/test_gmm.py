@@ -213,7 +213,7 @@ class TestEmTraining:
     def test_loglik_monotone_over_iterations(self, rng):
         frames = rng.standard_normal((300, 4))
         model = gmm_em_train(frames, k=5, iters=20, seed=2)
-        history = np.array(model.loglik_history)
+        history = np.array(model.history)
         assert history.size == 21
         assert np.all(np.diff(history) >= -1e-8)
 
@@ -262,7 +262,7 @@ class TestEmMatchesNaiveOracle:
         np.testing.assert_allclose(model.weights, weights, rtol=1e-9)
         np.testing.assert_allclose(model.means, means, rtol=1e-9)
         np.testing.assert_allclose(model.variances, variances, rtol=1e-9)
-        np.testing.assert_allclose(model.loglik_history, history, rtol=1e-9)
+        np.testing.assert_allclose(model.history, history, rtol=1e-9)
         return reseeds
 
 
@@ -275,7 +275,7 @@ class TestBlockedEmMatchesUnblockedLoop:
         np.testing.assert_allclose(model.weights, oracle.weights, rtol=1e-10)
         np.testing.assert_allclose(model.means, oracle.means, rtol=1e-10)
         np.testing.assert_allclose(model.variances, oracle.variances, rtol=1e-10)
-        np.testing.assert_allclose(model.loglik_history, oracle.loglik_history, rtol=1e-10)
+        np.testing.assert_allclose(model.history, oracle.history, rtol=1e-10)
         return reseeds
 
     @pytest.mark.parametrize("n", [EM_BLOCK - 1, EM_BLOCK, EM_BLOCK + 1, 3 * EM_BLOCK + 7])
@@ -356,7 +356,7 @@ class TestEStepMatchesOracleKernels:
         np.testing.assert_allclose(model.variances, variances, rtol=1e-10)
         trained = GmmModel(nk / len(frames), means, variances)
         np.testing.assert_allclose(
-            model.loglik_history,
+            model.history,
             [frame_ll.mean(), oracle_posteriors(trained, frames)[1].mean()], rtol=1e-10)
 
     @pytest.mark.parametrize("k, d", [(1, 2), (8, 4), (64, 20)])
@@ -483,5 +483,5 @@ class TestExpFloor:
         assert np.mean(resp < np.exp(gmm.EXP_FLOOR)) > 0.1  # the floor is hit
         monkeypatch.setattr(gmm, "_responsibilities", plain_exp_responsibilities)
         plain = gmm_em_train(frames, k=16, iters=10, seed=3)
-        for name in ("weights", "means", "variances", "loglik_history"):
+        for name in ("weights", "means", "variances", "history"):
             assert np.array_equal(getattr(model, name), getattr(plain, name)), name

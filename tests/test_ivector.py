@@ -161,7 +161,7 @@ class TestTrainTMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tv = train_t_matrix(stats, ubm, rank=2, iters=8, seed=1)
-        history = np.array(tv.objective_history)
+        history = np.array(tv.history)
         assert history.size == 9
         assert np.all(np.diff(history) >= -1e-8)
 
@@ -176,7 +176,7 @@ class TestTrainTMatrix:
         tv = train_t_matrix(stats, ubm, rank=rank, iters=6, seed=3)
         t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=6, seed=3)
         np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-9)
-        np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-9)
+        np.testing.assert_allclose(tv.history, history_ref, rtol=1e-9)
         init = 0.1 * np.random.default_rng(3).standard_normal((k * d, rank))
         assert np.array_equal(tv.t_matrix[2 * d : 3 * d], init[2 * d : 3 * d])
 
@@ -188,7 +188,7 @@ class TestTrainTMatrix:
         tv = train_t_matrix(stats, ubm, rank=rank, iters=4, seed=2)
         t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=4, seed=2)
         np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-10)
-        np.testing.assert_allclose(tv.objective_history, history_ref, rtol=1e-10)
+        np.testing.assert_allclose(tv.history, history_ref, rtol=1e-10)
         for st in stats:
             np.testing.assert_allclose(extract_ivector(tv, st),
                                        dense_extract_oracle(tv, st), rtol=1e-10)
@@ -229,7 +229,7 @@ class TestTrainTMatrix:
         with pytest.warns(UserWarning, match="non-finite M-step solution for component 1"):
             tv = train_t_matrix(stats, ubm, rank=rank, iters=3, seed=4)
         assert np.all(np.isfinite(tv.t_matrix))
-        assert np.all(np.isfinite(tv.objective_history))
+        assert np.all(np.isfinite(tv.history))
         init = 0.1 * np.random.default_rng(4).standard_normal((k * d, rank))
         assert np.array_equal(tv.t_matrix[d : 2 * d], init[d : 2 * d])
 
