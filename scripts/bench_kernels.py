@@ -51,7 +51,7 @@ The workload commands write to stderr; stdout is the JSON result, whose
 ``seed`` is the backend workload's.
 
 Usage:
-    python scripts/bench_kernels.py [--repeats N] > kernels.json
+    PYTHONPATH=src python scripts/bench_kernels.py [--repeats N] > kernels.json
 """
 
 import argparse
@@ -168,6 +168,10 @@ def main():
     args = parser.parse_args()
     if args.repeats < 2:
         parser.error("--repeats must be >= 2")
+    if importlib.util.find_spec("replaycm") is None:
+        print("error: replaycm is not importable; run from the repository root as "
+              "PYTHONPATH=src python scripts/bench_kernels.py", file=sys.stderr)
+        return 2
     for name in THREAD_VARS:
         os.environ.setdefault(name, "1")
     # Before this process loads anything: Linux carries a process's peak RSS

@@ -46,9 +46,9 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate
+    def __reduce__(self):
+        # unpickle through the constructor, so a copy is checked and read-only
+        return Waveform, (self.samples, self.sample_rate)
 
 
 def _iter_chunks(data: bytes):

@@ -63,6 +63,8 @@ def cmd_synth(args) -> int:
     out_dir = _configured_corpus_dir(cfg.paths)
     try:
         generate_synth_corpus(cfg.corpus, out_dir)
+    except ChildProcessError:
+        raise  # a renderer died; main reports it as it stands
     except OSError as exc:
         _err(f"cannot write corpus under {out_dir}: {exc}")
         return 2

@@ -18,6 +18,8 @@ adding the input at each non-zero tap.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import Waveform, write_wav
+from .parallel import fork_map, usable_cpus
 
 LABELS = ("genuine", "spoof", "unknown")
 UNSPECIFIED = "-"
@@ -308,8 +311,9 @@ def make_replay_channel(cfg: CorpusConfig, rng: np.random.Generator) -> ReplayCh
     )
 
 
-def _trial_plan(cfg: CorpusConfig) -> list[tuple[str, str, int]]:
-    """(subset, label, global index) for every trial, in a fixed order."""
+def _trial_plan(cfg: CorpusConfig) -> list[tuple[str, str, str, int]]:
+    """(trial id, subset, label, global index) for every trial, in a fixed
+    order."""
     plan = []
     for subset, label, count in (
         ("train", "genuine", cfg.n_train_genuine),
@@ -318,92 +322,108 @@ def _trial_plan(cfg: CorpusConfig) -> list[tuple[str, str, int]]:
         ("eval", "spoof", cfg.n_eval_spoof),
     ):
         for _ in range(count):
-            plan.append((subset, label, len(plan)))
+            index = len(plan)
+            plan.append((f"{subset}_{label[0]}_{index:04d}", subset, label, index))
     return plan
+
+
+def _render_trial(cfg: CorpusConfig, phrases: list[PhraseSpec],
+                  planned: tuple[str, str, str, int]) -> tuple[Trial, dict, Waveform]:
+    """The protocol line, manifest entry and audio of one planned trial.
+
+    A pure function of the config and the trial's index: every seed derives
+    from the index, so trials render in any order or process alike.
+    """
+    trial_id, subset, label, index = planned
+    speaker_index = index % cfg.n_speakers
+    phrase_index = (index // cfg.n_speakers) % cfg.n_phrases
+    render_seed = [cfg.seed, 202, index]
+    rng = np.random.default_rng(np.random.SeedSequence(render_seed))
+    source = render_genuine_utterance(
+        speaker_f0(cfg, speaker_index),
+        phrases[phrase_index],
+        cfg.duration_seconds,
+        cfg.sample_rate,
+        rng,
+    )
+
+    entry = {
+        "trial_id": trial_id,
+        "subset": subset,
+        "label": label,
+        "speaker_index": speaker_index,
+        "phrase_index": phrase_index,
+        "render_seed": render_seed,
+        "wav": f"wav/{trial_id}.wav",
+    }
+    if label == "genuine":
+        audio = source
+        tags = (UNSPECIFIED, UNSPECIFIED, UNSPECIFIED)
+    else:
+        channel_rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 303, index])
+        )
+        channel = make_replay_channel(cfg, channel_rng)
+        replay_seed = int(
+            np.random.SeedSequence([cfg.seed, 404, index]).generate_state(1)[0]
+        )
+        audio = simulate_replay(source, channel, seed=replay_seed)
+        tags = (
+            f"env{int(channel_rng.integers(0, 8))}",
+            f"dev{int(channel_rng.integers(0, 15))}",
+            f"mic{int(channel_rng.integers(0, 16))}",
+        )
+        entry["channel"] = {
+            "lowpass_cutoff": channel.lowpass_cutoff,
+            "noise_snr_db": channel.noise_snr_db,
+            "gain": channel.gain,
+            "ir_taps": len(channel.impulse_response),
+            "channel_seed": [cfg.seed, 303, index],
+            "replay_seed": replay_seed,
+        }
+    trial = Trial(trial_id, label, f"S{speaker_index:02d}", f"P{phrase_index:02d}", *tags)
+    return trial, entry, audio
+
+
+def _render_named(cfg: CorpusConfig, phrases: list[PhraseSpec],
+                  planned: tuple[str, str, str, int]) -> tuple[Trial, dict, Waveform]:
+    """_render_trial, whose ValueError names the trial."""
+    try:
+        return _render_trial(cfg, phrases, planned)
+    except ValueError as exc:
+        raise type(exc)(f"trial {planned[0]}: {exc}") from exc
 
 
 def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
     """Write WAVs, per-subset protocol files, and a manifest; returns the manifest.
 
     Deterministic: the same config (seed included) produces byte-identical
-    output files.
+    output files.  Trials render on every usable CPU (``parallel.fork_map``);
+    this process alone writes the files, each WAV as its trial arrives and
+    the protocols and manifest in plan order, so the bytes are those of a
+    serial render.
     """
     out = Path(out_dir)
     wav_dir = out / "wav"
     wav_dir.mkdir(parents=True, exist_ok=True)
 
-    phrases = make_phrase_specs(cfg)
-    trials_by_subset: dict[str, list[Trial]] = {"train": [], "eval": []}
-    manifest_trials = []
+    plan = _trial_plan(cfg)
+    render = functools.partial(_render_named, cfg, make_phrase_specs(cfg))
+    rendered: list[tuple[Trial, dict] | None] = [None] * len(plan)
+    with contextlib.closing(fork_map(render, plan, usable_cpus())) as results:
+        for index, (trial, entry, audio) in results:
+            write_wav(wav_dir / f"{trial.trial_id}.wav", audio)
+            rendered[index] = trial, entry
 
-    for subset, label, index in _trial_plan(cfg):
-        trial_id = f"{subset}_{label[0]}_{index:04d}"
-        speaker_index = index % cfg.n_speakers
-        phrase_index = (index // cfg.n_speakers) % cfg.n_phrases
-        render_seed = [cfg.seed, 202, index]
-        rng = np.random.default_rng(np.random.SeedSequence(render_seed))
-        source = render_genuine_utterance(
-            speaker_f0(cfg, speaker_index),
-            phrases[phrase_index],
-            cfg.duration_seconds,
-            cfg.sample_rate,
-            rng,
-        )
-
-        entry = {
-            "trial_id": trial_id,
-            "subset": subset,
-            "label": label,
-            "speaker_index": speaker_index,
-            "phrase_index": phrase_index,
-            "render_seed": render_seed,
-            "wav": f"wav/{trial_id}.wav",
-        }
-        if label == "genuine":
-            audio = source
-            tags = (UNSPECIFIED, UNSPECIFIED, UNSPECIFIED)
-        else:
-            channel_rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 303, index])
-            )
-            channel = make_replay_channel(cfg, channel_rng)
-            replay_seed = int(
-                np.random.SeedSequence([cfg.seed, 404, index]).generate_state(1)[0]
-            )
-            audio = simulate_replay(source, channel, seed=replay_seed)
-            tags = (
-                f"env{int(channel_rng.integers(0, 8))}",
-                f"dev{int(channel_rng.integers(0, 15))}",
-                f"mic{int(channel_rng.integers(0, 16))}",
-            )
-            entry["channel"] = {
-                "lowpass_cutoff": channel.lowpass_cutoff,
-                "noise_snr_db": channel.noise_snr_db,
-                "gain": channel.gain,
-                "ir_taps": len(channel.impulse_response),
-                "channel_seed": [cfg.seed, 303, index],
-                "replay_seed": replay_seed,
-            }
-
-        write_wav(wav_dir / f"{trial_id}.wav", audio)
-        trial = Trial(
-            trial_id,
-            label,
-            f"S{speaker_index:02d}",
-            f"P{phrase_index:02d}",
-            *tags,
-        )
-        trials_by_subset[subset].append(trial)
-        manifest_trials.append(entry)
-
-    for subset, trials in trials_by_subset.items():
+    for subset in ("train", "eval"):
+        trials = [trial for trial, entry in rendered if entry["subset"] == subset]
         if trials:
             write_protocol(trials, out / f"protocol_{subset}.txt")
 
     manifest = {
         "config": asdict(cfg),
         "sample_rate": cfg.sample_rate,
-        "trials": manifest_trials,
+        "trials": [entry for _, entry in rendered],
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -14,6 +14,8 @@ import numpy as np
 
 from .svm import LinearModel, augmented_training_set
 
+L2 = 1e-6  # weight of the L2 penalty on the weights and bias
+
 
 def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
                    l2: float, trial_weight: float):
@@ -27,7 +29,6 @@ def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
 def fusion_train(
     scores: np.ndarray,
     labels: np.ndarray,
-    l2: float = 1e-6,
     tol: float = 1e-8,
     max_iters: int = 50000,
 ) -> LinearModel:
@@ -42,12 +43,10 @@ def fusion_train(
     n_spoof = int(np.sum(labels == -1.0))
     if min(n_genuine, n_spoof) < 2:
         raise ValueError("need at least 2 trials per class to train fusion")
-    if l2 < 0:
-        raise ValueError("l2 must be non-negative")
 
     n = aug.shape[0]
     theta = np.zeros(aug.shape[1])
-    loss, grad = _loss_and_grad(theta, aug, labels, l2, 1.0 / n)
+    loss, grad = _loss_and_grad(theta, aug, labels, L2, 1.0 / n)
     history = [loss]
     step = 1.0
     prev_theta = None
@@ -70,7 +69,7 @@ def fusion_train(
         stalled = False
         while True:
             candidate = theta - step * grad
-            new_loss, new_grad = _loss_and_grad(candidate, aug, labels, l2, 1.0 / n)
+            new_loss, new_grad = _loss_and_grad(candidate, aug, labels, L2, 1.0 / n)
             if new_loss <= loss:
                 break
             if step < 1e-18:

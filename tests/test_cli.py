@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaycm import cli, containers, pipeline, spectral
+from replaycm import cli, containers, corpus, pipeline, spectral
+from replaycm.audio_io import Waveform, write_wav
 from replaycm.config import ConfigError, load_config
 from replaycm.corpus import parse_protocol, write_protocol
 from replaycm.gmm import GmmModel
@@ -86,6 +87,12 @@ def config_with_work_dir(cfg_path: Path, work_dir: Path) -> Path:
     own_cfg = work_dir / "config.json"
     own_cfg.write_text(json.dumps(config))
     return own_cfg
+
+
+def assert_no_child_left():
+    """No child process of this one runs or waits to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +204,63 @@ class TestSynth:
         assert "blocker" in capsys.readouterr().err
 
 
+    @staticmethod
+    def corpus_config(tmp_path) -> Path:
+        corpus_dir = tmp_path / "corpus"
+        return TestSynth.write_config(tmp_path, {
+            "work_dir": tmp_path / "work", "audio_dir": corpus_dir / "wav",
+            "protocol_train": corpus_dir / "protocol_train.txt",
+            "protocol_eval": corpus_dir / "protocol_eval.txt"})
+
+    def test_a_render_error_in_a_child_is_one_error_line(self, tmp_path, monkeypatch,
+                                                         capsys):
+        parent = os.getpid()
+        render = corpus._render_trial
+
+        def fail_in_a_child(cfg, phrases, planned):
+            if os.getpid() != parent:
+                raise ValueError("no samples")
+            return render(cfg, phrases, planned)
+
+        monkeypatch.setattr(corpus, "_render_trial", fail_in_a_child)
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        rc = cli.main(["synth", "--config", str(self.corpus_config(tmp_path))])
+        assert rc == 2
+        # the child renders the odd trials
+        assert capsys.readouterr().err == "error: trial train_g_0001: no samples\n"
+        assert_no_child_left()
+
+    def test_a_renderer_that_dies_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        render = corpus._render_trial
+
+        def die_in_a_child(cfg, phrases, planned):
+            if os.getpid() != parent:
+                os._exit(9)
+            return render(cfg, phrases, planned)
+
+        monkeypatch.setattr(corpus, "_render_trial", die_in_a_child)
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        rc = cli.main(["synth", "--config", str(self.corpus_config(tmp_path))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: child process ") and err.count("\n") == 1
+        assert err.endswith(" exited with status 9 before sending all its results\n")
+        assert_no_child_left()
+
+    def test_a_refused_write_stops_the_children(self, tmp_path, monkeypatch, capsys):
+        cfg_path = self.corpus_config(tmp_path)
+        (tmp_path / "corpus/wav/train_s_0012.wav").mkdir(parents=True)
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        rc = cli.main(["synth", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot write corpus under ") and err.count("\n") == 1
+        assert "train_s_0012.wav" in err
+        assert not (tmp_path / "corpus/manifest.json").exists()
+        assert_no_child_left()
+
+
 class TestExtract:
     def test_feature_files_written(self, workspace):
         cfg_path, work = workspace
@@ -261,6 +325,42 @@ class TestExtract:
         assert (f"argument --jobs: expected a positive integer, got '{jobs}'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "features").exists()
+
+    @pytest.mark.parametrize("jobs", ["1.5", "two"])
+    def test_a_non_integer_jobs_is_refused(self, workspace, tmp_path, capsys, jobs):
+        cfg_path, work = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                "--feature", "lpcc-small",
+                "--protocol", str(work / "corpus/protocol_train.txt"), "--jobs", jobs,
+            ])
+        assert exit_info.value.code == 2
+        assert (f"argument --jobs: expected a positive integer, got '{jobs}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "features").exists()
+
+    def test_a_wav_at_another_sample_rate_is_a_trial_failure(self, workspace, tmp_path,
+                                                              capsys):
+        cfg_path, work = workspace
+        config = json.loads(cfg_path.read_text())
+        config["paths"]["work_dir"] = str(tmp_path)
+        config["paths"]["audio_dir"] = str(tmp_path / "wav")
+        own_cfg = tmp_path / "config.json"
+        own_cfg.write_text(json.dumps(config))
+        (tmp_path / "wav").mkdir()
+        samples = 0.1 * np.sin(np.arange(4000) / 7.0)
+        write_wav(tmp_path / "wav/slow.wav", Waveform(samples, 8000))
+        protocol = tmp_path / "slow.txt"
+        protocol.write_text("slow genuine S00 P00 - - -\n")
+        rc = cli.main(["extract", "--config", str(own_cfg), "--feature", "lpcc-small",
+                       "--protocol", str(protocol)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: extraction failed for trial slow: trial slow: sample rate 8000 Hz "
+            "does not match the configured 16000 Hz\n"
+            "extracted 0 feature file(s), 1 failure(s)\n")
+        assert list((tmp_path / "features/lpcc-small").iterdir()) == []
 
     def test_a_trial_id_with_a_slash_is_refused(self, workspace, tmp_path, capsys):
         # the id points at a real wave outside the corpus, and its feature
@@ -647,6 +747,18 @@ class TestTrainAndScore:
             "has now; re-run extract\n")
         assert tree_hashes(tmp_path) == before
 
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_an_unconfigured_system_is_refused(self, workspace, tmp_path, capsys, command):
+        cfg_path, work = workspace
+        argv = [command, "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                "--system", "nope", "--protocol", str(work / "corpus/protocol_eval.txt")]
+        if command == "score":
+            argv += ["--out-scores", str(tmp_path / "nope.scores")]
+        before = tree_hashes(tmp_path)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: system 'nope' is not configured\n"
+        assert tree_hashes(tmp_path) == before
+
     def test_score_with_a_malformed_model_exits_2(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
         assert cli.main(["train", "--config", str(cfg_path), "--system", "gmm-phrase"]) == 0
@@ -1003,6 +1115,16 @@ class TestFuseEval:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {scores}:2: score {raw!r} is not finite\n"
         assert not (tmp_path / "x").exists()
+
+    def test_training_a_fusion_without_a_protocol_is_refused(self, tmp_path, capsys):
+        a = tmp_path / "a.scores"
+        a.write_text("t1 1.0\nt2 -1.0\n")
+        rc = cli.main(["fuse", str(a), str(a), "--out-model", str(tmp_path / "f.rsmd"),
+                       "--out-scores", str(tmp_path / "fused.scores")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: training a fusion requires --protocol with labels\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.scores"]
 
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from replaycm import corpus
 from replaycm.audio_io import Waveform, load_wav
 from replaycm.corpus import (
     CorpusConfig,
@@ -286,6 +288,48 @@ class TestGenerateCorpus:
     def test_bytes_match_the_pinned_digest(self, tmp_path):
         generate_synth_corpus(SMALL_CORPUS, tmp_path / "c")
         assert tree_digest(tmp_path / "c") == SMALL_CORPUS_SHA256
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_and_serial_renders_write_identical_files(self, tmp_path, monkeypatch,
+                                                             cpus):
+        asked = []
+        fork_map = corpus.fork_map
+
+        def spy(fn, items, processes):
+            asked.append(processes)
+            return fork_map(fn, items, processes)
+
+        monkeypatch.setattr(corpus, "fork_map", spy)
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: 1)
+        generate_synth_corpus(SMALL_CORPUS, tmp_path / "serial")
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: cpus)
+        generate_synth_corpus(SMALL_CORPUS, tmp_path / "forked")
+        assert asked == [1, cpus]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert tree_digest(tmp_path / "forked") == tree_digest(tmp_path / "serial")
+        assert tree_digest(tmp_path / "forked") == SMALL_CORPUS_SHA256
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_render_error_names_the_trial(self, tmp_path, monkeypatch, cpus):
+        parent = os.getpid()
+        render = corpus._render_trial
+
+        def fail_trial_3(cfg, phrases, planned):
+            if planned[3] == 3:
+                where = "here" if os.getpid() == parent else "in a child"
+                raise ValueError(f"cannot render {where}")
+            return render(cfg, phrases, planned)
+
+        monkeypatch.setattr(corpus, "_render_trial", fail_trial_3)
+        monkeypatch.setattr(corpus, "usable_cpus", lambda: cpus)
+        # with two workers a child renders the odd trials
+        where = "here" if cpus == 1 else "in a child"
+        with pytest.raises(ValueError, match=f"^trial train_g_0003: cannot render {where}$"):
+            generate_synth_corpus(SMALL_CORPUS, tmp_path / "c")
+        assert not (tmp_path / "c" / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_spoof_trials_lose_high_band_energy(self, tmp_path):
         out = tmp_path / "corpus"
