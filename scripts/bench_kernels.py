@@ -41,7 +41,11 @@ call above the heap at its entry (MiB):
 - ``envelope``: one ``eemd._envelope`` call, the natural cubic spline
   through the maxima of frontends trial ``train_g_0001``
 - ``eemd_trial``: ``eemd_first_imf`` of that trial as the frontends
-  ``deemd`` feature extracts it
+  ``deemd`` feature extracts it, serially as outside a command
+- ``eemd_trial_workers``: the same inside one ``parallel.workers()`` scope,
+  as ``extract`` sifts it: members on this process and on ``workers``
+  forked children, one per further usable CPU (0: serial).  The untimed
+  warm-up call forks them, once, as a command's first map does
 - ``import_cli``: ``import replaycm.cli`` in a fresh interpreter, one per
   repeat, from the same ``replaycm`` this script imports; reports the
   import's wall time and the process's peak RSS after it
@@ -180,7 +184,7 @@ def main():
     # BLAS reads its thread count when numpy loads, so import only now
     import numpy as np
 
-    from replaycm import gmm
+    from replaycm import gmm, parallel
     from replaycm.audio_io import load_wav
     from replaycm.cepstral import lpcc
     from replaycm.config import default_desk_config, derive_seed, parse_config
@@ -286,8 +290,13 @@ def main():
     kernels["envelope"] = timed(
         lambda: _envelope(maxima, samples[maxima], samples.size), args.repeats)
     eemd_seed = derive_seed(frontends.seed, "extract", deemd.name, FRONTENDS_TRIAL)
-    kernels["eemd_trial"] = timed(lambda: eemd_first_imf(samples, deemd.config, eemd_seed),
-                                  args.repeats)
+    def eemd_trial():
+        eemd_first_imf(samples, deemd.config, eemd_seed)
+
+    kernels["eemd_trial"] = timed(eemd_trial, args.repeats)
+    with parallel.workers():
+        kernels["eemd_trial_workers"] = {**timed(eemd_trial, args.repeats),
+                                         "workers": parallel.usable_cpus() - 1}
     kernels["import_cli"] = import_probe
 
     result = {

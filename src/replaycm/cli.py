@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import containers, pipeline
+from . import containers, parallel, pipeline
 from .config import ConfigError, load_config
 from .corpus import generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
@@ -84,6 +84,8 @@ def cmd_extract(args) -> int:
         try:
             pipeline.extract_trial(cfg, spec, trial)
             return trial.trial_id, None
+        except ChildProcessError:
+            raise  # a dead worker fails the command, not one trial
         except (ValueError, OSError) as exc:  # report per-trial failures, keep going
             return trial.trial_id, str(exc)
 
@@ -252,7 +254,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with parallel.workers():  # no worker outlives the command
+            return args.func(args)
     except (ValueError, OSError) as exc:
         _err(str(exc))
         return 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -47,55 +48,61 @@ def _write(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         fh.writelines(chunks)
 
 
-def _read(path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """The kind, metadata and arrays of the container at ``path``."""
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise ContainerFormatError(
-            f"{path}: not a replaycm container (magic {data[:4]!r}, expected {MAGIC!r})")
-    offset = 4
-
-    def take(size: int) -> bytes:
-        nonlocal offset
-        if offset + size > len(data):
-            raise ContainerFormatError(f"{path}: truncated container")
-        offset += size
-        return data[offset - size : offset]
-
-    def number(fmt: str) -> int:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
-
-    def ascii_text(size: int) -> str:
-        try:
-            return take(size).decode("ascii")
-        except UnicodeDecodeError as exc:
+def _read(path, with_arrays: bool = True) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """The kind, metadata and arrays of the container at ``path``; without
+    ``with_arrays``, only the kind and metadata are read (arrays ``{}``)."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != MAGIC:
             raise ContainerFormatError(
-                f"{path}: container kind or array name is not ASCII ({exc})") from exc
+                f"{path}: not a replaycm container (magic {magic!r}, expected {MAGIC!r})")
+        offset = 4
 
-    version = number("<B")
-    if version != FORMAT_VERSION:
-        raise ContainerFormatError(f"{path}: unsupported container version {version}")
-    kind = ascii_text(number("<B"))
-    try:
-        meta = json.loads(take(number("<I")).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerFormatError(f"{path}: metadata is not UTF-8 JSON ({exc})") from exc
-    if not isinstance(meta, dict):
-        raise ContainerFormatError(
-            f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
-    arrays = {}
-    for _ in range(number("<I")):
-        name = ascii_text(number("<B"))
-        itemsize, ndim = number("<B"), number("<B")
-        if itemsize not in (4, 8):
-            raise ContainerFormatError(f"{path}: array {name!r} has item size {itemsize}")
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        # a Python int product cannot wrap, so a huge shape reads as truncated
-        payload = take(math.prod(dims) * itemsize)
-        arrays[name] = np.frombuffer(payload, dtype=f"<f{itemsize}").reshape(dims)
-    if offset != len(data):
-        raise ContainerFormatError(
-            f"{path}: {len(data) - offset} byte(s) after the last declared field")
+        def take(n: int) -> bytes:
+            nonlocal offset
+            # a Python int sum cannot wrap, so a huge size reads as truncated
+            chunk = fh.read(n) if offset + n <= size else b""
+            if len(chunk) != n:
+                raise ContainerFormatError(f"{path}: truncated container")
+            offset += n
+            return chunk
+
+        def number(fmt: str) -> int:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))[0]
+
+        def ascii_text(n: int) -> str:
+            try:
+                return take(n).decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise ContainerFormatError(
+                    f"{path}: container kind or array name is not ASCII ({exc})") from exc
+
+        version = number("<B")
+        if version != FORMAT_VERSION:
+            raise ContainerFormatError(f"{path}: unsupported container version {version}")
+        kind = ascii_text(number("<B"))
+        try:
+            meta = json.loads(take(number("<I")).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContainerFormatError(f"{path}: metadata is not UTF-8 JSON ({exc})") from exc
+        if not isinstance(meta, dict):
+            raise ContainerFormatError(
+                f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
+        arrays = {}
+        if not with_arrays:
+            return kind, meta, arrays
+        for _ in range(number("<I")):
+            name = ascii_text(number("<B"))
+            itemsize, ndim = number("<B"), number("<B")
+            if itemsize not in (4, 8):
+                raise ContainerFormatError(f"{path}: array {name!r} has item size {itemsize}")
+            dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            payload = take(math.prod(dims) * itemsize)
+            arrays[name] = np.frombuffer(payload, dtype=f"<f{itemsize}").reshape(dims)
+        if offset != size:
+            raise ContainerFormatError(
+                f"{path}: {size - offset} byte(s) after the last declared field")
     return kind, meta, arrays
 
 
@@ -118,6 +125,15 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
         raise ContainerFormatError(
             f"{path}: not a feature container (kind {kind!r}, arrays {list(arrays)})")
     return arrays["values"].astype(np.float64), meta
+
+
+def read_feature_meta(path) -> dict:
+    """The metadata of a feature container, read without its values; any
+    other container is refused."""
+    kind, meta, _ = _read(path, with_arrays=False)
+    if kind != FEATURE_KIND:
+        raise ContainerFormatError(f"{path}: not a feature container (kind {kind!r})")
+    return meta
 
 
 def write_model(path, kind: str, arrays: dict[str, np.ndarray]) -> None:

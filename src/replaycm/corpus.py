@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .audio_io import Waveform, write_wav
-from .parallel import fork_map, usable_cpus
 
 LABELS = ("genuine", "spoof", "unknown")
 UNSPECIFIED = "-"
@@ -398,10 +398,10 @@ def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
     """Write WAVs, per-subset protocol files, and a manifest; returns the manifest.
 
     Deterministic: the same config (seed included) produces byte-identical
-    output files.  Trials render on every usable CPU (``parallel.fork_map``);
-    this process alone writes the files, each WAV as its trial arrives and
-    the protocols and manifest in plan order, so the bytes are those of a
-    serial render.
+    output files.  Trials render on the workers of the enclosing
+    ``parallel.workers()`` scope, if any; this process alone writes the
+    files, each WAV as its trial arrives and the protocols and manifest in
+    plan order, so the bytes are those of a serial render.
     """
     out = Path(out_dir)
     wav_dir = out / "wav"
@@ -410,7 +410,7 @@ def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
     plan = _trial_plan(cfg)
     render = functools.partial(_render_named, cfg, make_phrase_specs(cfg))
     rendered: list[tuple[Trial, dict] | None] = [None] * len(plan)
-    with contextlib.closing(fork_map(render, plan, usable_cpus())) as results:
+    with contextlib.closing(parallel.imap(render, plan)) as results:
         for index, (trial, entry, audio) in results:
             write_wav(wav_dir / f"{trial.trial_id}.wav", audio)
             rendered[index] = trial, entry

@@ -11,10 +11,12 @@ by Horner's rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .audio_io import Waveform
 from .spectral import FftConfig, fft_spectrogram
 
@@ -156,8 +158,9 @@ def emd_first_imf(x: np.ndarray, sift: SiftConfig = SiftConfig()) -> np.ndarray:
         lower = _envelope(minima, h[minima], n)
         mean_env = 0.5 * (upper + lower)
         h_next = h - mean_env
-        denom = float(np.dot(h, h))
-        sd = float(np.dot(mean_env, mean_env)) / denom if denom > 0 else 0.0
+        # einsum, not np.dot: BLAS would run these sums on its own threads
+        denom = float(np.einsum("i,i->", h, h))
+        sd = float(np.einsum("i,i->", mean_env, mean_env)) / denom if denom > 0 else 0.0
         h = h_next
         if sd < sift.sd_threshold:
             break
@@ -170,19 +173,30 @@ def eemd_first_imf(x: np.ndarray, params: DeemdParams, seed: int = 0) -> np.ndar
     Each of the ``params.ensemble_size`` members sifts the signal plus
     independent white Gaussian noise with standard deviation
     ``params.noise_strength_factor`` * std(signal).  Members use seeds spawned
-    deterministically from `seed` and are averaged in a fixed order, so the
-    result is reproducible.
+    deterministically from `seed` and are summed in member order, so the
+    result is reproducible.  Members are sifted on the workers of the
+    enclosing ``parallel.workers()`` scope, if any, and the result is the
+    same bytes either way.
     """
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError("EEMD needs a 1-D array of finite samples")
     noise_std = params.noise_strength_factor * float(np.std(x))
     children = np.random.SeedSequence(seed).spawn(params.ensemble_size)
+    member = functools.partial(_sift_member, x, noise_std, params.sift)
+    modes = dict(parallel.imap(member, children))
 
     total = np.zeros(x.size)
-    for child in children:
-        rng = np.random.default_rng(child)
-        total += emd_first_imf(x + rng.standard_normal(x.size) * noise_std, params.sift)
+    for index in range(params.ensemble_size):
+        total += modes[index]
     return total / params.ensemble_size
+
+
+def _sift_member(x: np.ndarray, noise_std: float, sift: SiftConfig,
+                 seed: np.random.SeedSequence) -> np.ndarray:
+    """One ensemble member: the first mode of ``x`` plus white Gaussian
+    noise of standard deviation ``noise_std`` drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return emd_first_imf(x + rng.standard_normal(x.size) * noise_std, sift)
 
 
 def delta_eemd_spectrogram(wave: Waveform, params: DeemdParams, seed: int = 0) -> np.ndarray:

@@ -106,11 +106,17 @@ def load_feature_frames(cfg: PipelineConfig, spec: FeatureSpec, path) -> np.ndar
     modelling always sees the transpose.
     """
     values, meta = containers.read_matrix(path)
+    _check_feature_meta(cfg, spec, path, meta)
+    return values.T
+
+
+def _check_feature_meta(cfg: PipelineConfig, spec: FeatureSpec, path, meta: dict) -> None:
+    """Refuse the feature file ``path`` whose metadata is ``meta`` unless its
+    kind and fingerprint are ``spec``'s under ``cfg``."""
     fingerprint = feature_fingerprint(cfg, spec)
     if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, fingerprint):
         raise ValueError(f"{path}: extracted with other settings than feature "
                          f"{spec.name!r} has now; re-run extract")
-    return values.T
 
 
 def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
@@ -133,14 +139,20 @@ def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
     return out_path
 
 
-def _trial_frames(cfg: PipelineConfig, feature_name: str, trial: Trial) -> np.ndarray:
+def _trial_feature_path(cfg: PipelineConfig, feature_name: str, trial: Trial) -> Path:
+    """The feature file of ``trial``, which must exist."""
     path = feature_path(feature_dir(cfg, feature_name), trial.trial_id)
     if not path.exists():
         raise FileNotFoundError(
             f"trial {trial.trial_id}: missing features {path} "
             f"(run extract for feature {feature_name!r} first)"
         )
-    return load_feature_frames(cfg, cfg.features[feature_name], path)
+    return path
+
+
+def _trial_frames(cfg: PipelineConfig, feature_name: str, trial: Trial) -> np.ndarray:
+    return load_feature_frames(cfg, cfg.features[feature_name],
+                               _trial_feature_path(cfg, feature_name, trial))
 
 
 def _phrase_groups(trials: list[Trial], phrase_dependent: bool) -> dict[str, list[Trial]]:
@@ -306,8 +318,9 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     """Train a system on the genuine and spoof trials of ``trials``, and
     return each model's final training value as
     ``<model>_final_<loglik|objective|dual_objective>``.  A protocol with no
-    labeled trials, or a phrase group without both classes, is refused
-    before any model trains.
+    labeled trials, a phrase group without both classes, or a training
+    trial whose feature file is missing or was extracted with other
+    settings, is refused before any model trains.
 
     The new model set replaces the system's model directory whole: the
     models are written, as each is trained, to ``models/.<system>.new``, which
@@ -323,6 +336,10 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
         for label in sorted({"genuine", "spoof"} - {t.label for t in group}):
             raise ValueError(f"system {spec.name}: no {label} trials to train on"
                              + (f" for phrase {phrase_key}" if phrase_key else ""))
+    feature = cfg.features[spec.feature]
+    for trial in labeled:  # from each file's header, without its frames
+        path = _trial_feature_path(cfg, spec.feature, trial)
+        _check_feature_meta(cfg, feature, path, containers.read_feature_meta(path))
     final = model_dir(cfg, spec.name)
     staging, retired = (final.with_name(f".{spec.name}.{tag}") for tag in ("new", "old"))
     for leftover in (staging, retired):  # from an interrupted run

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaycm import cli, containers, corpus, pipeline, spectral
+from replaycm import cli, containers, corpus, eemd, parallel, pipeline, spectral
 from replaycm.audio_io import Waveform, write_wav
 from replaycm.config import ConfigError, load_config
 from replaycm.corpus import parse_protocol, write_protocol
@@ -223,7 +223,7 @@ class TestSynth:
             return render(cfg, phrases, planned)
 
         monkeypatch.setattr(corpus, "_render_trial", fail_in_a_child)
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = cli.main(["synth", "--config", str(self.corpus_config(tmp_path))])
         assert rc == 2
         # the child renders the odd trials
@@ -240,7 +240,7 @@ class TestSynth:
             return render(cfg, phrases, planned)
 
         monkeypatch.setattr(corpus, "_render_trial", die_in_a_child)
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = cli.main(["synth", "--config", str(self.corpus_config(tmp_path))])
         err = capsys.readouterr().err
         assert rc == 2
@@ -251,7 +251,7 @@ class TestSynth:
     def test_a_refused_write_stops_the_children(self, tmp_path, monkeypatch, capsys):
         cfg_path = self.corpus_config(tmp_path)
         (tmp_path / "corpus/wav/train_s_0012.wav").mkdir(parents=True)
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = cli.main(["synth", "--config", str(cfg_path)])
         err = capsys.readouterr().err
         assert rc == 2
@@ -1274,3 +1274,181 @@ def test_runtime_needs_no_scipy(workspace, tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(list((tmp_path / "features/deemd-small").glob("*.rsft"))) == 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids returned by every ``os.fork`` in this process."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+# the frontends benchmark workload's default and held-out seeds
+FRONTENDS_SEEDS = (20170803, 20171803)
+
+
+@pytest.fixture(scope="module", params=FRONTENDS_SEEDS)
+def seeded_corpus(request, tmp_path_factory):
+    """A four-trial training corpus of 1.2 s trials at a frontends seed."""
+    root = tmp_path_factory.mktemp(f"seed{request.param}")
+    config = json.loads(json.dumps(TINY_CONFIG))
+    config["seed"] = request.param
+    config["corpus"].update(n_train_genuine=2, n_train_spoof=2, n_eval_genuine=1,
+                            n_eval_spoof=1, duration_seconds=1.2)
+    config["features"] = {f"deemd{n}": {"type": "deemd", "ensemble_size": n}
+                          for n in (1, 2, 5)}
+    config["systems"] = {"gmm": {"model": "gmm", "feature": "deemd1", "components": 2}}
+    config["paths"] = {
+        "work_dir": str(root / "work"),
+        "audio_dir": str(root / "corpus/wav"),
+        "protocol_train": str(root / "corpus/protocol_train.txt"),
+        "protocol_eval": str(root / "corpus/protocol_eval.txt"),
+    }
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["synth", "--config", str(cfg_path)]) == 0
+    return cfg_path, root
+
+
+class TestWorkers:
+    """ΔEEMD members sift on workers forked once per command; no other
+    command of the back-end pipeline forks."""
+
+    @staticmethod
+    def extract(cfg_path, work_dir, feature, protocol, *extra):
+        return cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
+                         "--feature", feature, "--protocol", str(protocol), *extra])
+
+    @pytest.mark.parametrize("members", [1, 2, 5])
+    def test_deemd_files_are_the_same_bytes_serial_and_on_workers(
+            self, seeded_corpus, tmp_path, monkeypatch, forks, members):
+        cfg_path, root = seeded_corpus
+        protocol = root / "corpus/protocol_train.txt"
+        for work_dir, cpus in ((tmp_path / "serial", 1), (tmp_path / "workers", 2)):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            assert self.extract(cfg_path, work_dir, f"deemd{members}", protocol) == 0
+        assert len(forks) == (members > 1)
+        serial = tree_hashes(tmp_path / "serial/features")
+        assert len(serial) == 4
+        assert tree_hashes(tmp_path / "workers/features") == serial
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_one_fork_per_further_cpu_per_command(self, workspace, tmp_path, monkeypatch,
+                                                   forks, cpus):
+        cfg_path, work = workspace
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        assert self.extract(cfg_path, tmp_path, "deemd-small",
+                            work / "corpus/protocol_train.txt") == 0
+        assert len(forks) == cpus - 1  # for the command's 16 trials
+        assert_no_child_left()
+
+    def test_extract_train_and_score_of_a_backend_fork_nothing(
+            self, workspace, tmp_path, monkeypatch, forks):
+        cfg_path, work = workspace
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        for proto in ("protocol_train.txt", "protocol_eval.txt"):
+            assert self.extract(cfg_path, tmp_path, "lpcc-small", work / "corpus" / proto) == 0
+        assert cli.main(["train", "--config", str(own_cfg), "--system", "ivec-sys"]) == 0
+        assert cli.main(["score", "--config", str(own_cfg), "--system", "ivec-sys",
+                         "--protocol", str(work / "corpus/protocol_eval.txt"),
+                         "--out-scores", str(tmp_path / "eval.scores")]) == 0
+        assert forks == []
+
+    def test_extract_with_jobs_sifts_serially(self, workspace, tmp_path, monkeypatch, forks):
+        cfg_path, work = workspace
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        protocol = work / "corpus/protocol_train.txt"
+        assert self.extract(cfg_path, tmp_path / "jobs", "deemd-small", protocol,
+                            "--jobs", "2") == 0
+        assert forks == []
+        assert self.extract(cfg_path, tmp_path / "workers", "deemd-small", protocol) == 0
+        assert len(forks) == 1
+        assert (tree_hashes(tmp_path / "jobs/features")
+                == tree_hashes(tmp_path / "workers/features"))
+
+    def test_a_dead_worker_fails_the_command_and_is_named(
+            self, workspace, tmp_path, monkeypatch, capsys, forks):
+        cfg_path, work = workspace
+        parent = os.getpid()
+        sift = eemd.emd_first_imf
+
+        def die_in_a_child(x, config):
+            if os.getpid() != parent:
+                os._exit(9)
+            return sift(x, config)
+
+        monkeypatch.setattr(eemd, "emd_first_imf", die_in_a_child)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        rc = self.extract(cfg_path, tmp_path, "deemd-small",
+                          work / "corpus/protocol_train.txt", "--keep-going")
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: child process {forks[0]} exited with "
+                                           "status 9 before sending all its results\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("system, feature", [("gmm-phrase", "cqcc-small"),
+                                                 ("ivec-each-phrase", "lpcc-small")])
+    def test_a_stale_last_training_file_is_refused_before_any_model_trains(
+            self, workspace, tmp_path, monkeypatch, capsys, system, feature):
+        cfg_path, work = workspace
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        shutil.copytree(work / "features" / feature, tmp_path / "features" / feature)
+        last = parse_protocol(work / "corpus/protocol_train.txt")[-1]
+        stale = pipeline.feature_path(tmp_path / "features" / feature, last.trial_id)
+        values, meta = containers.read_matrix(stale)
+        containers.write_matrix(stale, values, {**meta, "fingerprint": "other settings"})
+        calls = {"gmm_em_train": 0, "train_t_matrix": 0}
+        for name in calls:
+            def counted(*args, _name=name, _train=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _train(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counted)
+        rc = cli.main(["train", "--config", str(own_cfg), "--system", system])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {stale}: extracted with other settings than feature {feature!r} "
+            "has now; re-run extract\n")
+        assert calls == {"gmm_em_train": 0, "train_t_matrix": 0}
+        assert not (tmp_path / "models").exists()
+
+
+DEEMD_HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from replaycm import parallel
+from replaycm.audio_io import Waveform
+from replaycm.eemd import DeemdParams, delta_eemd_spectrogram
+from replaycm.spectral import FftConfig
+
+parallel.usable_cpus = lambda: 2
+rng = np.random.default_rng(7)
+t = np.arange(19200) / 16000
+wave = Waveform(np.sin(2 * np.pi * 220 * t) + 0.3 * rng.standard_normal(t.size), 16000)
+with parallel.workers():
+    feature = delta_eemd_spectrogram(wave, DeemdParams(FftConfig(), ensemble_size=5), 11)
+print(hashlib.sha256(feature.tobytes()).hexdigest())
+"""
+
+
+def test_deemd_bytes_do_not_depend_on_the_blas_thread_count():
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", DEEMD_HASH_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                 "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120, check=True)
+        digests.add(done.stdout)
+    assert len(digests) == 1

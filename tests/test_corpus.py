@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from replaycm import corpus
+from replaycm import corpus, parallel
 from replaycm.audio_io import Waveform, load_wav
 from replaycm.corpus import (
     CorpusConfig,
@@ -292,19 +292,20 @@ class TestGenerateCorpus:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_forked_and_serial_renders_write_identical_files(self, tmp_path, monkeypatch,
                                                              cpus):
-        asked = []
-        fork_map = corpus.fork_map
+        forks = []
+        fork = os.fork
 
-        def spy(fn, items, processes):
-            asked.append(processes)
-            return fork_map(fn, items, processes)
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
 
-        monkeypatch.setattr(corpus, "fork_map", spy)
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: 1)
-        generate_synth_corpus(SMALL_CORPUS, tmp_path / "serial")
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: cpus)
-        generate_synth_corpus(SMALL_CORPUS, tmp_path / "forked")
-        assert asked == [1, cpus]
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        generate_synth_corpus(SMALL_CORPUS, tmp_path / "serial")  # outside a scope
+        assert forks == []
+        with parallel.workers():
+            generate_synth_corpus(SMALL_CORPUS, tmp_path / "forked")
+        assert len(forks) == cpus - 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert tree_digest(tmp_path / "forked") == tree_digest(tmp_path / "serial")
@@ -322,11 +323,12 @@ class TestGenerateCorpus:
             return render(cfg, phrases, planned)
 
         monkeypatch.setattr(corpus, "_render_trial", fail_trial_3)
-        monkeypatch.setattr(corpus, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         # with two workers a child renders the odd trials
         where = "here" if cpus == 1 else "in a child"
         with pytest.raises(ValueError, match=f"^trial train_g_0003: cannot render {where}$"):
-            generate_synth_corpus(SMALL_CORPUS, tmp_path / "c")
+            with parallel.workers():
+                generate_synth_corpus(SMALL_CORPUS, tmp_path / "c")
         assert not (tmp_path / "c" / "manifest.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
