@@ -8,9 +8,9 @@ every setting, the seed and the paths included, from that one file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _extract_trial(cfg, spec, trial) -> tuple[str, str | None]:
+    """``(trial_id, None)`` once its file is written, or ``(trial_id, error)``."""
+    try:
+        pipeline.extract_trial(cfg, spec, trial)
+        return trial.trial_id, None
+    except ChildProcessError:
+        raise  # a dead worker fails the command, not one trial
+    except (ValueError, OSError) as exc:
+        return trial.trial_id, str(exc)
+
+
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     if args.feature not in cfg.features:
@@ -79,22 +90,11 @@ def cmd_extract(args) -> int:
     spec = cfg.features[args.feature]
     trials = parse_protocol(args.protocol)
     pipeline.feature_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
-
-    def work(trial):
-        try:
-            pipeline.extract_trial(cfg, spec, trial)
-            return trial.trial_id, None
-        except ChildProcessError:
-            raise  # a dead worker fails the command, not one trial
-        except (ValueError, OSError) as exc:  # report per-trial failures, keep going
-            return trial.trial_id, str(exc)
-
-    # serial at --jobs 1: a pool read +0.8-1.8 MB backend peak RSS and was slower
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(work, trials))
-    else:
-        results = [work(t) for t in trials]
+    work = functools.partial(_extract_trial, cfg, spec)
+    if args.jobs > 1:  # trials on the command's workers; their own maps run serially
+        results = [result for _, result in sorted(parallel.imap(work, trials))]
+    else:  # here, where a tracer sees every call and ΔEEMD maps its members
+        results = [work(trial) for trial in trials]
 
     failures = [(tid, msg) for tid, msg in results if msg is not None]
     for tid, msg in failures:
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    f"(types: {', '.join(pipeline.FEATURE_KINDS)})")
     p.add_argument("--protocol", required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="trials extracted in parallel (default: 1)")
+                   help="1 (default): trials one by one; N >= 2: on every usable CPU, whatever N")
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even if some trials failed")
     p.set_defaults(func=cmd_extract)

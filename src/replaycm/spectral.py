@@ -9,7 +9,6 @@ and one column per frame.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,10 +192,6 @@ def _cqt_kernels(cfg: CqtConfig, sample_rate: int) -> tuple[int, list[np.ndarray
     return max(lengths), matrices
 
 
-# --jobs threads share the cache; the lock has each configuration built once
-_CQT_KERNELS_LOCK = threading.Lock()
-
-
 def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarray]:
     """Constant-Q magnitudes, shape (n_bins, n_frames), and bin frequencies.
 
@@ -207,8 +202,7 @@ def cqt_magnitude(wave: Waveform, cfg: CqtConfig) -> tuple[np.ndarray, np.ndarra
     bins is one matrix product of the strided frame windows with the group's
     kernel matrix (Brown & Puckette 1992).
     """
-    with _CQT_KERNELS_LOCK:
-        pad, matrices = _cqt_kernels(cfg, wave.sample_rate)
+    pad, matrices = _cqt_kernels(cfg, wave.sample_rate)
     n = wave.samples.size
     n_frames = (n - 1) // cfg.hop_length + 1
     padded = np.pad(wave.samples, pad)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -481,26 +482,22 @@ class TestExtract:
             assert rc == 0
         assert tree_hashes(serial / "features") == tree_hashes(parallel / "features")
 
-    def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path):
-        # The pool threads, not a serial run, build the CQT kernels here.
+    def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path, monkeypatch):
+        # The workers, not a serial run, build the CQT kernels here.
         cfg_path, work = workspace
         spectral._cqt_kernels.cache_clear()
-        parallel = tmp_path / "parallel"
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        on_workers = tmp_path / "workers"
         serial = tmp_path / "serial"
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for work_dir, jobs in ((parallel, 3), (serial, 1)):
-                rc = cli.main([
-                    "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
-                    "--feature", "cqcc-small",
-                    "--protocol", str(work / "corpus/protocol_train.txt"),
-                    "--jobs", str(jobs),
-                ])
-                assert rc == 0
-        finally:
-            sys.setswitchinterval(interval)
-        assert tree_hashes(parallel / "features") == tree_hashes(serial / "features")
+        for work_dir, jobs in ((on_workers, 3), (serial, 1)):
+            rc = cli.main([
+                "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
+                "--feature", "cqcc-small",
+                "--protocol", str(work / "corpus/protocol_train.txt"),
+                "--jobs", str(jobs),
+            ])
+            assert rc == 0
+        assert tree_hashes(on_workers / "features") == tree_hashes(serial / "features")
 
 
 @pytest.fixture(scope="module")
@@ -1365,17 +1362,59 @@ class TestWorkers:
                          "--out-scores", str(tmp_path / "eval.scores")]) == 0
         assert forks == []
 
-    def test_extract_with_jobs_sifts_serially(self, workspace, tmp_path, monkeypatch, forks):
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("feature", sorted(TestExtract.FEATURE_ROWS))
+    def test_extract_with_jobs_maps_trials_on_the_workers(
+            self, workspace, tmp_path, monkeypatch, forks, cpus, feature):
         cfg_path, work = workspace
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         protocol = work / "corpus/protocol_train.txt"
-        assert self.extract(cfg_path, tmp_path / "jobs", "deemd-small", protocol,
+        assert self.extract(cfg_path, tmp_path / "jobs", feature, protocol,
                             "--jobs", "2") == 0
-        assert forks == []
-        assert self.extract(cfg_path, tmp_path / "workers", "deemd-small", protocol) == 0
-        assert len(forks) == 1
-        assert (tree_hashes(tmp_path / "jobs/features")
-                == tree_hashes(tmp_path / "workers/features"))
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+        assert self.extract(cfg_path, tmp_path / "serial", feature, protocol) == 0
+        serial = tree_hashes(tmp_path / "serial/features")
+        assert len(serial) == 16
+        assert tree_hashes(tmp_path / "jobs/features") == serial
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_extract_with_jobs_reports_failed_trials_in_protocol_order(
+            self, workspace, tmp_path, monkeypatch, capsys, keep_going):
+        cfg_path, work = workspace
+        config = json.loads(cfg_path.read_text())
+        config["paths"].update(work_dir=str(tmp_path), audio_dir=str(tmp_path / "wav"))
+        own_cfg = tmp_path / "config.json"
+        own_cfg.write_text(json.dumps(config))
+        shutil.copytree(work / "corpus/wav", tmp_path / "wav")
+        samples = 0.1 * np.sin(np.arange(4000) / 7.0)
+        lines = (work / "corpus/protocol_train.txt").read_text().splitlines()[:6]
+        # trials 2 (here) and 3 (in the child) fail; this process takes its
+        # time over trial 0, so the child's failure arrives first
+        for position, name in ((2, "slow_b"), (3, "slow_a")):
+            write_wav(tmp_path / f"wav/{name}.wav", Waveform(samples, 8000))
+            lines.insert(position, f"{name} genuine S00 P00 - - -")
+        protocol = tmp_path / "slow.txt"
+        protocol.write_text("\n".join(lines))
+        first, extract_trial = lines[0].split()[0], pipeline.extract_trial
+
+        def slow_first_trial(cfg, spec, trial):
+            if trial.trial_id == first:
+                time.sleep(0.3)
+            return extract_trial(cfg, spec, trial)
+
+        monkeypatch.setattr(pipeline, "extract_trial", slow_first_trial)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        rc = cli.main(["extract", "--config", str(own_cfg), "--feature", "lpcc-small",
+                       "--protocol", str(protocol), "--jobs", "2",
+                       *(["--keep-going"] if keep_going else [])])
+        assert rc == (0 if keep_going else 2)
+        assert capsys.readouterr().err == "".join(
+            f"error: extraction failed for trial {name}: trial {name}: sample rate 8000 Hz "
+            "does not match the configured 16000 Hz\n" for name in ("slow_b", "slow_a")
+        ) + "extracted 6 feature file(s), 2 failure(s)\n"
+        assert len(list((tmp_path / "features/lpcc-small").iterdir())) == 6
+        assert_no_child_left()
 
     def test_a_dead_worker_fails_the_command_and_is_named(
             self, workspace, tmp_path, monkeypatch, capsys, forks):
@@ -1392,6 +1431,26 @@ class TestWorkers:
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = self.extract(cfg_path, tmp_path, "deemd-small",
                           work / "corpus/protocol_train.txt", "--keep-going")
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: child process {forks[0]} exited with "
+                                           "status 9 before sending all its results\n")
+        assert_no_child_left()
+
+    def test_a_dead_worker_fails_extract_with_jobs_and_is_named(
+            self, workspace, tmp_path, monkeypatch, capsys, forks):
+        cfg_path, work = workspace
+        parent = os.getpid()
+        extract_trial = pipeline.extract_trial
+
+        def die_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return extract_trial(*args)
+
+        monkeypatch.setattr(pipeline, "extract_trial", die_in_a_child)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        rc = self.extract(cfg_path, tmp_path, "lpcc-small",
+                          work / "corpus/protocol_train.txt", "--jobs", "2", "--keep-going")
         assert rc == 2
         assert capsys.readouterr().err == (f"error: child process {forks[0]} exited with "
                                            "status 9 before sending all its results\n")

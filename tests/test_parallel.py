@@ -264,3 +264,35 @@ def test_a_partial_of_a_module_function_is_sent(monkeypatch, forks):
         results = dict(imap(functools.partial(pow, 2), [3, 4, 5]))
     assert results == {0: 8, 1: 16, 2: 32}
     assert len(forks) == 1
+
+
+def pids_of_squares(n):
+    """The pid of this process and the squares of ``range(n)``, mapped again
+    as ``square_with_pid``."""
+    return os.getpid(), [value for _, value in sorted(imap(square_with_pid, list(range(n))))]
+
+
+def map_again_here(n):
+    return pids_of_squares(n) if os.getpid() == PARENT else (os.getpid(), None)
+
+
+def map_again_in_a_child(n):
+    return pids_of_squares(n) if os.getpid() != PARENT else (os.getpid(), None)
+
+
+@pytest.mark.parametrize("fn", [map_again_here, map_again_in_a_child])
+def test_a_map_inside_a_map_computes_serially(monkeypatch, forks, fn):
+    cpus(monkeypatch, 3)
+    sizes = list(range(2, 14))
+    with workers():
+        results = dict(imap(fn, sizes))
+        assert len(forks) == 2
+    nested = 0
+    for index, (pid, inner) in results.items():
+        if inner is not None:
+            nested += 1
+            # the inner map ran wholly in the process that started it
+            assert inner == [(pid, i * i) for i in range(sizes[index])]
+    assert {pid for pid, _ in results.values()} == {os.getpid(), *forks}
+    assert nested == (4 if fn is map_again_here else 8)
+    assert_no_child_left()
