@@ -10,8 +10,9 @@ or built from their configurations.  P00 below is backend phrase P00, whose
 training protocol holds 20 genuine and 20 spoofed trials.
 
 Kernels, each timed as the median (and quartiles) of --repeats calls; the
-two training kernels also report ``peak_mib``, the tracemalloc peak of one
-call above the heap at its entry (MiB):
+two training kernels and ``fft_spectrogram`` also report ``peak_mib``, the
+tracemalloc peak of one call above the heap at its entry (MiB), its result
+included:
 
 - ``gmm_em_iteration``: one-iteration ``gmm_em_train`` with the ``lpcc-gmm``
   component count on the genuine P00 ``lpcc20`` frames, one E and M step
@@ -38,8 +39,13 @@ call above the heap at its entry (MiB):
 - ``lpcc_backend`` and ``lpcc_desk``: ``lpcc`` of that utterance as the
   backend workload's ``lpcc20`` and the desk preset's ``lpcc78`` features
   compute it
+- ``fft_spectrogram``: ``fft_spectrogram`` of frontends trial
+  ``train_g_0001`` as the frontends ``fft864`` feature computes it; also
+  reports ``peak_mib``
 - ``envelope``: one ``eemd._envelope`` call, the natural cubic spline
-  through the maxima of frontends trial ``train_g_0001``
+  through the maxima of that trial
+- ``sift_member``: ``emd_first_imf`` of that trial plus the noise of its
+  first ``deemd`` ensemble member, one member's sift as a worker runs it
 - ``eemd_trial``: ``eemd_first_imf`` of that trial as the frontends
   ``deemd`` feature extracts it, serially as outside a command
 - ``eemd_trial_workers``: the same inside one ``parallel.workers()`` scope,
@@ -196,7 +202,7 @@ def main():
         simulate_replay,
         speaker_f0,
     )
-    from replaycm.eemd import _envelope, eemd_first_imf, local_extrema
+    from replaycm.eemd import _envelope, eemd_first_imf, emd_first_imf, local_extrema
     from replaycm.gmm import gmm_em_train, llr_score
     from replaycm.ivector import (
         TotalVariabilityModel,
@@ -212,6 +218,7 @@ def main():
         model_dir,
         model_path,
     )
+    from replaycm.spectral import fft_spectrogram
 
     with tempfile.TemporaryDirectory() as tmp:
         backend = run_workload("backend", Path(tmp) / "backend", train=True)
@@ -235,8 +242,10 @@ def main():
         ubm = model(ivec_spec, "ubm", "gmm")
         tv = TotalVariabilityModel(ubm, model(ivec_spec, "tmatrix", "tmatrix"))
         stats = [baum_welch_stats(ubm, frames(ivec_spec, t.trial_id)) for t in trials]
-        deemd = next(spec for spec in frontends.features.values() if spec.kind == "deemd")
-        samples = load_wav(Path(frontends.paths.audio_dir) / f"{FRONTENDS_TRIAL}.wav").samples
+        deemd, fft = (next(spec for spec in frontends.features.values() if spec.kind == kind)
+                      for kind in ("deemd", "fft"))
+        wave = load_wav(Path(frontends.paths.audio_dir) / f"{FRONTENDS_TRIAL}.wav")
+        samples = wave.samples
 
     t_seed = derive_seed(backend.seed, "train", ivec_spec.name, "tmatrix", PHRASE)
     with warnings.catch_warnings():
@@ -286,10 +295,22 @@ def main():
     for name, lpcc_cfg in lpcc_configs.items():
         kernels[name] = timed(lambda: lpcc(source, lpcc_cfg), args.repeats)
 
+    def spectrogram():
+        fft_spectrogram(wave, fft.config)
+
+    kernels["fft_spectrogram"] = {**timed(spectrogram, args.repeats),
+                                  "peak_mib": traced_peak(spectrogram)}
     maxima, _ = local_extrema(samples)
     kernels["envelope"] = timed(
         lambda: _envelope(maxima, samples[maxima], samples.size), args.repeats)
     eemd_seed = derive_seed(frontends.seed, "extract", deemd.name, FRONTENDS_TRIAL)
+    # member 0 as eemd_first_imf draws its noise
+    member_rng = np.random.default_rng(np.random.SeedSequence(eemd_seed).spawn(1)[0])
+    noisy = samples + member_rng.standard_normal(samples.size) * (
+        deemd.config.noise_strength_factor * float(np.std(samples)))
+    kernels["sift_member"] = timed(lambda: emd_first_imf(noisy, deemd.config.sift),
+                                   args.repeats)
+
     def eemd_trial():
         eemd_first_imf(samples, deemd.config, eemd_seed)
 

@@ -150,6 +150,10 @@ def _aligned_score_matrix(paths: list[str]) -> tuple[tuple[str, ...], np.ndarray
 
 
 def cmd_fuse(args) -> int:
+    if args.apply:
+        for option, value in (("--protocol", args.protocol), ("--out-model", args.out_model)):
+            if value is not None:
+                raise ValueError(f"{option} trains a fusion, so it cannot be used with --apply")
     trial_ids, matrix = _aligned_score_matrix(args.scores)
     if args.apply:
         model = pipeline.load_model(args.apply, "fusion")

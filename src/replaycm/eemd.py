@@ -173,22 +173,26 @@ def eemd_first_imf(x: np.ndarray, params: DeemdParams, seed: int = 0) -> np.ndar
     Each of the ``params.ensemble_size`` members sifts the signal plus
     independent white Gaussian noise with standard deviation
     ``params.noise_strength_factor`` * std(signal).  Members use seeds spawned
-    deterministically from `seed` and are summed in member order, so the
-    result is reproducible.  Members are sifted on the workers of the
-    enclosing ``parallel.workers()`` scope, if any, and the result is the
-    same bytes either way.
+    deterministically from `seed` and are summed in member order, each as
+    soon as every earlier one has arrived, so the result is reproducible.
+    Members are sifted on the workers of the enclosing ``parallel.workers()``
+    scope, if any, and the result is the same bytes either way.
     """
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError("EEMD needs a 1-D array of finite samples")
     noise_std = params.noise_strength_factor * float(np.std(x))
     children = np.random.SeedSequence(seed).spawn(params.ensemble_size)
     member = functools.partial(_sift_member, x, noise_std, params.sift)
-    modes = dict(parallel.imap(member, children))
-
     total = np.zeros(x.size)
-    for index in range(params.ensemble_size):
-        total += modes[index]
-    return total / params.ensemble_size
+    waiting = {}  # modes that arrived before an earlier member's
+    summed = 0
+    for index, mode in parallel.imap(member, children):
+        waiting[index] = mode
+        while summed in waiting:
+            total += waiting.pop(summed)
+            summed += 1
+    total /= params.ensemble_size
+    return total
 
 
 def _sift_member(x: np.ndarray, noise_std: float, sift: SiftConfig,
@@ -208,6 +212,6 @@ def delta_eemd_spectrogram(wave: Waveform, params: DeemdParams, seed: int = 0) -
     """
     original = fft_spectrogram(wave, params.fft, scale="magnitude")
     mode = eemd_first_imf(wave.samples, params, seed)
-    mode_spec = fft_spectrogram(Waveform(mode, wave.sample_rate), params.fft,
+    original -= fft_spectrogram(Waveform(mode, wave.sample_rate), params.fft,
                                 scale="magnitude")
-    return np.abs(original - mode_spec)
+    return np.abs(original, out=original)

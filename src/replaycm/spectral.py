@@ -9,6 +9,7 @@ and one column per frame.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ POWER_FLOOR = 1e-10
 # Largest total size of one configuration's cached CQT kernel matrices; the
 # workloads' 84-bin configuration needs 1.6 MiB
 CQT_KERNEL_BUDGET_BYTES = 64 << 20
+FFT_BLOCK = 16  # frames per FFT block: bounds what a spectrogram holds beyond its output
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,19 @@ class CqtConfig:
         return self.f_min * 2.0 ** (k / self.bins_per_octave)
 
 
-def frame_signal(wave: Waveform, window_seconds: float, hop_seconds: float,
-                 window: str = "hann") -> np.ndarray:
-    """Slice a waveform into windowed frames, shape (n_frames, frame_len)."""
+def _framing(wave: Waveform, window_seconds: float, hop_seconds: float,
+             window: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checked framing of a waveform: the strided (n_frames, frame_len)
+    view of its samples, and the taper each frame is multiplied by (None for
+    the rectangular window)."""
     frame_len = int(round(window_seconds * wave.sample_rate))
     hop_len = int(round(hop_seconds * wave.sample_rate))
     if frame_len < 2:
         raise ValueError("window must span at least 2 samples")
     if hop_len < 1:
         raise ValueError("hop must span at least 1 sample")
+    if window not in ("hann", "rectangular"):
+        raise ValueError(f"unsupported window {window!r}")
     x = wave.samples
     if x.size < frame_len:
         raise ValueError(
@@ -87,48 +93,75 @@ def frame_signal(wave: Waveform, window_seconds: float, hop_seconds: float,
         )
     n_frames = (x.size - frame_len) // hop_len + 1
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop_len]
-    frames = np.array(frames[:n_frames], dtype=np.float64)
-    if window == "hann":
-        frames *= np.hanning(frame_len)
-    elif window != "rectangular":
-        raise ValueError(f"unsupported window {window!r}")
+    return frames[:n_frames], np.hanning(frame_len) if window == "hann" else None
+
+
+def _windowed(frames: np.ndarray, taper: np.ndarray | None) -> np.ndarray:
+    """A float64 copy of strided frames, each multiplied by ``taper``."""
+    frames = np.array(frames, dtype=np.float64)
+    if taper is not None:
+        frames *= taper
     return frames
+
+
+def frame_signal(wave: Waveform, window_seconds: float, hop_seconds: float,
+                 window: str = "hann") -> np.ndarray:
+    """Slice a waveform into windowed frames, shape (n_frames, frame_len)."""
+    return _windowed(*_framing(wave, window_seconds, hop_seconds, window))
+
+
+def _row_resampler(src_positions: np.ndarray,
+                   n_out: int) -> Callable[[np.ndarray], np.ndarray]:
+    """A function that linearly interpolates matrix rows, one per source
+    position, onto n_out uniformly spaced positions."""
+    src = np.asarray(src_positions, dtype=np.float64)
+    new = np.linspace(src[0], src[-1], n_out)
+    idx = np.clip(np.searchsorted(src, new, side="right") - 1, 0, src.size - 2)
+    w = ((new - src[idx]) / (src[idx + 1] - src[idx]))[:, None]
+    return lambda values: values[idx] * (1.0 - w) + values[idx + 1] * w
 
 
 def resample_rows_linear(values: np.ndarray, src_positions: np.ndarray,
                          n_out: int) -> np.ndarray:
     """Linearly interpolate matrix rows onto n_out uniformly spaced positions."""
-    src = np.asarray(src_positions, dtype=np.float64)
-    new = np.linspace(src[0], src[-1], n_out)
-    idx = np.clip(np.searchsorted(src, new, side="right") - 1, 0, src.size - 2)
-    w = (new - src[idx]) / (src[idx + 1] - src[idx])
-    return values[idx] * (1.0 - w)[:, None] + values[idx + 1] * w[:, None]
+    return _row_resampler(src_positions, n_out)(values)
 
 
 def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") -> np.ndarray:
-    """FFT spectrogram in the requested scale (magnitude, power or log-power)."""
-    frames = frame_signal(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
-                          cfg.framing.window)
-    if cfg.n_fft < frames.shape[1]:
-        raise ValueError(
-            f"n_fft ({cfg.n_fft}) must be >= frame length ({frames.shape[1]})"
-        )
-    spectrum = np.fft.rfft(frames, n=cfg.n_fft)
+    """FFT spectrogram in the requested scale (magnitude, power or log-power).
 
-    if scale == "magnitude":
-        values = np.abs(spectrum)
-    elif scale == "power":
-        values = np.abs(spectrum) ** 2
-    elif scale == "log-power":
-        values = floored_log_power(np.abs(spectrum))
-    else:
+    Frames are windowed, transformed, scaled and resampled FFT_BLOCK at a
+    time into the output, so at most one block is held beyond it.
+    """
+    if scale not in ("magnitude", "power", "log-power"):
         raise ValueError(f"unsupported fft scale {scale!r}")
+    frames, taper = _framing(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
+                             cfg.framing.window)
+    n_frames, frame_len = frames.shape
+    if cfg.n_fft < frame_len:
+        raise ValueError(
+            f"n_fft ({cfg.n_fft}) must be >= frame length ({frame_len})"
+        )
+    n_bins = cfg.n_fft // 2 + 1
+    if cfg.target_bins is None:
+        resample = None
+        # frame-major memory, the layout of a transposed spectrum: mvn_spectrum's
+        # row sums round differently over the other layout
+        out = np.empty((n_frames, n_bins)).T
+    else:
+        freqs = np.arange(n_bins) * wave.sample_rate / cfg.n_fft
+        resample = _row_resampler(freqs, cfg.target_bins)
+        out = np.empty((cfg.target_bins, n_frames))
 
-    values = values.T
-    if cfg.target_bins is not None:
-        freqs = np.arange(cfg.n_fft // 2 + 1) * wave.sample_rate / cfg.n_fft
-        values = resample_rows_linear(values, freqs, cfg.target_bins)
-    return values
+    for start in range(0, n_frames, FFT_BLOCK):
+        block = slice(start, start + FFT_BLOCK)
+        values = np.abs(np.fft.rfft(_windowed(frames[block], taper), n=cfg.n_fft))
+        if scale == "power":
+            values **= 2
+        elif scale == "log-power":
+            values = floored_log_power(values)
+        out[:, block] = values.T if resample is None else resample(values.T)
+    return out
 
 
 def cqt_kernel_layout(cfg: CqtConfig, sample_rate: int

@@ -1123,6 +1123,23 @@ class TestFuseEval:
             "error: training a fusion requires --protocol with labels\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.scores"]
 
+    @pytest.mark.parametrize("option", ["--protocol", "--out-model"])
+    def test_apply_refuses_an_option_that_trains(self, tmp_path, capsys, option):
+        a, b = tmp_path / "a.scores", tmp_path / "b.scores"
+        for path in (a, b):
+            path.write_text("t1 1.0\nt2 -1.0\n")
+        model = tmp_path / "fusion.rsmd"
+        containers.write_model(model, "fusion", {"weights": np.ones(2), "offset": np.zeros(1)})
+        value = {"--protocol": str(tmp_path / "nonexistent"),
+                 "--out-model": str(tmp_path / "m.rsmd")}[option]
+        rc = cli.main(["fuse", str(a), str(b), "--apply", str(model), option, value,
+                       "--out-scores", str(tmp_path / "f.scores")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} trains a fusion, so it cannot be used with --apply\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.scores", "b.scores",
+                                                              "fusion.rsmd"]
+
     def test_eval_reports_score_protocol_mismatch(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace
         protocol = work / "corpus/protocol_eval.txt"

@@ -1,7 +1,11 @@
+import os
+import time
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from replaycm import eemd, parallel
 from replaycm.audio_io import Waveform
 from replaycm.eemd import (
     DeemdParams,
@@ -19,6 +23,18 @@ SR = 16000
 FFT_CFG = FftConfig(framing=FramingConfig(0.032, 0.016), n_fft=512)
 # one noise-free member: the plain EMD of the signal
 CLEAN_EMD = DeemdParams(FFT_CFG, ensemble_size=1, noise_strength_factor=0.0)
+
+
+PARENT = os.getpid()
+SIFT_MEMBER = eemd._sift_member
+
+
+def sift_member_late_in_a_child(*args):
+    """An ensemble member that a child sends back late, so that the parent's
+    later members arrive before it."""
+    if os.getpid() != PARENT:
+        time.sleep(0.02)
+    return SIFT_MEMBER(*args)
 
 
 def members(n, **params):
@@ -178,6 +194,28 @@ class TestEemd:
         var_small = np.var(np.stack(small), axis=0).mean()
         var_large = np.var(np.stack(large), axis=0).mean()
         assert var_large < var_small
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_members_arriving_out_of_order_sum_to_the_serial_bytes(self, monkeypatch,
+                                                                   cpus):
+        x = tone(500.0, 0.25) + 0.1 * tone(3000.0, 0.25)
+        serial = eemd_first_imf(x, members(7), seed=17)
+        arrivals = []
+        imap = parallel.imap
+
+        def recorded_imap(fn, items):
+            for index, value in imap(fn, items):
+                arrivals.append(index)
+                yield index, value
+
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "imap", recorded_imap)
+        monkeypatch.setattr(eemd, "_sift_member", sift_member_late_in_a_child)
+        with parallel.workers():
+            on_workers = eemd_first_imf(x, members(7), seed=17)
+        assert sorted(arrivals) == list(range(7))
+        assert arrivals != sorted(arrivals)
+        assert on_workers.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("x", [np.array([0.0, 1.0, np.nan, -1.0, 0.0]),
                                    np.array([0.0, np.inf, 0.0]), np.zeros((2, 100))],

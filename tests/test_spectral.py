@@ -92,6 +92,39 @@ def sliced_cqt_magnitude(x, sample_rate, cfg):
     return mags
 
 
+def unblocked_fft_spectrogram(wave, cfg, scale):
+    """fft_spectrogram over all frames at once: every frame, its whole complex
+    spectrum and the resampling temporaries held together."""
+    frames = frame_signal(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
+                          cfg.framing.window)
+    values = np.abs(np.fft.rfft(frames, n=cfg.n_fft))
+    if scale == "power":
+        values = values**2
+    elif scale == "log-power":
+        values = np.log(np.maximum(values**2, spectral.POWER_FLOOR))
+    values = values.T
+    if cfg.target_bins is not None:
+        freqs = np.arange(cfg.n_fft // 2 + 1) * wave.sample_rate / cfg.n_fft
+        new = np.linspace(freqs[0], freqs[-1], cfg.target_bins)
+        idx = np.clip(np.searchsorted(freqs, new, side="right") - 1, 0, freqs.size - 2)
+        w = (new - freqs[idx]) / (freqs[idx + 1] - freqs[idx])
+        values = values[idx] * (1.0 - w)[:, None] + values[idx + 1] * w[:, None]
+    return values
+
+
+def fft_heap_beyond_output_mib(wave, cfg):
+    """Peak heap of one fft_spectrogram call above its entry, less its output."""
+    fft_spectrogram(wave, cfg)  # untraced: numpy caches an FFT plan on first use
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fft_spectrogram(wave, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return (peak - out.nbytes) / 2**20
+
+
 def random_spectrogram(rng, bins=6, frames=20):
     return rng.standard_normal((bins, frames))
 
@@ -167,6 +200,41 @@ class TestFftSpectrogram:
         cfg = FftConfig(n_fft=2048, target_bins=864)
         spec = fft_spectrogram(wave, cfg)
         assert spec.shape[0] == 864
+
+    @pytest.mark.parametrize("n_frames", [spectral.FFT_BLOCK - 1, spectral.FFT_BLOCK,
+                                          spectral.FFT_BLOCK + 1, 3 * spectral.FFT_BLOCK + 7])
+    @pytest.mark.parametrize("scale", ["magnitude", "power", "log-power"])
+    @pytest.mark.parametrize("target_bins", [None, 100])
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    def test_blocks_equal_the_unblocked_spectrogram(self, rng, n_frames, scale, target_bins,
+                                                    window):
+        frame_len, hop = 256, 96
+        wave = Waveform(rng.standard_normal(frame_len + (n_frames - 1) * hop + 50), 8000)
+        cfg = FftConfig(framing=FramingConfig(frame_len / 8000, hop / 8000, window),
+                        n_fft=512, target_bins=target_bins)
+        got = fft_spectrogram(wave, cfg, scale)
+        want = unblocked_fft_spectrogram(wave, cfg, scale)
+        assert got.shape == want.shape == (target_bins or 257, n_frames)
+        assert np.array_equal(got, want)
+        # the same memory layout too: row reductions (mvn) round by layout
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+    def test_heap_beyond_the_output_does_not_grow_with_length(self, rng):
+        # the frontends fft864 feature on a 1.2 s trial and on one four times
+        # as long; all frames at once held 3.6 and 15.4 MiB beyond the output
+        cfg = FftConfig(n_fft=2048, target_bins=864)
+        short, long = (fft_heap_beyond_output_mib(
+            Waveform(rng.standard_normal(int(seconds * 16000)), 16000), cfg)
+            for seconds in (1.2, 4.8))
+        assert abs(long - short) <= 0.05
+        assert short < 1.5
+
+    @pytest.mark.parametrize("scale", ["decibel", "Power"])
+    def test_an_unknown_scale_is_refused(self, scale):
+        wave = Waveform(np.zeros(4096), 16000)
+        with pytest.raises(ValueError, match=f"unsupported fft scale '{scale}'"):
+            fft_spectrogram(wave, FftConfig(), scale)
 
     def test_n_fft_must_cover_frame(self):
         wave = Waveform(np.zeros(4096), 16000)
