@@ -12,7 +12,9 @@ training protocol holds 20 genuine and 20 spoofed trials.
 Kernels, each timed as the median (and quartiles) of --repeats calls; the
 two training kernels and ``fft_spectrogram`` also report ``peak_mib``, the
 tracemalloc peak of one call above the heap at its entry (MiB), its result
-included:
+included, and the two training kernels ``minflt``, the minor page faults
+(``ru_minflt``) of their --repeats timed calls together, so that a memory
+change shows what it costs in pages faulted back in:
 
 - ``gmm_em_iteration``: one-iteration ``gmm_em_train`` with the ``lpcc-gmm``
   component count on the genuine P00 ``lpcc20`` frames, one E and M step
@@ -70,6 +72,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -133,14 +136,20 @@ def shifted_log_joints(model, frames):
     return log_joint - log_joint.max(axis=1, keepdims=True)
 
 
-def timed(fn, repeats):
+def timed(fn, repeats, faults=False):
+    """Quartiles of ``repeats`` timed calls of ``fn``; with ``faults``, also
+    their minor page faults together (``minflt``)."""
     fn()  # warm caches and lazy imports
     samples = []
+    start_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    return {**quartiles([1e3 * t for t in samples], "ms"), "repeats": repeats}
+    result = {**quartiles([1e3 * t for t in samples], "ms"), "repeats": repeats}
+    if faults:
+        result["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start_faults
+    return result
 
 
 def traced_peak(fn):
@@ -258,9 +267,9 @@ def main():
             gmm_em_train(gmm_frames, k=gmm_spec.components, iters=1, seed=5)
 
         kernels = {
-            "gmm_em_iteration": {**timed(gmm_em_iteration, args.repeats),
+            "gmm_em_iteration": {**timed(gmm_em_iteration, args.repeats, faults=True),
                                  "peak_mib": traced_peak(gmm_em_iteration)},
-            "tmatrix_em_iteration": {**timed(tmatrix_iteration, args.repeats),
+            "tmatrix_em_iteration": {**timed(tmatrix_iteration, args.repeats, faults=True),
                                      "peak_mib": traced_peak(tmatrix_iteration)},
         }
     block = gmm_frames[:gmm.EM_BLOCK]

@@ -149,11 +149,12 @@ def emd_first_imf(x: np.ndarray, sift: SiftConfig = SiftConfig()) -> np.ndarray:
     if maxima.size < 2 or minima.size < 2:
         return np.zeros(n)
 
-    h = x.copy()
-    for _ in range(sift.max_sift_iters):
-        maxima, minima = local_extrema(h)
-        if maxima.size < 2 or minima.size < 2:
-            break
+    h = x  # not returned as is: the first sift always replaces it
+    for sift_iter in range(sift.max_sift_iters):
+        if sift_iter:  # the first sift uses the extrema of x found above
+            maxima, minima = local_extrema(h)
+            if maxima.size < 2 or minima.size < 2:
+                break
         upper = _envelope(maxima, h[maxima], n)
         lower = _envelope(minima, h[minima], n)
         mean_env = 0.5 * (upper + lower)

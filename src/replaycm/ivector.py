@@ -13,7 +13,8 @@ import numpy as np
 
 from .gmm import GmmModel, _expanded, _responsibilities
 
-E_STEP_BLOCK = 256  # utterances per E-step block: bounds the (block, R, R) stacks
+E_STEP_BLOCK = 8  # utterances per E-step block: bounds the (block, R, R) precisions
+COMPONENT_BLOCK = 8  # components per Gram and M-step block: bounds their (block, R, R) systems
 
 
 @dataclass
@@ -59,11 +60,7 @@ class TotalVariabilityModel:
     def gram(self) -> np.ndarray:
         """The per-component Gram matrices T_c' S_c^-1 T_c as packed upper
         triangles, K x R(R+1)/2."""
-        k, d = self.ubm.means.shape
-        t_blocks = self.t_matrix.reshape(k, d, self.rank)
-        scaled = t_blocks / self.ubm.variances[:, :, None]
-        rows, cols = _triangle(self.rank)
-        return np.matmul(scaled.transpose(0, 2, 1), t_blocks)[:, rows, cols]
+        return _gram(self.t_matrix, self.ubm.variances)
 
 
 @cache
@@ -75,20 +72,45 @@ def _triangle(rank: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _unpack(packed: np.ndarray, rank: int) -> np.ndarray:
-    """Symmetric (..., R, R) matrices from packed upper triangles (..., P)."""
+def _unpack(packed: np.ndarray, rank: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric (..., R, R) matrices from packed upper triangles (..., P),
+    written into ``out`` when given."""
     rows, cols = _triangle(rank)
-    full = np.empty(packed.shape[:-1] + (rank, rank))
+    full = np.empty(packed.shape[:-1] + (rank, rank)) if out is None else out
     full[..., cols, rows] = packed
     full[..., rows, cols] = packed
     return full
 
 
-def _precision(tv: TotalVariabilityModel, counts: np.ndarray) -> np.ndarray:
+def _gram(t_matrix: np.ndarray, variances: np.ndarray, out: np.ndarray | None = None,
+          work: np.ndarray | None = None) -> np.ndarray:
+    """The packed Gram matrices T_c' S_c^-1 T_c of every component, built
+    COMPONENT_BLOCK components at a time into ``out`` (K, R(R+1)/2); ``work``
+    is scratch for at least one block's (block, R, R) products.  A new ``out``
+    is column-major, the layout that packing a whole (K, R, R) stack gave:
+    BLAS rounds extraction's ``n @ gram`` differently over the other one."""
+    k, d = variances.shape
+    rank = t_matrix.shape[1]
+    rows, cols = _triangle(rank)
+    t_blocks = t_matrix.reshape(k, d, rank)
+    if out is None:
+        out = np.empty((k, len(rows)), order="F")
+    if work is None:
+        work = np.empty((min(k, COMPONENT_BLOCK), rank, rank))
+    for start in range(0, k, COMPONENT_BLOCK):
+        block = t_blocks[start:start + COMPONENT_BLOCK]
+        scaled = block / variances[start:start + COMPONENT_BLOCK, :, None]
+        full = np.matmul(scaled.transpose(0, 2, 1), block, out=work[:len(block)])
+        out[start:start + len(block)] = full[:, rows, cols]
+    return out
+
+
+def _precision(packed: np.ndarray, rank: int, out: np.ndarray | None = None) -> np.ndarray:
     """Posterior precisions I + sum_c n_c T_c' S_c^-1 T_c of the latent
-    factor, one per row of zero-order ``counts`` (..., K)."""
-    precision = _unpack(counts @ tv.gram, tv.rank)
-    precision.reshape(-1, tv.rank**2)[:, :: tv.rank + 1] += 1.0  # the identity, in place
+    factor from their packed sums ``counts @ gram`` (..., R(R+1)/2), written
+    into ``out`` when given."""
+    precision = _unpack(packed, rank, out)
+    precision.reshape(-1, rank**2)[:, :: rank + 1] += 1.0  # the identity, in place
     return precision
 
 
@@ -102,67 +124,100 @@ def baum_welch_stats(ubm: GmmModel, frames: np.ndarray) -> BaumWelchStats:
     return BaumWelchStats(n, sums[:, :-1] - n[:, None] * ubm.means)
 
 
-def _e_step(tv: TotalVariabilityModel, counts: np.ndarray, firsts: np.ndarray):
-    """Posteriors of the latent factor for stacked statistics, reduced to the
-    M-step systems A (K, R(R+1)/2, packed) and right-hand sides C (K*D, R),
-    and their marginal log-likelihood up to a T-independent term."""
-    rows, cols = _triangle(tv.rank)
-    a_acc = c_acc = objective = 0.0
+class _EmWorkspace:
+    """One generation of every array an EM iteration of ``train_t_matrix``
+    writes, allocated once per call and overwritten by every iteration:
+    freeing them each iteration made glibc trim the heap and fault it back."""
+
+    def __init__(self, n_utterances: int, k: int, d: int, rank: int):
+        packed = rank * (rank + 1) // 2
+        self.gram = None  # of the current T; the first _gram call allocates it
+        self.a_acc = np.empty((k, packed))  # the M-step systems, packed
+        self.c_acc = np.empty((k * d, rank))  # and their right-hand sides
+        self.w = np.empty((n_utterances, rank))  # posterior means
+        self.second_moment = np.empty((n_utterances, packed))  # E[w w'], packed
+        self.objective = np.empty(n_utterances)  # each utterance's term
+        self.precision = np.empty((min(n_utterances, E_STEP_BLOCK), rank, rank))
+        self.systems = np.empty((min(k, COMPONENT_BLOCK), rank, rank))
+
+
+def _e_step(t_matrix: np.ndarray, variances: np.ndarray, counts: np.ndarray,
+            firsts: np.ndarray, ws: _EmWorkspace, accumulate: bool = True) -> float:
+    """Posteriors of the latent factor under ``t_matrix``, whose packed Gram
+    matrices are in ``ws.gram``, for stacked statistics; returns their
+    marginal log-likelihood up to a T-independent term.  With ``accumulate``,
+    also reduces them to the M-step systems A (K, R(R+1)/2, packed) in
+    ``ws.a_acc`` and right-hand sides C (K*D, R) in ``ws.c_acc``.
+
+    Every product over utterances is one call over all of them, because BLAS
+    rounds a row differently with another number of rows; the precisions are
+    unpacked and inverted E_STEP_BLOCK utterances at a time, and each block's
+    packed precisions in ``ws.second_moment`` make way for its second moments.
+    """
+    rank = t_matrix.shape[1]
+    rows, cols = _triangle(rank)
+    packed = np.matmul(counts, ws.gram, out=ws.second_moment)
+    info = (firsts / variances.reshape(-1)) @ t_matrix
     for start in range(0, len(counts), E_STEP_BLOCK):
-        n, f = counts[start:start + E_STEP_BLOCK], firsts[start:start + E_STEP_BLOCK]
-        precision = _precision(tv, n)
+        block = slice(start, min(start + E_STEP_BLOCK, len(counts)))
+        precision = _precision(packed[block], rank, ws.precision[:block.stop - start])
         _, logdet = np.linalg.slogdet(precision)
         covariance = np.linalg.inv(precision)
-        info = (f / tv.ubm.variances.reshape(-1)) @ tv.t_matrix
-        w = np.matmul(covariance, info[:, :, None])[:, :, 0]
-        objective += float(np.sum(0.5 * np.sum(info * w, axis=1) - 0.5 * logdet))
-        second_moment = covariance[:, rows, cols]
-        second_moment += w[:, rows] * w[:, cols]
-        a_acc += n.T @ second_moment
-        c_acc += f.T @ w
-    return a_acc, c_acc, objective
+        w = np.matmul(covariance, info[block, :, None])[:, :, 0]
+        ws.objective[block] = 0.5 * np.sum(info[block] * w, axis=1) - 0.5 * logdet
+        if accumulate:
+            ws.w[block] = w
+            second_moment = ws.second_moment[block]
+            second_moment[...] = covariance[:, rows, cols]
+            second_moment += w[:, rows] * w[:, cols]
+    if accumulate:
+        np.matmul(counts.T, ws.second_moment, out=ws.a_acc)
+        np.matmul(firsts.T, ws.w, out=ws.c_acc)
+    return float(np.sum(ws.objective))
 
 
-def _m_step_solve(a_acc: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve every component's system at once; a singular one gets a ridge
-    term plus a warning."""
+def _m_step_solve(systems: np.ndarray, rhs: np.ndarray, ridge: float,
+                  first: int) -> np.ndarray:
+    """Solve a block of systems, the first of them component ``first``, at
+    once; a singular one gets a ridge term plus a warning."""
     try:
-        return np.linalg.solve(a_acc, rhs)
+        return np.linalg.solve(systems, rhs)
     except np.linalg.LinAlgError:
         pass
     out = np.empty_like(rhs)
-    for c in range(len(a_acc)):  # find the singular systems one by one
+    for c in range(len(systems)):  # find the singular systems one by one
         try:
-            out[c] = np.linalg.solve(a_acc[c], rhs[c])
+            out[c] = np.linalg.solve(systems[c], rhs[c])
         except np.linalg.LinAlgError:
-            warnings.warn(f"singular M-step system for component {c}; adding ridge",
+            warnings.warn(f"singular M-step system for component {first + c}; adding ridge",
                           stacklevel=4)
-            out[c] = np.linalg.solve(a_acc[c] + ridge * np.eye(len(rhs[c])), rhs[c])
+            out[c] = np.linalg.solve(systems[c] + ridge * np.eye(len(rhs[c])), rhs[c])
     return out
 
 
-def _m_step(tv: TotalVariabilityModel, a_acc: np.ndarray, c_acc: np.ndarray,
-            ridge: float) -> np.ndarray:
-    """The next T from the packed systems.  A function of its own so that the
-    unpacked (K, R, R) systems and the solutions are freed before the next
-    E-step runs."""
-    k, d = tv.ubm.means.shape
-    rank = tv.rank
-    # a component with no evidence keeps its current rows; an identity
-    # system stands in for it so that all components solve in one call
-    a_acc = _unpack(a_acc, rank)
-    active = np.trace(a_acc, axis1=1, axis2=2) > 0.0
-    a_acc[~active] = np.eye(rank)
-    solution = _m_step_solve(a_acc, c_acc.reshape(k, d, rank).transpose(0, 2, 1), ridge)
-    # a system too small to solve in floating point (subnormal counts)
-    # gives no usable solution either, so that component keeps its rows too
-    solved = np.isfinite(solution).all(axis=(1, 2))
-    for c in np.flatnonzero(active & ~solved):
-        warnings.warn(f"non-finite M-step solution for component {c}; keeping its rows",
-                      stacklevel=3)
-    new_t = tv.t_matrix.reshape(k, d, rank).copy()
-    new_t[active & solved] = solution[active & solved].transpose(0, 2, 1)
-    return new_t.reshape(k * d, rank)
+def _m_step(t_matrix: np.ndarray, ws: _EmWorkspace, ridge: float) -> None:
+    """Overwrite ``t_matrix`` with the next T, solving the packed systems in
+    ``ws`` COMPONENT_BLOCK components at a time."""
+    k = len(ws.a_acc)
+    rank = t_matrix.shape[1]
+    t_blocks = t_matrix.reshape(k, -1, rank)
+    rhs = ws.c_acc.reshape(t_blocks.shape).transpose(0, 2, 1)
+    for start in range(0, k, COMPONENT_BLOCK):
+        stop = min(start + COMPONENT_BLOCK, k)
+        # a component with no evidence keeps its current rows; an identity
+        # system stands in for it so that the block solves in one call
+        systems = _unpack(ws.a_acc[start:stop], rank, ws.systems[:stop - start])
+        active = np.trace(systems, axis1=1, axis2=2) > 0.0
+        systems[~active] = np.eye(rank)
+        solution = _m_step_solve(systems, rhs[start:stop], ridge, start)
+        # a system too small to solve in floating point (subnormal counts)
+        # gives no usable solution either, so that component keeps its rows too
+        solved = np.isfinite(solution).all(axis=(1, 2))
+        for c in np.flatnonzero(active & ~solved):
+            warnings.warn(f"non-finite M-step solution for component {start + c}; "
+                          "keeping its rows", stacklevel=3)
+        update = active & solved
+        t_blocks[start:stop][update] = solution[update].transpose(0, 2, 1)
 
 
 def train_t_matrix(
@@ -182,6 +237,9 @@ def train_t_matrix(
     counts), with a warning; singular systems get a ridge term plus a
     warning.  The per-iteration marginal objective (up to a T-independent
     constant) is recorded on the returned model; EM makes it non-decreasing.
+    Both steps and the Gram matrices run over fixed blocks of utterances or
+    components into arrays allocated once per call, so no (K, R, R) array is
+    ever built.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -194,21 +252,24 @@ def train_t_matrix(
         )
     k, d = ubm.means.shape
     rng = np.random.default_rng(seed)
-    tv = TotalVariabilityModel(ubm, 0.1 * rng.standard_normal((k * d, rank)))
+    t_matrix = 0.1 * rng.standard_normal((k * d, rank))  # each M-step overwrites it
     counts = np.stack([st.n for st in stats])               # (U, K)
     firsts = np.stack([st.f.reshape(-1) for st in stats])   # (U, K*D)
+    ws = _EmWorkspace(len(stats), k, d, rank)
 
     history = []
     for _ in range(iters):
-        a_acc, c_acc, objective = _e_step(tv, counts, firsts)
-        history.append(objective)
-        tv = TotalVariabilityModel(ubm, _m_step(tv, a_acc, c_acc, ridge))
-
-    history.append(_e_step(tv, counts, firsts)[2])
-    if np.linalg.matrix_rank(tv.t_matrix) < rank:
+        ws.gram = _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
+        history.append(_e_step(t_matrix, ubm.variances, counts, firsts, ws))
+        _m_step(t_matrix, ws, ridge)
+    ws.gram = _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
+    history.append(_e_step(t_matrix, ubm.variances, counts, firsts, ws, accumulate=False))
+    gram = ws.gram
+    del ws  # free the accumulators before the rank check and the model's copy of T
+    if np.linalg.matrix_rank(t_matrix) < rank:
         warnings.warn("trained t_matrix is numerically rank deficient", stacklevel=2)
-    # the final model keeps the Gram matrices its last E-step built
-    object.__setattr__(tv, "history", tuple(history))
+    tv = TotalVariabilityModel(ubm, t_matrix, tuple(history))
+    vars(tv)["gram"] = gram  # the final model keeps the Gram matrices its last pass built
     return tv
 
 
@@ -220,7 +281,7 @@ def extract_ivector(tv: TotalVariabilityModel, stats: BaumWelchStats) -> np.ndar
             f"statistics shaped {stats.n.shape}/{stats.f.shape} do not match "
             f"the UBM ({k} components x {d} dims)"
         )
-    precision = _precision(tv, stats.n)
+    precision = _precision(stats.n @ tv.gram, tv.rank)
     info = (stats.f / tv.ubm.variances).reshape(-1) @ tv.t_matrix
     return np.linalg.solve(precision, info)
 

@@ -149,6 +149,22 @@ class TestEmd:
         residue = x - imf
         assert np.max(np.abs(x - (imf + residue))) <= 1e-12
 
+    @pytest.mark.parametrize("sift", [SiftConfig(1, 0.2), SiftConfig(3, 1e-9), SiftConfig()])
+    def test_matches_a_sift_that_finds_the_extrema_every_iteration(self, rng, sift):
+        x = tone(300.0) + 0.3 * tone(2000.0) + 0.05 * rng.standard_normal(tone(300.0).size)
+        given = x.copy()
+        h = x.copy()
+        for _ in range(sift.max_sift_iters):
+            maxima, minima = local_extrema(h)
+            mean_env = 0.5 * (_envelope(maxima, h[maxima], h.size)
+                              + _envelope(minima, h[minima], h.size))
+            sd = np.einsum("i,i->", mean_env, mean_env) / np.einsum("i,i->", h, h)
+            h = h - mean_env
+            if sd < sift.sd_threshold:
+                break
+        assert np.array_equal(emd_first_imf(x, sift), h)
+        assert np.array_equal(x, given)  # the input is not sifted in place
+
     def test_extrema_detection(self):
         x = np.array([0.0, 1.0, 0.0, -1.0, 0.0, 2.0, 0.0])
         maxima, minima = local_extrema(x)

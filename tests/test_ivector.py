@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -180,11 +181,15 @@ class TestTrainTMatrix:
         init = 0.1 * np.random.default_rng(3).standard_normal((k * d, rank))
         assert np.array_equal(tv.t_matrix[2 * d : 3 * d], init[2 * d : 3 * d])
 
-    def test_blocked_e_step_matches_loop_oracle(self, rng, monkeypatch):
+    @pytest.mark.parametrize("e_block, c_block", [(5, 3), (7, 1), (13, 5)])
+    def test_blocked_e_step_matches_loop_oracle(self, rng, monkeypatch, e_block, c_block):
+        # 12 utterances in blocks of 5, 5 and 2, of 7 and 5, or in one; 4
+        # components in blocks of 3 and 1, one by one, or in one
         k, d, rank = 4, 3, 3
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
-        monkeypatch.setattr(ivector, "E_STEP_BLOCK", 5)  # blocks of 5, 5 and 2
+        monkeypatch.setattr(ivector, "E_STEP_BLOCK", e_block)
+        monkeypatch.setattr(ivector, "COMPONENT_BLOCK", c_block)
         tv = train_t_matrix(stats, ubm, rank=rank, iters=4, seed=2)
         t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=4, seed=2)
         np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-10)
@@ -193,8 +198,13 @@ class TestTrainTMatrix:
             np.testing.assert_allclose(extract_ivector(tv, st),
                                        dense_extract_oracle(tv, st), rtol=1e-10)
 
-    def test_singular_m_step_system_gets_ridge_and_warning(self, rng, monkeypatch):
-        k, d, rank = 3, 2, 2
+    @pytest.mark.parametrize("bad", [1, 3, 4])
+    def test_singular_m_step_system_gets_ridge_and_warning(self, rng, monkeypatch, bad):
+        # components in blocks of 2: the singular one sits in the first block,
+        # second in a later one or alone in the last, and the warning names
+        # its index among all components
+        k, d, rank = 5, 2, 2
+        monkeypatch.setattr(ivector, "COMPONENT_BLOCK", 2)
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(8)]
         expected = train_t_matrix(stats, ubm, rank=rank, iters=1, seed=4).t_matrix
@@ -202,36 +212,66 @@ class TestTrainTMatrix:
         per_component_calls = []
 
         def solve(a, b):
-            # the batched solve and component 1's plain solve report a singular system
+            # every batched solve and component `bad`'s plain solve report a
+            # singular system, so the components are solved one by one, in order
             if a.ndim == 3:
                 raise np.linalg.LinAlgError("Singular matrix")
-            per_component_calls.append(a)
-            if len(per_component_calls) == 2:
+            per_component_calls.append(a.copy())  # `a` may view a reused buffer
+            if len(per_component_calls) == bad + 1:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real_solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        with pytest.warns(UserWarning, match="component 1; adding ridge"):
+        with pytest.warns(UserWarning, match=f"component {bad}; adding ridge") as caught:
             tv = train_t_matrix(stats, ubm, rank=rank, iters=1, seed=4)
-        np.testing.assert_array_equal(per_component_calls[2],
-                                      per_component_calls[1] + 1e-6 * np.eye(rank))
-        np.testing.assert_allclose(np.delete(tv.t_matrix, np.s_[d : 2 * d], axis=0),
-                                   np.delete(expected, np.s_[d : 2 * d], axis=0), rtol=1e-12)
-        np.testing.assert_allclose(tv.t_matrix[d : 2 * d], expected[d : 2 * d], rtol=1e-4)
+        assert sum("adding ridge" in str(w.message) for w in caught) == 1
+        np.testing.assert_array_equal(per_component_calls[bad + 1],
+                                      per_component_calls[bad] + 1e-6 * np.eye(rank))
+        rows = np.s_[bad * d : (bad + 1) * d]
+        np.testing.assert_allclose(np.delete(tv.t_matrix, rows, axis=0),
+                                   np.delete(expected, rows, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(tv.t_matrix[rows], expected[rows], rtol=1e-4)
 
+    @pytest.mark.parametrize("bad", [1, 3])
     @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
-    def test_subnormal_counts_keep_rows_with_warning(self, rng, tiny):
-        k, d, rank = 3, 2, 2
+    def test_subnormal_counts_keep_rows_with_warning(self, rng, monkeypatch, tiny, bad):
+        # components in blocks of 2: the starved one sits in the first or the
+        # second block, and the warning names its index among all components
+        k, d, rank = 5, 2, 2
+        monkeypatch.setattr(ivector, "COMPONENT_BLOCK", 2)
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(8)]
         for st in stats:
-            st.n[1], st.f[1] = tiny, 0.0  # too little evidence to solve for in floating point
-        with pytest.warns(UserWarning, match="non-finite M-step solution for component 1"):
+            st.n[bad], st.f[bad] = tiny, 0.0  # too little evidence to solve for in floating point
+        with pytest.warns(UserWarning, match=f"non-finite M-step solution for component {bad};"):
             tv = train_t_matrix(stats, ubm, rank=rank, iters=3, seed=4)
         assert np.all(np.isfinite(tv.t_matrix))
         assert np.all(np.isfinite(tv.history))
         init = 0.1 * np.random.default_rng(4).standard_normal((k * d, rank))
-        assert np.array_equal(tv.t_matrix[d : 2 * d], init[d : 2 * d])
+        rows = np.s_[bad * d : (bad + 1) * d]
+        assert np.array_equal(tv.t_matrix[rows], init[rows])
+
+    def test_peak_memory_holds_no_stack_of_component_systems(self):
+        # K = 128, R = 60: one (K, R, R) array is 3.5 MiB.  Building the Gram
+        # matrices and the M-step systems as such stacks, with two generations
+        # of T, the Gram and the accumulators alive, peaked at 13.8 MiB; one
+        # generation of each, with the statistics and the E-step's
+        # temporaries, peaks at 8.6 MiB
+        k, d, rank = 128, 20, 60
+        rng = np.random.default_rng(0)
+        ubm = random_ubm(rng, k, d)
+        stats = [BaumWelchStats(rng.uniform(0.0, 5.0, k), rng.standard_normal((k, d)))
+                 for _ in range(40)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fewer utterances than the rank
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                train_t_matrix(stats, ubm, rank=rank, iters=1, seed=1)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_returned_model_keeps_its_gram_matrices(self, rng):
         k, d, rank = 4, 3, 3
