@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import containers, parallel, pipeline
+from . import containers, parallel, pipeline, spectral
 from .config import ConfigError, load_config
 from .corpus import generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
@@ -266,6 +266,8 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
+    finally:  # nor do its CQT kernels, lest they raise every later in-process command's RSS
+        spectral._cqt_kernels.cache_clear()
 
 
 def entrypoint() -> None:

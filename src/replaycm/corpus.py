@@ -332,66 +332,57 @@ def _render_trial(cfg: CorpusConfig, phrases: list[PhraseSpec],
     """The protocol line, manifest entry and audio of one planned trial.
 
     A pure function of the config and the trial's index: every seed derives
-    from the index, so trials render in any order or process alike.
+    from the index, so trials render in any order or process alike.  A
+    ValueError names the trial.
     """
     trial_id, subset, label, index = planned
-    speaker_index = index % cfg.n_speakers
-    phrase_index = (index // cfg.n_speakers) % cfg.n_phrases
-    render_seed = [cfg.seed, 202, index]
-    rng = np.random.default_rng(np.random.SeedSequence(render_seed))
-    source = render_genuine_utterance(
-        speaker_f0(cfg, speaker_index),
-        phrases[phrase_index],
-        cfg.duration_seconds,
-        cfg.sample_rate,
-        rng,
-    )
-
-    entry = {
-        "trial_id": trial_id,
-        "subset": subset,
-        "label": label,
-        "speaker_index": speaker_index,
-        "phrase_index": phrase_index,
-        "render_seed": render_seed,
-        "wav": f"wav/{trial_id}.wav",
-    }
-    if label == "genuine":
-        audio = source
-        tags = (UNSPECIFIED, UNSPECIFIED, UNSPECIFIED)
-    else:
-        channel_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 303, index])
-        )
-        channel = make_replay_channel(cfg, channel_rng)
-        replay_seed = int(
-            np.random.SeedSequence([cfg.seed, 404, index]).generate_state(1)[0]
-        )
-        audio = simulate_replay(source, channel, seed=replay_seed)
-        tags = (
-            f"env{int(channel_rng.integers(0, 8))}",
-            f"dev{int(channel_rng.integers(0, 15))}",
-            f"mic{int(channel_rng.integers(0, 16))}",
-        )
-        entry["channel"] = {
-            "lowpass_cutoff": channel.lowpass_cutoff,
-            "noise_snr_db": channel.noise_snr_db,
-            "gain": channel.gain,
-            "ir_taps": len(channel.impulse_response),
-            "channel_seed": [cfg.seed, 303, index],
-            "replay_seed": replay_seed,
-        }
-    trial = Trial(trial_id, label, f"S{speaker_index:02d}", f"P{phrase_index:02d}", *tags)
-    return trial, entry, audio
-
-
-def _render_named(cfg: CorpusConfig, phrases: list[PhraseSpec],
-                  planned: tuple[str, str, str, int]) -> tuple[Trial, dict, Waveform]:
-    """_render_trial, whose ValueError names the trial."""
     try:
-        return _render_trial(cfg, phrases, planned)
+        speaker_index = index % cfg.n_speakers
+        phrase_index = (index // cfg.n_speakers) % cfg.n_phrases
+        render_seed = [cfg.seed, 202, index]
+        rng = np.random.default_rng(np.random.SeedSequence(render_seed))
+        source = render_genuine_utterance(
+            speaker_f0(cfg, speaker_index),
+            phrases[phrase_index],
+            cfg.duration_seconds,
+            cfg.sample_rate,
+            rng,
+        )
+
+        entry = {
+            "trial_id": trial_id,
+            "subset": subset,
+            "label": label,
+            "speaker_index": speaker_index,
+            "phrase_index": phrase_index,
+            "render_seed": render_seed,
+            "wav": f"wav/{trial_id}.wav",
+        }
+        if label == "genuine":
+            audio = source
+            tags = (UNSPECIFIED, UNSPECIFIED, UNSPECIFIED)
+        else:
+            channel_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 303, index]))
+            channel = make_replay_channel(cfg, channel_rng)
+            replay_seed = int(np.random.SeedSequence([cfg.seed, 404, index]).generate_state(1)[0])
+            audio = simulate_replay(source, channel, seed=replay_seed)
+            tags = (
+                f"env{int(channel_rng.integers(0, 8))}",
+                f"dev{int(channel_rng.integers(0, 15))}",
+                f"mic{int(channel_rng.integers(0, 16))}",
+            )
+            entry["channel"] = {
+                "lowpass_cutoff": channel.lowpass_cutoff,
+                "noise_snr_db": channel.noise_snr_db,
+                "gain": channel.gain,
+                "ir_taps": len(channel.impulse_response),
+                "channel_seed": [cfg.seed, 303, index],
+                "replay_seed": replay_seed,
+            }
+        trial = Trial(trial_id, label, f"S{speaker_index:02d}", f"P{phrase_index:02d}", *tags)
+        return trial, entry, audio
     except ValueError as exc:
-        raise type(exc)(f"trial {planned[0]}: {exc}") from exc
+        raise type(exc)(f"trial {trial_id}: {exc}") from exc
 
 
 def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
@@ -408,7 +399,7 @@ def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
     wav_dir.mkdir(parents=True, exist_ok=True)
 
     plan = _trial_plan(cfg)
-    render = functools.partial(_render_named, cfg, make_phrase_specs(cfg))
+    render = functools.partial(_render_trial, cfg, make_phrase_specs(cfg))
     rendered: list[tuple[Trial, dict] | None] = [None] * len(plan)
     with contextlib.closing(parallel.imap(render, plan)) as results:
         for index, (trial, entry, audio) in results:

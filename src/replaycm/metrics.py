@@ -46,6 +46,8 @@ def _check_scores(genuine, spoof) -> tuple[np.ndarray, np.ndarray]:
     spoof = np.asarray(spoof, dtype=np.float64).ravel()
     if genuine.size == 0 or spoof.size == 0:
         raise ValueError("both genuine and spoof score sets must be non-empty")
+    if not (np.isfinite(genuine).all() and np.isfinite(spoof).all()):
+        raise ValueError("scores must all be finite")
     return genuine, spoof
 
 
@@ -57,7 +59,9 @@ def det_points(genuine, spoof) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     frr = fraction of genuine scores < t (non-decreasing in t).
     """
     genuine, spoof = _check_scores(genuine, spoof)
-    thresholds = np.unique(np.concatenate([genuine, spoof]))
+    # np.unique's sort path for finite scores, without its numpy.ma import
+    pooled = np.sort(np.concatenate([genuine, spoof]))
+    thresholds = pooled[np.append(True, pooled[1:] != pooled[:-1])]
     spoof_sorted = np.sort(spoof)
     genuine_sorted = np.sort(genuine)
     accepted_spoof = spoof.size - np.searchsorted(spoof_sorted, thresholds, side="left")

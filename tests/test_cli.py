@@ -216,14 +216,14 @@ class TestSynth:
     def test_a_render_error_in_a_child_is_one_error_line(self, tmp_path, monkeypatch,
                                                          capsys):
         parent = os.getpid()
-        render = corpus._render_trial
+        render = corpus.render_genuine_utterance
 
-        def fail_in_a_child(cfg, phrases, planned):
+        def fail_in_a_child(*args):
             if os.getpid() != parent:
                 raise ValueError("no samples")
-            return render(cfg, phrases, planned)
+            return render(*args)
 
-        monkeypatch.setattr(corpus, "_render_trial", fail_in_a_child)
+        monkeypatch.setattr(corpus, "render_genuine_utterance", fail_in_a_child)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = cli.main(["synth", "--config", str(self.corpus_config(tmp_path))])
         assert rc == 2
@@ -233,14 +233,14 @@ class TestSynth:
 
     def test_a_renderer_that_dies_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
-        render = corpus._render_trial
+        render = corpus.render_genuine_utterance
 
-        def die_in_a_child(cfg, phrases, planned):
+        def die_in_a_child(*args):
             if os.getpid() != parent:
                 os._exit(9)
-            return render(cfg, phrases, planned)
+            return render(*args)
 
-        monkeypatch.setattr(corpus, "_render_trial", die_in_a_child)
+        monkeypatch.setattr(corpus, "render_genuine_utterance", die_in_a_child)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = cli.main(["synth", "--config", str(self.corpus_config(tmp_path))])
         err = capsys.readouterr().err
@@ -498,6 +498,43 @@ class TestExtract:
             ])
             assert rc == 0
         assert tree_hashes(on_workers / "features") == tree_hashes(serial / "features")
+
+    @pytest.mark.parametrize("outcome, rc", [("written", 0), ("refused", 2), ("crashed", 1)])
+    def test_the_cqt_kernels_end_with_the_command(self, workspace, tmp_path, monkeypatch,
+                                                  outcome, rc):
+        cfg_path, work = workspace
+        protocol = tmp_path / "p.txt"
+        lines = (work / "corpus/protocol_train.txt").read_text().splitlines()[:2]
+        if outcome == "refused":
+            lines.append("ghost genuine S00 P00 - - -")
+        protocol.write_text("\n".join(lines))
+        if outcome == "crashed":
+            extract = pipeline.extract_trial
+
+            def crash_after_first(*args):
+                extract(*args)
+                raise RuntimeError("after one trial")
+
+            monkeypatch.setattr(pipeline, "extract_trial", crash_after_first)
+        assert cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                         "--feature", "cqcc-small", "--protocol", str(protocol)]) == rc
+        assert len(list((tmp_path / "features/cqcc-small").glob("*.rsft"))) == 2 - (rc == 1)
+        assert spectral._cqt_kernels.cache_info().currsize == 0
+
+    def test_cqt_commands_in_one_process_write_cold_cache_bytes(self, workspace, tmp_path):
+        # cqcc-small and cqt-small share one CQT configuration
+        cfg_path, work = workspace
+        protocol = str(work / "corpus/protocol_train.txt")
+        in_turn, cold = tmp_path / "in_turn", tmp_path / "cold"
+        for work_dir in (in_turn, cold):
+            config = str(config_with_work_dir(cfg_path, work_dir))
+            for feature in ("cqcc-small", "cqt-small"):
+                if work_dir == cold:
+                    spectral._cqt_kernels.cache_clear()
+                assert cli.main(["extract", "--config", config, "--feature", feature,
+                                 "--protocol", protocol]) == 0
+        assert tree_hashes(in_turn / "features") == tree_hashes(cold / "features")
+        assert len(tree_hashes(cold / "features")) == 32
 
 
 @pytest.fixture(scope="module")
@@ -952,6 +989,22 @@ class TestFuseEval:
                        "--protocol", str(work / "corpus/protocol_eval.txt")])
         assert rc == 0
         assert capsys.readouterr().out.startswith("EER 0.00%")
+
+    def test_eval_leaves_numpy_ma_unimported(self, workspace, tmp_path):
+        cfg_path, work = workspace
+        protocol = work / "corpus/protocol_eval.txt"
+        scores = tmp_path / "tied.scores"
+        scores.write_text("".join(f"{t.trial_id} {i // 3}\n"
+                                  for i, t in enumerate(parse_protocol(protocol))))
+        script = ("import sys\nfrom replaycm import cli\n"
+                  f"assert cli.main(['eval', {str(scores)!r}, '--protocol', {str(protocol)!r}]) == 0\n"
+                  "assert 'numpy.ma' not in sys.modules\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("EER ")
 
     def test_fusing_single_system_preserves_eer(self, workspace, tmp_path, capsys):
         cfg_path, work = workspace

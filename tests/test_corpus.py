@@ -314,15 +314,16 @@ class TestGenerateCorpus:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_render_error_names_the_trial(self, tmp_path, monkeypatch, cpus):
         parent = os.getpid()
-        render = corpus._render_trial
+        render = corpus.render_genuine_utterance
 
-        def fail_trial_3(cfg, phrases, planned):
-            if planned[3] == 3:
+        def fail_trial_3(*args):
+            rng = args[-1]  # seeded from [seed, 202, trial index]
+            if rng.bit_generator.seed_seq.entropy[2] == 3:
                 where = "here" if os.getpid() == parent else "in a child"
                 raise ValueError(f"cannot render {where}")
-            return render(cfg, phrases, planned)
+            return render(*args)
 
-        monkeypatch.setattr(corpus, "_render_trial", fail_trial_3)
+        monkeypatch.setattr(corpus, "render_genuine_utterance", fail_trial_3)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         # with two workers a child renders the odd trials
         where = "here" if cpus == 1 else "in a child"

@@ -285,6 +285,17 @@ class TestTrainTMatrix:
             assert np.array_equal(extract_ivector(tv, st), extract_ivector(fresh, st))
         assert np.array_equal(tv.gram, fresh.gram)
 
+    def test_gram_matrices_are_column_major(self, rng):
+        # extract_ivector's stats.n @ gram rounds differently over a C-ordered
+        # Gram, which moves the i-vector, SVM and score bytes
+        k, d, rank = 5, 3, 3
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
+        tv = train_t_matrix(stats, ubm, rank=rank, iters=2, seed=5)
+        for gram in (tv.gram, TotalVariabilityModel(ubm, tv.t_matrix).gram):
+            assert gram.shape == (k, rank * (rank + 1) // 2)
+            assert gram.flags.f_contiguous and not gram.flags.c_contiguous
+
     def test_few_utterances_warn(self, rng):
         ubm = random_ubm(rng, 2, 2)
         stats = [baum_welch_stats(ubm, rng.standard_normal((10, 2))) for _ in range(3)]

@@ -97,6 +97,27 @@ class TestDetPoints:
         far, frr, thresholds = det_points([1.0, 1.0, 2.0], [0.5, 0.5])
         assert thresholds.tolist() == [0.5, 1.0, 2.0]
 
+    # few distinct values, so that ties and both signed zeros are common
+    SCORES = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0]) | st.floats(-1e3, 1e3),
+                      min_size=1, max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(genuine=SCORES, spoof=SCORES)
+    def test_matches_a_unique_based_oracle(self, genuine, spoof):
+        genuine, spoof = np.array(genuine), np.array(spoof)
+        thresholds = np.unique(np.concatenate([genuine, spoof]))
+        far, frr, got = det_points(genuine, spoof)
+        assert got.tobytes() == thresholds.tobytes()  # the same zero's sign too
+        assert far.tolist() == [np.mean(spoof >= t) for t in thresholds]
+        assert frr.tolist() == [np.mean(genuine < t) for t in thresholds]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_score_is_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            det_points([1.0, bad], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            compute_eer([1.0], [bad, 0.0])
+
 
 class TestScoreFiles:
     def test_parse_simple_line(self, tmp_path):
