@@ -8,7 +8,6 @@ every setting, the seed and the paths included, from that one file.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import traceback
 from pathlib import Path
@@ -48,16 +47,6 @@ def _configured_corpus_dir(paths) -> Path:
     return corpus
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     out_dir = _configured_corpus_dir(cfg.paths)
@@ -72,17 +61,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _extract_trial(cfg, spec, trial) -> tuple[str, str | None]:
-    """``(trial_id, None)`` once its file is written, or ``(trial_id, error)``."""
-    try:
-        pipeline.extract_trial(cfg, spec, trial)
-        return trial.trial_id, None
-    except ChildProcessError:
-        raise  # a dead worker fails the command, not one trial
-    except (ValueError, OSError) as exc:
-        return trial.trial_id, str(exc)
-
-
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
     if args.feature not in cfg.features:
@@ -90,16 +68,17 @@ def cmd_extract(args) -> int:
     spec = cfg.features[args.feature]
     trials = parse_protocol(args.protocol)
     pipeline.feature_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
-    work = functools.partial(_extract_trial, cfg, spec)
-    if args.jobs > 1:  # trials on the command's workers; their own maps run serially
-        results = [result for _, result in sorted(parallel.imap(work, trials))]
-    else:  # here, where a tracer sees every call and ΔEEMD maps its members
-        results = [work(trial) for trial in trials]
-
-    failures = [(tid, msg) for tid, msg in results if msg is not None]
+    failures = []
+    for trial in trials:  # looked up on the module, so a tracer sees every call
+        try:
+            pipeline.extract_trial(cfg, spec, trial)
+        except ChildProcessError:
+            raise  # a dead ΔEEMD worker fails the command, not one trial
+        except (ValueError, OSError) as exc:
+            failures.append((trial.trial_id, str(exc)))
     for tid, msg in failures:
         _err(f"extraction failed for trial {tid}: {msg}")
-    _info(f"extracted {len(results) - len(failures)} feature file(s), "
+    _info(f"extracted {len(trials) - len(failures)} feature file(s), "
           f"{len(failures)} failure(s)")
     if failures and not args.keep_going:
         return 2
@@ -211,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", required=True, help="configured feature name "
                    f"(types: {', '.join(pipeline.FEATURE_KINDS)})")
     p.add_argument("--protocol", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="1 (default): trials one by one; N >= 2: on every usable CPU, whatever N")
+    p.add_argument("--jobs", type=int, choices=[1], default=1,
+                   help="1 only, kept for scripts that pass it; trials run one by one")
     p.add_argument("--keep-going", action="store_true",
                    help="exit 0 even if some trials failed")
     p.set_defaults(func=cmd_extract)

@@ -52,10 +52,9 @@ def fusion_train(
     prev_theta = None
     prev_grad = None
 
-    converged = False
+    stalled = False
     for _ in range(max_iters):
         if np.linalg.norm(grad) <= tol:
-            converged = True
             break
         if prev_theta is not None:
             s = theta - prev_theta
@@ -66,7 +65,6 @@ def fusion_train(
             else:
                 step = 1.0
         # backtrack until the step actually descends
-        stalled = False
         while True:
             candidate = theta - step * grad
             new_loss, new_grad = _loss_and_grad(candidate, aug, labels, L2, 1.0 / n)
@@ -81,9 +79,10 @@ def fusion_train(
         prev_theta, prev_grad = theta, grad
         theta, loss, grad = candidate, new_loss, new_grad
         history.append(loss)
-    if not converged and np.linalg.norm(grad) > tol:
+    if np.linalg.norm(grad) > tol:
+        how = "stalled (no step descends)" if stalled else "reached max_iters"
         warnings.warn(
-            f"fusion training stopped after {max_iters} iterations with "
+            f"fusion training {how} after {len(history) - 1} iterations with "
             f"gradient norm {np.linalg.norm(grad):.3e}",
             stacklevel=2,
         )

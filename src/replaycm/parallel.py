@@ -14,19 +14,19 @@ length-prefixed pickle of ``fn`` (pickled by import path, so a module-level
 function or a ``functools.partial`` of one) and its items, through the
 child's task pipe.  The child sends each result back through its result
 pipe, and this process reads whatever has arrived between computing its own
-items.  It is the only process that acts on a result; ``fn`` itself may
-write its own item's file, but what it counts in a child stays there.  No
-helper thread is started, so it keeps one malloc arena.
+items.  It is the only process that acts on a result; what ``fn`` counts in
+a child stays there.  No helper thread is started, so it keeps one malloc
+arena.
 
 Children are forked from this process as it is at the scope's first map, so
 they run whatever a tracer or a test has patched in by then.  A map that does
 not run to its end (an error in ``fn`` here or in a child, or a caller that
 abandons it) stops the children; a later map forks new ones.
 
-Outside a scope, inside another map (by ``fn``, here or in a child), where
-``os.fork`` is missing, in a process that runs other threads (a fork copies
-only the calling one), at one usable CPU or for fewer than two items, no
-child is used and the calling process computes every item.
+Outside a scope (a child has none, and a thread does not see its starter's),
+where ``os.fork`` is missing, in a process that runs other threads (a fork
+copies only the calling one), at one usable CPU or for fewer than two items,
+no child is used and the calling process computes every item.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class Workers:
     def __init__(self):
         self._children: list[_Child] | None = None  # None: not forked yet
         self._poller = None
-        self._busy = False  # a map is running: a map inside it runs serially
+        self._busy = False  # a map is running, so no other may start
 
     def imap(self, fn: Callable, items: Sequence) -> Iterator[tuple[int, object]]:
         """Yield ``(index, fn(items[index]))`` for every item, in completion
@@ -87,13 +87,13 @@ class Workers:
 
         An error in a child is raised here as the same exception, its child
         traceback attached as the cause, and a child that dies raises
-        ``ChildProcessError`` naming its pid.
+        ``ChildProcessError`` naming its pid.  A map started inside this
+        one raises ``RuntimeError``: it would read this one's results.
         """
-        children = self._start() if len(items) > 1 and not self._busy else []
-        if not children:
-            yield from _serial(fn, items)
-            return
-        processes = min(len(children) + 1, len(items))
+        if self._busy:
+            raise RuntimeError("a map cannot start inside a running map of the same scope")
+        children = self._start() if len(items) > 1 else []
+        processes = max(1, min(len(children) + 1, len(items)))
         pending: dict[int, int] = {}  # results still due, by result pipe
         finished = False
         self._busy = True
@@ -113,7 +113,7 @@ class Workers:
             finished = True
         finally:
             self._busy = False
-            if not finished:
+            if not finished and children:
                 self.close()
 
     def close(self) -> None:
@@ -234,7 +234,7 @@ def _serial(fn: Callable, items: Sequence) -> Iterator[tuple[int, object]]:
 def _serve(tasks: int, results: int) -> None:
     """In a child: compute the share of each map read from ``tasks`` and send
     every result, until ``tasks`` ends.  Never returns."""
-    _scope.set(None)  # a map inside a share computes serially, here
+    _scope.set(None)  # never the parent's pipes: a map here computes serially
     code = 1
     try:
         while (task := _receive(tasks)) is not None:

@@ -105,3 +105,12 @@ def test_the_desk_workload_is_the_desk_preset(tmp_path):
     # scripts/run_desk_eval.py runs the preset; the benchmark's desk workload must match it
     assert default_desk_config(str(tmp_path)) == WORKLOADS.Workload.load("desk").full_config(
         tmp_path)
+
+
+@pytest.mark.parametrize("name", WORKLOADS.workload_names())
+def test_every_benchmark_command_line_parses(name, tmp_path):
+    # an option the CLI stops accepting (extract's --jobs 1 among them) fails
+    # here, not only in a benchmark run; no command is run
+    parser = replaycm.cli.build_parser()
+    for _, argv in WORKLOADS.Workload.load(name).commands(tmp_path, tmp_path / "config.json"):
+        assert parser.parse_args(argv).command == argv[0]

@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -313,32 +312,26 @@ class TestExtract:
         assert rc == 2
         assert "nope" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_is_refused(self, workspace, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs", ["1", "2", "0", "-2", "two"])
+    def test_jobs_takes_only_one(self, workspace, tmp_path, capsys, jobs):
         cfg_path, work = workspace
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main([
-                "extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
-                "--feature", "lpcc-small",
-                "--protocol", str(work / "corpus/protocol_train.txt"), "--jobs", jobs,
-            ])
-        assert exit_info.value.code == 2
-        assert (f"argument --jobs: expected a positive integer, got '{jobs}'"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "features").exists()
 
-    @pytest.mark.parametrize("jobs", ["1.5", "two"])
-    def test_a_non_integer_jobs_is_refused(self, workspace, tmp_path, capsys, jobs):
-        cfg_path, work = workspace
+        def extract(work_dir, *extra):
+            return cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
+                             "--feature", "lpcc-small",
+                             "--protocol", str(work / "corpus/protocol_train.txt"), *extra])
+
+        if jobs == "1":
+            assert extract(tmp_path / "jobs", "--jobs", jobs) == 0
+            assert extract(tmp_path / "default") == 0
+            default = tree_hashes(tmp_path / "default/features")
+            assert len(default) == 16
+            assert tree_hashes(tmp_path / "jobs/features") == default
+            return
         with pytest.raises(SystemExit) as exit_info:
-            cli.main([
-                "extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
-                "--feature", "lpcc-small",
-                "--protocol", str(work / "corpus/protocol_train.txt"), "--jobs", jobs,
-            ])
+            extract(tmp_path, "--jobs", jobs)
         assert exit_info.value.code == 2
-        assert (f"argument --jobs: expected a positive integer, got '{jobs}'"
-                in capsys.readouterr().err)
+        assert "argument --jobs: invalid" in capsys.readouterr().err
         assert not (tmp_path / "features").exists()
 
     def test_a_wav_at_another_sample_rate_is_a_trial_failure(self, workspace, tmp_path,
@@ -468,36 +461,6 @@ class TestExtract:
             ])
             assert rc == 0
         assert tree_hashes(first / "features") == tree_hashes(second / "features")
-
-    def test_parallel_jobs_identical_output(self, workspace, tmp_path):
-        cfg_path, work = workspace
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        for work_dir, jobs in ((serial, 1), (parallel, 3)):
-            rc = cli.main([
-                "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
-                "--feature", "cqcc-small",
-                "--protocol", str(work / "corpus/protocol_train.txt"), "--jobs", str(jobs),
-            ])
-            assert rc == 0
-        assert tree_hashes(serial / "features") == tree_hashes(parallel / "features")
-
-    def test_parallel_jobs_on_cold_cqt_cache(self, workspace, tmp_path, monkeypatch):
-        # The workers, not a serial run, build the CQT kernels here.
-        cfg_path, work = workspace
-        spectral._cqt_kernels.cache_clear()
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
-        on_workers = tmp_path / "workers"
-        serial = tmp_path / "serial"
-        for work_dir, jobs in ((on_workers, 3), (serial, 1)):
-            rc = cli.main([
-                "extract", "--config", str(config_with_work_dir(cfg_path, work_dir)),
-                "--feature", "cqcc-small",
-                "--protocol", str(work / "corpus/protocol_train.txt"),
-                "--jobs", str(jobs),
-            ])
-            assert rc == 0
-        assert tree_hashes(on_workers / "features") == tree_hashes(serial / "features")
 
     @pytest.mark.parametrize("outcome, rc", [("written", 0), ("refused", 2), ("crashed", 1)])
     def test_the_cqt_kernels_end_with_the_command(self, workspace, tmp_path, monkeypatch,
@@ -1432,60 +1395,6 @@ class TestWorkers:
                          "--out-scores", str(tmp_path / "eval.scores")]) == 0
         assert forks == []
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    @pytest.mark.parametrize("feature", sorted(TestExtract.FEATURE_ROWS))
-    def test_extract_with_jobs_maps_trials_on_the_workers(
-            self, workspace, tmp_path, monkeypatch, forks, cpus, feature):
-        cfg_path, work = workspace
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        protocol = work / "corpus/protocol_train.txt"
-        assert self.extract(cfg_path, tmp_path / "jobs", feature, protocol,
-                            "--jobs", "2") == 0
-        assert len(forks) == cpus - 1
-        assert_no_child_left()
-        assert self.extract(cfg_path, tmp_path / "serial", feature, protocol) == 0
-        serial = tree_hashes(tmp_path / "serial/features")
-        assert len(serial) == 16
-        assert tree_hashes(tmp_path / "jobs/features") == serial
-
-    @pytest.mark.parametrize("keep_going", [False, True])
-    def test_extract_with_jobs_reports_failed_trials_in_protocol_order(
-            self, workspace, tmp_path, monkeypatch, capsys, keep_going):
-        cfg_path, work = workspace
-        config = json.loads(cfg_path.read_text())
-        config["paths"].update(work_dir=str(tmp_path), audio_dir=str(tmp_path / "wav"))
-        own_cfg = tmp_path / "config.json"
-        own_cfg.write_text(json.dumps(config))
-        shutil.copytree(work / "corpus/wav", tmp_path / "wav")
-        samples = 0.1 * np.sin(np.arange(4000) / 7.0)
-        lines = (work / "corpus/protocol_train.txt").read_text().splitlines()[:6]
-        # trials 2 (here) and 3 (in the child) fail; this process takes its
-        # time over trial 0, so the child's failure arrives first
-        for position, name in ((2, "slow_b"), (3, "slow_a")):
-            write_wav(tmp_path / f"wav/{name}.wav", Waveform(samples, 8000))
-            lines.insert(position, f"{name} genuine S00 P00 - - -")
-        protocol = tmp_path / "slow.txt"
-        protocol.write_text("\n".join(lines))
-        first, extract_trial = lines[0].split()[0], pipeline.extract_trial
-
-        def slow_first_trial(cfg, spec, trial):
-            if trial.trial_id == first:
-                time.sleep(0.3)
-            return extract_trial(cfg, spec, trial)
-
-        monkeypatch.setattr(pipeline, "extract_trial", slow_first_trial)
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        rc = cli.main(["extract", "--config", str(own_cfg), "--feature", "lpcc-small",
-                       "--protocol", str(protocol), "--jobs", "2",
-                       *(["--keep-going"] if keep_going else [])])
-        assert rc == (0 if keep_going else 2)
-        assert capsys.readouterr().err == "".join(
-            f"error: extraction failed for trial {name}: trial {name}: sample rate 8000 Hz "
-            "does not match the configured 16000 Hz\n" for name in ("slow_b", "slow_a")
-        ) + "extracted 6 feature file(s), 2 failure(s)\n"
-        assert len(list((tmp_path / "features/lpcc-small").iterdir())) == 6
-        assert_no_child_left()
-
     def test_a_dead_worker_fails_the_command_and_is_named(
             self, workspace, tmp_path, monkeypatch, capsys, forks):
         cfg_path, work = workspace
@@ -1501,26 +1410,6 @@ class TestWorkers:
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         rc = self.extract(cfg_path, tmp_path, "deemd-small",
                           work / "corpus/protocol_train.txt", "--keep-going")
-        assert rc == 2
-        assert capsys.readouterr().err == (f"error: child process {forks[0]} exited with "
-                                           "status 9 before sending all its results\n")
-        assert_no_child_left()
-
-    def test_a_dead_worker_fails_extract_with_jobs_and_is_named(
-            self, workspace, tmp_path, monkeypatch, capsys, forks):
-        cfg_path, work = workspace
-        parent = os.getpid()
-        extract_trial = pipeline.extract_trial
-
-        def die_in_a_child(*args):
-            if os.getpid() != parent:
-                os._exit(9)
-            return extract_trial(*args)
-
-        monkeypatch.setattr(pipeline, "extract_trial", die_in_a_child)
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        rc = self.extract(cfg_path, tmp_path, "lpcc-small",
-                          work / "corpus/protocol_train.txt", "--jobs", "2", "--keep-going")
         assert rc == 2
         assert capsys.readouterr().err == (f"error: child process {forks[0]} exited with "
                                            "status 9 before sending all its results\n")

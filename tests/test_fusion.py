@@ -72,6 +72,23 @@ def test_gradient_norm_reached(rng):
     assert np.linalg.norm(grad) <= 1e-8
 
 
+@pytest.mark.parametrize("scale, max_iters, how", [
+    (1e9, 50000, "stalled (no step descends)"),  # no descent at float precision
+    (1.0, 3, "reached max_iters"),
+])
+def test_an_unconverged_fit_warns_why_and_after_how_many_iterations(scale, max_iters, how):
+    rng = np.random.default_rng(0)
+    scores = scale * np.concatenate([rng.normal(1.0, 1.0, (40, 2)),
+                                     rng.normal(-1.0, 1.0, (40, 2))])
+    labels = np.array([1.0] * 40 + [-1.0] * 40)
+    with pytest.warns(UserWarning) as record:
+        model = fusion_train(scores, labels, max_iters=max_iters)
+    iterations = len(model.history) - 1
+    assert iterations < 50000 if max_iters == 50000 else iterations == max_iters
+    assert [str(w.message).split(" with ")[0] for w in record] == [
+        f"fusion training {how} after {iterations} iterations"]
+
+
 def test_gradient_logistic_matches_closed_form_without_warnings():
     # with one trial, label +1, unit weight and no L2, the gradient with
     # respect to the offset is -1/(1+e^z) at margin z

@@ -272,27 +272,35 @@ def pids_of_squares(n):
     return os.getpid(), [value for _, value in sorted(imap(square_with_pid, list(range(n))))]
 
 
-def map_again_here(n):
-    return pids_of_squares(n) if os.getpid() == PARENT else (os.getpid(), None)
-
-
 def map_again_in_a_child(n):
     return pids_of_squares(n) if os.getpid() != PARENT else (os.getpid(), None)
 
 
-@pytest.mark.parametrize("fn", [map_again_here, map_again_in_a_child])
-def test_a_map_inside_a_map_computes_serially(monkeypatch, forks, fn):
+@pytest.mark.parametrize("processes", [1, 3])
+def test_a_map_inside_a_running_map_is_refused(monkeypatch, forks, processes):
+    cpus(monkeypatch, processes)
+    with workers():
+        with pytest.raises(RuntimeError, match="inside a running map of the same scope"):
+            list(imap(pids_of_squares, list(range(2, 14))))
+        assert_no_child_left()
+        # the refused map ended the running one, so the scope maps again
+        assert dict(imap(square_with_pid, [1, 2]))[1][1] == 4
+    assert len(forks) == 2 * (processes - 1)
+    assert_no_child_left()
+
+
+def test_a_child_has_no_scope_so_its_maps_run_serially(monkeypatch, forks):
     cpus(monkeypatch, 3)
     sizes = list(range(2, 14))
     with workers():
-        results = dict(imap(fn, sizes))
+        results = dict(imap(map_again_in_a_child, sizes))
         assert len(forks) == 2
     nested = 0
     for index, (pid, inner) in results.items():
         if inner is not None:
             nested += 1
-            # the inner map ran wholly in the process that started it
+            # the inner map ran wholly in the child that started it
             assert inner == [(pid, i * i) for i in range(sizes[index])]
     assert {pid for pid, _ in results.values()} == {os.getpid(), *forks}
-    assert nested == (4 if fn is map_again_here else 8)
+    assert nested == 8
     assert_no_child_left()
