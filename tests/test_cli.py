@@ -1395,6 +1395,77 @@ class TestWorkers:
                          "--out-scores", str(tmp_path / "eval.scores")]) == 0
         assert forks == []
 
+    @pytest.mark.parametrize("feature", sorted(TestExtract.FEATURE_ROWS))
+    def test_extract_runs_every_trial_here_once_in_protocol_order(
+            self, workspace, tmp_path, monkeypatch, forks, feature):
+        cfg_path, work = workspace
+        protocol = work / "corpus/protocol_train.txt"
+        calls, extract_trial = [], pipeline.extract_trial
+
+        def recorded(cfg, spec, trial):
+            calls.append((os.getpid(), trial.trial_id))
+            return extract_trial(cfg, spec, trial)
+
+        monkeypatch.setattr(pipeline, "extract_trial", recorded)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        assert self.extract(cfg_path, tmp_path, feature, protocol) == 0
+        assert calls == [(os.getpid(), trial.trial_id) for trial in parse_protocol(protocol)]
+        assert len(forks) == (feature == "deemd-small")  # only ΔEEMD members go to workers
+        assert len(tree_hashes(tmp_path / "features")) == 16
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_extract_reports_every_failed_trial_in_protocol_order(
+            self, workspace, tmp_path, capsys, keep_going):
+        cfg_path, work = workspace
+        lines = (work / "corpus/protocol_train.txt").read_text().splitlines()[:6]
+        for position, name in ((2, "ghost_b"), (3, "ghost_a")):  # not in sorted order
+            lines.insert(position, f"{name} genuine S00 P00 - - -")
+        protocol = tmp_path / "ghosts.txt"
+        protocol.write_text("\n".join(lines))
+        rc = self.extract(cfg_path, tmp_path, "lpcc-small", protocol,
+                          *(["--keep-going"] if keep_going else []))
+        assert rc == (0 if keep_going else 2)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in err[:2]] == [
+            f"extraction failed for trial {name}" for name in ("ghost_b", "ghost_a")]
+        assert all(line.startswith("error: ") for line in err[:2])
+        assert err[2:] == ["extracted 6 feature file(s), 2 failure(s)"]
+        assert len(list((tmp_path / "features/lpcc-small").iterdir())) == 6
+
+    @pytest.mark.parametrize("error, fails_the_command", [
+        (ValueError("unreadable wave"), False),
+        (FileNotFoundError("no such wave"), False),
+        (ChildProcessError("child process 7 exited with status 9"), True),
+    ])
+    def test_only_a_dead_worker_fails_extract_rather_than_one_trial(
+            self, workspace, tmp_path, monkeypatch, capsys, error, fails_the_command):
+        cfg_path, work = workspace
+        protocol = tmp_path / "three.txt"
+        protocol.write_text("\n".join(
+            (work / "corpus/protocol_train.txt").read_text().splitlines()[:3]))
+        second = parse_protocol(protocol)[1].trial_id
+        calls, extract_trial = [], pipeline.extract_trial
+
+        def fail_the_second(cfg, spec, trial):
+            calls.append(trial.trial_id)
+            if trial.trial_id == second:
+                raise error
+            return extract_trial(cfg, spec, trial)
+
+        monkeypatch.setattr(pipeline, "extract_trial", fail_the_second)
+        rc = self.extract(cfg_path, tmp_path, "lpcc-small", protocol, "--keep-going")
+        err = capsys.readouterr().err
+        if fails_the_command:  # even with --keep-going, and no later trial runs
+            assert rc == 2
+            assert err == f"error: {error}\n"
+            assert calls == [trial.trial_id for trial in parse_protocol(protocol)][:2]
+        else:
+            assert rc == 0
+            assert err == (f"error: extraction failed for trial {second}: {error}\n"
+                           "extracted 2 feature file(s), 1 failure(s)\n")
+            assert len(calls) == 3
+
     def test_a_dead_worker_fails_the_command_and_is_named(
             self, workspace, tmp_path, monkeypatch, capsys, forks):
         cfg_path, work = workspace
