@@ -219,14 +219,7 @@ def main():
         extract_ivector,
         train_t_matrix,
     )
-    from replaycm.pipeline import (
-        feature_dir,
-        feature_path,
-        load_feature_frames,
-        load_model,
-        model_dir,
-        model_path,
-    )
+    from replaycm.pipeline import load_model, model_dir, model_path, read_feature
     from replaycm.spectral import fft_spectrogram
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -235,9 +228,7 @@ def main():
         gmm_spec, ivec_spec = backend.systems["lpcc-gmm"], backend.systems["lpcc-ivec"]
 
         def frames(spec, trial_id):
-            return load_feature_frames(
-                backend, backend.features[spec.feature],
-                feature_path(feature_dir(backend, spec.feature), trial_id))
+            return read_feature(backend, spec.feature, trial_id)
 
         def model(spec, base, kind):
             return load_model(model_path(model_dir(backend, spec.name), base, PHRASE), kind)

@@ -96,6 +96,8 @@ def load_wav(path) -> Waveform:
         raise WavFormatError(f"{path}: expected mono audio, got {channels} channels")
     if bits != 16:
         raise WavFormatError(f"{path}: expected 16-bit samples, got {bits}-bit")
+    if sample_rate == 0:
+        raise WavFormatError(f"{path}: the fmt chunk gives a sample rate of 0 Hz")
     if len(payload) < 2:
         raise WavFormatError(f"{path}: empty data chunk")
     if len(payload) % 2:

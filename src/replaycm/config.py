@@ -235,6 +235,8 @@ def parse_config(data: dict) -> PipelineConfig:
         if section not in data:
             raise ConfigError(f"missing configuration section {section!r}")
     seed = _checked(data.get("seed", 0), hints["seed"], "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     sample_rate = _checked(data.get("sample_rate", 16000), hints["sample_rate"],
                            "sample_rate")
     paths = _build_block(PathsConfig, data["paths"], "paths")

@@ -52,8 +52,8 @@ def feature_dir(cfg: PipelineConfig, feature_name: str) -> Path:
     return Path(cfg.paths.work_dir) / "features" / feature_name
 
 
-def feature_path(directory, trial_id: str) -> Path:
-    return Path(directory) / f"{trial_id}.rsft"
+def feature_path(cfg: PipelineConfig, feature_name: str, trial_id: str) -> Path:
+    return feature_dir(cfg, feature_name) / f"{trial_id}.rsft"
 
 
 def model_dir(cfg: PipelineConfig, system_name: str) -> Path:
@@ -98,30 +98,32 @@ def feature_fingerprint(cfg: PipelineConfig, spec: FeatureSpec) -> str:
             f"sample_rate={cfg.sample_rate} seed={cfg.seed}")
 
 
-def load_feature_frames(cfg: PipelineConfig, spec: FeatureSpec, path) -> np.ndarray:
-    """Read a feature container as a frames x dim matrix for modelling; a
-    file whose kind or fingerprint is not ``spec``'s under ``cfg`` is refused.
+def read_feature(cfg: PipelineConfig, feature_name: str, trial_id: str,
+                 frames: bool = True):
+    """The feature file of a trial as a frames x dim matrix for modelling, or
+    with ``frames=False`` nothing, after a check of the file's header alone.
+    A missing file, or one whose kind or fingerprint is not feature
+    ``feature_name``'s under ``cfg``, is refused.
 
     Containers hold every feature as dim x frames, one column per frame, so
     modelling always sees the transpose.
     """
-    values, meta = containers.read_matrix(path)
-    _check_feature_meta(cfg, spec, path, meta)
-    return values.T
-
-
-def _check_feature_meta(cfg: PipelineConfig, spec: FeatureSpec, path, meta: dict) -> None:
-    """Refuse the feature file ``path`` whose metadata is ``meta`` unless its
-    kind and fingerprint are ``spec``'s under ``cfg``."""
-    fingerprint = feature_fingerprint(cfg, spec)
-    if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, fingerprint):
+    spec = cfg.features[feature_name]
+    path = feature_path(cfg, feature_name, trial_id)
+    if not path.exists():
+        raise FileNotFoundError(f"trial {trial_id}: missing features {path} "
+                                f"(run extract for feature {feature_name!r} first)")
+    values, meta = (containers.read_matrix(path) if frames
+                    else (None, containers.read_feature_meta(path)))
+    if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, feature_fingerprint(cfg, spec)):
         raise ValueError(f"{path}: extracted with other settings than feature "
                          f"{spec.name!r} has now; re-run extract")
+    return None if values is None else values.T
 
 
 def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
     """Read a trial's WAV from paths.audio_dir and write its feature to
-    feature_dir, which must exist."""
+    its feature_path, whose directory must exist."""
     wav_path = Path(cfg.paths.audio_dir) / f"{trial.trial_id}.wav"
     if not wav_path.exists():
         raise FileNotFoundError(f"trial {trial.trial_id}: missing audio {wav_path}")
@@ -133,26 +135,10 @@ def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
         )
     seed = derive_seed(cfg.seed, "extract", spec.name, trial.trial_id)
     feature = compute_feature(spec, wave, seed)
-    out_path = feature_path(feature_dir(cfg, spec.name), trial.trial_id)
+    out_path = feature_path(cfg, spec.name, trial.trial_id)
     containers.write_matrix(out_path, feature, {
         "name": spec.name, "kind": spec.kind, "fingerprint": feature_fingerprint(cfg, spec)})
     return out_path
-
-
-def _trial_feature_path(cfg: PipelineConfig, feature_name: str, trial: Trial) -> Path:
-    """The feature file of ``trial``, which must exist."""
-    path = feature_path(feature_dir(cfg, feature_name), trial.trial_id)
-    if not path.exists():
-        raise FileNotFoundError(
-            f"trial {trial.trial_id}: missing features {path} "
-            f"(run extract for feature {feature_name!r} first)"
-        )
-    return path
-
-
-def _trial_frames(cfg: PipelineConfig, feature_name: str, trial: Trial) -> np.ndarray:
-    return load_feature_frames(cfg, cfg.features[feature_name],
-                               _trial_feature_path(cfg, feature_name, trial))
 
 
 def _phrase_groups(trials: list[Trial], phrase_dependent: bool) -> dict[str, list[Trial]]:
@@ -220,7 +206,7 @@ def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec, trials: list[Tria
     for phrase_key, group in _phrase_groups(trials, spec.phrase_dependent).items():
         for label in ("genuine", "spoof"):
             model = gmm_em_train(
-                np.vstack([_trial_frames(cfg, spec.feature, t) for t in group
+                np.vstack([read_feature(cfg, spec.feature, t.trial_id) for t in group
                            if t.label == label]),
                 k=spec.components,
                 iters=spec.iterations,
@@ -246,7 +232,7 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec, trials: list[Tr
     group's frames and statistics are held at a time.
     """
     for ubm_key, ubm_group in _phrase_groups(trials, not spec.ubm_shared).items():
-        frame_list = [_trial_frames(cfg, spec.feature, t) for t in ubm_group]
+        frame_list = [read_feature(cfg, spec.feature, t.trial_id) for t in ubm_group]
         ubm = gmm_em_train(
             np.vstack(frame_list),
             k=spec.ubm_components,
@@ -336,10 +322,8 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
         for label in sorted({"genuine", "spoof"} - {t.label for t in group}):
             raise ValueError(f"system {spec.name}: no {label} trials to train on"
                              + (f" for phrase {phrase_key}" if phrase_key else ""))
-    feature = cfg.features[spec.feature]
-    for trial in labeled:  # from each file's header, without its frames
-        path = _trial_feature_path(cfg, spec.feature, trial)
-        _check_feature_meta(cfg, feature, path, containers.read_feature_meta(path))
+    for trial in labeled:
+        read_feature(cfg, spec.feature, trial.trial_id, frames=False)
     final = model_dir(cfg, spec.name)
     staging, retired = (final.with_name(f".{spec.name}.{tag}") for tag in ("new", "old"))
     for leftover in (staging, retired):  # from an interrupted run
@@ -395,7 +379,7 @@ def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
         phrase_key = trial.phrase_id if spec.phrase_dependent else SHARED_KEY
         if phrase_key not in scorers:
             scorers[phrase_key] = build_scorer(load, spec, phrase_key)
-        scores.append(scorers[phrase_key](_trial_frames(cfg, spec.feature, trial)))
+        scores.append(scorers[phrase_key](read_feature(cfg, spec.feature, trial.trial_id)))
     return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
 
 

@@ -64,6 +64,14 @@ def test_truncated_data_chunk(tmp_path):
         load_wav(path)
 
 
+def test_a_zero_sample_rate_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "rate0.wav"
+    path.write_bytes(wav_bytes([0] * 100, sample_rate=0))
+    with pytest.raises(WavFormatError) as info:
+        load_wav(path)
+    assert str(info.value) == f"{path}: the fmt chunk gives a sample rate of 0 Hz"
+
+
 def test_not_riff(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"JUNKJUNKJUNKJUNK")

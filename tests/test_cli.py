@@ -191,6 +191,15 @@ class TestSynth:
         assert err.startswith(f"error: {cfg_path}: corpus: {key} ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_a_negative_seed_is_one_error_line_naming_the_file(self, tmp_path, capsys):
+        cfg_path = self.corpus_config(tmp_path)
+        config = json.loads(cfg_path.read_text())
+        config["seed"] = -1
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["synth", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_path}: seed must be >= 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -407,11 +416,32 @@ class TestExtract:
         values, meta = containers.read_matrix(path)
         assert values.shape[0] == self.FEATURE_ROWS[feature]
         assert values.shape[1] > 1
-        cfg = load_config(cfg_path)
-        assert np.array_equal(pipeline.load_feature_frames(cfg, cfg.features[feature], path),
-                              values.T)
+        own_cfg = load_config(config_with_work_dir(cfg_path, tmp_path))
+        assert np.array_equal(pipeline.read_feature(own_cfg, feature, path.stem), values.T)
         assert sorted(meta) == ["fingerprint", "kind", "name"]
         assert meta["name"] == feature
+
+    def test_a_wav_with_a_zero_sample_rate_is_a_failure_naming_the_file(
+            self, workspace, tmp_path, capsys):
+        cfg_path, _ = workspace
+        wav = tmp_path / "wav/rate0.wav"
+        wav.parent.mkdir()
+        write_wav(wav, Waveform(np.zeros(100), 16000))
+        data = bytearray(wav.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate
+        wav.write_bytes(bytes(data))
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        config = json.loads(own_cfg.read_text())
+        config["paths"]["audio_dir"] = str(wav.parent)
+        own_cfg.write_text(json.dumps(config))
+        protocol = tmp_path / "one.txt"
+        protocol.write_text("rate0 genuine S00 P00 - - -\n")
+        rc = cli.main(["extract", "--config", str(own_cfg), "--feature", "lpcc-small",
+                       "--protocol", str(protocol)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: extraction failed for trial rate0: {wav}: the fmt chunk gives a "
+            "sample rate of 0 Hz\nextracted 0 feature file(s), 1 failure(s)\n")
 
     def test_non_finite_feature_is_a_trial_failure(self, workspace, tmp_path, capsys,
                                                    monkeypatch):
@@ -684,9 +714,7 @@ class TestTrainAndScore:
                            ubm_arrays["variances"])
             tv = TotalVariabilityModel(
                 ubm, arrays("tmatrix", spec.t_shared, phrase, "tmatrix")["t_matrix"])
-            frames = pipeline.load_feature_frames(
-                cfg, cfg.features[spec.feature],
-                work / "features" / spec.feature / f"{trial.trial_id}.rsft")
+            frames = pipeline.read_feature(cfg, spec.feature, trial.trial_id)
             ivec = extract_ivector(tv, baum_welch_stats(ubm, frames))
             mean = arrays("mean", spec.svm_shared, phrase, "mean")["mean"]
             normalized, _ = center_length_normalize(ivec[None], mean=mean)
@@ -742,6 +770,26 @@ class TestTrainAndScore:
         assert capsys.readouterr().err == (
             f"error: {first}: extracted with other settings than feature 'lpcc-small' "
             "has now; re-run extract\n")
+        assert tree_hashes(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_a_missing_feature_file_is_refused(self, trained, tmp_path, capsys, command):
+        cfg_path, work = trained
+        for part in ("features/cqcc-small", "models/gmm-sys"):
+            shutil.copytree(work / part, tmp_path / part)
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        protocol = work / "corpus/protocol_train.txt"
+        last = parse_protocol(protocol)[-1]
+        missing = tmp_path / "features/cqcc-small" / f"{last.trial_id}.rsft"
+        missing.unlink()
+        before = tree_hashes(tmp_path)
+        out = ["--out-scores", str(tmp_path / "x")] if command == "score" else []
+        rc = cli.main([command, "--config", str(own_cfg), "--system", "gmm-sys",
+                       "--protocol", str(protocol), *out])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: trial {last.trial_id}: missing features {missing} "
+            "(run extract for feature 'cqcc-small' first)\n")
         assert tree_hashes(tmp_path) == before
 
     @pytest.mark.parametrize("command", ["train", "score"])
@@ -1494,21 +1542,23 @@ class TestWorkers:
         own_cfg = config_with_work_dir(cfg_path, tmp_path)
         shutil.copytree(work / "features" / feature, tmp_path / "features" / feature)
         last = parse_protocol(work / "corpus/protocol_train.txt")[-1]
-        stale = pipeline.feature_path(tmp_path / "features" / feature, last.trial_id)
+        stale = pipeline.feature_path(load_config(own_cfg), feature, last.trial_id)
         values, meta = containers.read_matrix(stale)
         containers.write_matrix(stale, values, {**meta, "fingerprint": "other settings"})
-        calls = {"gmm_em_train": 0, "train_t_matrix": 0}
-        for name in calls:
-            def counted(*args, _name=name, _train=getattr(pipeline, name), **kwargs):
+        # the check reads each file's header, never its frames
+        calls = {"gmm_em_train": 0, "train_t_matrix": 0, "read_matrix": 0}
+        for module, name in ((pipeline, "gmm_em_train"), (pipeline, "train_t_matrix"),
+                             (containers, "read_matrix")):
+            def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
                 calls[_name] += 1
-                return _train(*args, **kwargs)
-            monkeypatch.setattr(pipeline, name, counted)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         rc = cli.main(["train", "--config", str(own_cfg), "--system", system])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {stale}: extracted with other settings than feature {feature!r} "
             "has now; re-run extract\n")
-        assert calls == {"gmm_em_train": 0, "train_t_matrix": 0}
+        assert calls == {"gmm_em_train": 0, "train_t_matrix": 0, "read_matrix": 0}
         assert not (tmp_path / "models").exists()
 
 

@@ -325,6 +325,8 @@ def test_null_accepted_where_the_annotation_allows_none():
 def test_top_level_values_type_checked():
     with pytest.raises(ConfigError, match="seed must be an integer"):
         parse_config(minimal_config(seed="4"))
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        parse_config(minimal_config(seed=-1))
     with pytest.raises(ConfigError, match="sample_rate must be an integer"):
         parse_config(minimal_config(sample_rate=16000.0))
 
