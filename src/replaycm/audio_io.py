@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import containers
+
 PCM_FULL_SCALE = 32768  # int16 <-> float scaling divisor
 _PCM_FORMAT_TAG = 1
 
@@ -121,24 +123,22 @@ def write_wav(path, wave: Waveform) -> None:
     quantized = np.clip(np.round(x * PCM_FULL_SCALE), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()
 
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                _PCM_FORMAT_TAG,
-                1,
-                wave.sample_rate,
-                wave.sample_rate * 2,
-                2,
-                16,
-            ),
-            b"data",
-            struct.pack("<I", len(payload)),
-        ]
-    )
-    Path(path).write_bytes(header + payload)
+    containers.write_artifact(path, [
+        b"RIFF",
+        struct.pack("<I", 36 + len(payload)),
+        b"WAVE",
+        b"fmt ",
+        struct.pack(
+            "<IHHIIHH",
+            16,
+            _PCM_FORMAT_TAG,
+            1,
+            wave.sample_rate,
+            wave.sample_rate * 2,
+            2,
+            16,
+        ),
+        b"data",
+        struct.pack("<I", len(payload)),
+        payload,
+    ])

@@ -239,6 +239,8 @@ def parse_config(data: dict) -> PipelineConfig:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     sample_rate = _checked(data.get("sample_rate", 16000), hints["sample_rate"],
                            "sample_rate")
+    if sample_rate <= 0:
+        raise ConfigError(f"sample_rate must be > 0, got {sample_rate}")
     paths = _build_block(PathsConfig, data["paths"], "paths")
     corpus = _build_block(CorpusConfig, data.get("corpus", {}), "corpus",
                           seed=seed, sample_rate=sample_rate)
@@ -273,7 +275,7 @@ def load_config(path) -> PipelineConfig:
             Path(path).read_text(encoding="utf-8"),
             object_pairs_hook=_reject_duplicate_keys,
         )
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return parse_config(raw)

@@ -1,4 +1,4 @@
-"""One binary container for features and models.
+"""One binary container for features and models, and the writer of every artifact file.
 
 Layout (integers little-endian): magic "RSCM" | version u8 | kind_len u8 |
 kind (ASCII) | meta_len u32 | metadata (UTF-8 JSON object) | n_arrays u32 |
@@ -8,7 +8,7 @@ per array: name_len u8 | name (ASCII) | item size u8 (4 = float32,
 A feature is kind "feature" holding one 2-D float32 array "values"; a model
 is its kind's float64 arrays with empty metadata.  Every field is required:
 a proper prefix of a container, or one with bytes after its last array, is
-refused.
+refused, and so is a NaN or infinite value, on write and on read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import math
 import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -30,9 +29,19 @@ class ContainerFormatError(ValueError):
     """Corrupt or unsupported container file."""
 
 
+def write_artifact(path, chunks) -> None:
+    """Write the bytes ``chunks`` to ``path`` all or nothing, through a temp file beside it."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):  # the write or the replace failed
+            os.remove(tmp)
+
+
 def _write(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write one container; every header field is encoded before the file
-    is opened, so a refused kind or name leaves nothing written."""
     kind_b = kind.encode("ascii")
     if not 1 <= len(kind_b) <= 255:
         raise ValueError("container kind must be a short ASCII string")
@@ -40,12 +49,15 @@ def _write(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<BB", FORMAT_VERSION, len(kind_b)), kind_b,
               struct.pack("<I", len(meta_b)), meta_b, struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise ValueError(f"{path}: refusing to write array {name!r} with {bad} "
+                             "non-finite value(s)")
         name_b = name.encode("ascii")
         chunks += [struct.pack("<B", len(name_b)), name_b,
                    struct.pack(f"<BB{arr.ndim}I", arr.dtype.itemsize, arr.ndim, *arr.shape),
                    arr.tobytes()]
-    with open(path, "wb") as fh:
-        fh.writelines(chunks)
+    write_artifact(path, chunks)
 
 
 def _read(path, with_arrays: bool = True) -> tuple[str, dict, dict[str, np.ndarray]]:
@@ -99,7 +111,15 @@ def _read(path, with_arrays: bool = True) -> tuple[str, dict, dict[str, np.ndarr
                 raise ContainerFormatError(f"{path}: array {name!r} has item size {itemsize}")
             dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
             payload = take(math.prod(dims) * itemsize)
-            arrays[name] = np.frombuffer(payload, dtype=f"<f{itemsize}").reshape(dims)
+            try:  # a zero dimension fits any payload, but numpy refuses huge others
+                arrays[name] = np.frombuffer(payload, dtype=f"<f{itemsize}").reshape(dims)
+            except ValueError as exc:
+                raise ContainerFormatError(
+                    f"{path}: array {name!r} of shape {dims}: {exc}") from exc
+            bad = arrays[name].size - np.count_nonzero(np.isfinite(arrays[name]))
+            if bad:
+                raise ContainerFormatError(
+                    f"{path}: array {name!r} holds {bad} non-finite value(s)")
         if offset != size:
             raise ContainerFormatError(
                 f"{path}: {size - offset} byte(s) after the last declared field")
@@ -111,9 +131,6 @@ def write_matrix(path, values: np.ndarray, meta: dict) -> None:
     values = np.ascontiguousarray(values, dtype="<f4")
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {values.shape}")
-    bad = values.size - np.count_nonzero(np.isfinite(values))
-    if bad:
-        raise ValueError(f"{path}: refusing to write a matrix with {bad} non-finite value(s)")
     _write(path, FEATURE_KIND, meta, {"values": values})
 
 
@@ -159,4 +176,4 @@ def write_model_text(path, kind: str, arrays: dict[str, np.ndarray]) -> None:
         for start in range(0, flat.size, 8):
             chunk = flat[start : start + 8]
             lines.append("  " + " ".join(f"{v:.17g}" for v in chunk))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_artifact(path, [("\n".join(lines) + "\n").encode("utf-8")])

@@ -21,12 +21,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import parallel
+from . import containers, parallel
 from .audio_io import Waveform, write_wav
 
 LABELS = ("genuine", "spoof", "unknown")
@@ -57,8 +57,12 @@ def read_records(path, n_fields: int, error: type[ValueError]):
     """("path:line", fields) for each non-blank line of a whitespace-separated
     file of trial records, trial id first.  A line with another field count,
     or a trial id seen on an earlier line, is refused with ``error``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         fields = line.split()
         if not fields:
             continue
@@ -89,15 +93,13 @@ def parse_protocol(path) -> list[Trial]:
     return trials
 
 
+def write_records(path, rows) -> None:
+    """Write each row of fields as one space-separated line, as ``read_records`` reads."""
+    containers.write_artifact(path, [("\n".join(map(" ".join, rows)) + "\n").encode("utf-8")])
+
+
 def write_protocol(trials: list[Trial], path) -> None:
-    lines = [
-        " ".join(
-            [t.trial_id, t.label, t.speaker_id, t.phrase_id,
-             t.environment, t.playback, t.recording]
-        )
-        for t in trials
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_records(path, [astuple(t) for t in trials])
 
 
 def partition_by_phrase(trials: list[Trial]) -> dict[str, list[Trial]]:
@@ -416,7 +418,6 @@ def generate_synth_corpus(cfg: CorpusConfig, out_dir) -> dict:
         "sample_rate": cfg.sample_rate,
         "trials": [entry for _, entry in rendered],
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    containers.write_artifact(out / "manifest.json", [
+        (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")])
     return manifest

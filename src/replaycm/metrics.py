@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_records
+from .corpus import read_records, write_records
 
 
 class ScoreFileError(ValueError):
@@ -113,8 +112,4 @@ def read_scores(path) -> ScoreSet:
 
 def write_scores(score_set: ScoreSet, path) -> None:
     """Write scores at 17 significant digits (lossless float round trip)."""
-    lines = [
-        f"{trial_id} {score:.17g}"
-        for trial_id, score in zip(score_set.trial_ids, score_set.scores)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_records(path, zip(score_set.trial_ids, map("{:.17g}".format, score_set.scores)))

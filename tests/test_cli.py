@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -792,6 +793,41 @@ class TestTrainAndScore:
             "(run extract for feature 'cqcc-small' first)\n")
         assert tree_hashes(tmp_path) == before
 
+    def test_a_non_finite_training_feature_is_refused_naming_file_and_array(
+            self, workspace, tmp_path, capsys):
+        cfg_path, work = workspace
+        shutil.copytree(work / "features/cqcc-small", tmp_path / "features/cqcc-small")
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        first = parse_protocol(work / "corpus/protocol_train.txt")[0]
+        feature = tmp_path / "features/cqcc-small" / f"{first.trial_id}.rsft"
+        data = feature.read_bytes()
+        feature.write_bytes(data[:-4] + struct.pack("<f", np.inf))  # the last value
+        before = tree_hashes(tmp_path)
+        rc = cli.main(["train", "--config", str(own_cfg), "--system", "gmm-sys"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {feature}: array 'values' holds 1 non-finite value(s)\n")
+        assert tree_hashes(tmp_path) == before
+
+    def test_a_non_finite_model_is_refused_and_the_previous_set_kept(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        cfg_path, work = workspace
+        shutil.copytree(work / "features/cqcc-small", tmp_path / "features/cqcc-small")
+        argv = ["train", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                "--system", "gmm-sys"]
+        assert cli.main(argv) == 0
+        before = tree_hashes(tmp_path)
+        n_means = containers.read_model(tmp_path / "models/gmm-sys/genuine.rsmd")[1]["means"].size
+        monkeypatch.setattr(pipeline, "gmm_em_train", lambda frames, k, **_: GmmModel(
+            np.full(k, 1.0 / k), np.full((k, frames.shape[1]), np.nan),
+            np.ones((k, frames.shape[1]))))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'models/.gmm-sys.new/genuine.rsmd'}: refusing to write "
+            f"array 'means' with {n_means} non-finite value(s)\n")
+        assert tree_hashes(tmp_path) == before
+
     @pytest.mark.parametrize("command", ["train", "score"])
     def test_an_unconfigured_system_is_refused(self, workspace, tmp_path, capsys, command):
         cfg_path, work = workspace
@@ -1271,6 +1307,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("broken", ["scores", "protocol", "config"])
+    def test_a_file_that_is_not_utf8_is_one_error_line_naming_it(self, tmp_path, capsys,
+                                                                 broken):
+        files = {"scores": tmp_path / "a.scores", "protocol": tmp_path / "p.txt",
+                 "config": tmp_path / "c.json"}
+        files["scores"].write_text("t1 0.5\nt2 -0.5\n")
+        files["protocol"].write_text("t1 genuine S1 P1 - - -\nt2 spoof S1 P1 - - -\n")
+        files["config"].write_text(json.dumps(TINY_CONFIG))
+        data = files[broken].read_bytes()
+        files[broken].write_bytes(data[:6] + b"\xff" + data[7:])
+        argv = (["synth", "--config", str(files["config"])] if broken == "config" else
+                ["eval", str(files["scores"]), "--protocol", str(files["protocol"])])
+        before = tree_hashes(tmp_path)
+        assert cli.main(argv) == 2
+        message = "invalid JSON" if broken == "config" else "not UTF-8 text"
+        assert capsys.readouterr().err == (
+            f"error: {files[broken]}: {message} ('utf-8' codec can't decode byte 0xff "
+            "in position 6: invalid start byte)\n")
+        assert tree_hashes(tmp_path) == before
 
     def test_the_module_runs_as_a_script(self, tmp_path):
         src = Path(cli.__file__).resolve().parents[1]

@@ -331,6 +331,12 @@ def test_top_level_values_type_checked():
         parse_config(minimal_config(sample_rate=16000.0))
 
 
+@pytest.mark.parametrize("rate", [0, -16000])
+def test_a_non_positive_sample_rate_is_refused_by_its_key(rate):
+    with pytest.raises(ConfigError, match=rf"^sample_rate must be > 0, got {rate}$"):
+        parse_config(minimal_config(sample_rate=rate))
+
+
 @pytest.mark.parametrize("name, key", [
     ("c", "cmvn"), ("d", "cmvn"), ("e", "cmvn"), ("g", "cmvn"),
     ("a", "mvn"), ("b", "mvn"),
