@@ -10,11 +10,11 @@ or built from their configurations.  P00 below is backend phrase P00, whose
 training protocol holds 20 genuine and 20 spoofed trials.
 
 Kernels, each timed as the median (and quartiles) of --repeats calls; the
-two training kernels and ``fft_spectrogram`` also report ``peak_mib``, the
-tracemalloc peak of one call above the heap at its entry (MiB), its result
-included, and the two training kernels ``minflt``, the minor page faults
-(``ru_minflt``) of their --repeats timed calls together, so that a memory
-change shows what it costs in pages faulted back in:
+two training kernels, ``ivec_system`` and ``fft_spectrogram`` also report
+``peak_mib``, the tracemalloc peak of one call above the heap at its entry
+(MiB), its result included, and the two training kernels ``minflt``, the
+minor page faults (``ru_minflt``) of their --repeats timed calls together,
+so that a memory change shows what it costs in pages faulted back in:
 
 - ``gmm_em_iteration``: one-iteration ``gmm_em_train`` with the ``lpcc-gmm``
   component count on the genuine P00 ``lpcc20`` frames, one E and M step
@@ -31,6 +31,9 @@ change shows what it costs in pages faulted back in:
 - ``tmatrix_em_iteration``: one-iteration ``train_t_matrix`` on the
   Baum-Welch statistics of the 40 P00 trials against the trained
   ``lpcc-ivec`` P00 UBM, with that system's rank and its own start seed
+- ``ivec_system``: ``train_system`` of the ``lpcc-ivec`` system on the
+  backend training protocol, then ``score_system`` of that protocol, one
+  phrase group's models held at a time; also reports ``peak_mib``
 - ``ivector_extraction``: ``extract_ivector`` of the first P00 trial's
   statistics with the trained P00 UBM and T-matrix, as scoring does
 - ``llr_score``: the frames of trial ``train_g_0000`` against the trained
@@ -219,7 +222,14 @@ def main():
         extract_ivector,
         train_t_matrix,
     )
-    from replaycm.pipeline import load_model, model_dir, model_path, read_feature
+    from replaycm.pipeline import (
+        load_model,
+        model_dir,
+        model_path,
+        read_feature,
+        score_system,
+        train_system,
+    )
     from replaycm.spectral import fft_spectrogram
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -233,8 +243,8 @@ def main():
         def model(spec, base, kind):
             return load_model(model_path(model_dir(backend, spec.name), base, PHRASE), kind)
 
-        trials = [t for t in parse_protocol(backend.paths.protocol_train)
-                  if t.phrase_id == PHRASE]
+        train_trials = parse_protocol(backend.paths.protocol_train)
+        trials = [t for t in train_trials if t.phrase_id == PHRASE]
         gmm_frames = np.vstack([frames(gmm_spec, t.trial_id) for t in trials
                                 if t.label == "genuine"])
         llr_frames = frames(gmm_spec, LLR_TRIAL)
@@ -246,6 +256,15 @@ def main():
                       for kind in ("deemd", "fft"))
         wave = load_wav(Path(frontends.paths.audio_dir) / f"{FRONTENDS_TRIAL}.wav")
         samples = wave.samples
+
+        def ivec_system():
+            train_system(backend, ivec_spec.name, train_trials)
+            score_system(backend, ivec_spec.name, train_trials)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fewer utterances than the rank
+            ivec_system_kernel = {**timed(ivec_system, args.repeats),
+                                  "peak_mib": traced_peak(ivec_system)}
 
     t_seed = derive_seed(backend.seed, "train", ivec_spec.name, "tmatrix", PHRASE)
     with warnings.catch_warnings():
@@ -270,6 +289,7 @@ def main():
         "below_floor_share": float(np.mean(shifted < gmm.EXP_FLOOR)),
         "underflow_share": float(np.mean(shifted < np.log(np.finfo(float).tiny))),
     }
+    kernels["ivec_system"] = ivec_system_kernel
     kernels["ivector_extraction"] = timed(lambda: extract_ivector(tv, stats[0]),
                                           args.repeats)
     kernels["llr_score"] = timed(lambda: llr_score(genuine, spoofed, llr_frames),

@@ -157,8 +157,9 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    eer, threshold = pipeline.evaluate(args.scores, parse_protocol(args.protocol))
-    print(f"EER {100.0 * eer:.2f}% threshold {threshold:.6g}")
+    eer, threshold, cost, min_cost = pipeline.evaluate(args.scores, parse_protocol(args.protocol))
+    print(f"EER {100.0 * eer:.2f}% threshold {threshold:.6g} "
+          f"Cllr {cost:.4f} min-Cllr {min_cost:.4f}")
     return 0
 
 
@@ -218,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-scores", required=True)
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("eval", help="report the equal error rate of a score file")
+    p = sub.add_parser("eval", help="report the equal error rate, Cllr and min-Cllr "
+                       "of a score file")
     p.add_argument("scores")
     p.add_argument("--protocol", required=True)
     p.set_defaults(func=cmd_eval)

@@ -94,6 +94,8 @@ def _read(path, with_arrays: bool = True) -> tuple[str, dict, dict[str, np.ndarr
         if version != FORMAT_VERSION:
             raise ContainerFormatError(f"{path}: unsupported container version {version}")
         kind = ascii_text(number("<B"))
+        if not kind:  # which _write refuses to write
+            raise ContainerFormatError(f"{path}: container kind is empty")
         try:
             meta = json.loads(take(number("<I")).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

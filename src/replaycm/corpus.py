@@ -62,7 +62,9 @@ def read_records(path, n_fields: int, error: type[ValueError]):
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})") from exc
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    # "\n" alone ends a line: str.splitlines also splits at form feeds and
+    # other separators, which would misnumber every later line
+    for lineno, line in enumerate(text.split("\n"), 1):
         fields = line.split()
         if not fields:
             continue

@@ -127,18 +127,28 @@ def baum_welch_stats(ubm: GmmModel, frames: np.ndarray) -> BaumWelchStats:
 class _EmWorkspace:
     """One generation of every array an EM iteration of ``train_t_matrix``
     writes, allocated once per call and overwritten by every iteration:
-    freeing them each iteration made glibc trim the heap and fault it back."""
+    freeing them each iteration made glibc trim the heap and fault it back.
+
+    Arrays that are never live at once share memory.  The E-step reads the
+    Gram matrices at its start and writes the M-step systems at its end, and
+    the M-step reads those before ``_gram`` rewrites the Gram matrices, so
+    both are views of one buffer: column-major as ``gram`` and row-major as
+    ``a_acc``, each the layout its products were rounded over.  The E-step's
+    precisions and the (block, R, R) scratch of ``_gram`` and the M-step
+    share one buffer too."""
 
     def __init__(self, n_utterances: int, k: int, d: int, rank: int):
         packed = rank * (rank + 1) // 2
-        self.gram = None  # of the current T; the first _gram call allocates it
-        self.a_acc = np.empty((k, packed))  # the M-step systems, packed
+        shared = np.empty(k * packed)
+        self.gram = shared.reshape((k, packed), order="F")  # of the current T
+        self.a_acc = shared.reshape((k, packed))  # the M-step systems, packed
         self.c_acc = np.empty((k * d, rank))  # and their right-hand sides
         self.w = np.empty((n_utterances, rank))  # posterior means
         self.second_moment = np.empty((n_utterances, packed))  # E[w w'], packed
         self.objective = np.empty(n_utterances)  # each utterance's term
-        self.precision = np.empty((min(n_utterances, E_STEP_BLOCK), rank, rank))
-        self.systems = np.empty((min(k, COMPONENT_BLOCK), rank, rank))
+        blocks = min(n_utterances, E_STEP_BLOCK), min(k, COMPONENT_BLOCK)
+        scratch = np.empty((max(blocks), rank, rank))
+        self.precision, self.systems = (scratch[:n] for n in blocks)
 
 
 def _e_step(t_matrix: np.ndarray, variances: np.ndarray, counts: np.ndarray,
@@ -259,10 +269,10 @@ def train_t_matrix(
 
     history = []
     for _ in range(iters):
-        ws.gram = _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
+        _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
         history.append(_e_step(t_matrix, ubm.variances, counts, firsts, ws))
         _m_step(t_matrix, ws, ridge)
-    ws.gram = _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
+    _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
     history.append(_e_step(t_matrix, ubm.variances, counts, firsts, ws, accumulate=False))
     gram = ws.gram
     del ws  # free the accumulators before the rank check and the model's copy of T

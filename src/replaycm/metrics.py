@@ -1,5 +1,6 @@
 """Detection metrics and score files: DET curve points, equal error rate with
-linear interpolation at the crossing, and the two-column score file format.
+linear interpolation at the crossing, Cllr and min-Cllr, and the two-column
+score file format.
 """
 
 from __future__ import annotations
@@ -92,6 +93,43 @@ def compute_eer(genuine, spoof) -> tuple[float, float]:
     eer = far[idx - 1] + lam * (far[idx] - far[idx - 1])
     threshold = thresholds[idx - 1] + lam * (thresholds[idx] - thresholds[idx - 1])
     return float(eer), float(threshold)
+
+
+def _softplus_mean(values) -> float:
+    """The mean of log(1 + e^x) over ``values``, without overflow."""
+    return math.fsum(max(x, 0.0) + math.log1p(math.exp(-abs(x))) for x in values) / len(values)
+
+
+def cllr(genuine, spoof) -> float:
+    """The log-likelihood-ratio cost in bits, reading each score as a natural
+    log likelihood ratio (Brümmer & du Preez, CSL 2006).  Scores of 0 cost
+    1 bit; confident correct scores approach 0."""
+    genuine, spoof = _check_scores(genuine, spoof)
+    return ((_softplus_mean([-x for x in genuine.tolist()]) + _softplus_mean(spoof.tolist()))
+            / (2.0 * math.log(2.0)))
+
+
+def min_cllr(genuine, spoof) -> float:
+    """Cllr after the optimal monotone recalibration of the scores, the
+    discrimination loss alone, in bits.  As in BOSARIS, pool-adjacent-violators
+    fits genuine-posteriors to the sorted scores (tied scores share one
+    posterior, in the pessimistic order: genuine first), and each block's
+    posterior gives its log likelihood ratio at the empirical prior."""
+    genuine, spoof = _check_scores(genuine, spoof)
+    blocks: list[list[int]] = []  # [genuine, spoof] counts, posteriors non-decreasing
+    for _, is_spoof in sorted([(x, 0) for x in genuine.tolist()]
+                              + [(x, 1) for x in spoof.tolist()]):
+        blocks.append([1 - is_spoof, is_spoof])
+        # merge while the block before has the higher genuine share
+        while len(blocks) > 1 and (blocks[-2][0] * sum(blocks[-1])
+                                   > blocks[-1][0] * sum(blocks[-2])):
+            g, s = blocks.pop()
+            blocks[-1] = [blocks[-1][0] + g, blocks[-1][1] + s]
+    n_genuine, n_spoof = genuine.size, spoof.size
+    # a block of g genuine and s spoof trials has likelihood ratio (g / Ng) / (s / Ns)
+    cost_genuine = sum(g * math.log2(1.0 + s * n_genuine / (g * n_spoof)) for g, s in blocks if g)
+    cost_spoof = sum(s * math.log2(1.0 + g * n_spoof / (s * n_genuine)) for g, s in blocks if s)
+    return 0.5 * (cost_genuine / n_genuine + cost_spoof / n_spoof)
 
 
 def read_scores(path) -> ScoreSet:

@@ -33,7 +33,7 @@ from .ivector import (
     extract_ivector,
     train_t_matrix,
 )
-from .metrics import ScoreSet, compute_eer, read_scores
+from .metrics import ScoreSet, cllr, compute_eer, min_cllr, read_scores
 from .spectral import (
     CqtConfig,
     DwtConfig,
@@ -229,37 +229,48 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec, trials: list[Tr
     Each stage is trained per phrase or shared according to the system's
     sharing flags.  A shared T requires a shared UBM and a shared SVM a shared
     T, so each stage's groups split the group of the stage before; one UBM
-    group's frames and statistics are held at a time.
+    group's frames, statistics and models are held at a time.
     """
     for ubm_key, ubm_group in _phrase_groups(trials, not spec.ubm_shared).items():
-        frame_list = [read_feature(cfg, spec.feature, t.trial_id) for t in ubm_group]
-        ubm = gmm_em_train(
-            np.vstack(frame_list),
-            k=spec.ubm_components,
-            iters=spec.ubm_iterations,
-            seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key),
+        _train_ivec_group(cfg, spec, ubm_key, ubm_group, save)
+
+
+def _train_ivec_group(cfg: PipelineConfig, spec: IvecSystemSpec, ubm_key: str,
+                      ubm_group: list[Trial], save) -> None:
+    """Train the UBM of one group and every model below it; a group's
+    models die with this call, before the next group's EM starts."""
+    frame_list = [read_feature(cfg, spec.feature, t.trial_id) for t in ubm_group]
+    ubm = gmm_em_train(
+        np.vstack(frame_list),
+        k=spec.ubm_components,
+        iters=spec.ubm_iterations,
+        seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key),
+    )
+    save("ubm", ubm_key, "gmm", ubm, ubm.history)
+    # each trial's frames are released once its statistics exist
+    stats = {t.trial_id: baum_welch_stats(ubm, frame_list.pop(0)) for t in ubm_group}
+
+    for t_key, t_group in _phrase_groups(ubm_group, not spec.t_shared).items():
+        tv = train_t_matrix(
+            [stats[t.trial_id] for t in t_group],
+            ubm,
+            rank=spec.tv_rank,
+            iters=spec.tv_iterations,
+            seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key),
         )
-        save("ubm", ubm_key, "gmm", ubm, ubm.history)
-        # each trial's frames are released once its statistics exist
-        stats = {t.trial_id: baum_welch_stats(ubm, frame_list.pop(0)) for t in ubm_group}
+        save("tmatrix", t_key, "tmatrix", tv.t_matrix, tv.history)
 
-        for t_key, t_group in _phrase_groups(ubm_group, not spec.t_shared).items():
-            tv = train_t_matrix(
-                [stats[t.trial_id] for t in t_group],
-                ubm,
-                rank=spec.tv_rank,
-                iters=spec.tv_iterations,
-                seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key),
-            )
-            save("tmatrix", t_key, "tmatrix", tv.t_matrix, tv.history)
-
-            for svm_key, group in _phrase_groups(t_group, not spec.svm_shared).items():
-                normalized, mean = center_length_normalize(
-                    np.stack([extract_ivector(tv, stats[t.trial_id]) for t in group]))
-                labels = np.array([1.0 if t.label == "genuine" else -1.0 for t in group])
+        for svm_key, group in _phrase_groups(t_group, not spec.svm_shared).items():
+            normalized, mean = center_length_normalize(
+                np.stack([extract_ivector(tv, stats[t.trial_id]) for t in group]))
+            labels = np.array([1.0 if t.label == "genuine" else -1.0 for t in group])
+            try:
                 svm = svm_train_linear(normalized, labels, c=spec.svm_c)
-                save("mean", svm_key, "mean", mean)
-                save("svm", svm_key, "svm", svm, svm.history)
+            except ValueError as exc:  # non-finite i-vectors
+                raise ValueError(f"system {spec.name}: "
+                                 + (f"phrase {svm_key}: " if svm_key else "") + str(exc)) from exc
+            save("mean", svm_key, "mean", mean)
+            save("svm", svm_key, "svm", svm, svm.history)
 
 
 def _ivec_scorer(load, spec: IvecSystemSpec, phrase_key: str):
@@ -352,35 +363,47 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
 
 
 def score_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> ScoreSet:
-    """Score every trial, building each phrase key's scorer once.  A system
-    that is not phrase-dependent has one key for all trials: a shared SVM
-    implies a shared T-matrix and UBM.  Each model file is read once, so the
-    scorers of a system with shared models share them."""
+    """Score every trial, one phrase key at a time in first-seen order, and
+    return the scores in protocol order.  A system that is not
+    phrase-dependent has one key for all trials: a shared SVM implies a
+    shared T-matrix and UBM.  Each model file is read once: a key's own
+    models are freed once its trials are scored, and shared ones stay
+    loaded for every key.  A score that is not finite is refused, naming
+    its trial."""
     spec = cfg.systems[system_name]
-    build_scorer = _system_kind(spec)[2]
-    loaded = {}
+    shared, scores = {}, {}
+    for phrase_key, group in _phrase_groups(trials, spec.phrase_dependent).items():
+        _score_key(cfg, spec, phrase_key, group, shared, scores)
+    return ScoreSet(tuple(t.trial_id for t in trials),
+                    np.array([scores[t.trial_id] for t in trials]))
 
-    def load(base: str, phrase_key: str, kind: str, build=lambda model: model):
-        """The model ``base`` of ``phrase_key``, passed through ``build`` on
+
+def _score_key(cfg: PipelineConfig, spec, phrase_key: str, trials: list[Trial],
+               shared: dict, scores: dict) -> None:
+    """Score ``trials``, all of phrase key ``phrase_key``, into ``scores`` by
+    trial id.  The key's own models die with this call; ``shared`` keeps the
+    shared ones."""
+    own = {}
+
+    def load(base: str, model_key: str, kind: str, build=lambda model: model):
+        """The model ``base`` of ``model_key``, passed through ``build`` on
         its first load."""
-        path = model_path(model_dir(cfg, spec.name), base, phrase_key)
+        loaded = shared if model_key == SHARED_KEY else own
+        path = model_path(model_dir(cfg, spec.name), base, model_key)
         if path not in loaded:
             if not path.exists():
                 raise FileNotFoundError(
                     f"system {spec.name}: missing model {path}"
-                    + (f" for phrase {phrase_key}" if phrase_key else "")
+                    + (f" for phrase {model_key}" if model_key else "")
                 )
             loaded[path] = build(load_model(path, kind))
         return loaded[path]
 
-    scorers = {}
-    scores = []
+    score = _system_kind(spec)[2](load, spec, phrase_key)
     for trial in trials:
-        phrase_key = trial.phrase_id if spec.phrase_dependent else SHARED_KEY
-        if phrase_key not in scorers:
-            scorers[phrase_key] = build_scorer(load, spec, phrase_key)
-        scores.append(scorers[phrase_key](read_feature(cfg, spec.feature, trial.trial_id)))
-    return ScoreSet(tuple(t.trial_id for t in trials), np.array(scores))
+        value = scores[trial.trial_id] = score(read_feature(cfg, spec.feature, trial.trial_id))
+        if not np.isfinite(value):
+            raise ValueError(f"system {spec.name}: trial {trial.trial_id}: score is not finite")
 
 
 def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...], score_path) -> np.ndarray:
@@ -403,9 +426,11 @@ def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...], score_path) -
     return np.array([1.0 if by_id[tid] == "genuine" else -1.0 for tid in trial_ids])
 
 
-def evaluate(score_path, trials: list[Trial]) -> tuple[float, float]:
-    """The equal error rate of a score file against a labeled protocol, and
-    the threshold where the error rates cross."""
+def evaluate(score_path, trials: list[Trial]) -> tuple[float, float, float, float]:
+    """The equal error rate of a score file against a labeled protocol, the
+    threshold where the error rates cross, and the scores' Cllr and min-Cllr
+    in bits."""
     score_set = read_scores(score_path)
     labels = labels_vector(trials, score_set.trial_ids, score_path)
-    return compute_eer(score_set.scores[labels > 0], score_set.scores[labels < 0])
+    genuine, spoof = score_set.scores[labels > 0], score_set.scores[labels < 0]
+    return (*compute_eer(genuine, spoof), cllr(genuine, spoof), min_cllr(genuine, spoof))

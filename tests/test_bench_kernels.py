@@ -39,7 +39,7 @@ def test_it_times_every_documented_kernel(tmp_path):
     assert all(kernel["median_ms"] > 0 and kernel["repeats"] == 2
                for kernel in kernels.values())
     assert {name for name, kernel in kernels.items() if "peak_mib" in kernel} == {
-        "gmm_em_iteration", "tmatrix_em_iteration", "fft_spectrogram"}
+        "gmm_em_iteration", "tmatrix_em_iteration", "ivec_system", "fft_spectrogram"}
     faulting = {name: kernel["minflt"] for name, kernel in kernels.items() if "minflt" in kernel}
     assert sorted(faulting) == ["gmm_em_iteration", "tmatrix_em_iteration"]
     assert all(isinstance(count, int) and count >= 0 for count in faulting.values())

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -828,6 +829,105 @@ class TestTrainAndScore:
             f"array 'means' with {n_means} non-finite value(s)\n")
         assert tree_hashes(tmp_path) == before
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_a_non_finite_score_is_refused_naming_system_and_trial(
+            self, workspace, tmp_path, capsys):
+        # finite model values the reader accepts, whose log-likelihoods overflow
+        cfg_path, work = workspace
+        shutil.copytree(work / "features/cqcc-small", tmp_path / "features/cqcc-small")
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        assert cli.main(["train", "--config", str(own_cfg), "--system", "gmm-phrase"]) == 0
+        model = tmp_path / "models/gmm-phrase/spoof__P01.rsmd"
+        _, arrays = containers.read_model(model)
+        huge = {name: np.full_like(arrays[name], 1e300) for name in ("means", "variances")}
+        containers.write_model(model, "gmm", {**arrays, **huge})
+        protocol = work / "corpus/protocol_eval.txt"
+        first = next(t for t in parse_protocol(protocol) if t.phrase_id == "P01")
+        capsys.readouterr()
+        rc = cli.main(["score", "--config", str(own_cfg), "--system", "gmm-phrase",
+                       "--protocol", str(protocol), "--out-scores", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: system gmm-phrase: trial {first.trial_id}: score is not finite\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("system, group", [
+        ("ivec-sys", ""), ("ivec-phrase", "phrase P00: "), ("ivec-each-phrase", "phrase P00: "),
+    ])
+    def test_a_non_finite_svm_training_row_names_system_and_phrase(
+            self, workspace, tmp_path, capsys, monkeypatch, system, group):
+        cfg_path, work = workspace
+        shutil.copytree(work / "features/lpcc-small", tmp_path / "features/lpcc-small")
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        monkeypatch.setattr(pipeline, "extract_ivector",
+                            lambda tv, stats: np.full(tv.rank, np.nan))
+        before = tree_hashes(tmp_path)
+        assert cli.main(["train", "--config", str(own_cfg), "--system", system]) == 2
+        assert capsys.readouterr().err == (
+            f"error: system {system}: {group}training rows must all be finite\n")
+        assert tree_hashes(tmp_path) == before
+
+    def test_scoring_frees_a_phrase_keys_models_before_the_next_key(
+            self, workspace, monkeypatch):
+        # each phrase has its own UBM and T: only one key's models are held at
+        # a time, in first-seen order, and the scores keep protocol order
+        cfg_path, work = workspace
+        assert cli.main(["train", "--config", str(cfg_path), "--system", "ivec-each-phrase"]) == 0
+        cfg = load_config(cfg_path)
+        trials = parse_protocol(work / "corpus/protocol_eval.txt")
+        expected = pipeline.score_system(cfg, "ivec-each-phrase", trials)
+        spec_type, trainer, real_build = pipeline.SYSTEM_KINDS["ivec-svm"]
+        real_tv = pipeline.TotalVariabilityModel
+        tv_refs, alive_at_build = [], []
+
+        def build(load, spec, key):
+            alive_at_build.append((key, [ref() is not None for ref in tv_refs]))
+            return real_build(load, spec, key)
+
+        def tv_model(*args):
+            tv = real_tv(*args)
+            tv_refs.append(weakref.ref(tv))
+            return tv
+
+        monkeypatch.setitem(pipeline.SYSTEM_KINDS, "ivec-svm", (spec_type, trainer, build))
+        monkeypatch.setattr(pipeline, "TotalVariabilityModel", tv_model)
+        scores = pipeline.score_system(cfg, "ivec-each-phrase", trials)
+        first_seen = list(dict.fromkeys(t.phrase_id for t in trials))
+        assert alive_at_build == [(first_seen[0], []), (first_seen[1], [False])]
+        assert scores.trial_ids == expected.trial_ids
+        assert scores.scores.tobytes() == expected.scores.tobytes()
+
+    def test_training_frees_a_ubm_groups_models_before_the_next_group(
+            self, workspace, tmp_path, monkeypatch):
+        cfg_path, work = workspace
+        shutil.copytree(work / "features/lpcc-small", tmp_path / "features/lpcc-small")
+        argv = ["train", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                "--system", "ivec-each-phrase"]
+        assert cli.main(argv) == 0
+        expected = tree_hashes(tmp_path / "models")
+        real_ubm, real_tv = pipeline.gmm_em_train, pipeline.train_t_matrix
+        refs, alive_at_tv = [], []
+
+        def ubm(*args, **kwargs):
+            model = real_ubm(*args, **kwargs)
+            refs.append(weakref.ref(model))
+            return model
+
+        def t_matrix(*args, **kwargs):
+            alive_at_tv.append([ref() is not None for ref in refs])
+            tv = real_tv(*args, **kwargs)
+            refs.append(weakref.ref(tv))
+            return tv
+
+        monkeypatch.setattr(pipeline, "gmm_em_train", ubm)
+        monkeypatch.setattr(pipeline, "train_t_matrix", t_matrix)
+        assert cli.main(argv) == 0
+        # P00's UBM and TV model are gone when P01's T-matrix EM starts; its
+        # UBM is alive then, as the one it trains against
+        assert alive_at_tv == [[True], [False, False, True]]
+        assert tree_hashes(tmp_path / "models") == expected
+
     @pytest.mark.parametrize("command", ["train", "score"])
     def test_an_unconfigured_system_is_refused(self, workspace, tmp_path, capsys, command):
         cfg_path, work = workspace
@@ -1036,6 +1136,18 @@ class TestFuseEval:
                        "--protocol", str(work / "corpus/protocol_eval.txt")])
         assert rc == 0
         assert capsys.readouterr().out.startswith("EER 0.00%")
+
+    def test_eval_reports_cllr_and_min_cllr_after_the_eer(self, workspace, tmp_path, capsys):
+        # scores of +-1 separate the classes (min-Cllr 0) but each trial
+        # costs log2(1 + e^-1) bits
+        cfg_path, work = workspace
+        protocol = work / "corpus/protocol_eval.txt"
+        scores = tmp_path / "scores"
+        scores.write_text("".join(f"{t.trial_id} {1 if t.label == 'genuine' else -1}\n"
+                                  for t in parse_protocol(protocol)))
+        assert cli.main(["eval", str(scores), "--protocol", str(protocol)]) == 0
+        assert capsys.readouterr().out == (
+            f"EER 0.00% threshold 1 Cllr {np.log2(1 + np.exp(-1)):.4f} min-Cllr 0.0000\n")
 
     def test_eval_leaves_numpy_ma_unimported(self, workspace, tmp_path):
         cfg_path, work = workspace

@@ -284,3 +284,16 @@ def test_an_item_size_other_than_4_or_8_is_refused(tmp_path):
     path.write_bytes(data.replace(marker, b"mean\x02\x01"))
     with pytest.raises(containers.ContainerFormatError, match="item size 2"):
         containers.read_model(path)
+
+
+def test_an_empty_kind_is_refused_naming_the_file(tmp_path):
+    # the writer refuses an empty kind, so the reader does too
+    path = tmp_path / "empty.rsmd"
+    path.write_bytes(containers.MAGIC + struct.pack("<BBI", containers.FORMAT_VERSION, 0, 2)
+                     + b"{}" + struct.pack("<I", 0))
+    with pytest.raises(ValueError, match="kind"):
+        containers.write_model(tmp_path / "w.rsmd", "", {})
+    for read in (containers.read_model, containers.read_matrix, containers.read_feature_meta):
+        with pytest.raises(containers.ContainerFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: container kind is empty"

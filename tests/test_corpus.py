@@ -131,6 +131,17 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=":2:"):
             parse_protocol(path)
 
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                           "\x85", "\u2028", "\r"])
+    def test_only_a_newline_ends_a_line(self, tmp_path, separator):
+        # str.splitlines would also end a line at each of these, and report
+        # the short line as :3:; a trailing "\r" (CRLF) is whitespace
+        path = tmp_path / "p.txt"
+        path.write_bytes(f"T_001 genuine S01 P05 - - -{separator}\nT_002 spoof S01\n"
+                         .encode("utf-8"))
+        with pytest.raises(ProtocolError, match=":2: expected 7"):
+            parse_protocol(path)
+
     def test_duplicate_trial_id(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("T genuine S P - - -\nT spoof S P - - -\n")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -295,6 +296,34 @@ class TestTrainTMatrix:
         for gram in (tv.gram, TotalVariabilityModel(ubm, tv.t_matrix).gram):
             assert gram.shape == (k, rank * (rank + 1) // 2)
             assert gram.flags.f_contiguous and not gram.flags.c_contiguous
+
+    def test_gram_and_m_step_systems_share_one_buffer(self):
+        # they are never live at once; each view keeps the layout its products
+        # were rounded over, so sharing moves no byte
+        ws = ivector._EmWorkspace(n_utterances=12, k=10, d=3, rank=4)
+        assert ws.gram.shape == ws.a_acc.shape == (10, 10)
+        assert ws.gram.flags.f_contiguous and not ws.gram.flags.c_contiguous
+        assert ws.a_acc.flags.c_contiguous and not ws.a_acc.flags.f_contiguous
+        assert np.shares_memory(ws.gram, ws.a_acc)
+        assert ws.precision.shape == ws.systems.shape == (8, 4, 4)
+        assert np.shares_memory(ws.precision, ws.systems)
+
+    def test_em_bytes_are_pinned(self):
+        # T, its objective history and an i-vector, as the unaliased workspace
+        # computed them (numpy 2.4, OpenBLAS, one thread); numpy runs the
+        # M-step product as a transposed gemm over a column-major a_acc, which
+        # moves these bytes
+        rng = np.random.default_rng(7)
+        k, d, rank = 40, 2, 40  # a shape on which the transposed gemm rounds otherwise
+        ubm = GmmModel(np.full(k, 1.0 / k), rng.standard_normal((k, d)),
+                       rng.uniform(0.5, 2.0, (k, d)))
+        stats = [BaumWelchStats(rng.uniform(0.0, 5.0, k), rng.standard_normal((k, d)))
+                 for _ in range(40)]
+        tv = train_t_matrix(stats, ubm, rank=rank, iters=2, seed=7)
+        digest = hashlib.sha256(tv.t_matrix.tobytes())
+        digest.update(np.array(tv.history).tobytes())
+        digest.update(extract_ivector(tv, stats[0]).tobytes())
+        assert digest.hexdigest()[:16] == "066ffa1ddc3d28d5"
 
     def test_few_utterances_warn(self, rng):
         ubm = random_ubm(rng, 2, 2)

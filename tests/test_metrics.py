@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 from replaycm.metrics import (
     ScoreFileError,
     ScoreSet,
+    cllr,
     compute_eer,
     det_points,
+    min_cllr,
     read_scores,
     write_scores,
 )
@@ -117,6 +119,59 @@ class TestDetPoints:
             det_points([1.0, bad], [0.0])
         with pytest.raises(ValueError, match="finite"):
             compute_eer([1.0], [bad, 0.0])
+
+
+class TestCllr:
+    def test_a_constant_zero_score_costs_one_bit(self):
+        assert cllr([0.0, 0.0], [0.0, 0.0, 0.0]) == 1.0
+        assert min_cllr([0.0, 0.0], [0.0, 0.0, 0.0]) == 1.0
+
+    def test_a_constant_score_costs_at_least_one_bit_and_has_no_discrimination(self):
+        assert cllr([2.0, 2.0], [2.0]) > 1.0
+        assert min_cllr([2.0, 2.0], [2.0]) == pytest.approx(1.0)
+
+    def test_a_perfectly_separated_set_has_min_cllr_zero(self):
+        assert min_cllr([0.5, 3.0, 1.0], [0.4, -2.0]) == 0.0
+        assert 0.0 < cllr([0.5, 3.0, 1.0], [0.4, -2.0]) < 1.0
+
+    def test_cllr_by_hand(self):
+        # genuine 0 and spoof ln 3: log2(1 + 1) and log2(1 + 3), halved
+        assert cllr([0.0], [np.log(3.0)]) == pytest.approx(0.5 * (1.0 + 2.0))
+
+    def test_a_huge_score_does_not_overflow(self):
+        assert cllr([1e6], [-1e6]) == 0.0
+        assert cllr([-1e6], [1e6]) == pytest.approx(1e6 / np.log(2.0))
+
+    def test_min_cllr_by_hand(self):
+        # sorted: -1 s, 0 s, 1 g, 2 s, 3 g.  PAV pools (1 g, 2 s) into one
+        # block of posterior 1/2, which at the empirical prior (2 genuine, 3
+        # spoof) is a likelihood ratio of 3/2: its genuine trial costs
+        # log2(1 + 2/3) and its spoof trial log2(1 + 3/2); the pure blocks cost 0
+        expected = 0.5 * (np.log2(5.0 / 3.0) / 2.0 + np.log2(5.0 / 2.0) / 3.0)
+        assert min_cllr([3.0, 1.0], [2.0, 0.0, -1.0]) == pytest.approx(expected, abs=1e-15)
+
+    def test_tied_scores_of_both_classes_share_one_posterior(self):
+        # optimistic tie-breaking (spoof first) would reach 0
+        assert min_cllr([1.0, 2.0], [1.0, 0.0]) == pytest.approx(0.5)
+
+    def test_min_cllr_is_invariant_under_monotone_transforms(self, rng):
+        genuine, spoof = rng.normal(1.0, 1.0, 40), rng.normal(-1.0, 1.0, 60)
+        assert min_cllr(np.exp(genuine), np.exp(spoof)) == min_cllr(genuine, spoof)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        genuine=st.lists(st.floats(-30, 30), min_size=1, max_size=30),
+        spoof=st.lists(st.floats(-30, 30), min_size=1, max_size=30),
+    )
+    def test_min_cllr_is_at_most_cllr_and_one_bit(self, genuine, spoof):
+        low = min_cllr(genuine, spoof)
+        assert 0.0 <= low <= 1.0 + 1e-12
+        assert low <= cllr(genuine, spoof) + 1e-12
+
+    @pytest.mark.parametrize("metric", [cllr, min_cllr])
+    def test_a_non_finite_score_is_refused(self, metric):
+        with pytest.raises(ValueError, match="finite"):
+            metric([1.0, np.nan], [0.0])
 
 
 class TestScoreFiles:
