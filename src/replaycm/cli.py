@@ -16,9 +16,9 @@ import numpy as np
 
 from . import containers, parallel, pipeline, spectral
 from .config import ConfigError, load_config
-from .corpus import generate_synth_corpus, parse_protocol
+from .corpus import ProtocolError, generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
-from .metrics import ScoreSet, read_scores, write_scores
+from .metrics import ScoreSet, write_scores
 
 
 def _err(message: str) -> None:
@@ -27,6 +27,14 @@ def _err(message: str) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _configured(args, table: dict, what: str):
+    """The ``table`` entry named by ``--<what>``, or a refusal naming the config file."""
+    name = getattr(args, what)
+    if name not in table:
+        raise ConfigError(f"{args.config}: {what} {name!r} is not configured")
+    return table[name]
 
 
 def _configured_corpus_dir(paths) -> Path:
@@ -63,9 +71,7 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = load_config(args.config)
-    if args.feature not in cfg.features:
-        raise ConfigError(f"feature {args.feature!r} is not configured")
-    spec = cfg.features[args.feature]
+    spec = _configured(args, cfg.features, "feature")
     trials = parse_protocol(args.protocol)
     pipeline.feature_dir(cfg, spec.name).mkdir(parents=True, exist_ok=True)
     failures = []
@@ -87,10 +93,13 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    if args.system not in cfg.systems:
-        raise ConfigError(f"system {args.system!r} is not configured")
-    trials = parse_protocol(args.protocol or cfg.paths.protocol_train)
-    diagnostics = pipeline.train_system(cfg, args.system, trials)
+    _configured(args, cfg.systems, "system")
+    protocol = args.protocol or cfg.paths.protocol_train
+    trials = parse_protocol(protocol)
+    try:
+        diagnostics = pipeline.train_system(cfg, args.system, trials)
+    except ProtocolError as exc:  # the protocol lacks a class to train on
+        raise ProtocolError(f"{protocol}: {exc}") from exc
     for key in sorted(diagnostics):
         _info(f"{args.system}: {key} = {diagnostics[key]:.6f}")
     _info(f"models written to {pipeline.model_dir(cfg, args.system)}")
@@ -99,33 +108,11 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = load_config(args.config)
-    if args.system not in cfg.systems:
-        raise ConfigError(f"system {args.system!r} is not configured")
-    trials = parse_protocol(args.protocol)
-    score_set = pipeline.score_system(cfg, args.system, trials)
+    _configured(args, cfg.systems, "system")
+    score_set = pipeline.score_system(cfg, args.system, parse_protocol(args.protocol))
     write_scores(score_set, args.out_scores)
     _info(f"scored {len(score_set)} trial(s) -> {args.out_scores}")
     return 0
-
-
-def _aligned_score_matrix(paths: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    sets = [read_scores(p) for p in paths]
-    reference = sets[0]
-    ref_ids = set(reference.trial_ids)
-    for path, other in zip(paths[1:], sets[1:]):
-        other_ids = set(other.trial_ids)
-        if other_ids != ref_ids:
-            missing = sorted(ref_ids - other_ids)[:5]
-            extra = sorted(other_ids - ref_ids)[:5]
-            raise ValueError(
-                f"score files are misaligned: {path} differs from {paths[0]} "
-                f"(missing e.g. {missing}, unexpected e.g. {extra})"
-            )
-    columns = []
-    for score_set in sets:
-        lookup = score_set.as_dict()
-        columns.append([lookup[tid] for tid in reference.trial_ids])
-    return reference.trial_ids, np.array(columns).T
 
 
 def cmd_fuse(args) -> int:
@@ -133,7 +120,10 @@ def cmd_fuse(args) -> int:
         for option, value in (("--protocol", args.protocol), ("--out-model", args.out_model)):
             if value is not None:
                 raise ValueError(f"{option} trains a fusion, so it cannot be used with --apply")
-    trial_ids, matrix = _aligned_score_matrix(args.scores)
+    elif not args.protocol:
+        raise ValueError("training a fusion requires --protocol with labels")
+    trial_ids, columns, labels = pipeline.read_score_files(args.scores, args.protocol)
+    matrix = np.array(columns).T
     if args.apply:
         model = pipeline.load_model(args.apply, "fusion")
         if model.weights.size != len(args.scores):
@@ -141,11 +131,10 @@ def cmd_fuse(args) -> int:
                              f"{model.weights.size} system(s), not the "
                              f"{len(args.scores)} score file(s) given")
     else:
-        if not args.protocol:
-            raise ValueError("training a fusion requires --protocol with labels")
-        trials = parse_protocol(args.protocol)
-        labels = pipeline.labels_vector(trials, trial_ids, args.scores[0])
-        model = fusion_train(matrix, labels)
+        try:
+            model = fusion_train(matrix, labels)
+        except ValueError as exc:  # too few trials of a class
+            raise ValueError(f"{args.scores[0]}: {exc}") from exc
         if args.out_model:
             pipeline.save_model(args.out_model, "fusion", model)
             _info(f"fusion model -> {args.out_model}")
@@ -157,7 +146,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    eer, threshold, cost, min_cost = pipeline.evaluate(args.scores, parse_protocol(args.protocol))
+    eer, threshold, cost, min_cost = pipeline.evaluate(args.scores, args.protocol)
     print(f"EER {100.0 * eer:.2f}% threshold {threshold:.6g} "
           f"Cllr {cost:.4f} min-Cllr {min_cost:.4f}")
     return 0

@@ -36,6 +36,8 @@ def write_artifact(path, chunks) -> None:
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as exc:  # named by the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.lexists(tmp):  # the write or the replace failed
             os.remove(tmp)
@@ -60,9 +62,8 @@ def _write(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     write_artifact(path, chunks)
 
 
-def _read(path, with_arrays: bool = True) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """The kind, metadata and arrays of the container at ``path``; without
-    ``with_arrays``, only the kind and metadata are read (arrays ``{}``)."""
+def _read(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """The kind, metadata and arrays of the container at ``path``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -104,8 +105,6 @@ def _read(path, with_arrays: bool = True) -> tuple[str, dict, dict[str, np.ndarr
             raise ContainerFormatError(
                 f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
         arrays = {}
-        if not with_arrays:
-            return kind, meta, arrays
         for _ in range(number("<I")):
             name = ascii_text(number("<B"))
             itemsize, ndim = number("<B"), number("<B")
@@ -144,15 +143,6 @@ def read_matrix(path) -> tuple[np.ndarray, dict]:
         raise ContainerFormatError(
             f"{path}: not a feature container (kind {kind!r}, arrays {list(arrays)})")
     return arrays["values"].astype(np.float64), meta
-
-
-def read_feature_meta(path) -> dict:
-    """The metadata of a feature container, read without its values; any
-    other container is refused."""
-    kind, meta, _ = _read(path, with_arrays=False)
-    if kind != FEATURE_KIND:
-        raise ContainerFormatError(f"{path}: not a feature container (kind {kind!r})")
-    return meta
 
 
 def write_model(path, kind: str, arrays: dict[str, np.ndarray]) -> None:

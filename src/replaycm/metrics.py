@@ -37,9 +37,6 @@ class ScoreSet:
     def __len__(self) -> int:
         return len(self.trial_ids)
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.trial_ids, self.scores.tolist()))
-
 
 def _check_scores(genuine, spoof) -> tuple[np.ndarray, np.ndarray]:
     genuine = np.asarray(genuine, dtype=np.float64).ravel()

@@ -23,7 +23,7 @@ from .config import (
     PipelineConfig,
     derive_seed,
 )
-from .corpus import Trial, partition_by_phrase
+from .corpus import ProtocolError, Trial, parse_protocol, partition_by_phrase
 from .eemd import DeemdParams, delta_eemd_spectrogram
 from .gmm import GmmModel, gmm_em_train, llr_score
 from .ivector import (
@@ -98,11 +98,9 @@ def feature_fingerprint(cfg: PipelineConfig, spec: FeatureSpec) -> str:
             f"sample_rate={cfg.sample_rate} seed={cfg.seed}")
 
 
-def read_feature(cfg: PipelineConfig, feature_name: str, trial_id: str,
-                 frames: bool = True):
-    """The feature file of a trial as a frames x dim matrix for modelling, or
-    with ``frames=False`` nothing, after a check of the file's header alone.
-    A missing file, or one whose kind or fingerprint is not feature
+def read_feature(cfg: PipelineConfig, feature_name: str, trial_id: str) -> np.ndarray:
+    """The feature file of a trial as a frames x dim matrix for modelling.  A
+    missing file, or one whose kind or fingerprint is not feature
     ``feature_name``'s under ``cfg``, is refused.
 
     Containers hold every feature as dim x frames, one column per frame, so
@@ -113,12 +111,11 @@ def read_feature(cfg: PipelineConfig, feature_name: str, trial_id: str,
     if not path.exists():
         raise FileNotFoundError(f"trial {trial_id}: missing features {path} "
                                 f"(run extract for feature {feature_name!r} first)")
-    values, meta = (containers.read_matrix(path) if frames
-                    else (None, containers.read_feature_meta(path)))
+    values, meta = containers.read_matrix(path)
     if (meta.get("kind"), meta.get("fingerprint")) != (spec.kind, feature_fingerprint(cfg, spec)):
         raise ValueError(f"{path}: extracted with other settings than feature "
                          f"{spec.name!r} has now; re-run extract")
-    return None if values is None else values.T
+    return values.T
 
 
 def extract_trial(cfg: PipelineConfig, spec: FeatureSpec, trial: Trial) -> Path:
@@ -315,9 +312,9 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     """Train a system on the genuine and spoof trials of ``trials``, and
     return each model's final training value as
     ``<model>_final_<loglik|objective|dual_objective>``.  A protocol with no
-    labeled trials, a phrase group without both classes, or a training
-    trial whose feature file is missing or was extracted with other
-    settings, is refused before any model trains.
+    labeled trials or a phrase group without both classes (``ProtocolError``),
+    or a training trial whose feature file is missing, stale or unreadable,
+    is refused before any model trains.
 
     The new model set replaces the system's model directory whole: the
     models are written, as each is trained, to ``models/.<system>.new``, which
@@ -327,14 +324,14 @@ def train_system(cfg: PipelineConfig, system_name: str, trials: list[Trial]) -> 
     spec = cfg.systems[system_name]
     labeled = [t for t in trials if t.label in ("genuine", "spoof")]
     if not labeled:
-        raise ValueError(f"system {spec.name}: the training protocol has no "
-                         "genuine or spoof trials")
+        raise ProtocolError(f"system {spec.name}: the training protocol has no "
+                            "genuine or spoof trials")
     for phrase_key, group in _phrase_groups(labeled, spec.phrase_dependent).items():
         for label in sorted({"genuine", "spoof"} - {t.label for t in group}):
-            raise ValueError(f"system {spec.name}: no {label} trials to train on"
-                             + (f" for phrase {phrase_key}" if phrase_key else ""))
+            raise ProtocolError(f"system {spec.name}: no {label} trials to train on"
+                                + (f" for phrase {phrase_key}" if phrase_key else ""))
     for trial in labeled:
-        read_feature(cfg, spec.feature, trial.trial_id, frames=False)
+        read_feature(cfg, spec.feature, trial.trial_id)
     final = model_dir(cfg, spec.name)
     staging, retired = (final.with_name(f".{spec.name}.{tag}") for tag in ("new", "old"))
     for leftover in (staging, retired):  # from an interrupted run
@@ -406,13 +403,28 @@ def _score_key(cfg: PipelineConfig, spec, phrase_key: str, trials: list[Trial],
             raise ValueError(f"system {spec.name}: trial {trial.trial_id}: score is not finite")
 
 
-def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...], score_path) -> np.ndarray:
-    """+1/-1 labels for the trial ids of score file ``score_path``, drawn from
-    a labeled protocol.  A trial id absent from the protocol or unlabeled
-    there is refused, and so is a labeled protocol trial that ``trial_ids``
-    leaves out; each refusal names the score file."""
+def read_score_files(paths, protocol=None) -> tuple[tuple[str, ...], list, np.ndarray | None]:
+    """The trial ids of the score files ``paths`` in the first file's order,
+    each file's scores in that order and, given a labeled protocol (a path or
+    its trials), their labels: +1.0 genuine, -1.0 spoof.  Files that score
+    other trials than the first are refused before the protocol is read, and
+    so is a trial the protocol lacks or leaves unlabeled, a labeled trial
+    left unscored, or one class alone, naming a score file."""
+    sets = [read_scores(path) for path in paths]
+    trial_ids, scored = sets[0].trial_ids, set(sets[0].trial_ids)
+    columns = [sets[0].scores]
+    for path, other in zip(paths[1:], sets[1:]):
+        index = dict(zip(other.trial_ids, range(len(other))))
+        if index.keys() != scored:
+            raise ValueError(
+                f"score files are misaligned: {path} differs from {paths[0]} (missing e.g. "
+                f"{sorted(scored - index.keys())[:5]}, unexpected e.g. "
+                f"{sorted(index.keys() - scored)[:5]})")
+        columns.append(other.scores[[index[tid] for tid in trial_ids]])
+    if protocol is None:
+        return trial_ids, columns, None
+    trials = parse_protocol(protocol) if isinstance(protocol, (str, os.PathLike)) else protocol
     by_id = {t.trial_id: t.label for t in trials}
-    scored = set(trial_ids)
     for found, problem in (
         ([tid for tid in trial_ids if tid not in by_id],
          "scored trial(s) absent from the protocol"),
@@ -422,15 +434,17 @@ def labels_vector(trials: list[Trial], trial_ids: tuple[str, ...], score_path) -
          "labeled trial(s) have no score"),
     ):
         if found:
-            raise ValueError(f"{score_path}: {len(found)} {problem}, e.g. {found[:5]}")
-    return np.array([1.0 if by_id[tid] == "genuine" else -1.0 for tid in trial_ids])
+            raise ValueError(f"{paths[0]}: {len(found)} {problem}, e.g. {found[:5]}")
+    for label in sorted({"genuine", "spoof"} - {by_id[tid] for tid in trial_ids}):
+        raise ValueError(f"{paths[0]}: no scored trial is {label}")
+    return trial_ids, columns, np.array([1.0 if by_id[tid] == "genuine" else -1.0
+                                         for tid in trial_ids])
 
 
-def evaluate(score_path, trials: list[Trial]) -> tuple[float, float, float, float]:
-    """The equal error rate of a score file against a labeled protocol, the
-    threshold where the error rates cross, and the scores' Cllr and min-Cllr
-    in bits."""
-    score_set = read_scores(score_path)
-    labels = labels_vector(trials, score_set.trial_ids, score_path)
-    genuine, spoof = score_set.scores[labels > 0], score_set.scores[labels < 0]
+def evaluate(score_path, protocol) -> tuple[float, float, float, float]:
+    """The equal error rate of a score file against a labeled protocol (its
+    path or its trials), the threshold where the error rates cross, and the
+    scores' Cllr and min-Cllr in bits."""
+    _, (scores,), labels = read_score_files([score_path], protocol)
+    genuine, spoof = scores[labels > 0], scores[labels < 0]
     return (*compute_eer(genuine, spoof), cllr(genuine, spoof), min_cllr(genuine, spoof))

@@ -321,7 +321,8 @@ class TestExtract:
             "--protocol", str(work / "corpus/protocol_train.txt"),
         ])
         assert rc == 2
-        assert "nope" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: feature 'nope' is not configured\n")
 
     @pytest.mark.parametrize("jobs", ["1", "2", "0", "-2", "two"])
     def test_jobs_takes_only_one(self, workspace, tmp_path, capsys, jobs):
@@ -557,6 +558,24 @@ class TestTrainAndScore:
         containers.write_model_text(expected, *containers.read_model(model))
         assert out.read_text() == expected.read_text()
         assert out.read_text().startswith("RSMD-TEXT v1\nkind: gmm\n")
+
+    @pytest.mark.parametrize("command", ["score", "dump"])
+    @pytest.mark.parametrize("target, error", [
+        ("nodir/x.out", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "a-dir"])
+    def test_a_failed_write_names_the_target_not_its_temp_file(
+            self, trained, tmp_path, capsys, command, target, error):
+        cfg_path, work = trained
+        out = tmp_path / target
+        (tmp_path / "adir").mkdir()
+        argv = {"score": ["score", "--config", str(cfg_path), "--system", "gmm-sys",
+                          "--protocol", str(work / "corpus/protocol_eval.txt"),
+                          "--out-scores", str(out)],
+                "dump": ["dump", str(work / "models/gmm-sys/genuine.rsmd"), str(out)]}[command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}: '{out}'\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["adir"]  # no temp file is left
 
     def test_ivec_writes_four_models(self, trained):
         _, work = trained
@@ -931,13 +950,14 @@ class TestTrainAndScore:
     @pytest.mark.parametrize("command", ["train", "score"])
     def test_an_unconfigured_system_is_refused(self, workspace, tmp_path, capsys, command):
         cfg_path, work = workspace
-        argv = [command, "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        argv = [command, "--config", str(own_cfg),
                 "--system", "nope", "--protocol", str(work / "corpus/protocol_eval.txt")]
         if command == "score":
             argv += ["--out-scores", str(tmp_path / "nope.scores")]
         before = tree_hashes(tmp_path)
         assert cli.main(argv) == 2
-        assert capsys.readouterr().err == "error: system 'nope' is not configured\n"
+        assert capsys.readouterr().err == f"error: {own_cfg}: system 'nope' is not configured\n"
         assert tree_hashes(tmp_path) == before
 
     def test_score_with_a_malformed_model_exits_2(self, workspace, tmp_path, capsys):
@@ -999,7 +1019,7 @@ class TestSinglePhraseProtocols:
                          lambda t: not (t.phrase_id == "P01" and t.label == "spoof"))
         rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
                            "--protocol", train)
-        assert (rc, err) == (2, f"error: {message}\n")
+        assert (rc, err) == (2, f"error: {train}: {message}\n")
 
     @pytest.mark.parametrize("system, phrase", [
         ("gmm-phrase", "P01"), ("ivec-phrase", "P01"), ("gmm-sys", None), ("ivec-sys", None),
@@ -1018,7 +1038,8 @@ class TestSinglePhraseProtocols:
         rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
                            "--protocol", train)
         where = f" for phrase {phrase}" if phrase else ""
-        assert (rc, err) == (2, f"error: system {system}: no spoof trials to train on{where}\n")
+        assert (rc, err) == (2, f"error: {train}: system {system}: no spoof trials to train "
+                                f"on{where}\n")
         assert calls == {"gmm_em_train": 0, "train_t_matrix": 0}
         assert not models.exists()
 
@@ -1032,8 +1053,8 @@ class TestSinglePhraseProtocols:
                        unlabeled)
         rc, err = self.run(capsys, "train", "--config", str(cfg_path), "--system", system,
                            "--protocol", str(unlabeled))
-        assert (rc, err) == (2, f"error: system {system}: the training protocol has no "
-                                "genuine or spoof trials\n")
+        assert (rc, err) == (2, f"error: {unlabeled}: system {system}: the training protocol "
+                                "has no genuine or spoof trials\n")
         assert not (models / system).exists()
 
     @pytest.mark.parametrize("system, model", [
@@ -1193,6 +1214,26 @@ class TestFuseEval:
                      if labels[tid] == "spoof"]
             return compute_eer(genuine, spoof)[0]
         assert eer_from(fused_path) == eer_from(raw)
+
+    @pytest.mark.parametrize("command, n_spoofs, refusal", [
+        ("eval", 0, "no scored trial is spoof"),
+        ("fuse", 0, "no scored trial is spoof"),
+        ("fuse", 1, "need at least 2 trials per class to train fusion"),
+    ])
+    def test_a_label_set_without_enough_of_a_class_names_the_score_file(
+            self, workspace, tmp_path, capsys, command, n_spoofs, refusal):
+        _, work = workspace
+        trials = parse_protocol(work / "corpus/protocol_train.txt")
+        kept = ([t for t in trials if t.label == "genuine"]
+                + [t for t in trials if t.label == "spoof"][:n_spoofs])
+        protocol, scores = tmp_path / "protocol.txt", tmp_path / "a.scores"
+        write_protocol(kept, protocol)
+        scores.write_text("".join(f"{t.trial_id} {i}\n" for i, t in enumerate(kept)))
+        argv = {"eval": ["eval", str(scores), "--protocol", str(protocol)],
+                "fuse": ["fuse", str(scores), "--protocol", str(protocol),
+                         "--out-scores", str(tmp_path / "x")]}[command]
+        assert (cli.main(argv), capsys.readouterr().err) == (2, f"error: {scores}: {refusal}\n")
+        assert not (tmp_path / "x").exists()
 
     def test_mismatched_ids_reported(self, workspace, tmp_path, capsys):
         cfg_path, _ = workspace
@@ -1707,27 +1748,31 @@ class TestWorkers:
     def test_a_stale_last_training_file_is_refused_before_any_model_trains(
             self, workspace, tmp_path, monkeypatch, capsys, system, feature):
         cfg_path, work = workspace
-        own_cfg = config_with_work_dir(cfg_path, tmp_path)
-        shutil.copytree(work / "features" / feature, tmp_path / "features" / feature)
         last = parse_protocol(work / "corpus/protocol_train.txt")[-1]
-        stale = pipeline.feature_path(load_config(own_cfg), feature, last.trial_id)
-        values, meta = containers.read_matrix(stale)
-        containers.write_matrix(stale, values, {**meta, "fingerprint": "other settings"})
-        # the check reads each file's header, never its frames
-        calls = {"gmm_em_train": 0, "train_t_matrix": 0, "read_matrix": 0}
-        for module, name in ((pipeline, "gmm_em_train"), (pipeline, "train_t_matrix"),
-                             (containers, "read_matrix")):
-            def counted(*args, _name=name, _call=getattr(module, name), **kwargs):
+        calls = {"gmm_em_train": 0, "train_t_matrix": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(pipeline, name), **kwargs):
                 calls[_name] += 1
                 return _call(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-        rc = cli.main(["train", "--config", str(own_cfg), "--system", system])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {stale}: extracted with other settings than feature {feature!r} "
-            "has now; re-run extract\n")
-        assert calls == {"gmm_em_train": 0, "train_t_matrix": 0, "read_matrix": 0}
-        assert not (tmp_path / "models").exists()
+            monkeypatch.setattr(pipeline, name, counted)
+        # a file of other settings, and one whose last value is a NaN: the
+        # check reads each file whole, as training does
+        for fault in ("stale", "nan"):
+            own_cfg = config_with_work_dir(cfg_path, tmp_path / fault)
+            shutil.copytree(work / "features" / feature, tmp_path / fault / "features" / feature)
+            path = pipeline.feature_path(load_config(own_cfg), feature, last.trial_id)
+            if fault == "stale":
+                values, meta = containers.read_matrix(path)
+                containers.write_matrix(path, values, {**meta, "fingerprint": "other settings"})
+                refusal = (f"{path}: extracted with other settings than feature {feature!r} "
+                           "has now; re-run extract")
+            else:
+                path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+                refusal = f"{path}: array 'values' holds 1 non-finite value(s)"
+            rc = cli.main(["train", "--config", str(own_cfg), "--system", system])
+            assert (rc, capsys.readouterr().err) == (2, f"error: {refusal}\n")
+            assert calls == {"gmm_em_train": 0, "train_t_matrix": 0}
+            assert not (tmp_path / fault / "models").exists()
 
 
 DEEMD_HASH_SCRIPT = """

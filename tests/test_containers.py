@@ -293,7 +293,7 @@ def test_an_empty_kind_is_refused_naming_the_file(tmp_path):
                      + b"{}" + struct.pack("<I", 0))
     with pytest.raises(ValueError, match="kind"):
         containers.write_model(tmp_path / "w.rsmd", "", {})
-    for read in (containers.read_model, containers.read_matrix, containers.read_feature_meta):
+    for read in (containers.read_model, containers.read_matrix):
         with pytest.raises(containers.ContainerFormatError) as info:
             read(path)
         assert str(info.value) == f"{path}: container kind is empty"
