@@ -23,7 +23,6 @@ from pathlib import Path
 
 from replaycm import cli, pipeline
 from replaycm.config import ConfigError, default_desk_config, load_config
-from replaycm.corpus import parse_protocol
 
 
 def run(*args):
@@ -32,10 +31,10 @@ def run(*args):
         sys.exit(code)
 
 
-def eer_percent(score_path, trials):
+def eer_percent(score_path, protocol):
     """The EER (%) that ``eval`` reports for a score file, or its refusal."""
     try:
-        return 100.0 * pipeline.evaluate(score_path, trials)[0]
+        return 100.0 * pipeline.evaluate(score_path, protocol)[0]
     except ValueError as exc:
         sys.exit(f"error: {exc}")
 
@@ -105,14 +104,14 @@ def main():
             "--out-scores", work / "fused.eval.scores")
         timings["fuse"] = time.time() - start
 
-    eval_trials = parse_protocol(protocols["eval"])
+    eval_protocol = protocols["eval"]
     print()
     print(f"{'system':24s}  eval EER")
     for system in systems:
-        print(f"{system:24s}  {eer_percent(work / f'{system}.eval.scores', eval_trials):6.2f}%")
+        print(f"{system:24s}  {eer_percent(work / f'{system}.eval.scores', eval_protocol):6.2f}%")
     if fused:
         label = f"fusion ({len(systems)}-way)"
-        print(f"{label:24s}  {eer_percent(work / 'fused.eval.scores', eval_trials):6.2f}%")
+        print(f"{label:24s}  {eer_percent(work / 'fused.eval.scores', eval_protocol):6.2f}%")
     print()
     total = sum(timings.values())
     for stage, seconds in timings.items():

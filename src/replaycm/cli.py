@@ -58,13 +58,7 @@ def _configured_corpus_dir(paths) -> Path:
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     out_dir = _configured_corpus_dir(cfg.paths)
-    try:
-        generate_synth_corpus(cfg.corpus, out_dir)
-    except ChildProcessError:
-        raise  # a renderer died; main reports it as it stands
-    except OSError as exc:
-        _err(f"cannot write corpus under {out_dir}: {exc}")
-        return 2
+    generate_synth_corpus(cfg.corpus, out_dir)
     print(out_dir / "manifest.json")
     return 0
 
@@ -130,15 +124,15 @@ def cmd_fuse(args) -> int:
             raise ValueError(f"{args.apply}: the fusion model was trained on "
                              f"{model.weights.size} system(s), not the "
                              f"{len(args.scores)} score file(s) given")
-    else:
-        try:
+    try:  # too few trials of a class, or a fit or fused score that is not finite
+        if not args.apply:
             model = fusion_train(matrix, labels)
-        except ValueError as exc:  # too few trials of a class
-            raise ValueError(f"{args.scores[0]}: {exc}") from exc
-        if args.out_model:
-            pipeline.save_model(args.out_model, "fusion", model)
-            _info(f"fusion model -> {args.out_model}")
-    fused = fusion_apply(model, matrix)
+        fused = fusion_apply(model, matrix)
+    except ValueError as exc:
+        raise ValueError(f"{args.apply or args.scores[0]}: {exc}") from exc
+    if args.out_model:
+        pipeline.save_model(args.out_model, "fusion", model)
+        _info(f"fusion model -> {args.out_model}")
     write_scores(ScoreSet(trial_ids, fused), args.out_scores)
     _info(f"fused {len(trial_ids)} trial(s) from {len(args.scores)} system(s) "
           f"-> {args.out_scores}")

@@ -31,7 +31,7 @@ from .audio_io import Waveform, write_wav
 
 LABELS = ("genuine", "spoof", "unknown")
 UNSPECIFIED = "-"
-LOWPASS_TAPS = 63
+LOWPASS_TAPS = 63  # odd, so the filter is symmetric about its middle tap
 
 
 class ProtocolError(ValueError):
@@ -128,14 +128,11 @@ class ReplayChannelConfig:
             raise ValueError("gain must be positive")
 
 
-def lowpass_fir(cutoff_hz: float, sample_rate: int, taps: int = LOWPASS_TAPS) -> np.ndarray:
+def lowpass_fir(cutoff_hz: float, sample_rate: int) -> np.ndarray:
     """Linear-phase windowed-sinc low-pass filter (Hamming window)."""
-    if taps % 2 == 0:
-        raise ValueError("taps must be odd for a symmetric filter")
-    m = taps // 2
-    n = np.arange(taps) - m
+    n = np.arange(LOWPASS_TAPS) - LOWPASS_TAPS // 2
     nu = 2.0 * cutoff_hz / sample_rate
-    h = nu * np.sinc(nu * n) * np.hamming(taps)
+    h = nu * np.sinc(nu * n) * np.hamming(LOWPASS_TAPS)
     return h / h.sum()
 
 
@@ -203,15 +200,9 @@ class CorpusConfig:
             raise ValueError(f"max_reflections must be >= 1, got {self.max_reflections}")
 
 
-@dataclass(frozen=True)
-class PhraseSpec:
-    """Segment pattern of a synthetic phrase: (duration share, semitone offset,
-    harmonic rolloff exponent) per segment."""
-
-    segments: tuple[tuple[float, float, float], ...]
-
-
-def make_phrase_specs(cfg: CorpusConfig) -> list[PhraseSpec]:
+def make_phrase_specs(cfg: CorpusConfig) -> list[tuple[tuple[float, float, float], ...]]:
+    """Segment pattern of each synthetic phrase: (duration share, semitone
+    offset, harmonic rolloff exponent) per segment."""
     specs = []
     for p in range(cfg.n_phrases):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101, p]))
@@ -220,9 +211,7 @@ def make_phrase_specs(cfg: CorpusConfig) -> list[PhraseSpec]:
         shares /= shares.sum()
         semitones = rng.integers(-4, 8, n_segments).astype(float)
         rolloffs = rng.uniform(0.7, 1.4, n_segments)
-        specs.append(
-            PhraseSpec(tuple(zip(shares.tolist(), semitones.tolist(), rolloffs.tolist())))
-        )
+        specs.append(tuple(zip(shares.tolist(), semitones.tolist(), rolloffs.tolist())))
     return specs
 
 
@@ -244,7 +233,7 @@ def _fricative_burst(n: int, sample_rate: int, rng: np.random.Generator) -> np.n
 
 def render_genuine_utterance(
     f0_hz: float,
-    phrase: PhraseSpec,
+    phrase: tuple[tuple[float, float, float], ...],
     duration_seconds: float,
     sample_rate: int,
     rng: np.random.Generator,
@@ -252,7 +241,7 @@ def render_genuine_utterance(
     """Voiced-like harmonic segments, each ending in a fricative-like burst."""
     total = int(round(duration_seconds * sample_rate))
     pieces = []
-    for share, semitones, rolloff in phrase.segments:
+    for share, semitones, rolloff in phrase:
         n = max(int(round(total * share)), 16)
         t = np.arange(n) / sample_rate
         base = f0_hz * 2.0 ** (semitones / 12.0)
@@ -331,7 +320,7 @@ def _trial_plan(cfg: CorpusConfig) -> list[tuple[str, str, str, int]]:
     return plan
 
 
-def _render_trial(cfg: CorpusConfig, phrases: list[PhraseSpec],
+def _render_trial(cfg: CorpusConfig, phrases: list[tuple],
                   planned: tuple[str, str, str, int]) -> tuple[Trial, dict, Waveform]:
     """The protocol line, manifest entry and audio of one planned trial.
 

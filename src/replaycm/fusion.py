@@ -26,6 +26,7 @@ def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows backtracks
 def fusion_train(
     scores: np.ndarray,
     labels: np.ndarray,
@@ -36,7 +37,8 @@ def fusion_train(
 
     labels holds +1 for genuine and -1 for spoof trials.  Optimization stops
     when the gradient norm drops below tol; the model's history, the loss per
-    iteration, is non-increasing.
+    iteration, is non-increasing.  Scores whose loss gradient is not finite
+    are refused.
     """
     aug, labels = augmented_training_set(scores, labels)
     n_genuine = int(np.sum(labels == 1.0))
@@ -79,20 +81,28 @@ def fusion_train(
         prev_theta, prev_grad = theta, grad
         theta, loss, grad = candidate, new_loss, new_grad
         history.append(loss)
-    if np.linalg.norm(grad) > tol:
+    norm = np.linalg.norm(grad)
+    if not np.isfinite(norm):
+        raise ValueError("the fusion loss gradient is not finite: the scores are too large")
+    if norm > tol:
         how = "stalled (no step descends)" if stalled else "reached max_iters"
         warnings.warn(
             f"fusion training {how} after {len(history) - 1} iterations with "
-            f"gradient norm {np.linalg.norm(grad):.3e}",
+            f"gradient norm {norm:.3e}",
             stacklevel=2,
         )
 
     return LinearModel(theta[:-1].copy(), float(theta[-1]), tuple(history))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
 def fusion_apply(model: LinearModel, scores: np.ndarray) -> np.ndarray:
-    """Fused scores w's + b of a trials x systems score matrix."""
+    """Fused scores w's + b of a trials x systems score matrix; a fused
+    score that is not finite is refused."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != model.weights.size:
         raise ValueError(f"expected trials x {model.weights.size} scores, got {scores.shape}")
-    return scores @ model.weights + model.bias
+    fused = scores @ model.weights + model.bias
+    if bad := np.count_nonzero(~np.isfinite(fused)):
+        raise ValueError(f"{bad} fused score(s) are not finite")
+    return fused

@@ -196,20 +196,28 @@ def load_model(path, kind: str):
         raise containers.ContainerFormatError(f"{path}: {exc}") from exc
 
 
+def _fit(spec, phrase_key: str, train, *args, **kwargs):
+    """``train(*args, **kwargs)``; a refusal names the system and phrase group."""
+    try:
+        return train(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"system {spec.name}: "
+                         + (f"phrase {phrase_key}: " if phrase_key else "") + str(exc)) from exc
+
+
 def train_gmm_system(cfg: PipelineConfig, spec: GmmSystemSpec, trials: list[Trial],
                      save) -> None:
     """Two-class GMM training on labeled trials, passing each model to
     ``save``; one model pair per phrase when phrase-dependent."""
     for phrase_key, group in _phrase_groups(trials, spec.phrase_dependent).items():
         for label in ("genuine", "spoof"):
-            model = gmm_em_train(
-                np.vstack([read_feature(cfg, spec.feature, t.trial_id) for t in group
-                           if t.label == label]),
-                k=spec.components,
-                iters=spec.iterations,
-                variance_floor=spec.variance_floor,
-                seed=derive_seed(cfg.seed, "train", spec.name, label, phrase_key),
-            )
+            model = _fit(spec, phrase_key, gmm_em_train,
+                         np.vstack([read_feature(cfg, spec.feature, t.trial_id)
+                                    for t in group if t.label == label]),
+                         k=spec.components,
+                         iters=spec.iterations,
+                         variance_floor=spec.variance_floor,
+                         seed=derive_seed(cfg.seed, "train", spec.name, label, phrase_key))
             save(label, phrase_key, "gmm", model, model.history)
 
 
@@ -237,35 +245,29 @@ def _train_ivec_group(cfg: PipelineConfig, spec: IvecSystemSpec, ubm_key: str,
     """Train the UBM of one group and every model below it; a group's
     models die with this call, before the next group's EM starts."""
     frame_list = [read_feature(cfg, spec.feature, t.trial_id) for t in ubm_group]
-    ubm = gmm_em_train(
-        np.vstack(frame_list),
-        k=spec.ubm_components,
-        iters=spec.ubm_iterations,
-        seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key),
-    )
+    ubm = _fit(spec, ubm_key, gmm_em_train,
+               np.vstack(frame_list),
+               k=spec.ubm_components,
+               iters=spec.ubm_iterations,
+               seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key))
     save("ubm", ubm_key, "gmm", ubm, ubm.history)
     # each trial's frames are released once its statistics exist
     stats = {t.trial_id: baum_welch_stats(ubm, frame_list.pop(0)) for t in ubm_group}
 
     for t_key, t_group in _phrase_groups(ubm_group, not spec.t_shared).items():
-        tv = train_t_matrix(
-            [stats[t.trial_id] for t in t_group],
-            ubm,
-            rank=spec.tv_rank,
-            iters=spec.tv_iterations,
-            seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key),
-        )
+        tv = _fit(spec, t_key, train_t_matrix,
+                  [stats[t.trial_id] for t in t_group],
+                  ubm,
+                  rank=spec.tv_rank,
+                  iters=spec.tv_iterations,
+                  seed=derive_seed(cfg.seed, "train", spec.name, "tmatrix", t_key))
         save("tmatrix", t_key, "tmatrix", tv.t_matrix, tv.history)
 
         for svm_key, group in _phrase_groups(t_group, not spec.svm_shared).items():
             normalized, mean = center_length_normalize(
                 np.stack([extract_ivector(tv, stats[t.trial_id]) for t in group]))
             labels = np.array([1.0 if t.label == "genuine" else -1.0 for t in group])
-            try:
-                svm = svm_train_linear(normalized, labels, c=spec.svm_c)
-            except ValueError as exc:  # non-finite i-vectors
-                raise ValueError(f"system {spec.name}: "
-                                 + (f"phrase {svm_key}: " if svm_key else "") + str(exc)) from exc
+            svm = _fit(spec, svm_key, svm_train_linear, normalized, labels, c=spec.svm_c)
             save("mean", svm_key, "mean", mean)
             save("svm", svm_key, "svm", svm, svm.history)
 
@@ -405,8 +407,8 @@ def _score_key(cfg: PipelineConfig, spec, phrase_key: str, trials: list[Trial],
 
 def read_score_files(paths, protocol=None) -> tuple[tuple[str, ...], list, np.ndarray | None]:
     """The trial ids of the score files ``paths`` in the first file's order,
-    each file's scores in that order and, given a labeled protocol (a path or
-    its trials), their labels: +1.0 genuine, -1.0 spoof.  Files that score
+    each file's scores in that order and, given the path of a labeled
+    protocol, their labels: +1.0 genuine, -1.0 spoof.  Files that score
     other trials than the first are refused before the protocol is read, and
     so is a trial the protocol lacks or leaves unlabeled, a labeled trial
     left unscored, or one class alone, naming a score file."""
@@ -423,7 +425,7 @@ def read_score_files(paths, protocol=None) -> tuple[tuple[str, ...], list, np.nd
         columns.append(other.scores[[index[tid] for tid in trial_ids]])
     if protocol is None:
         return trial_ids, columns, None
-    trials = parse_protocol(protocol) if isinstance(protocol, (str, os.PathLike)) else protocol
+    trials = parse_protocol(protocol)
     by_id = {t.trial_id: t.label for t in trials}
     for found, problem in (
         ([tid for tid in trial_ids if tid not in by_id],
@@ -442,8 +444,8 @@ def read_score_files(paths, protocol=None) -> tuple[tuple[str, ...], list, np.nd
 
 
 def evaluate(score_path, protocol) -> tuple[float, float, float, float]:
-    """The equal error rate of a score file against a labeled protocol (its
-    path or its trials), the threshold where the error rates cross, and the
+    """The equal error rate of a score file against the labeled protocol at
+    path ``protocol``, the threshold where the error rates cross, and the
     scores' Cllr and min-Cllr in bits."""
     _, (scores,), labels = read_score_files([score_path], protocol)
     genuine, spoof = scores[labels > 0], scores[labels < 0]

@@ -17,6 +17,7 @@ import numpy as np
 from .audio_io import Waveform
 
 POWER_FLOOR = 1e-10
+MVN_VARIANCE_FLOOR = 1e-12  # a row whose variance is below it normalizes to zero
 # Largest total size of one configuration's cached CQT kernel matrices; the
 # workloads' 84-bin configuration needs 1.6 MiB
 CQT_KERNEL_BUDGET_BYTES = 64 << 20
@@ -337,14 +338,14 @@ def dwt_scalogram(wave: Waveform, cfg: DwtConfig) -> np.ndarray:
     return floored_log_power(coeffs.T)
 
 
-def mvn_spectrum(values: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
+def mvn_spectrum(values: np.ndarray) -> np.ndarray:
     """Normalize each row to zero mean / unit variance over time (columns)."""
     if values.shape[1] < 2:
         raise ValueError("mean-variance normalization needs at least 2 frames")
     mean = values.mean(axis=1, keepdims=True)
     var = values.var(axis=1, keepdims=True)
-    out = (values - mean) / np.sqrt(np.maximum(var, epsilon))
-    return np.where(var < epsilon, 0.0, out)  # degenerate rows go to zero
+    out = (values - mean) / np.sqrt(np.maximum(var, MVN_VARIANCE_FLOOR))
+    return np.where(var < MVN_VARIANCE_FLOOR, 0.0, out)
 
 
 def _tile_columns(values: np.ndarray, target: int) -> np.ndarray:

@@ -266,7 +266,7 @@ class TestSynth:
         rc = cli.main(["synth", "--config", str(cfg_path)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: cannot write corpus under ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "train_s_0012.wav" in err
         assert not (tmp_path / "corpus/manifest.json").exists()
         assert_no_child_left()
@@ -887,6 +887,25 @@ class TestTrainAndScore:
             f"error: system {system}: {group}training rows must all be finite\n")
         assert tree_hashes(tmp_path) == before
 
+    @pytest.mark.parametrize("system, key, feature", [
+        ("gmm-phrase", "components", "cqcc-small"),
+        ("ivec-each-phrase", "ubm_components", "lpcc-small"),
+    ])
+    def test_a_model_fit_refusal_names_system_and_phrase(
+            self, workspace, tmp_path, capsys, system, key, feature):
+        cfg_path, work = workspace
+        shutil.copytree(work / f"features/{feature}", tmp_path / f"features/{feature}")
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        config = json.loads(own_cfg.read_text())
+        config["systems"][system][key] = 100000
+        own_cfg.write_text(json.dumps(config))
+        before = tree_hashes(tmp_path)
+        assert cli.main(["train", "--config", str(own_cfg), "--system", system]) == 2
+        err = capsys.readouterr().err
+        prefix = f"error: system {system}: phrase P00: need at least 100000 frames to train "
+        assert err.startswith(prefix + "100000 components, got ") and err.count("\n") == 1
+        assert tree_hashes(tmp_path) == before
+
     def test_scoring_frees_a_phrase_keys_models_before_the_next_key(
             self, workspace, monkeypatch):
         # each phrase has its own UBM and T: only one key's models are held at
@@ -1365,6 +1384,35 @@ class TestFuseEval:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {scores}:2: score {raw!r} is not finite\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mode", ["apply", "train"])
+    def test_a_fit_or_fused_score_that_is_not_finite_is_refused_naming_a_file(
+            self, tmp_path, capsys, recwarn, mode):
+        # apply: 1e308 + 1e308 overflows; train: the loss gradient of scores
+        # this large overflows, and the optimizer would keep its zero start
+        a, b = tmp_path / "a.scores", tmp_path / "b.scores"
+        model, protocol = tmp_path / "fusion.rsmd", tmp_path / "protocol.txt"
+        if mode == "apply":
+            for path in (a, b):
+                path.write_text("t1 1e308\nt2 -1\n")
+            containers.write_model(model, "fusion", {"weights": np.ones(2),
+                                                     "offset": np.zeros(1)})
+            options, named = ["--apply", str(model)], model
+            refusal = "1 fused score(s) are not finite"
+        else:
+            write_protocol([corpus.Trial(tid, label, "S00", "P00") for tid, label in (
+                ("g1", "genuine"), ("g2", "genuine"), ("s1", "spoof"), ("s2", "spoof"))],
+                protocol)
+            for path, value in ((a, "1e308"), (b, "1e307")):
+                path.write_text(f"g1 {value}\ng2 {value}\ns1 -{value}\ns2 -{value}\n")
+            options, named = ["--protocol", str(protocol), "--out-model", str(model)], a
+            refusal = "the fusion loss gradient is not finite: the scores are too large"
+        files = sorted(tmp_path.iterdir())
+        rc = cli.main(["fuse", str(a), str(b), *options,
+                       "--out-scores", str(tmp_path / "x")])
+        assert (rc, capsys.readouterr().err) == (2, f"error: {named}: {refusal}\n")
+        assert [str(w.message) for w in recwarn] == []
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_training_a_fusion_without_a_protocol_is_refused(self, tmp_path, capsys):
         a = tmp_path / "a.scores"

@@ -10,7 +10,6 @@ from replaycm import corpus, parallel
 from replaycm.audio_io import Waveform, load_wav
 from replaycm.corpus import (
     CorpusConfig,
-    PhraseSpec,
     ProtocolError,
     ReplayChannelConfig,
     Trial,
@@ -63,7 +62,7 @@ def loop_render_oracle(f0_hz, phrase, duration_seconds, sample_rate, rng):
     """render_genuine_utterance with one np.sin call per harmonic."""
     total = int(round(duration_seconds * sample_rate))
     pieces = []
-    for share, semitones, rolloff in phrase.segments:
+    for share, semitones, rolloff in phrase:
         n = max(int(round(total * share)), 16)
         t = np.arange(n) / sample_rate
         base = f0_hz * 2.0 ** (semitones / 12.0)
@@ -261,9 +260,9 @@ class TestRenderGenuineUtterance:
     def test_matches_per_harmonic_loop_oracle(self):
         # at f0 110 Hz: 40 harmonics (the cap), 19 at +22 semitones and one
         # at +62, rendered from one generator so the draw order is checked too
-        phrase = PhraseSpec(((0.3, 0.0, 1.0), (0.3, 22.0, 0.9), (0.4, 62.0, 1.2)))
+        phrase = ((0.3, 0.0, 1.0), (0.3, 22.0, 0.9), (0.4, 62.0, 1.2))
         assert [max(min(int(7600.0 / (110.0 * 2.0 ** (s / 12.0))), 40), 1)
-                for _, s, _ in phrase.segments] == [40, 19, 1]
+                for _, s, _ in phrase] == [40, 19, 1]
         rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
         out = render_genuine_utterance(110.0, phrase, 0.5, 16000, rng)
         expected = loop_render_oracle(110.0, phrase, 0.5, 16000, rng_ref)

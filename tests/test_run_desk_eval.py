@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from replaycm.corpus import Trial, parse_protocol
+from replaycm.corpus import Trial, parse_protocol, write_protocol
 from replaycm.metrics import ScoreSet, read_scores, write_scores
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_eval.py"
@@ -84,11 +84,14 @@ def test_a_score_protocol_mismatch_is_refused_as_eval_refuses_it(tmp_path, label
               Trial("s1", "spoof", "s", "P00"), Trial("s2", "spoof", "s", "P00")]
     scores = tmp_path / "x.scores"
     write_scores(ScoreSet(("g1", "g2", "s1", "s2", "t9"), -np.arange(5.0)), scores)
+    protocol = tmp_path / "protocol.txt"
     if label:
         trials.append(Trial("t9", label, "s", "P00"))
+    write_protocol(trials, protocol)
     with pytest.raises(SystemExit, match=re.escape(f"error: {scores}: {problem}")):
-        eer_percent(scores, trials)
-    assert eer_percent(scores, trials[:4] + [Trial("t9", "spoof", "s", "P00")]) == 0.0
+        eer_percent(scores, protocol)
+    write_protocol(trials[:4] + [Trial("t9", "spoof", "s", "P00")], protocol)
+    assert eer_percent(scores, protocol) == 0.0
 
 
 def test_a_labeled_trial_without_a_score_is_refused(tmp_path):
@@ -98,6 +101,8 @@ def test_a_labeled_trial_without_a_score_is_refused(tmp_path):
               Trial("s3", "spoof", "s", "P00")]
     scores = tmp_path / "x.scores"
     write_scores(ScoreSet(("g1", "g2", "s1", "s2"), -np.arange(4.0)), scores)
+    protocol = tmp_path / "protocol.txt"
+    write_protocol(trials, protocol)
     with pytest.raises(SystemExit, match=re.escape(
             f"error: {scores}: 1 labeled trial(s) have no score, e.g. ['s3']")):
-        eer_percent(scores, trials)
+        eer_percent(scores, protocol)
