@@ -28,7 +28,7 @@ so that a memory change shows what it costs in pages faulted back in:
   share of shifted log joints below ``gmm.EXP_FLOOR``, and
   ``underflow_share``, the share below log(smallest normal double), whose
   plain exp is subnormal or 0
-- ``tmatrix_em_iteration``: one-iteration ``train_t_matrix`` on the
+- ``tmatrix_em_iteration``: one-iteration ``train_t_matrix`` on the stacked
   Baum-Welch statistics of the 40 P00 trials against the trained
   ``lpcc-ivec`` P00 UBM, with that system's rank and its own start seed
 - ``ivec_system``: ``train_system`` of the ``lpcc-ivec`` system on the
@@ -252,6 +252,7 @@ def main():
         ubm = model(ivec_spec, "ubm", "gmm")
         tv = TotalVariabilityModel(ubm, model(ivec_spec, "tmatrix", "tmatrix"))
         stats = [baum_welch_stats(ubm, frames(ivec_spec, t.trial_id)) for t in trials]
+        counts, firsts = np.stack([st.n for st in stats]), np.stack([st.f.ravel() for st in stats])
         deemd, fft = (next(spec for spec in frontends.features.values() if spec.kind == kind)
                       for kind in ("deemd", "fft"))
         wave = load_wav(Path(frontends.paths.audio_dir) / f"{FRONTENDS_TRIAL}.wav")
@@ -271,7 +272,8 @@ def main():
         warnings.simplefilter("ignore")  # fewer utterances than the rank
 
         def tmatrix_iteration():
-            train_t_matrix(stats, ubm, rank=ivec_spec.tv_rank, iters=1, seed=t_seed)
+            train_t_matrix(counts, firsts, ubm, rank=ivec_spec.tv_rank, iters=1,
+                           seed=t_seed)
 
         def gmm_em_iteration():
             gmm_em_train(gmm_frames, k=gmm_spec.components, iters=1, seed=5)

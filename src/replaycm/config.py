@@ -206,6 +206,15 @@ def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
             cqt_kernel_layout(cqt, sample_rate)
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from exc
+    framed = getattr(spec.config, "fft", spec.config)  # deemd frames as its FFT does
+    if hasattr(framed, "framing"):  # lpcc and fft: refuse sizes no trial can meet
+        frame_len = int(round(framed.framing.window_seconds * sample_rate))
+        if getattr(framed, "lpc_order", -1) >= frame_len:
+            raise ConfigError(f"{context}: lpc_order ({framed.lpc_order}) must be "
+                              f"smaller than the frame length ({frame_len})")
+        if getattr(framed, "n_fft", frame_len) < frame_len:
+            raise ConfigError(f"{context}: n_fft ({framed.n_fft}) must be >= "
+                              f"frame length ({frame_len})")
     return spec
 
 

@@ -27,6 +27,7 @@ from .corpus import ProtocolError, Trial, parse_protocol, partition_by_phrase
 from .eemd import DeemdParams, delta_eemd_spectrogram
 from .gmm import GmmModel, gmm_em_train, llr_score
 from .ivector import (
+    BaumWelchStats,
     TotalVariabilityModel,
     baum_welch_stats,
     center_length_normalize,
@@ -243,20 +244,34 @@ def train_ivec_system(cfg: PipelineConfig, spec: IvecSystemSpec, trials: list[Tr
 def _train_ivec_group(cfg: PipelineConfig, spec: IvecSystemSpec, ubm_key: str,
                       ubm_group: list[Trial], save) -> None:
     """Train the UBM of one group and every model below it; a group's
-    models die with this call, before the next group's EM starts."""
-    frame_list = [read_feature(cfg, spec.feature, t.trial_id) for t in ubm_group]
+    models die with this call, before the next group's EM starts.
+
+    The group's statistics are held once, as the stacked counts (U, K) and
+    first-order sums (U, K*D) that T-matrix EM reads, with each T group's
+    trials in consecutive rows; i-vector extraction reads views of them."""
+    frames = {t.trial_id: read_feature(cfg, spec.feature, t.trial_id) for t in ubm_group}
     ubm = _fit(spec, ubm_key, gmm_em_train,
-               np.vstack(frame_list),
+               np.vstack(list(frames.values())),
                k=spec.ubm_components,
                iters=spec.ubm_iterations,
                seed=derive_seed(cfg.seed, "train", spec.name, "ubm", ubm_key))
     save("ubm", ubm_key, "gmm", ubm, ubm.history)
-    # each trial's frames are released once its statistics exist
-    stats = {t.trial_id: baum_welch_stats(ubm, frame_list.pop(0)) for t in ubm_group}
+    t_groups = _phrase_groups(ubm_group, not spec.t_shared)
+    k, d = ubm.means.shape
+    counts, firsts = np.empty((len(ubm_group), k)), np.empty((len(ubm_group), k * d))
+    stats = {}
+    for i, t in enumerate(t for t_group in t_groups.values() for t in t_group):
+        # each trial's frames are released once its statistics exist
+        trial_stats = baum_welch_stats(ubm, frames.pop(t.trial_id))
+        counts[i], firsts[i] = trial_stats.n, trial_stats.f.reshape(-1)
+        stats[t.trial_id] = BaumWelchStats(counts[i], firsts[i].reshape(k, d))
 
-    for t_key, t_group in _phrase_groups(ubm_group, not spec.t_shared).items():
+    start = 0
+    for t_key, t_group in t_groups.items():
+        rows, start = slice(start, start + len(t_group)), start + len(t_group)
         tv = _fit(spec, t_key, train_t_matrix,
-                  [stats[t.trial_id] for t in t_group],
+                  counts[rows],
+                  firsts[rows],
                   ubm,
                   rank=spec.tv_rank,
                   iters=spec.tv_iterations,

@@ -181,10 +181,11 @@ class TestEmMonotonicity:
             np.full(2, 0.5), rng.standard_normal((2, 2)), rng.uniform(0.5, 2.0, (2, 2))
         )
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, 2))) for _ in range(30)]
+        counts, firsts = np.stack([st.n for st in stats]), np.stack([st.f.ravel() for st in stats])
         for seed in range(20):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                tv = train_t_matrix(stats, ubm, rank=2, iters=6, seed=seed)
+                tv = train_t_matrix(counts, firsts, ubm, rank=2, iters=6, seed=seed)
             diffs = np.diff(np.array(tv.history))
             assert np.all(diffs >= -1e-8), f"seed {seed}: objective decreased"
 
@@ -228,9 +229,10 @@ class TestParameterRecovery:
             f_flat = np.repeat(n_u, d) * (t_true[:, 0] * w)
             f_flat += rng.standard_normal(k * d) * 0.01
             stats.append(BaumWelchStats(n_u, f_flat.reshape(k, d)))
+        counts, firsts = np.stack([st.n for st in stats]), np.stack([st.f.ravel() for st in stats])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tv = train_t_matrix(stats, ubm, rank=1, iters=20, seed=0)
+            tv = train_t_matrix(counts, firsts, ubm, rank=1, iters=20, seed=0)
         cosine = abs(
             float(tv.t_matrix[:, 0] @ t_true[:, 0])
             / (np.linalg.norm(tv.t_matrix) * np.linalg.norm(t_true))

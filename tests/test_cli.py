@@ -314,6 +314,26 @@ class TestExtract:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("feature, settings, message", [
+        ("lpcc-small", {"window_seconds": 0.002, "lpc_order": 40},
+         "lpc_order (40) must be smaller than the frame length (32)"),
+        ("fft-small", {"n_fft": 1024}, "n_fft (1024) must be >= frame length (2048)"),
+        ("deemd-small", {"n_fft": 1024}, "n_fft (1024) must be >= frame length (2048)"),
+    ], ids=["lpcc", "fft", "deemd"])
+    def test_a_frame_size_no_trial_can_meet_is_refused_when_the_config_loads(
+            self, workspace, tmp_path, capsys, feature, settings, message):
+        # not once per trial in extract, naming no config file
+        cfg_path, work = workspace
+        own_cfg = config_with_work_dir(cfg_path, tmp_path)
+        config = json.loads(own_cfg.read_text())
+        config["features"][feature].update(settings)
+        own_cfg.write_text(json.dumps(config))
+        rc = cli.main(["extract", "--config", str(own_cfg), "--feature", feature,
+                       "--protocol", str(work / "corpus/protocol_eval.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {own_cfg}: feature '{feature}': {message}\n"
+        assert not (tmp_path / "features").exists()
+
     def test_unknown_feature_exits_2(self, workspace, capsys):
         cfg_path, work = workspace
         rc = cli.main([

@@ -46,7 +46,7 @@ def test_all_feature_kinds_parse():
     features = {
         "a": {"type": "cqcc", "f_min": 100.0, "n_bins": 48, "n_coeffs": 10},
         "b": {"type": "lpcc"},
-        "c": {"type": "fft", "n_fft": 1024, "mvn": True},
+        "c": {"type": "fft", "window_seconds": 0.064, "n_fft": 1024, "mvn": True},
         "d": {"type": "cqt", "f_min": 200.0, "n_bins": 24},
         "e": {"type": "dwt", "frame_len": 64, "levels": 3},
         "g": {"type": "deemd", "ensemble_size": 5},

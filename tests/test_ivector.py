@@ -1,11 +1,14 @@
 import hashlib
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from replaycm import ivector
+from replaycm import ivector, pipeline
+from replaycm.config import IvecSystemSpec
+from replaycm.corpus import Trial
 from replaycm.gmm import GmmModel
 from replaycm.ivector import (
     BaumWelchStats,
@@ -89,6 +92,11 @@ def loop_train_t_matrix(stats, ubm, rank, iters, seed):
     return t_matrix, history
 
 
+def stacked(stats):
+    """The (U, K) counts and (U, K*D) first-order sums train_t_matrix reads."""
+    return np.stack([st.n for st in stats]), np.stack([st.f.reshape(-1) for st in stats])
+
+
 def random_ubm(rng, k, d):
     return GmmModel(
         rng.dirichlet(np.ones(k)),
@@ -134,7 +142,7 @@ class TestTrainTMatrix:
             stats.append(BaumWelchStats(n_u, f_flat.reshape(k, d)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tv = train_t_matrix(stats, ubm, rank=1, iters=20, seed=0)
+            tv = train_t_matrix(*stacked(stats), ubm, rank=1, iters=20, seed=0)
         cos = abs(
             float(tv.t_matrix[:, 0] @ t_true[:, 0])
             / (np.linalg.norm(tv.t_matrix) * np.linalg.norm(t_true))
@@ -147,7 +155,7 @@ class TestTrainTMatrix:
         stats = [BaumWelchStats(np.zeros(k), np.zeros((k, d))) for _ in range(5)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tv = train_t_matrix(stats, ubm, rank=2, iters=3, seed=7)
+            tv = train_t_matrix(*stacked(stats), ubm, rank=2, iters=3, seed=7)
         init = 0.1 * np.random.default_rng(7).standard_normal((k * d, 2))
         assert np.array_equal(tv.t_matrix, init)
         ivec = extract_ivector(tv, stats[0])
@@ -162,7 +170,7 @@ class TestTrainTMatrix:
             stats.append(baum_welch_stats(ubm, frames))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            tv = train_t_matrix(stats, ubm, rank=2, iters=8, seed=1)
+            tv = train_t_matrix(*stacked(stats), ubm, rank=2, iters=8, seed=1)
         history = np.array(tv.history)
         assert history.size == 9
         assert np.all(np.diff(history) >= -1e-8)
@@ -175,7 +183,7 @@ class TestTrainTMatrix:
             st = baum_welch_stats(ubm, rng.standard_normal((40, d)) * 2.0)
             st.n[2], st.f[2] = 0.0, 0.0  # component 2 never sees evidence
             stats.append(st)
-        tv = train_t_matrix(stats, ubm, rank=rank, iters=6, seed=3)
+        tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=6, seed=3)
         t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=6, seed=3)
         np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-9)
         np.testing.assert_allclose(tv.history, history_ref, rtol=1e-9)
@@ -191,7 +199,7 @@ class TestTrainTMatrix:
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
         monkeypatch.setattr(ivector, "E_STEP_BLOCK", e_block)
         monkeypatch.setattr(ivector, "COMPONENT_BLOCK", c_block)
-        tv = train_t_matrix(stats, ubm, rank=rank, iters=4, seed=2)
+        tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=4, seed=2)
         t_ref, history_ref = loop_train_t_matrix(stats, ubm, rank, iters=4, seed=2)
         np.testing.assert_allclose(tv.t_matrix, t_ref, rtol=1e-10)
         np.testing.assert_allclose(tv.history, history_ref, rtol=1e-10)
@@ -208,7 +216,7 @@ class TestTrainTMatrix:
         monkeypatch.setattr(ivector, "COMPONENT_BLOCK", 2)
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(8)]
-        expected = train_t_matrix(stats, ubm, rank=rank, iters=1, seed=4).t_matrix
+        expected = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=1, seed=4).t_matrix
         real_solve = np.linalg.solve
         per_component_calls = []
 
@@ -224,7 +232,7 @@ class TestTrainTMatrix:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         with pytest.warns(UserWarning, match=f"component {bad}; adding ridge") as caught:
-            tv = train_t_matrix(stats, ubm, rank=rank, iters=1, seed=4)
+            tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=1, seed=4)
         assert sum("adding ridge" in str(w.message) for w in caught) == 1
         np.testing.assert_array_equal(per_component_calls[bad + 1],
                                       per_component_calls[bad] + 1e-6 * np.eye(rank))
@@ -245,7 +253,7 @@ class TestTrainTMatrix:
         for st in stats:
             st.n[bad], st.f[bad] = tiny, 0.0  # too little evidence to solve for in floating point
         with pytest.warns(UserWarning, match=f"non-finite M-step solution for component {bad};"):
-            tv = train_t_matrix(stats, ubm, rank=rank, iters=3, seed=4)
+            tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=3, seed=4)
         assert np.all(np.isfinite(tv.t_matrix))
         assert np.all(np.isfinite(tv.history))
         init = 0.1 * np.random.default_rng(4).standard_normal((k * d, rank))
@@ -268,7 +276,7 @@ class TestTrainTMatrix:
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                train_t_matrix(stats, ubm, rank=rank, iters=1, seed=1)
+                train_t_matrix(*stacked(stats), ubm, rank=rank, iters=1, seed=1)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
@@ -278,7 +286,7 @@ class TestTrainTMatrix:
         k, d, rank = 4, 3, 3
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
-        tv = train_t_matrix(stats, ubm, rank=rank, iters=3, seed=5)
+        tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=3, seed=5)
         assert "gram" in vars(tv)  # built by the final E-step, not again by extraction
         fresh = TotalVariabilityModel(ubm, tv.t_matrix)
         assert "gram" not in vars(fresh)
@@ -292,7 +300,7 @@ class TestTrainTMatrix:
         k, d, rank = 5, 3, 3
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d)) * 2.0) for _ in range(12)]
-        tv = train_t_matrix(stats, ubm, rank=rank, iters=2, seed=5)
+        tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=2, seed=5)
         for gram in (tv.gram, TotalVariabilityModel(ubm, tv.t_matrix).gram):
             assert gram.shape == (k, rank * (rank + 1) // 2)
             assert gram.flags.f_contiguous and not gram.flags.c_contiguous
@@ -319,7 +327,7 @@ class TestTrainTMatrix:
                        rng.uniform(0.5, 2.0, (k, d)))
         stats = [BaumWelchStats(rng.uniform(0.0, 5.0, k), rng.standard_normal((k, d)))
                  for _ in range(40)]
-        tv = train_t_matrix(stats, ubm, rank=rank, iters=2, seed=7)
+        tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=2, seed=7)
         digest = hashlib.sha256(tv.t_matrix.tobytes())
         digest.update(np.array(tv.history).tobytes())
         digest.update(extract_ivector(tv, stats[0]).tobytes())
@@ -329,7 +337,115 @@ class TestTrainTMatrix:
         ubm = random_ubm(rng, 2, 2)
         stats = [baum_welch_stats(ubm, rng.standard_normal((10, 2))) for _ in range(3)]
         with pytest.warns(UserWarning, match="only 3 utterances"):
-            train_t_matrix(stats, ubm, rank=4, iters=2, seed=2)
+            train_t_matrix(*stacked(stats), ubm, rank=4, iters=2, seed=2)
+
+
+class TestRankWarning:
+    @staticmethod
+    def train_into(monkeypatch, t_matrix, rank):
+        """Warnings of a one-iteration training whose M-step leaves ``t_matrix``."""
+        k, d = t_matrix.shape[0] // 2, 2
+        rng = np.random.default_rng(0)
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(rank)]
+
+        def m_step(t, ws, ridge):
+            t[...] = t_matrix
+
+        monkeypatch.setattr(ivector, "_m_step", m_step)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=1, seed=0)
+        assert np.array_equal(tv.t_matrix, t_matrix)
+        return [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("last_column", ["duplicated", "scaled by 1e-10"])
+    def test_a_dependent_column_warns(self, rng, monkeypatch, last_column):
+        t_matrix = rng.standard_normal((1280, 60))
+        t_matrix[:, -1] = t_matrix[:, 0] * (1.0 if last_column == "duplicated" else 1e-10)
+        assert "trained t_matrix is numerically rank deficient" in self.train_into(
+            monkeypatch, t_matrix, 60)
+
+    @pytest.mark.parametrize("ratio, warns", [(1e-9, True), (1e-7, False)])
+    def test_the_tolerance_is_the_square_root_of_eps(self, rng, monkeypatch, ratio, warns):
+        # sigma_min / sigma_max of T: cond(T'T) is its inverse square, against
+        # 1/eps, so the check flags below about 1.5e-8
+        left, _ = np.linalg.qr(rng.standard_normal((1280, 60)))
+        right, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        t_matrix = (left * np.geomspace(1.0, ratio, 60)) @ right.T
+        messages = self.train_into(monkeypatch, t_matrix, 60)
+        assert ("trained t_matrix is numerically rank deficient" in messages) == warns
+
+    def test_a_rank_above_the_supervector_dimension_warns(self, rng):
+        # T is 4 x 6 here, so at most rank 4, however EM trains it
+        ubm = random_ubm(rng, 2, 2)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, 2))) for _ in range(10)]
+        with pytest.warns(UserWarning, match="numerically rank deficient"):
+            train_t_matrix(*stacked(stats), ubm, rank=6, iters=3, seed=1)
+
+    def test_a_backend_shaped_trained_t_does_not_warn(self):
+        # 64 components of 20 dims, rank 60, 40 utterances of 150 frames and 10
+        # iterations, as one backend phrase group trains.  Each utterance
+        # occupies a few components, as a phrase's frames do; this T sits at
+        # sigma_min / sigma_max 2.5e-4, the trained backend ones at 1.1e-4 to
+        # 1.0e-3.  (Frames that occupy every component alike train a T of
+        # rank about 40, the number of utterances.)
+        k, d, rank = 64, 20, 60
+        rng = np.random.default_rng(0)
+        ubm = random_ubm(rng, k, d)
+        stats = []
+        for _ in range(40):
+            component = rng.choice(k, 150, p=rng.dirichlet(np.full(k, 0.1)))
+            frames = (ubm.means[component]
+                      + np.sqrt(ubm.variances[component]) * rng.standard_normal((150, d)))
+            stats.append(baum_welch_stats(ubm, frames))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=10, seed=3)
+        assert [str(w.message) for w in caught] == [
+            "training a rank-60 subspace from only 40 utterances"]
+        singular = np.linalg.svd(tv.t_matrix, compute_uv=False)
+        assert singular[-1] / singular[0] > 1e-4
+
+
+class TestIvecGroupHeap:
+    def test_one_group_holds_one_copy_of_its_statistics(self, monkeypatch):
+        # one backend phrase group: 40 trials of 150 frames x 20 dims, a
+        # 64-component UBM and a rank-60 T.  Its heap peak sits in the first
+        # E-step, which holds the EM workspace, T and the stacked statistics
+        # (0.41 MiB) and allocates a block's inverse precisions and packed
+        # second moments; the margin is for the small rest (the UBM, the
+        # information vectors), 0.06 MiB of it.  Stacking a second copy of
+        # the statistics from per-trial ones put the peak 0.38 MiB above this bound
+        k, d, rank, n_trials = 64, 20, 60, 40
+        rng = np.random.default_rng(5)
+        trials = [Trial(f"t{i:02d}", ("genuine", "spoof")[i % 2], "S00", "P00")
+                  for i in range(n_trials)]
+        frames = {t.trial_id: rng.standard_normal((d, 150)).T for t in trials}
+        monkeypatch.setattr(pipeline, "read_feature", lambda cfg, name, tid: frames[tid])
+        spec = IvecSystemSpec("ivec", "f", ubm_components=k, ubm_iterations=1,
+                              tv_rank=rank, tv_iterations=1,
+                              ubm_shared=False, t_shared=False, svm_shared=False)
+        packed = rank * (rank + 1) // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # fewer utterances than the rank
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                workspace = ivector._EmWorkspace(n_trials, k, d, rank)
+                workspace_bytes = tracemalloc.get_traced_memory()[0] - start
+                del workspace
+                tracemalloc.reset_peak()
+                pipeline._train_ivec_group(SimpleNamespace(seed=1), spec, "P00", trials,
+                                           lambda *model: None)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        t_bytes = 8 * k * d * rank
+        stats_bytes = 8 * n_trials * (k + k * d)
+        block_bytes = 8 * ivector.E_STEP_BLOCK * (rank * rank + 3 * packed)
+        margin = 2**17
+        assert peak <= workspace_bytes + t_bytes + stats_bytes + block_bytes + margin
 
 
 class TestExtractIvector:
