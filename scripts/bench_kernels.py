@@ -99,22 +99,28 @@ IMPORT_PROBE = (
 )
 
 
-def run_workload(name, work_dir, train):
-    """Run benchmark workload ``name`` under ``work_dir`` through the CLI:
-    ``synth``, then with ``train`` ``extract`` of every feature on the
-    training protocol and ``train`` of every system.  Returns its parsed
-    configuration."""
+def workload_config(name, work_dir):
+    """The configuration of benchmark workload ``name`` with its work
+    directory at ``work_dir``, as ``bench/workloads.py`` writes it."""
     sys.path.insert(0, str(BENCH))
     try:
         from workloads import Workload
     finally:
         sys.path.remove(str(BENCH))
+    return Workload.load(name).full_config(work_dir)
+
+
+def run_workload(name, work_dir, train):
+    """Run benchmark workload ``name`` under ``work_dir`` through the CLI:
+    ``synth``, then with ``train`` ``extract`` of every feature on the
+    training protocol and ``train`` of every system.  Returns its parsed
+    configuration."""
     from replaycm import cli
     from replaycm.config import load_config
 
     config_path = Path(work_dir) / "config.json"
     config_path.parent.mkdir(parents=True)
-    config_path.write_text(json.dumps(Workload.load(name).full_config(work_dir)))
+    config_path.write_text(json.dumps(workload_config(name, work_dir)))
     cfg = load_config(config_path)
     commands = [["synth"]]
     if train:
@@ -205,7 +211,7 @@ def main():
     from replaycm import gmm, parallel
     from replaycm.audio_io import load_wav
     from replaycm.cepstral import lpcc
-    from replaycm.config import default_desk_config, derive_seed, parse_config
+    from replaycm.config import derive_seed, parse_config
     from replaycm.corpus import (
         make_phrase_specs,
         make_replay_channel,
@@ -312,8 +318,9 @@ def main():
     kernels["render_utterance"] = timed(render, args.repeats)
     kernels["replay_channel"] = timed(lambda: simulate_replay(source, channel, seed=corpus.seed),
                                       args.repeats)
+    desk = parse_config(workload_config("desk", "work"))
     lpcc_configs = {"lpcc_backend": backend.features[gmm_spec.feature].config,
-                    "lpcc_desk": parse_config(default_desk_config()).features["lpcc78"].config}
+                    "lpcc_desk": desk.features["lpcc78"].config}
     for name, lpcc_cfg in lpcc_configs.items():
         kernels[name] = timed(lambda: lpcc(source, lpcc_cfg), args.repeats)
 

@@ -6,8 +6,9 @@ configured system, scores both subsets, trains a fusion of all systems on
 the training scores when there are two or more, and reports per-system and
 fused equal error rates for the evaluation subset, with stage timings.
 
-Without --config the desk preset (CQCC-GMM and LPCC i-vector + SVM) is
-written to <work-dir>/desk_config.json and run. Every setting, the seed and
+Without --config the desk preset (CQCC-GMM and LPCC i-vector + SVM), the
+desk workload of bench/workloads.json, is written to
+<work-dir>/desk_config.json and run. Every setting, the seed and
 the paths included, comes from the config: protocols from its paths, and
 score files and the fusion model go to its work_dir.
 
@@ -22,7 +23,9 @@ import time
 from pathlib import Path
 
 from replaycm import cli, pipeline
-from replaycm.config import ConfigError, default_desk_config, load_config
+from replaycm.config import ConfigError, load_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(*args):
@@ -54,9 +57,12 @@ def main():
         work = Path(args.work_dir)
         work.mkdir(parents=True, exist_ok=True)
         cfg_path = work / "desk_config.json"
-        cfg_path.write_text(
-            json.dumps(default_desk_config(str(work)), indent=2)
-        )
+        sys.path.insert(0, str(BENCH))
+        try:
+            from workloads import Workload
+        finally:
+            sys.path.remove(str(BENCH))
+        cfg_path.write_text(json.dumps(Workload.load("desk").full_config(work), indent=2))
         print(f"config -> {cfg_path}")
     try:
         cfg = load_config(cfg_path)

@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .corpus import CorpusConfig
-from .spectral import CqtConfig, cqt_kernel_layout
+from .spectral import CqtConfig, cqt_kernel_layout, frame_lengths
 
 
 class ConfigError(ValueError):
@@ -201,20 +201,21 @@ def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
                        _checked(block.get(flag, False), bool, f"{context}: {flag}"))
     _reject_unused(unused, context)
     cqt = getattr(spec.config, "cqt", spec.config)
-    if isinstance(cqt, CqtConfig):
-        try:  # size the kernels now rather than fail once per trial in extract
-            cqt_kernel_layout(cqt, sample_rate)
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
     framed = getattr(spec.config, "fft", spec.config)  # deemd frames as its FFT does
-    if hasattr(framed, "framing"):  # lpcc and fft: refuse sizes no trial can meet
-        frame_len = int(round(framed.framing.window_seconds * sample_rate))
-        if getattr(framed, "lpc_order", -1) >= frame_len:
-            raise ConfigError(f"{context}: lpc_order ({framed.lpc_order}) must be "
-                              f"smaller than the frame length ({frame_len})")
-        if getattr(framed, "n_fft", frame_len) < frame_len:
-            raise ConfigError(f"{context}: n_fft ({framed.n_fft}) must be >= "
-                              f"frame length ({frame_len})")
+    try:  # refuse sizes no trial can meet now, not once per trial in extract
+        if isinstance(cqt, CqtConfig):
+            cqt_kernel_layout(cqt, sample_rate)
+        if hasattr(framed, "framing"):  # lpcc, fft and deemd
+            frame_len, _ = frame_lengths(framed.framing.window_seconds,
+                                         framed.framing.hop_seconds, sample_rate)
+            if getattr(framed, "lpc_order", -1) >= frame_len:
+                raise ValueError(f"lpc_order ({framed.lpc_order}) must be smaller "
+                                 f"than the frame length ({frame_len})")
+            if getattr(framed, "n_fft", frame_len) < frame_len:
+                raise ValueError(f"n_fft ({framed.n_fft}) must be >= "
+                                 f"frame length ({frame_len})")
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
     return spec
 
 
@@ -290,62 +291,3 @@ def load_config(path) -> PipelineConfig:
         return parse_config(raw)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def default_desk_config(work_dir: str = "work", seed: int = 20170801) -> dict:
-    """JSON-ready configuration for the bundled synthetic-corpus experiment."""
-    work = str(work_dir)
-    return {
-        "seed": seed,
-        "sample_rate": 16000,
-        "paths": {
-            "work_dir": work,
-            "audio_dir": f"{work}/corpus/wav",
-            "protocol_train": f"{work}/corpus/protocol_train.txt",
-            "protocol_eval": f"{work}/corpus/protocol_eval.txt",
-        },
-        "corpus": {
-            "n_train_genuine": 100,
-            "n_train_spoof": 100,
-            "n_eval_genuine": 50,
-            "n_eval_spoof": 50,
-            "n_speakers": 10,
-            "n_phrases": 4,
-            "duration_seconds": 1.2,
-        },
-        "features": {
-            "cqcc20": {
-                "type": "cqcc",
-                "f_min": 62.5,
-                "bins_per_octave": 12,
-                "n_bins": 84,
-                "hop_length": 256,
-                "resample_bins": 96,
-                "n_coeffs": 20,
-            },
-            "lpcc78": {
-                "type": "lpcc",
-                "window_seconds": 0.128,
-                "hop_seconds": 0.016,
-                "lpc_order": 26,
-                "n_coeffs": 78,
-            },
-        },
-        "systems": {
-            "cqcc-gmm": {
-                "model": "gmm",
-                "feature": "cqcc20",
-                "components": 32,
-                "iterations": 10,
-            },
-            "lpcc-ivec": {
-                "model": "ivec-svm",
-                "feature": "lpcc78",
-                "ubm_components": 4,
-                "ubm_iterations": 10,
-                "tv_rank": 20,
-                "tv_iterations": 5,
-                "svm_c": 1.0,
-            },
-        },
-    }

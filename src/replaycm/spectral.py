@@ -73,17 +73,25 @@ class CqtConfig:
         return self.f_min * 2.0 ** (k / self.bins_per_octave)
 
 
+def frame_lengths(window_seconds: float, hop_seconds: float,
+                  sample_rate: int) -> tuple[int, int]:
+    """The frame and hop lengths in samples of a framing at ``sample_rate``;
+    a window under 2 samples or a hop under 1 is refused."""
+    frame_len = int(round(window_seconds * sample_rate))
+    hop_len = int(round(hop_seconds * sample_rate))
+    if frame_len < 2:
+        raise ValueError("window must span at least 2 samples")
+    if hop_len < 1:
+        raise ValueError("hop must span at least 1 sample")
+    return frame_len, hop_len
+
+
 def _framing(wave: Waveform, window_seconds: float, hop_seconds: float,
              window: str) -> tuple[np.ndarray, np.ndarray | None]:
     """The checked framing of a waveform: the strided (n_frames, frame_len)
     view of its samples, and the taper each frame is multiplied by (None for
     the rectangular window)."""
-    frame_len = int(round(window_seconds * wave.sample_rate))
-    hop_len = int(round(hop_seconds * wave.sample_rate))
-    if frame_len < 2:
-        raise ValueError("window must span at least 2 samples")
-    if hop_len < 1:
-        raise ValueError("hop must span at least 1 sample")
+    frame_len, hop_len = frame_lengths(window_seconds, hop_seconds, wave.sample_rate)
     if window not in ("hann", "rectangular"):
         raise ValueError(f"unsupported window {window!r}")
     x = wave.samples

@@ -1,8 +1,18 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from replaycm.config import parse_config
 from replaycm.pipeline import FEATURE_KINDS
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))  # bench/ is no package: on sys.path for this import only
+try:
+    import workloads
+finally:
+    sys.path.remove(str(BENCH))
 
 # One small configuration per feature kind, at 16 kHz; the delta-EEMD
 # ensemble is two members so that every kind runs in milliseconds.
@@ -28,6 +38,19 @@ def _small_config(kind: str, normalised: bool = False, work_dir: str = "work") -
         "features": {"f": {"type": kind, **SMALL_FEATURES[kind], flag: normalised}},
         "systems": {"s": {"model": "gmm", "feature": "f"}},
     }
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workload definitions, ``bench/workloads.py``, whose
+    ``desk`` workload is the desk preset."""
+    return workloads
+
+
+@pytest.fixture(params=workloads.workload_names())
+def workload_name(request):
+    """Each benchmark workload's name in turn."""
+    return request.param
 
 
 @pytest.fixture

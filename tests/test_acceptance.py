@@ -16,7 +16,6 @@ from scipy.linalg import toeplitz
 from replaycm import cli
 from replaycm.audio_io import Waveform
 from replaycm.cepstral import dct_matrix, levinson_durbin
-from replaycm.config import default_desk_config
 from replaycm.corpus import parse_protocol
 from replaycm.gmm import GmmModel, gmm_em_train
 from replaycm.ivector import (
@@ -266,10 +265,10 @@ class TestGradientChecks:
 # --- criterion: end-to-end pipeline -------------------------------------------
 
 @pytest.fixture(scope="module")
-def desk_run(tmp_path_factory):
+def desk_run(tmp_path_factory, bench_workloads):
     """Full corpus -> features -> models -> scores -> fusion -> EER pipeline."""
     root = tmp_path_factory.mktemp("desk")
-    config = default_desk_config(str(root / "work"))
+    config = bench_workloads.Workload.load("desk").full_config(root / "work")
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2))
 
@@ -346,7 +345,7 @@ class TestEndToEndPipeline:
 
 class TestDeterminism:
     def test_every_command_reproduces_byte_identical_artifacts(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, bench_workloads
     ):
         import hashlib
 
@@ -360,7 +359,7 @@ class TestDeterminism:
         def one_pass(root: Path):
             root.mkdir()
             work = root / "work"
-            config = default_desk_config(str(work), seed=777)
+            config = bench_workloads.Workload.load("desk", seed=777).full_config(work)
             config["corpus"].update(
                 n_train_genuine=5, n_train_spoof=5, n_eval_genuine=3, n_eval_spoof=3,
                 n_speakers=2, n_phrases=2, duration_seconds=0.5,

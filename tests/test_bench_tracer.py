@@ -17,7 +17,7 @@ import pytest
 import replaycm.cli  # noqa: F401  (imports every module the benchmark traces)
 from replaycm import pipeline
 from replaycm.audio_io import Waveform
-from replaycm.config import default_desk_config, parse_config
+from replaycm.config import parse_config
 from replaycm.pipeline import FEATURE_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -78,39 +78,19 @@ def test_every_feature_kind_reaches_its_traced_front_end(monkeypatch, small_feat
     assert calls == expected
 
 
-def _bench_workloads():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
-    return workloads
-
-
-WORKLOADS = _bench_workloads()
-
-
-# default_desk_config() is parsed by test_config.py in the same way
-@pytest.mark.parametrize("name", WORKLOADS.workload_names())
-def test_every_benchmark_workload_config_parses(name, tmp_path):
+def test_every_benchmark_workload_config_parses(bench_workloads, workload_name, tmp_path):
     # a key the parser stops accepting fails here, not only in a benchmark run
-    workload = WORKLOADS.Workload.load(name)
+    workload = bench_workloads.Workload.load(workload_name)
     cfg = parse_config(workload.full_config(tmp_path))
     assert set(cfg.features) == set(workload.features)
     assert set(cfg.systems) == set(workload.systems)
     assert cfg.seed == workload.seed
 
 
-def test_the_desk_workload_is_the_desk_preset(tmp_path):
-    # scripts/run_desk_eval.py runs the preset; the benchmark's desk workload must match it
-    assert default_desk_config(str(tmp_path)) == WORKLOADS.Workload.load("desk").full_config(
-        tmp_path)
-
-
-@pytest.mark.parametrize("name", WORKLOADS.workload_names())
-def test_every_benchmark_command_line_parses(name, tmp_path):
+def test_every_benchmark_command_line_parses(bench_workloads, workload_name, tmp_path):
     # an option the CLI stops accepting (extract's --jobs 1 among them) fails
     # here, not only in a benchmark run; no command is run
     parser = replaycm.cli.build_parser()
-    for _, argv in WORKLOADS.Workload.load(name).commands(tmp_path, tmp_path / "config.json"):
+    workload = bench_workloads.Workload.load(workload_name)
+    for _, argv in workload.commands(tmp_path, tmp_path / "config.json"):
         assert parser.parse_args(argv).command == argv[0]

@@ -319,7 +319,17 @@ class TestExtract:
          "lpc_order (40) must be smaller than the frame length (32)"),
         ("fft-small", {"n_fft": 1024}, "n_fft (1024) must be >= frame length (2048)"),
         ("deemd-small", {"n_fft": 1024}, "n_fft (1024) must be >= frame length (2048)"),
-    ], ids=["lpcc", "fft", "deemd"])
+        ("lpcc-small", {"hop_seconds": 0.00001}, "hop must span at least 1 sample"),
+        ("lpcc-small", {"window_seconds": 0.00005},
+         "window must span at least 2 samples"),
+        ("fft-small", {"hop_seconds": 0.00001}, "hop must span at least 1 sample"),
+        ("fft-small", {"window_seconds": 0.00005},
+         "window must span at least 2 samples"),
+        ("deemd-small", {"hop_seconds": 0.00001}, "hop must span at least 1 sample"),
+        ("deemd-small", {"window_seconds": 0.00005},
+         "window must span at least 2 samples"),
+    ], ids=["lpcc", "fft", "deemd", "lpcc-hop", "lpcc-window", "fft-hop", "fft-window",
+            "deemd-hop", "deemd-window"])
     def test_a_frame_size_no_trial_can_meet_is_refused_when_the_config_loads(
             self, workspace, tmp_path, capsys, feature, settings, message):
         # not once per trial in extract, naming no config file

@@ -10,7 +10,6 @@ from replaycm.config import (
     IvecSystemSpec,
     PathsConfig,
     PipelineConfig,
-    default_desk_config,
     derive_seed,
     load_config,
     parse_config,
@@ -150,15 +149,15 @@ def test_derive_seed_stable_and_distinct():
     assert 0 <= a < 2**32
 
 
-def test_default_desk_config_parses():
-    cfg = parse_config(default_desk_config("work"))
+def test_the_desk_preset_parses(bench_workloads):
+    cfg = parse_config(bench_workloads.Workload.load("desk").full_config("work"))
     assert set(cfg.systems) == {"cqcc-gmm", "lpcc-ivec"}
     assert cfg.corpus.n_train_genuine == 100
     assert cfg.corpus.n_eval_genuine == 50
 
 
-def test_default_desk_config_builds_the_expected_tree():
-    cfg = parse_config(default_desk_config("work", seed=5))
+def test_the_desk_preset_builds_the_expected_tree(bench_workloads):
+    cfg = parse_config(bench_workloads.Workload.load("desk", seed=5).full_config("work"))
     assert cfg == PipelineConfig(
         seed=5,
         sample_rate=16000,
