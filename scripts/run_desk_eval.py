@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end desk experiment on the bundled synthetic replay corpus.
 
-Synthesizes the corpus, extracts every configured feature, trains every
-configured system, scores both subsets, trains a fusion of all systems on
-the training scores when there are two or more, and reports per-system and
-fused equal error rates for the evaluation subset, with stage timings.
+Synthesizes the corpus and runs the config's command list, bench/workloads.py's
+``Workload.commands``: it extracts every configured feature, trains and scores
+every configured system on both subsets and, with two or more systems, fuses
+them on the training scores. Reports per-system and fused equal error rates
+for the evaluation subset, with stage timings.
 
-Without --config the desk preset (CQCC-GMM and LPCC i-vector + SVM), the
-desk workload of bench/workloads.json, is written to
-<work-dir>/desk_config.json and run. Every setting, the seed and
-the paths included, comes from the config: protocols from its paths, and
-score files and the fusion model go to its work_dir.
+Without --config the desk preset, the desk workload of bench/workloads.json,
+is written to <work-dir>/desk_config.json and run. Every setting, the seed
+and the paths included, comes from the config; its protocols must lie in
+<work_dir>/corpus, where the command list reads them.
 
 Usage:
     python scripts/run_desk_eval.py [--work-dir work | --config cfg.json]
@@ -26,12 +26,17 @@ from replaycm import cli, pipeline
 from replaycm.config import ConfigError, load_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    from workloads import Workload
+finally:
+    sys.path.remove(str(BENCH))
 
 
-def run(*args):
-    code = cli.main([str(a) for a in args])
-    if code != 0:
-        sys.exit(code)
+def refuse(message):
+    """Exit 2 with one ``error:`` line, as the CLI refuses."""
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def eer_percent(score_path, protocol):
@@ -39,7 +44,7 @@ def eer_percent(score_path, protocol):
     try:
         return 100.0 * pipeline.evaluate(score_path, protocol)[0]
     except ValueError as exc:
-        sys.exit(f"error: {exc}")
+        refuse(exc)
 
 
 def main():
@@ -57,72 +62,43 @@ def main():
         work = Path(args.work_dir)
         work.mkdir(parents=True, exist_ok=True)
         cfg_path = work / "desk_config.json"
-        sys.path.insert(0, str(BENCH))
-        try:
-            from workloads import Workload
-        finally:
-            sys.path.remove(str(BENCH))
         cfg_path.write_text(json.dumps(Workload.load("desk").full_config(work), indent=2))
         print(f"config -> {cfg_path}")
     try:
         cfg = load_config(cfg_path)
-    except ConfigError as exc:
-        sys.exit(f"error: {exc}")
+    except (ConfigError, OSError) as exc:
+        refuse(exc)
     work = Path(cfg.paths.work_dir)
-    protocols = {"train": cfg.paths.protocol_train, "eval": cfg.paths.protocol_eval}
-    systems = list(cfg.systems)
-    fused = len(systems) >= 2
+    protocols = (cfg.paths.protocol_train, cfg.paths.protocol_eval)
+    if [Path(p) for p in protocols] != [work / "corpus/protocol_train.txt",
+                                        work / "corpus/protocol_eval.txt"]:
+        refuse(f"{cfg_path}: the protocols must be protocol_train.txt and "
+               f"protocol_eval.txt in {work / 'corpus'}, not {protocols[0]} and {protocols[1]}")
+    # the script gates nothing, so no EER ceiling applies
+    workload = Workload(cfg_path.stem, cfg.seed,
+                        json.loads(cfg_path.read_text(encoding="utf-8")), 100.0)
 
     timings = {}
+    commands = [("synth", ["synth", "--config", str(cfg_path)]),
+                *workload.commands(work, cfg_path)]
+    for stage, argv in commands:
+        if stage != "eval":
+            start = time.time()
+            code = cli.main(argv)
+            if code:
+                sys.exit(code)
+            stage = stage.split("-")[0]  # fuse-train and fuse-apply time as fuse
+            timings[stage] = timings.get(stage, 0.0) + time.time() - start
 
-    start = time.time()
-    run("synth", "--config", cfg_path)
-    timings["synth"] = time.time() - start
-
-    start = time.time()
-    for feature in cfg.features:
-        for protocol in protocols.values():
-            run("extract", "--config", cfg_path, "--feature", feature,
-                "--protocol", protocol)
-    timings["extract"] = time.time() - start
-
-    start = time.time()
-    for system in systems:
-        run("train", "--config", cfg_path, "--system", system)
-    timings["train"] = time.time() - start
-
-    start = time.time()
-    for system in systems:
-        for tag, protocol in protocols.items():
-            run("score", "--config", cfg_path, "--system", system,
-                "--protocol", protocol,
-                "--out-scores", work / f"{system}.{tag}.scores")
-    timings["score"] = time.time() - start
-
-    if fused:
-        start = time.time()
-        run("fuse", *[work / f"{s}.train.scores" for s in systems],
-            "--protocol", protocols["train"],
-            "--out-model", work / "fusion.rsmd",
-            "--out-scores", work / "fused.train.scores")
-        run("fuse", *[work / f"{s}.eval.scores" for s in systems],
-            "--apply", work / "fusion.rsmd",
-            "--out-scores", work / "fused.eval.scores")
-        timings["fuse"] = time.time() - start
-
-    eval_protocol = protocols["eval"]
     print()
     print(f"{'system':24s}  eval EER")
-    for system in systems:
-        print(f"{system:24s}  {eer_percent(work / f'{system}.eval.scores', eval_protocol):6.2f}%")
-    if fused:
-        label = f"fusion ({len(systems)}-way)"
-        print(f"{label:24s}  {eer_percent(work / 'fused.eval.scores', eval_protocol):6.2f}%")
+    labels = [*workload.systems, f"fusion ({len(workload.systems)}-way)"]
+    for label, name in zip(labels, workload.eval_score_files()):
+        print(f"{label:24s}  {eer_percent(work / name, protocols[1]):6.2f}%")
     print()
-    total = sum(timings.values())
     for stage, seconds in timings.items():
         print(f"{stage:8s} {seconds:6.1f}s")
-    print(f"{'total':8s} {total:6.1f}s")
+    print(f"{'total':8s} {sum(timings.values()):6.1f}s")
 
 
 if __name__ == "__main__":

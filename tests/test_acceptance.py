@@ -4,6 +4,8 @@ criterion.
 """
 
 import json
+import runpy
+import sys
 import time
 import warnings
 from itertools import product
@@ -25,8 +27,9 @@ from replaycm.ivector import (
     extract_ivector,
     train_t_matrix,
 )
-from replaycm.metrics import compute_eer, read_scores
+from replaycm.metrics import compute_eer
 from replaycm.neural import max_pool_2x2, mfm, mfm_backward
+from replaycm.pipeline import evaluate
 from replaycm.spectral import (
     CqtConfig,
     FftConfig,
@@ -36,6 +39,8 @@ from replaycm.spectral import (
     sliding_windows,
     truncate_or_repeat,
 )
+
+DESK_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_eval.py"
 
 
 # --- criterion: oracle equivalence ------------------------------------------
@@ -265,80 +270,52 @@ class TestGradientChecks:
 # --- criterion: end-to-end pipeline -------------------------------------------
 
 @pytest.fixture(scope="module")
-def desk_run(tmp_path_factory, bench_workloads):
-    """Full corpus -> features -> models -> scores -> fusion -> EER pipeline."""
-    root = tmp_path_factory.mktemp("desk")
-    config = bench_workloads.Workload.load("desk").full_config(root / "work")
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(config, indent=2))
-
+def desk_run(tmp_path_factory):
+    """The desk script's full corpus -> features -> models -> scores -> fusion
+    run of the desk preset, the argv of every CLI call it made, and the eval
+    EER of each system and of the fusion."""
+    work = tmp_path_factory.mktemp("desk") / "work"
+    calls = []
     start = time.time()
-
-    def run(*args):
-        assert cli.main(list(args)) == 0, f"command failed: {args}"
-
-    run("synth", "--config", str(cfg_path))
-    work = root / "work"
-    protocol_train = str(work / "corpus/protocol_train.txt")
-    protocol_eval = str(work / "corpus/protocol_eval.txt")
-    for feature in ("cqcc20", "lpcc78"):
-        for protocol in (protocol_train, protocol_eval):
-            run("extract", "--config", str(cfg_path), "--feature", feature,
-                "--protocol", protocol)
-    for system in ("cqcc-gmm", "lpcc-ivec"):
-        run("train", "--config", str(cfg_path), "--system", system)
-        for tag, protocol in (("train", protocol_train), ("eval", protocol_eval)):
-            run("score", "--config", str(cfg_path), "--system", system,
-                "--protocol", protocol,
-                "--out-scores", str(work / f"{system}.{tag}.scores"))
-    run("fuse", str(work / "cqcc-gmm.train.scores"),
-        str(work / "lpcc-ivec.train.scores"),
-        "--protocol", protocol_train,
-        "--out-model", str(work / "fusion.rsmd"),
-        "--out-scores", str(work / "fused.train.scores"))
-    run("fuse", str(work / "cqcc-gmm.eval.scores"),
-        str(work / "lpcc-ivec.eval.scores"),
-        "--apply", str(work / "fusion.rsmd"),
-        "--out-scores", str(work / "fused.eval.scores"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "main", lambda argv, main=cli.main: calls.append(argv) or main(argv))
+        mp.setattr(sys, "argv", [str(DESK_SCRIPT), "--work-dir", str(work)])
+        runpy.run_path(str(DESK_SCRIPT), run_name="__main__")
     elapsed = time.time() - start
-
-    labels = {t.trial_id: t.label for t in parse_protocol(protocol_eval)}
-
-    def eer_of(score_file):
-        scores = read_scores(work / score_file)
-        genuine = [s for tid, s in zip(scores.trial_ids, scores.scores)
-                   if labels[tid] == "genuine"]
-        spoof = [s for tid, s in zip(scores.trial_ids, scores.scores)
-                 if labels[tid] == "spoof"]
-        return compute_eer(genuine, spoof)[0]
-
+    protocol_eval = work / "corpus/protocol_eval.txt"
     return {
         "elapsed": elapsed,
-        "cqcc_gmm_eer": eer_of("cqcc-gmm.eval.scores"),
-        "ivec_svm_eer": eer_of("lpcc-ivec.eval.scores"),
-        "fusion_eer": eer_of("fused.eval.scores"),
-        "protocol_train": protocol_train,
-        "protocol_eval": protocol_eval,
+        "work": work,
+        "calls": calls,
+        "eer": {p.name.split(".")[0]: evaluate(p, protocol_eval)[0]
+                for p in work.glob("*.eval.scores")},
     }
 
 
 class TestEndToEndPipeline:
     def test_corpus_sizes(self, desk_run):
-        assert len(parse_protocol(desk_run["protocol_train"])) == 200
-        assert len(parse_protocol(desk_run["protocol_eval"])) == 100
+        assert len(parse_protocol(desk_run["work"] / "corpus/protocol_train.txt")) == 200
+        assert len(parse_protocol(desk_run["work"] / "corpus/protocol_eval.txt")) == 100
 
     def test_cqcc_gmm_eval_eer_within_bound(self, desk_run):
-        assert desk_run["cqcc_gmm_eer"] <= 0.10
+        assert desk_run["eer"]["cqcc-gmm"] <= 0.10
 
     def test_lpcc_ivector_svm_eval_eer_within_bound(self, desk_run):
-        assert desk_run["ivec_svm_eer"] <= 0.10
+        assert desk_run["eer"]["lpcc-ivec"] <= 0.10
 
     def test_fusion_at_least_matches_best_system(self, desk_run):
-        best = min(desk_run["cqcc_gmm_eer"], desk_run["ivec_svm_eer"])
-        assert desk_run["fusion_eer"] <= best + 0.01
+        best = min(desk_run["eer"]["cqcc-gmm"], desk_run["eer"]["lpcc-ivec"])
+        assert desk_run["eer"]["fused"] <= best + 0.01
 
     def test_full_run_under_five_minutes(self, desk_run):
         assert desk_run["elapsed"] < 300.0
+
+    def test_the_run_is_the_desk_workload_command_list(self, desk_run, bench_workloads):
+        work = desk_run["work"]
+        cfg_path = work / "desk_config.json"
+        commands = bench_workloads.Workload.load("desk").commands(work, cfg_path)
+        assert desk_run["calls"] == [["synth", "--config", str(cfg_path)],
+                                     *(argv for stage, argv in commands if stage != "eval")]
 
 
 # --- criterion: determinism ----------------------------------------------------
@@ -359,7 +336,8 @@ class TestDeterminism:
         def one_pass(root: Path):
             root.mkdir()
             work = root / "work"
-            config = bench_workloads.Workload.load("desk", seed=777).full_config(work)
+            workload = bench_workloads.Workload.load("desk", seed=777)
+            config = workload.full_config(work)
             config["corpus"].update(
                 n_train_genuine=5, n_train_spoof=5, n_eval_genuine=3, n_eval_spoof=3,
                 n_speakers=2, n_phrases=2, duration_seconds=0.5,
@@ -371,35 +349,21 @@ class TestDeterminism:
             cfg_path = root / "config.json"
             cfg_path.write_text(json.dumps(config, indent=2))
 
-            def run(*args):
-                assert cli.main(list(args)) == 0
+            # the shrunken config keeps the preset's feature and system names
+            evals = []
+            for stage, argv in [("synth", ["synth", "--config", str(cfg_path)]),
+                                *workload.commands(work, cfg_path)]:
+                capsys.readouterr()
+                assert cli.main(argv) == 0
+                if stage == "eval":
+                    evals.append(capsys.readouterr().out)
+            return digest_tree(work), evals
 
-            run("synth", "--config", str(cfg_path))
-            protocol_train = str(work / "corpus/protocol_train.txt")
-            protocol_eval = str(work / "corpus/protocol_eval.txt")
-            for feature in ("cqcc20", "lpcc78"):
-                for protocol in (protocol_train, protocol_eval):
-                    run("extract", "--config", str(cfg_path), "--feature", feature,
-                        "--protocol", protocol)
-            for system in ("cqcc-gmm", "lpcc-ivec"):
-                run("train", "--config", str(cfg_path), "--system", system)
-                run("score", "--config", str(cfg_path), "--system", system,
-                    "--protocol", protocol_train,
-                    "--out-scores", str(work / f"{system}.scores"))
-            run("fuse", str(work / "cqcc-gmm.scores"),
-                str(work / "lpcc-ivec.scores"),
-                "--protocol", protocol_train,
-                "--out-model", str(work / "fusion.rsmd"),
-                "--out-scores", str(work / "fused.scores"))
-            capsys.readouterr()
-            run("eval", str(work / "fused.scores"), "--protocol", protocol_train)
-            eval_line = capsys.readouterr().out
-            return digest_tree(work), eval_line
-
-        first, eval_1 = one_pass(tmp_path / "run1")
-        second, eval_2 = one_pass(tmp_path / "run2")
+        first, evals_1 = one_pass(tmp_path / "run1")
+        second, evals_2 = one_pass(tmp_path / "run2")
         assert first == second
-        assert eval_1 == eval_2 and eval_1.startswith("EER")
+        assert evals_1 == evals_2
+        assert len(evals_1) == 3 and all(out.startswith("EER") for out in evals_1)
 
 
 # --- criterion: unified shape contracts ----------------------------------------

@@ -1,5 +1,4 @@
 import json
-import re
 import runpy
 import sys
 from pathlib import Path
@@ -13,17 +12,16 @@ from replaycm.metrics import ScoreSet, read_scores, write_scores
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_eval.py"
 
 
-def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
-    """Feature, system and protocol names all come from the config."""
-    work = tmp_path / "run"
-    config = {
+def small_config(work: Path, corpus: Path) -> dict:
+    """Three small systems on two features, the corpus at ``corpus``."""
+    return {
         "seed": 99,
         "sample_rate": 16000,
         "paths": {
             "work_dir": str(work),
-            "audio_dir": str(work / "corpus/wav"),
-            "protocol_train": str(work / "corpus/protocol_train.txt"),
-            "protocol_eval": str(work / "corpus/protocol_eval.txt"),
+            "audio_dir": str(corpus / "wav"),
+            "protocol_train": str(corpus / "protocol_train.txt"),
+            "protocol_eval": str(corpus / "protocol_eval.txt"),
         },
         "corpus": {
             "n_train_genuine": 8, "n_train_spoof": 8,
@@ -41,8 +39,13 @@ def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
                         "ubm_iterations": 3, "tv_rank": 2, "tv_iterations": 2},
         },
     }
+
+
+def test_runs_the_given_config(tmp_path, capsys, monkeypatch):
+    """Feature, system and protocol names all come from the config."""
+    work = tmp_path / "run"
     cfg_path = tmp_path / "small.json"
-    cfg_path.write_text(json.dumps(config))
+    cfg_path.write_text(json.dumps(small_config(work, work / "corpus")))
 
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--config", str(cfg_path)])
     monkeypatch.chdir(tmp_path)
@@ -74,11 +77,42 @@ def test_an_option_the_config_would_override_is_refused(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+# the command list reads the protocols at <work_dir>/corpus
+@pytest.mark.parametrize("corpus, drop, problem", [
+    ("corpus", None, "the protocols must be protocol_train.txt and protocol_eval.txt in"),
+    ("work/corpus", "features", "missing configuration section 'features'"),
+], ids=["corpus-beside-the-work-dir", "no-features"])
+def test_a_config_the_run_cannot_take_is_refused_before_anything_is_written(
+        tmp_path, capsys, monkeypatch, corpus, drop, problem):
+    config = small_config(tmp_path / "work", tmp_path / corpus)
+    config.pop(drop, None)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--config", str(cfg_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: {problem}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_a_config_that_cannot_be_read_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--config", "none.json"])
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'none.json'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("label, problem", [
     (None, "1 scored trial(s) absent from the protocol"),
     ("unknown", "1 scored trial(s) have no ground-truth label"),
 ], ids=["absent", "unlabeled"])
-def test_a_score_protocol_mismatch_is_refused_as_eval_refuses_it(tmp_path, label, problem):
+def test_a_score_protocol_mismatch_is_refused_as_eval_refuses_it(tmp_path, capsys, label,
+                                                                  problem):
     eer_percent = runpy.run_path(str(SCRIPT))["eer_percent"]
     trials = [Trial("g1", "genuine", "s", "P00"), Trial("g2", "genuine", "s", "P00"),
               Trial("s1", "spoof", "s", "P00"), Trial("s2", "spoof", "s", "P00")]
@@ -88,13 +122,15 @@ def test_a_score_protocol_mismatch_is_refused_as_eval_refuses_it(tmp_path, label
     if label:
         trials.append(Trial("t9", label, "s", "P00"))
     write_protocol(trials, protocol)
-    with pytest.raises(SystemExit, match=re.escape(f"error: {scores}: {problem}")):
+    with pytest.raises(SystemExit) as exit_info:
         eer_percent(scores, protocol)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"error: {scores}: {problem}, e.g. ['t9']\n"
     write_protocol(trials[:4] + [Trial("t9", "spoof", "s", "P00")], protocol)
     assert eer_percent(scores, protocol) == 0.0
 
 
-def test_a_labeled_trial_without_a_score_is_refused(tmp_path):
+def test_a_labeled_trial_without_a_score_is_refused(tmp_path, capsys):
     eer_percent = runpy.run_path(str(SCRIPT))["eer_percent"]
     trials = [Trial("g1", "genuine", "s", "P00"), Trial("g2", "genuine", "s", "P00"),
               Trial("s1", "spoof", "s", "P00"), Trial("s2", "spoof", "s", "P00"),
@@ -103,6 +139,8 @@ def test_a_labeled_trial_without_a_score_is_refused(tmp_path):
     write_scores(ScoreSet(("g1", "g2", "s1", "s2"), -np.arange(4.0)), scores)
     protocol = tmp_path / "protocol.txt"
     write_protocol(trials, protocol)
-    with pytest.raises(SystemExit, match=re.escape(
-            f"error: {scores}: 1 labeled trial(s) have no score, e.g. ['s3']")):
+    with pytest.raises(SystemExit) as exit_info:
         eer_percent(scores, protocol)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {scores}: 1 labeled trial(s) have no score, e.g. ['s3']\n")
