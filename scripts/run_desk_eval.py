@@ -83,12 +83,12 @@ def main():
                 *workload.commands(work, cfg_path)]
     for stage, argv in commands:
         if stage != "eval":
-            start = time.time()
+            start = time.perf_counter()
             code = cli.main(argv)
             if code:
                 sys.exit(code)
             stage = stage.split("-")[0]  # fuse-train and fuse-apply time as fuse
-            timings[stage] = timings.get(stage, 0.0) + time.time() - start
+            timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - start
 
     print()
     print(f"{'system':24s}  eval EER")

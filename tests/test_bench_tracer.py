@@ -8,6 +8,7 @@ benchmark.  So does a feature kind whose front-end the tracer cannot see,
 such as one that ``pipeline.FEATURE_KINDS`` binds as a function object.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +41,19 @@ def test_tracer_installs_over_every_traced_name_and_restores(monkeypatch):
     finally:
         tracer.uninstall()
     assert {name: bound(name) for name in workload_pass.TRACED} == originals
+
+
+def test_the_benchmark_imports_every_traced_module_through_the_cli():
+    # a fresh process, as the benchmark's pass: importing the CLI alone must
+    # import each module that a traced name is bound in
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(BENCH)!r})\n"
+              "import workload_pass\n"
+              "workload_pass.import_program()\n"
+              "workload_pass.install_tracer().uninstall()\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # The traced front-end functions, and the calls one compute_feature of each

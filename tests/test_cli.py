@@ -1641,6 +1641,20 @@ def test_runtime_needs_no_scipy(workspace, tmp_path):
     assert len(list((tmp_path / "features/deemd-small").glob("*.rsft"))) == 1
 
 
+def test_the_package_binds_only_its_version_and_imports_no_module():
+    # each name has one import path, its defining module
+    script = ("import sys\nimport replaycm\n"
+              "print(sorted(n for n in vars(replaycm) if not n.startswith('_')))\n"
+              "print('__version__' in vars(replaycm))\n"
+              "print(sorted(m for m in sys.modules if m.startswith('replaycm.')))\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True", "[]"]
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids returned by every ``os.fork`` in this process."""
