@@ -16,6 +16,7 @@ from .spectral import (
     FramingConfig,
     cqt_magnitude,
     floored_log_power,
+    frame_lengths,
     frame_signal,
     mvn_spectrum,
     resample_rows_linear,
@@ -139,6 +140,15 @@ def lpc_to_cepstrum(a: np.ndarray, err: np.ndarray, n_coeffs: int) -> np.ndarray
     return c[0] if single else c
 
 
+def check_lpc_order(cfg: LpccConfig, sample_rate: int) -> None:
+    """Refuse an lpc_order that is not below the frame length at ``sample_rate``."""
+    frame_len, _ = frame_lengths(cfg.framing.window_seconds, cfg.framing.hop_seconds,
+                                 sample_rate)
+    if cfg.lpc_order >= frame_len:
+        raise ValueError(f"lpc_order ({cfg.lpc_order}) must be smaller than the frame "
+                         f"length ({frame_len})")
+
+
 def lpcc(wave: Waveform, cfg: LpccConfig) -> np.ndarray:
     """Linear-prediction cepstral coefficients, one column per analysis frame.
 
@@ -146,12 +156,8 @@ def lpcc(wave: Waveform, cfg: LpccConfig) -> np.ndarray:
     """
     frames = frame_signal(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
                           cfg.framing.window)
+    check_lpc_order(cfg, wave.sample_rate)
     frame_len = frames.shape[1]
-    if cfg.lpc_order >= frame_len:
-        raise ValueError(
-            f"lpc_order ({cfg.lpc_order}) must be smaller than the frame "
-            f"length ({frame_len})"
-        )
 
     # biased autocorrelation, only the lags 0..p the recursion needs
     autocorr = np.empty((frames.shape[0], cfg.lpc_order + 1))

@@ -18,7 +18,6 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .corpus import CorpusConfig
-from .spectral import CqtConfig, cqt_kernel_layout, frame_lengths
 
 
 class ConfigError(ValueError):
@@ -195,25 +194,13 @@ def _parse_feature(name: str, block, sample_rate: int) -> FeatureSpec:
     kind = _object(block, context).get("type")
     if kind not in FEATURE_KINDS:
         raise ConfigError(f"{context}: unknown type {kind!r}")
-    cls, flag, _ = FEATURE_KINDS[kind]
+    cls, flag, _, check = FEATURE_KINDS[kind]
     unused = set(block) - {"type", flag}
     spec = FeatureSpec(name, kind, _build(cls, block, context, unused),
                        _checked(block.get(flag, False), bool, f"{context}: {flag}"))
     _reject_unused(unused, context)
-    cqt = getattr(spec.config, "cqt", spec.config)
-    framed = getattr(spec.config, "fft", spec.config)  # deemd frames as its FFT does
     try:  # refuse sizes no trial can meet now, not once per trial in extract
-        if isinstance(cqt, CqtConfig):
-            cqt_kernel_layout(cqt, sample_rate)
-        if hasattr(framed, "framing"):  # lpcc, fft and deemd
-            frame_len, _ = frame_lengths(framed.framing.window_seconds,
-                                         framed.framing.hop_seconds, sample_rate)
-            if getattr(framed, "lpc_order", -1) >= frame_len:
-                raise ValueError(f"lpc_order ({framed.lpc_order}) must be smaller "
-                                 f"than the frame length ({frame_len})")
-            if getattr(framed, "n_fft", frame_len) < frame_len:
-                raise ValueError(f"n_fft ({framed.n_fft}) must be >= "
-                                 f"frame length ({frame_len})")
+        check(spec.config, sample_rate)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     return spec

@@ -15,6 +15,8 @@ import numpy as np
 from .svm import LinearModel, augmented_training_set
 
 L2 = 1e-6  # weight of the L2 penalty on the weights and bias
+TOL = 1e-8  # gradient norm at which training stops
+MAX_ITERS = 50000
 
 
 def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
@@ -27,16 +29,11 @@ def _loss_and_grad(theta: np.ndarray, aug: np.ndarray, y: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows backtracks
-def fusion_train(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    tol: float = 1e-8,
-    max_iters: int = 50000,
-) -> LinearModel:
+def fusion_train(scores: np.ndarray, labels: np.ndarray) -> LinearModel:
     """Train fusion weights on a trials x systems score matrix.
 
     labels holds +1 for genuine and -1 for spoof trials.  Optimization stops
-    when the gradient norm drops below tol; the model's history, the loss per
+    when the gradient norm drops below TOL; the model's history, the loss per
     iteration, is non-increasing.  Scores whose loss gradient is not finite
     are refused.
     """
@@ -55,8 +52,8 @@ def fusion_train(
     prev_grad = None
 
     stalled = False
-    for _ in range(max_iters):
-        if np.linalg.norm(grad) <= tol:
+    for _ in range(MAX_ITERS):
+        if np.linalg.norm(grad) <= TOL:
             break
         if prev_theta is not None:
             s = theta - prev_theta
@@ -84,7 +81,7 @@ def fusion_train(
     norm = np.linalg.norm(grad)
     if not np.isfinite(norm):
         raise ValueError("the fusion loss gradient is not finite: the scores are too large")
-    if norm > tol:
+    if norm > TOL:
         how = "stalled (no step descends)" if stalled else "reached max_iters"
         warnings.warn(
             f"fusion training {how} after {len(history) - 1} iterations with "

@@ -15,6 +15,7 @@ from .gmm import GmmModel, _expanded, _responsibilities
 
 E_STEP_BLOCK = 8  # utterances per E-step block: bounds the (block, R, R) precisions
 COMPONENT_BLOCK = 8  # components per Gram and M-step block: bounds their (block, R, R) systems
+RIDGE = 1e-6  # added to the diagonal of a singular M-step system
 
 
 @dataclass
@@ -186,8 +187,7 @@ def _e_step(t_matrix: np.ndarray, variances: np.ndarray, counts: np.ndarray,
     return float(np.sum(ws.objective))
 
 
-def _m_step_solve(systems: np.ndarray, rhs: np.ndarray, ridge: float,
-                  first: int) -> np.ndarray:
+def _m_step_solve(systems: np.ndarray, rhs: np.ndarray, first: int) -> np.ndarray:
     """Solve a block of systems, the first of them component ``first``, at
     once; a singular one gets a ridge term plus a warning."""
     try:
@@ -201,11 +201,11 @@ def _m_step_solve(systems: np.ndarray, rhs: np.ndarray, ridge: float,
         except np.linalg.LinAlgError:
             warnings.warn(f"singular M-step system for component {first + c}; adding ridge",
                           stacklevel=4)
-            out[c] = np.linalg.solve(systems[c] + ridge * np.eye(len(rhs[c])), rhs[c])
+            out[c] = np.linalg.solve(systems[c] + RIDGE * np.eye(len(rhs[c])), rhs[c])
     return out
 
 
-def _m_step(t_matrix: np.ndarray, ws: _EmWorkspace, ridge: float) -> None:
+def _m_step(t_matrix: np.ndarray, ws: _EmWorkspace) -> None:
     """Overwrite ``t_matrix`` with the next T, solving the packed systems in
     ``ws`` COMPONENT_BLOCK components at a time."""
     k = len(ws.a_acc)
@@ -219,7 +219,7 @@ def _m_step(t_matrix: np.ndarray, ws: _EmWorkspace, ridge: float) -> None:
         systems = _unpack(ws.a_acc[start:stop], rank, ws.systems[:stop - start])
         active = np.trace(systems, axis1=1, axis2=2) > 0.0
         systems[~active] = np.eye(rank)
-        solution = _m_step_solve(systems, rhs[start:stop], ridge, start)
+        solution = _m_step_solve(systems, rhs[start:stop], start)
         # a system too small to solve in floating point (subnormal counts)
         # gives no usable solution either, so that component keeps its rows too
         solved = np.isfinite(solution).all(axis=(1, 2))
@@ -237,7 +237,6 @@ def train_t_matrix(
     rank: int = 200,
     iters: int = 5,
     seed: int = 0,
-    ridge: float = 1e-6,
 ) -> TotalVariabilityModel:
     """EM for the total-variability matrix from stacked statistics: row u of
     ``counts`` (U, K) and ``firsts`` (U, K*D) is utterance u's ``n`` and
@@ -247,7 +246,7 @@ def train_t_matrix(
     under the current T.  M-step: per-component least-squares solve from the
     accumulated systems.  Components with no accumulated evidence keep their
     current rows, as do components whose solution is not finite (subnormal
-    counts), with a warning; singular systems get a ridge term plus a
+    counts), with a warning; singular systems get a RIDGE term plus a
     warning.  The per-iteration marginal objective (up to a T-independent
     constant) is recorded on the returned model; EM makes it non-decreasing.
     Both steps and the Gram matrices run over fixed blocks of utterances or
@@ -278,7 +277,7 @@ def train_t_matrix(
     for _ in range(iters):
         _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
         history.append(_e_step(t_matrix, ubm.variances, counts, firsts, ws))
-        _m_step(t_matrix, ws, ridge)
+        _m_step(t_matrix, ws)
     _gram(t_matrix, ubm.variances, ws.gram, ws.systems)
     history.append(_e_step(t_matrix, ubm.variances, counts, firsts, ws, accumulate=False))
     gram = ws.gram

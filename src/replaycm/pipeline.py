@@ -15,7 +15,7 @@ import numpy as np
 
 from . import containers
 from .audio_io import Waveform, load_wav
-from .cepstral import CqccConfig, LpccConfig, cmvn, cqcc, lpcc
+from .cepstral import CqccConfig, LpccConfig, check_lpc_order, cmvn, cqcc, lpcc
 from .config import (
     FeatureSpec,
     GmmSystemSpec,
@@ -39,6 +39,8 @@ from .spectral import (
     CqtConfig,
     DwtConfig,
     FftConfig,
+    check_n_fft,
+    cqt_kernel_layout,
     cqt_log_power_spectrogram,
     dwt_scalogram,
     fft_spectrogram,
@@ -62,25 +64,30 @@ def model_dir(cfg: PipelineConfig, system_name: str) -> Path:
 
 
 # Each feature kind's config type, the JSON key that sets its
-# FeatureSpec.normalise, and its front-end, called as f(wave, config,
-# trial_seed); the only place a kind is written down (config._parse_feature
-# reads it too).  A front-end looks its function up here when run, so one
-# patched at module level (as bench/tracer.py does) is the one called.
+# FeatureSpec.normalise, its front-end, called as f(wave, config,
+# trial_seed), and the front-end's refusal of sizes no trial can meet, which
+# config._parse_feature calls as check(config, sample_rate); the only place a
+# kind is written down.  A front-end looks its function up here when run, so
+# one patched at module level (as bench/tracer.py does) is the one called.
 FEATURE_KINDS = {
-    "cqcc": (CqccConfig, "cmvn", lambda wave, cfg, seed: cqcc(wave, cfg)),
-    "lpcc": (LpccConfig, "cmvn", lambda wave, cfg, seed: lpcc(wave, cfg)),
-    "fft": (FftConfig, "mvn", lambda wave, cfg, seed: fft_spectrogram(wave, cfg)),
-    "cqt": (CqtConfig, "mvn", lambda wave, cfg, seed: cqt_log_power_spectrogram(wave, cfg)),
-    "dwt": (DwtConfig, "mvn", lambda wave, cfg, seed: dwt_scalogram(wave, cfg)),
+    "cqcc": (CqccConfig, "cmvn", lambda wave, cfg, seed: cqcc(wave, cfg),
+             lambda cfg, rate: cqt_kernel_layout(cfg.cqt, rate)),
+    "lpcc": (LpccConfig, "cmvn", lambda wave, cfg, seed: lpcc(wave, cfg), check_lpc_order),
+    "fft": (FftConfig, "mvn", lambda wave, cfg, seed: fft_spectrogram(wave, cfg), check_n_fft),
+    "cqt": (CqtConfig, "mvn", lambda wave, cfg, seed: cqt_log_power_spectrogram(wave, cfg),
+            cqt_kernel_layout),
+    "dwt": (DwtConfig, "mvn", lambda wave, cfg, seed: dwt_scalogram(wave, cfg),
+            lambda cfg, rate: None),  # framed in samples: no size depends on the rate
     "deemd": (DeemdParams, "mvn",
-              lambda wave, cfg, seed: delta_eemd_spectrogram(wave, cfg, seed)),
+              lambda wave, cfg, seed: delta_eemd_spectrogram(wave, cfg, seed),
+              lambda cfg, rate: check_n_fft(cfg.fft, rate)),
 }
 
 
 def compute_feature(spec: FeatureSpec, wave: Waveform, trial_seed: int) -> np.ndarray:
     """Run one configured front-end; returns its dim x frames matrix.  A
     wave too short for 2 frames is refused, whatever the kind."""
-    _, flag, front_end = FEATURE_KINDS[spec.kind]
+    _, flag, front_end, _ = FEATURE_KINDS[spec.kind]
     values = front_end(wave, spec.config, trial_seed)
     if values.shape[1] < 2:
         raise ValueError(f"{wave.samples.size} samples give {values.shape[1]} "

@@ -136,6 +136,14 @@ def resample_rows_linear(values: np.ndarray, src_positions: np.ndarray,
     return _row_resampler(src_positions, n_out)(values)
 
 
+def check_n_fft(cfg: FftConfig, sample_rate: int) -> None:
+    """Refuse an n_fft below the frame length at ``sample_rate``."""
+    frame_len, _ = frame_lengths(cfg.framing.window_seconds, cfg.framing.hop_seconds,
+                                 sample_rate)
+    if cfg.n_fft < frame_len:
+        raise ValueError(f"n_fft ({cfg.n_fft}) must be >= frame length ({frame_len})")
+
+
 def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") -> np.ndarray:
     """FFT spectrogram in the requested scale (magnitude, power or log-power).
 
@@ -146,11 +154,8 @@ def fft_spectrogram(wave: Waveform, cfg: FftConfig, scale: str = "log-power") ->
         raise ValueError(f"unsupported fft scale {scale!r}")
     frames, taper = _framing(wave, cfg.framing.window_seconds, cfg.framing.hop_seconds,
                              cfg.framing.window)
-    n_frames, frame_len = frames.shape
-    if cfg.n_fft < frame_len:
-        raise ValueError(
-            f"n_fft ({cfg.n_fft}) must be >= frame length ({frame_len})"
-        )
+    check_n_fft(cfg, wave.sample_rate)
+    n_frames = len(frames)
     n_bins = cfg.n_fft // 2 + 1
     if cfg.target_bins is None:
         resample = None

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+TOL = 1e-6  # relative duality gap at which training stops
+MAX_EPOCHS = 2000
+
 
 @dataclass
 class LinearModel:
@@ -45,17 +48,11 @@ def augmented_training_set(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
     return np.hstack([x, np.ones((x.shape[0], 1))]), y
 
 
-def svm_train_linear(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float = 1.0,
-    tol: float = 1e-6,
-    max_epochs: int = 2000,
-) -> LinearModel:
+def svm_train_linear(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> LinearModel:
     """Train on rows of x with labels y in {+1, -1}.
 
     Runs epochs of dual coordinate descent until the duality gap drops below
-    tol * (primal + 1).  The dual objective (minimization form) after each
+    TOL * (primal + 1).  The dual objective (minimization form) after each
     epoch is the model's history and decreases monotonically.
     """
     aug, y = augmented_training_set(x, y)
@@ -71,7 +68,7 @@ def svm_train_linear(
 
     history = []
     converged = False
-    for _ in range(max_epochs):
+    for _ in range(MAX_EPOCHS):
         for i in range(n):
             grad = y[i] * (w @ aug[i]) - 1.0
             if alpha[i] == 0.0:
@@ -89,12 +86,12 @@ def svm_train_linear(
         primal = 0.5 * float(w @ w) + c * float(np.sum(np.maximum(margins, 0.0)))
         dual_value = float(alpha.sum()) - 0.5 * float(w @ w)
         history.append(0.5 * float(w @ w) - float(alpha.sum()))
-        if primal - dual_value <= tol * (primal + 1.0):
+        if primal - dual_value <= TOL * (primal + 1.0):
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"dual coordinate descent stopped after {max_epochs} epochs "
+            f"dual coordinate descent stopped after {MAX_EPOCHS} epochs "
             "without closing the duality gap",
             stacklevel=2,
         )

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from replaycm.audio_io import Waveform
 from replaycm.cepstral import CqccConfig, LpccConfig
 from replaycm.config import (
     ConfigError,
@@ -16,6 +18,7 @@ from replaycm.config import (
 )
 from replaycm.corpus import CorpusConfig
 from replaycm.eemd import DeemdParams, SiftConfig
+from replaycm.pipeline import FEATURE_KINDS
 from replaycm.spectral import CqtConfig, DwtConfig, FftConfig, FramingConfig
 
 
@@ -423,12 +426,53 @@ def test_dataclass_errors_name_the_block():
         parse_config(minimal_config(systems={"s": {"model": "gmm"}}))
 
 
+NYQUIST = {"f_min": 500.0, "bins_per_octave": 12, "n_bins": 60}
+
+
 @pytest.mark.parametrize("block, message", [
-    ({"type": "cqt"}, r"feature 'k': CQT kernel matrices would take 413\.2 MiB"),
-    ({"type": "cqcc"}, r"feature 'k': CQT kernel matrices would take 413\.2 MiB"),
-    ({"type": "cqt", "f_min": 500.0, "bins_per_octave": 12, "n_bins": 60},
-     r"feature 'k': CQT bin 48 .* reaches the Nyquist"),
-], ids=["cqt-budget", "cqcc-budget", "cqt-nyquist"])
-def test_cqt_kernels_checked_when_the_config_loads(block, message):
-    with pytest.raises(ConfigError, match=message):
-        parse_config(minimal_config(features={"f": {"type": "lpcc"}, "k": block}))
+    ({"type": "lpcc", "window_seconds": 0.002, "lpc_order": 40},
+     "lpc_order (40) must be smaller than the frame length (32)"),
+    ({"type": "fft", "n_fft": 1024}, "n_fft (1024) must be >= frame length (2048)"),
+    ({"type": "deemd", "n_fft": 1024}, "n_fft (1024) must be >= frame length (2048)"),
+    ({"type": "cqt"}, "CQT kernel matrices would take 413.2 MiB, over the 64 MiB budget; "
+     "the longest kernel is 141312 samples (8.83 s); raise f_min or lower bins_per_octave"),
+    ({"type": "cqcc"}, "CQT kernel matrices would take 413.2 MiB, over the 64 MiB budget; "
+     "the longest kernel is 141312 samples (8.83 s); raise f_min or lower bins_per_octave"),
+    ({"type": "cqt", **NYQUIST},
+     "CQT bin 48 center frequency 8000.00 Hz reaches the Nyquist frequency 8000.00 Hz"),
+    ({"type": "cqcc", **NYQUIST, "resample_bins": 24, "n_coeffs": 12},
+     "CQT bin 48 center frequency 8000.00 Hz reaches the Nyquist frequency 8000.00 Hz"),
+], ids=["lpcc", "fft", "deemd", "cqt-budget", "cqcc-budget", "cqt-nyquist", "cqcc-nyquist"])
+def test_the_loader_and_the_front_end_refuse_a_size_with_one_text(
+        tmp_path, monkeypatch, block, message):
+    # each refusal is written once, in the front-end's module: load_config
+    # reports the text that the front-end, run on a 1.2 s wave at the same
+    # rate with the load-time check switched off, raises
+    kind = block["type"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(features={"k": block}, systems={
+        "s": {"model": "gmm", "feature": "k"}})))
+    with pytest.raises(ConfigError) as refused:
+        load_config(path)
+    assert str(refused.value) == f"{path}: feature 'k': {message}"
+    _, _, front_end, _ = FEATURE_KINDS[kind]
+    monkeypatch.setitem(FEATURE_KINDS, kind, FEATURE_KINDS[kind][:3] + (lambda cfg, rate: None,))
+    cfg = load_config(path)
+    wave = Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 19200), cfg.sample_rate)
+    with pytest.raises(ValueError) as direct:
+        front_end(wave, cfg.features["k"].config, 0)
+    assert str(direct.value) == message
+
+
+def test_every_feature_kind_is_checked_at_its_sample_rate_when_the_config_loads(
+        monkeypatch):
+    checked = []
+    for kind, (cls, flag, front_end, _) in list(FEATURE_KINDS.items()):
+        monkeypatch.setitem(FEATURE_KINDS, kind, (
+            cls, flag, front_end, lambda cfg, rate: checked.append((type(cfg), rate))))
+    data = minimal_config(sample_rate=22050,
+                          features={kind: {"type": kind} for kind in FEATURE_KINDS})
+    data["systems"]["s"]["feature"] = "lpcc"
+    parse_config(data)
+    assert sorted(checked, key=str) == sorted(
+        ((cls, 22050) for cls, *_ in FEATURE_KINDS.values()), key=str)

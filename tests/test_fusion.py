@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from replaycm import fusion
 from replaycm.fusion import _loss_and_grad, fusion_apply, fusion_train
 from replaycm.svm import LinearModel
 from replaycm.metrics import compute_eer
@@ -62,7 +63,7 @@ def test_loss_history_non_increasing(rng):
 def test_gradient_norm_reached(rng):
     scores = np.concatenate([rng.normal(1, 1, 50), rng.normal(-1, 1, 50)])[:, None]
     labels = np.array([1.0] * 50 + [-1.0] * 50)
-    model = fusion_train(scores, labels, tol=1e-8)
+    model = fusion_train(scores, labels)
     # recompute the gradient at the trained point
     aug = np.hstack([scores, np.ones((100, 1))])
     theta = np.concatenate([model.weights, [model.bias]])
@@ -76,13 +77,15 @@ def test_gradient_norm_reached(rng):
     (1e9, 50000, "stalled (no step descends)"),  # no descent at float precision
     (1.0, 3, "reached max_iters"),
 ])
-def test_an_unconverged_fit_warns_why_and_after_how_many_iterations(scale, max_iters, how):
+def test_an_unconverged_fit_warns_why_and_after_how_many_iterations(
+        monkeypatch, scale, max_iters, how):
+    monkeypatch.setattr(fusion, "MAX_ITERS", max_iters)
     rng = np.random.default_rng(0)
     scores = scale * np.concatenate([rng.normal(1.0, 1.0, (40, 2)),
                                      rng.normal(-1.0, 1.0, (40, 2))])
     labels = np.array([1.0] * 40 + [-1.0] * 40)
     with pytest.warns(UserWarning) as record:
-        model = fusion_train(scores, labels, max_iters=max_iters)
+        model = fusion_train(scores, labels)
     iterations = len(model.history) - 1
     assert iterations < 50000 if max_iters == 50000 else iterations == max_iters
     assert [str(w.message).split(" with ")[0] for w in record] == [

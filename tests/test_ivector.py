@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -235,11 +236,42 @@ class TestTrainTMatrix:
             tv = train_t_matrix(*stacked(stats), ubm, rank=rank, iters=1, seed=4)
         assert sum("adding ridge" in str(w.message) for w in caught) == 1
         np.testing.assert_array_equal(per_component_calls[bad + 1],
-                                      per_component_calls[bad] + 1e-6 * np.eye(rank))
+                                      per_component_calls[bad] + ivector.RIDGE * np.eye(rank))
         rows = np.s_[bad * d : (bad + 1) * d]
         np.testing.assert_allclose(np.delete(tv.t_matrix, rows, axis=0),
                                    np.delete(expected, rows, axis=0), rtol=1e-12)
         np.testing.assert_allclose(tv.t_matrix[rows], expected[rows], rtol=1e-4)
+
+    @pytest.mark.parametrize("fault", ["singular", "non-finite"])
+    def test_m_step_warnings_point_at_the_caller_of_train_t_matrix(
+            self, rng, monkeypatch, fault):
+        # the warning's location is the line that called train_t_matrix, not
+        # a frame inside ivector or pytest
+        k, d, rank = 3, 2, 2
+        ubm = random_ubm(rng, k, d)
+        stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(8)]
+        if fault == "singular":
+            real_solve = np.linalg.solve
+            plain_calls = []
+
+            def solve(a, b):  # the batched solve and component 0's plain one fail
+                if a.ndim == 2:
+                    plain_calls.append(a)
+                if a.ndim == 3 or len(plain_calls) == 1:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return real_solve(a, b)
+
+            monkeypatch.setattr(np.linalg, "solve", solve)
+        else:
+            for st in stats:
+                st.n[1], st.f[1] = 1e-310, 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            train_t_matrix(*stacked(stats), ubm, rank=rank, iters=1, seed=4)
+        (warning,) = [w for w in caught if "M-step" in str(w.message)]
+        assert ("adding ridge" in str(warning.message)) == (fault == "singular")
+        assert (warning.filename, warning.lineno) == (__file__, line)
 
     @pytest.mark.parametrize("bad", [1, 3])
     @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
@@ -349,7 +381,7 @@ class TestRankWarning:
         ubm = random_ubm(rng, k, d)
         stats = [baum_welch_stats(ubm, rng.standard_normal((30, d))) for _ in range(rank)]
 
-        def m_step(t, ws, ridge):
+        def m_step(t, ws):
             t[...] = t_matrix
 
         monkeypatch.setattr(ivector, "_m_step", m_step)

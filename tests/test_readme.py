@@ -60,7 +60,7 @@ def test_configuration_table_lists_the_keys_the_loader_accepts():
         # the corpus block takes the seed and sample rate from the top level
         ("corpus", None): flat_keys(CorpusConfig) - {"seed", "sample_rate"},
     }
-    for kind, (config_type, flag, _) in FEATURE_KINDS.items():
+    for kind, (config_type, flag, _, _) in FEATURE_KINDS.items():
         expected["features", kind] = flat_keys(config_type) | {flag}
     for model, (spec_type, _, _) in SYSTEM_KINDS.items():
         expected["systems", model] = flat_keys(spec_type) - {"name"}

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from replaycm import svm
 from replaycm.gmm import GmmModel
 from replaycm.ivector import BaumWelchStats, TotalVariabilityModel, extract_ivector
 from replaycm.svm import LinearModel, svm_score, svm_train_linear
@@ -66,7 +67,9 @@ def test_separable_blobs_train_accuracy(rng):
     assert np.all(predictions == y)
 
 
-def test_tiny_problems_match_qp_oracle(rng):
+def test_tiny_problems_match_qp_oracle(rng, monkeypatch):
+    monkeypatch.setattr(svm, "TOL", 1e-10)
+    monkeypatch.setattr(svm, "MAX_EPOCHS", 200000)
     for trial in range(6):
         n = int(rng.integers(3, 7))
         x = rng.standard_normal((n, 2))
@@ -74,7 +77,7 @@ def test_tiny_problems_match_qp_oracle(rng):
         if np.all(y == y[0]):
             y[0] = -y[0]
         c = float(rng.uniform(0.3, 2.0))
-        model = svm_train_linear(x, y, c=c, tol=1e-10, max_epochs=200000)
+        model = svm_train_linear(x, y, c=c)
         solver_obj = model.history[-1]
         oracle_obj = qp_oracle_objective(x, y, c)
         assert abs(solver_obj - oracle_obj) <= 1e-4
