@@ -8,6 +8,7 @@ every setting, the seed and the paths included, from that one file.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 import traceback
 from pathlib import Path
@@ -19,6 +20,11 @@ from .config import ConfigError, load_config
 from .corpus import ProtocolError, generate_synth_corpus, parse_protocol
 from .fusion import fusion_apply, fusion_train
 from .metrics import ScoreSet, write_scores
+
+try:  # glibc's malloc_trim hands the freed heap back to the OS
+    malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # no such C library call: musl, macOS, Windows
+    malloc_trim = None
 
 
 def _err(message: str) -> None:
@@ -230,8 +236,10 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return 1
-    finally:  # nor do its CQT kernels, lest they raise every later in-process command's RSS
-        spectral._cqt_kernels.cache_clear()
+    finally:  # nor do its CQT kernels or freed heap, lest they raise every later
+        spectral._cqt_kernels.cache_clear()  # in-process command's RSS
+        if malloc_trim is not None:
+            malloc_trim(0)
 
 
 def entrypoint() -> None:

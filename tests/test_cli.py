@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -95,6 +96,27 @@ def assert_no_child_left():
     """No child process of this one runs or waits to be reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def trims(monkeypatch):
+    """One record per call of ``cli.malloc_trim``, the last step of every
+    command: its argument, the open workers scope, the number of cached CQT
+    kernel sets, and whether a child process of this one was left."""
+    calls = []
+
+    def hook(pad):
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            child_left = True
+        except ChildProcessError:
+            child_left = False
+        calls.append((pad, parallel._scope.get(),
+                      spectral._cqt_kernels.cache_info().currsize, child_left))
+        return 1
+
+    monkeypatch.setattr(cli, "malloc_trim", hook)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -527,7 +549,7 @@ class TestExtract:
 
     @pytest.mark.parametrize("outcome, rc", [("written", 0), ("refused", 2), ("crashed", 1)])
     def test_the_cqt_kernels_end_with_the_command(self, workspace, tmp_path, monkeypatch,
-                                                  outcome, rc):
+                                                  trims, outcome, rc):
         cfg_path, work = workspace
         protocol = tmp_path / "p.txt"
         lines = (work / "corpus/protocol_train.txt").read_text().splitlines()[:2]
@@ -546,6 +568,7 @@ class TestExtract:
                          "--feature", "cqcc-small", "--protocol", str(protocol)]) == rc
         assert len(list((tmp_path / "features/cqcc-small").glob("*.rsft"))) == 2 - (rc == 1)
         assert spectral._cqt_kernels.cache_info().currsize == 0
+        assert trims == [(0, None, 0, False)]  # the heap is trimmed once, after them
 
     def test_cqt_commands_in_one_process_write_cold_cache_bytes(self, workspace, tmp_path):
         # cqcc-small and cqt-small share one CQT configuration
@@ -1896,3 +1919,88 @@ def test_deemd_bytes_do_not_depend_on_the_blas_thread_count():
             capture_output=True, text=True, timeout=120, check=True)
         digests.add(done.stdout)
     assert len(digests) == 1
+
+
+class TestHeapTrim:
+    """Each ``cli.main`` call ends by handing its freed heap back to the OS
+    through ``cli.malloc_trim``, after its workers and CQT kernels are gone."""
+
+    def test_it_runs_after_the_workers_are_reaped(self, workspace, tmp_path, monkeypatch,
+                                                  forks, trims):
+        cfg_path, work = workspace
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        assert cli.main(["extract", "--config", str(config_with_work_dir(cfg_path, tmp_path)),
+                         "--feature", "deemd-small",
+                         "--protocol", str(work / "corpus/protocol_eval.txt")]) == 0
+        assert len(forks) == 1
+        assert trims == [(0, None, 0, False)]
+
+    def test_outputs_are_the_same_bytes_without_it(self, tmp_path, monkeypatch):
+        trees = []
+        for hook in (cli.malloc_trim, None):
+            monkeypatch.setattr(cli, "malloc_trim", hook)
+            work = tmp_path / f"work{len(trees)}"
+            config = {**TINY_CONFIG, "paths": {
+                "work_dir": str(work), "audio_dir": str(work / "corpus/wav"),
+                "protocol_train": str(work / "corpus/protocol_train.txt"),
+                "protocol_eval": str(work / "corpus/protocol_eval.txt")}}
+            cfg = tmp_path / f"config{len(trees)}.json"
+            cfg.write_text(json.dumps(config))
+            assert cli.main(["synth", "--config", str(cfg)]) == 0
+            for subset in ("train", "eval"):
+                assert cli.main(["extract", "--config", str(cfg), "--feature", "cqcc-small",
+                                 "--protocol", str(work / f"corpus/protocol_{subset}.txt")]) == 0
+            assert cli.main(["train", "--config", str(cfg), "--system", "gmm-sys"]) == 0
+            assert cli.main(["score", "--config", str(cfg), "--system", "gmm-sys",
+                             "--protocol", str(work / "corpus/protocol_eval.txt"),
+                             "--out-scores", str(work / "eval.scores")]) == 0
+            trees.append(tree_hashes(work))
+        assert len(trees[0]) == 24 + 3 + 24 + 2 + 1  # corpus, features, models, scores
+        assert trees[0] == trees[1]
+
+
+HEAP_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from replaycm import cli
+
+def rss_anon_kb():
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("RssAnon:"):
+            return int(line.split()[1])
+
+work = Path(sys.argv[2])
+config = workloads.Workload.load("frontends").full_config(work)
+config["corpus"].update(n_train_genuine=2, n_train_spoof=2, n_eval_genuine=1,
+                        n_eval_spoof=1, n_speakers=1, n_phrases=1)
+config["features"] = {"cqcc20": config["features"]["cqcc20"]}
+config["systems"] = {"cqcc-gmm": {"model": "gmm", "feature": "cqcc20", "components": 2}}
+work.mkdir()
+cfg = work / "config.json"
+cfg.write_text(json.dumps(config))
+assert cli.main(["synth", "--config", str(cfg)]) == 0
+after_synth = rss_anon_kb()
+for subset in ("train", "eval"):
+    assert cli.main(["extract", "--config", str(cfg), "--feature", "cqcc20",
+                     "--protocol", str(work / f"corpus/protocol_{subset}.txt")]) == 0
+print(rss_anon_kb() - after_synth)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file()
+                    or not hasattr(ctypes.CDLL(None), "malloc_trim"),
+                    reason="needs /proc/self/status and glibc's malloc_trim")
+def test_extract_leaves_no_freed_heap_resident(tmp_path):
+    # numpy's matmul copies cqt_magnitude's strided windows into a ~2.5 MB
+    # buffer; freeing that mapping raises glibc's mmap and trim thresholds, and
+    # without a trim the freed heap of every later array stayed resident
+    src = Path(cli.__file__).resolve().parents[1]
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    done = subprocess.run([sys.executable, "-c", HEAP_SCRIPT, str(bench), str(tmp_path / "w")],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown_kb = int(done.stdout.split()[-1])
+    assert grown_kb < 1.5 * 1024
